@@ -75,8 +75,8 @@ def _run_checks(M: ModulePresentation) -> None:
     if M.embedding is not None and not check_homogeneous(M.embedding):
         raise VerificationError("embedding matrix is inhomogeneous")
     cols = [c for c in M.relations.columns() if not c.is_zero()]
-    if cols:
-        verify_spairs(buchberger(cols, ambient=M.F0))
+    if cols and not verify_spairs(buchberger(cols, ambient=M.F0)):
+        raise VerificationError("an S-pair of the Groebner basis does not reduce to zero")
     res = minimal_resolution(M)
     res.check()
     hs = hilbert_series(M)
@@ -122,9 +122,7 @@ def _report_module(M: ModulePresentation, args, extra: Optional[dict] = None) ->
 
 def cmd_resolve(args) -> int:
     M = _load(args.file)
-    max_len = args.max_len if args.max_len is not None else M.ring.r
-    order = ORDERS[args.order]
-    res = minimize(resolve(M, max_len, order))
+    res = minimize(resolve(M, args.max_len, ORDERS[args.order]))
     if args.check:
         res.check()
         _run_checks(M)

@@ -65,7 +65,14 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
     term dividing the current work leading term. Returns (quotients, rem)
     with f = sum(quotients[k] * gens[k]) + rem and no term of rem divisible
     by any leading term of gens. Quotients are ring polynomial term maps."""
-    lts = [g.leading_term(order) for g in gens]
+    # only a divisor at the work term's position can divide it, so the lead
+    # terms are grouped by position once, each group in list order
+    divisors: dict = {}
+    for k, g in enumerate(gens):
+        lt = g.leading_term(order)
+        if lt is not None:
+            (gpos, gm), glc = lt
+            divisors.setdefault(gpos, []).append((k, gm, glc))
     work = dict(f.terms)
     rem: dict = {}
     quots: Optional[List[dict]] = [dict() for _ in gens] if want_quotients else None
@@ -73,18 +80,12 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
         t = _max_term(work, order)
         c = work.pop(t)
         pos, m = t
-        hit = -1
-        for k, lt in enumerate(lts):
-            if lt is None:
-                continue
-            (gpos, gm), glc = lt
-            if gpos == pos and mono_divides(gm, m):
-                hit = k
+        for hit, gm, glc in divisors.get(pos, ()):
+            if mono_divides(gm, m):
                 break
-        if hit < 0:
+        else:
             rem[t] = c
             continue
-        (gpos, gm), glc = lts[hit]
         q = mono_div(m, gm)
         coeff = c / glc
         for (p2, m2), c2 in gens[hit].terms.items():
@@ -143,15 +144,12 @@ def _reduce_basis(elements: Sequence[ModuleElement], order: ModuleOrder):
                 keep[i] = False
                 break
     elems = [e for e, f in zip(elems, keep) if f]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(elems)):
-            others = elems[:i] + elems[i + 1:]
-            r = divide(elems[i], others, order)[1]
-            if r.terms != elems[i].terms:
-                elems[i] = r.monic(order)
-                changed = True
+    # No leading term divides another, so tail reduction leaves every
+    # leading term in place: one in-place pass reduces all tails for good.
+    for i in range(len(elems)):
+        r = divide(elems[i], elems[:i] + elems[i + 1:], order)[1]
+        if r.terms != elems[i].terms:
+            elems[i] = r.monic(order)
     return _canonical_sort(elems, order)
 
 
@@ -170,14 +168,16 @@ def _position_pure(e: ModuleElement) -> bool:
 
 
 def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = None,
-               ambient: Optional[FreeModule] = None,
-               chain_criterion: bool = False) -> GroebnerBasis:
+               ambient: Optional[FreeModule] = None) -> GroebnerBasis:
     """Groebner basis of the submodule generated by homogeneous gens.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. The coprimality criterion is
-    applied only when both elements are position-pure, where it is sound;
-    the chain criterion sits behind a flag.
+    applied only when both elements are position-pure, where it is sound.
+    The chain criterion (Buchberger's second criterion in its sequential
+    form, Gebauer-Moeller 1988) skips the pair (i, j) when some k has a
+    same-position leading term dividing lcm(LT_i, LT_j) and both pairs
+    (i, k) and (j, k) have already left the queue.
     """
     gens = list(gens)
     if ambient is None:
@@ -210,6 +210,17 @@ def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = Non
             sdeg = ambient.degrees[pos] + d * mono_deg(lcm)
             heapq.heappush(heap, (sdeg, i, j))
 
+    def chain_skips(i: int, j: int, p: int, lcm) -> bool:
+        for k in range(len(basis)):
+            if k == i or k == j:
+                continue
+            (pk, mk), _ = lts[k]
+            if (pk == p and mono_divides(mk, lcm)
+                    and (min(i, k), max(i, k)) in done
+                    and (min(j, k), max(j, k)) in done):
+                return True
+        return False
+
     for j in range(len(basis)):
         push_pairs(j)
 
@@ -221,23 +232,9 @@ def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = Non
         (_, mj), _ = lts[j]
         if pure[i] and pure[j] and mono_coprime(mi, mj):
             continue
-        if chain_criterion:
-            lcm = mono_lcm(mi, mj)
-            skip = False
-            for k in range(len(basis)):
-                if k in (i, j):
-                    continue
-                (pk, mk), _ = lts[k]
-                if pk != p or not mono_divides(mk, lcm):
-                    continue
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-            if skip:
-                continue
         lcm = mono_lcm(mi, mj)
+        if chain_skips(i, j, p, lcm):
+            continue
         s = (basis[i].term_mul(mono_div(lcm, mi), 1)
              - basis[j].term_mul(mono_div(lcm, mj), 1))
         r = divide(s, basis, order)[1]

@@ -148,8 +148,8 @@ def minimal_resolution(M: ModulePresentation,
                        order: Optional[MonomialOrder] = None) -> FreeResolution:
     """Minimized resolution of length <= r, cached on the presentation."""
     if order is not None:
-        return minimize(resolve(M, M.ring.r, order))
-    return _cached(M, "minres", lambda: minimize(resolve(M, M.ring.r)))
+        return minimize(resolve(M, order=order))
+    return _cached(M, "minres", lambda: minimize(resolve(M)))
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:

@@ -60,13 +60,15 @@ class FreeModule:
 
 class ModuleElement:
     """Homogeneous element of a free module, stored as a map
-    (position, monomial) -> nonzero coefficient."""
+    (position, monomial) -> nonzero coefficient. `terms` is never mutated
+    after construction, which lets the leading term be memoized."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module", "terms", "_lt_order", "_lt")
 
     def __init__(self, module: FreeModule, terms: dict):
         self.module = module
         self.terms = {t: c for t, c in terms.items() if c}
+        self._lt_order = self._lt = None
 
     @staticmethod
     def from_vector(module: FreeModule, coords: Iterable[Polynomial]) -> "ModuleElement":
@@ -141,14 +143,18 @@ class ModuleElement:
         return out
 
     def leading_term(self, order: ModuleOrder):
-        """((position, monomial), coefficient) of the order-largest term."""
+        """((position, monomial), coefficient) of the order-largest term,
+        memoized for the last order asked (compared by identity)."""
+        if self._lt_order is order:
+            return self._lt
         best = None
         for t in self.terms:
             if best is None or order.cmp(t, best) > 0:
                 best = t
-        if best is None:
-            return None
-        return best, self.terms[best]
+        lt = None if best is None else (best, self.terms[best])
+        self._lt_order = order
+        self._lt = lt
+        return lt
 
     def monic(self, order: ModuleOrder) -> "ModuleElement":
         lt = self.leading_term(order)

@@ -7,7 +7,6 @@ cancelling constant-entry pivots.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import List, Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
@@ -79,13 +78,17 @@ def _has_same_position_pair(G: GroebnerBasis) -> bool:
     return len(set(positions)) < len(positions)
 
 
-def resolve(M: ModulePresentation, max_len: int,
+def resolve(M: ModulePresentation, max_len: Optional[int] = None,
             order: Optional[MonomialOrder] = None) -> FreeResolution:
     """Free resolution of M of length at most max_len via Schreyer iteration.
 
-    truncated is set when the kernel at the cut-off is nonzero; with
-    max_len = r this cannot happen (Hilbert Syzygy Theorem).
+    truncated is set when the kernel at the cut-off is nonzero. The default
+    max_len, max(r, 1), is long enough for that never to happen: r steps
+    suffice by the Hilbert Syzygy Theorem, and at r = 0 the one map delta1
+    is still needed, so that minimization can cancel its unit entries.
     """
+    if max_len is None:
+        max_len = max(M.ring.r, 1)
     if max_len < 0:
         raise InputError("max_len must be non-negative")
     base = order if order is not None else GREVLEX
@@ -126,18 +129,26 @@ def _find_unit(entries) -> Optional[tuple]:
 
 
 def _cancel(entries, a: int, b: int):
-    """Remove row a and column b, folding the pivot into the rest."""
-    u = entries[a][b].constant_coefficient()
+    """Remove row a and column b, folding the pivot into the rest. Rows with
+    a zero pivot-column entry, and cells under a zero pivot-row entry, are
+    copied unchanged."""
+    inv = 1 / entries[a][b].constant_coefficient()
+    pivot_row = entries[a]
     out = []
     for x, row in enumerate(entries):
         if x == a:
             continue
+        f = row[b]
+        if not f.terms:
+            out.append(row[:b] + row[b + 1:])
+            continue
+        f = f.scale(inv)
         new_row = []
         for y, p in enumerate(row):
             if y == b:
                 continue
-            corr = entries[x][b] * entries[a][y]
-            new_row.append(p - corr.scale(1 / u))
+            e = pivot_row[y]
+            new_row.append(p - f * e if e.terms else p)
         out.append(new_row)
     return out
 

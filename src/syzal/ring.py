@@ -5,7 +5,6 @@ nonzero Fractions. All arithmetic is exact; no floating point anywhere.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -192,17 +191,6 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact add/sub/mul on polynomials over one ring."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise InputError(f"unknown polynomial operation {op!r}")
-
-
 # ---------- monomial orders ----------
 
 class MonomialOrder:
@@ -225,13 +213,6 @@ GREVLEX = MonomialOrder("grevlex", cmp_grevlex)
 GRLEX = MonomialOrder("grlex", cmp_grlex)
 
 ORDERS = {"grevlex": GREVLEX, "grlex": GRLEX}
-
-
-def compare(m1: Monomial, m2: Monomial, order: MonomialOrder = GREVLEX) -> int:
-    """-1, 0 or 1 comparing two monomials of equal length."""
-    if len(m1) != len(m2):
-        raise InputError("monomials of different lengths")
-    return order.cmp(m1, m2)
 
 
 class ModuleOrder:

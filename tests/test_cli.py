@@ -8,13 +8,16 @@ import sys
 import pytest
 
 from syzal import (
+    GroebnerBasis,
     RingSpec,
     ZeroModuleError,
+    buchberger,
     free_presentation,
     maximal_ideal,
     residue_field,
     save_presentation,
     shift,
+    verify_spairs,
     zero_module,
 )
 import syzal.cli as cli
@@ -266,6 +269,41 @@ def test_exit_code_1_on_verification_failure(m_pres, monkeypatch, capsys):
     code = cli.main(["hilbert", "--file", m_pres, "--check"])
     assert code == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
+                                                     capsys):
+    # (t1^2, t1*t2 + t2^2) has the reduced basis {t1^2, t1*t2 + t2^2, t2^3};
+    # without its last element the S-pair of the first two no longer
+    # reduces to zero, and --check must say so
+    path = tmp_path / "quotient.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 2, "d": 2}, "generators": [0],
+        "relation_generators": [4, 4], "matrix": [["t1^2", "t1*t2 + t2^2"]]}))
+    assert cli.main(["resolve", "--file", str(path), "--check"]) == 0
+
+    def truncated_basis(cols, **kwargs):
+        G = buchberger(cols, **kwargs)
+        short = GroebnerBasis(G.ambient, G.elements[:-1], G.order)
+        assert not verify_spairs(short)
+        return short
+    monkeypatch.setattr(cli, "buchberger", truncated_basis)
+    capsys.readouterr()
+    assert cli.main(["resolve", "--file", str(path), "--check"]) == 1
+    assert "S-pair" in capsys.readouterr().err
+
+
+def test_hilbert_check_of_unit_relation_over_r0(tmp_path):
+    path = tmp_path / "unit.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 0, "d": 2, "names": []}, "generators": [0],
+        "relation_generators": [0], "matrix": [["1"]]}))
+    code, out, err = run_cli("hilbert", "--file", str(path), "--check",
+                             "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["series"]["numerator"] == []
+    assert all(dim == 0 for _q, dim in data["dims"])
 
 
 def test_main_maps_zero_module_error_to_exit_2(zero_pres, monkeypatch, capsys):

@@ -143,6 +143,20 @@ def test_is_zero_module_detects_unit_relation():
     assert is_zero_module(zero_module(R2))
 
 
+def test_unit_relation_over_r0_is_the_zero_module():
+    # over k = Q (r = 0) the presentation k / (1) must resolve to nothing:
+    # delta1 is built and minimization cancels its unit
+    R0 = RingSpec(0)
+    M = _pres(R0, (0,), (0,), [["1"]])
+    res = minimal_resolution(M)
+    assert res.length == 0 and not res.truncated
+    assert [m.rank for m in res.modules] == [0]
+    res.check()
+    assert hilbert_series(M).is_zero()
+    assert is_zero_module(M)
+    assert all(dim == 0 for dim in module_dims(M).values())
+
+
 # ---------- submodules and subquotients ----------
 
 def test_submodule_presentation_of_variables():

@@ -11,6 +11,7 @@ from syzal import (
     GradedMatrix,
     ModuleElement,
     ModulePresentation,
+    OracleConfig,
     Polynomial,
     PositionOverTerm,
     RingSpec,
@@ -29,6 +30,7 @@ from syzal import (
     resolve,
     shift,
     syzygies,
+    verify_spairs,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -184,6 +186,43 @@ def test_normal_form_idempotent(data):
     once = normal_form(f, G)
     twice = normal_form(once, G)
     assert once.terms == twice.terms
+
+
+@st.composite
+def submodule_generators(draw):
+    """(ambient, generators): the columns of a monomial presentation, or a
+    few dense homogeneous elements of degrees 2 and 4."""
+    if draw(st.booleans()):
+        M = draw(monomial_presentations())
+        return M.F0, M.relations.columns()
+    ring = RingSpec(draw(st.integers(1, 3)), 2)
+    F = FreeModule(ring, (0,) * draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 4))
+    return F, [draw(homogeneous_elements(F, draw(st.sampled_from([2, 4]))))
+               for _ in range(n)]
+
+
+@given(submodule_generators())
+@settings(max_examples=25)
+def test_buchberger_output_is_reduced_and_complete(data):
+    F, gens = data
+    G = buchberger(gens, ambient=F)
+    assert verify_spairs(G)
+    for e, ((pos, lmono), lc) in zip(G.elements, G.lead_terms()):
+        assert lc == 1
+        for other in G.elements:
+            if other is e:
+                continue
+            for (opos, mono) in other.terms:
+                assert opos != pos or any(m < l for m, l in zip(mono, lmono)), \
+                    "a leading term divides a term of another element"
+
+    def quotient(cols):
+        A = GradedMatrix.from_columns(F, cols, [c.degree() for c in cols])
+        return ModulePresentation(F.ring, F, A.source, A)
+    window = OracleConfig(0, 10)
+    assert module_dims(quotient(G.elements), window) \
+        == module_dims(quotient(gens), window)
 
 
 # ---------- kernels and syzygies ----------
