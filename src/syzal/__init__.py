@@ -14,7 +14,6 @@ from syzal.errors import (
     VerificationError,
     ZeroModuleError,
 )
-from syzal._kernel import BACKEND
 from syzal.ring import (
     GREVLEX,
     GRLEX,
@@ -113,5 +112,8 @@ from syzal.oracle import (
 )
 
 __version__ = "0.1.0"
+
+# The monomial kernel is pure Python; perfbench/run.py records this on its env line.
+BACKEND = "python"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

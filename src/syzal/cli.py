@@ -122,7 +122,10 @@ def _report_module(M: ModulePresentation, args, extra: Optional[dict] = None) ->
 
 def cmd_resolve(args) -> int:
     M = _load(args.file)
-    res = minimize(resolve(M, args.max_len, ORDERS[args.order]))
+    if args.max_len is None:
+        res = minimal_resolution(M, ORDERS[args.order])
+    else:
+        res = minimize(resolve(M, args.max_len, ORDERS[args.order]))
     if args.check:
         res.check()
         _run_checks(M)

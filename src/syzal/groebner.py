@@ -11,7 +11,13 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
-from syzal._kernel import (
+from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
+from syzal.ring import (
+    GREVLEX,
+    ModuleOrder,
+    MonomialOrder,
+    PositionOverTerm,
+    SchreyerOrder,
     mono_coprime,
     mono_deg,
     mono_div,
@@ -19,8 +25,6 @@ from syzal._kernel import (
     mono_lcm,
     mono_mul,
 )
-from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
-from syzal.ring import GREVLEX, ModuleOrder, MonomialOrder, PositionOverTerm, SchreyerOrder
 
 
 class GroebnerBasis:

@@ -8,7 +8,7 @@ vanishing, the biduality map with its torsion kernel, syzygy order, and the
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 from syzal.errors import InputError, VerificationError, ZeroModuleError
 from syzal.groebner import GraphBasis, kernel
@@ -26,7 +26,7 @@ from syzal.resolution import (
     minimize_presentation,
     resolve,
 )
-from syzal.ring import MonomialOrder, RingSpec
+from syzal.ring import GREVLEX, MonomialOrder, RingSpec
 
 
 # ---------- Hilbert series ----------
@@ -145,11 +145,10 @@ def _cached(M: ModulePresentation, key, build):
 
 
 def minimal_resolution(M: ModulePresentation,
-                       order: Optional[MonomialOrder] = None) -> FreeResolution:
-    """Minimized resolution of length <= r, cached on the presentation."""
-    if order is not None:
-        return minimize(resolve(M, order=order))
-    return _cached(M, "minres", lambda: minimize(resolve(M)))
+                       order: MonomialOrder = GREVLEX) -> FreeResolution:
+    """Minimized resolution of length <= max(r, 1), cached on the
+    presentation per monomial order."""
+    return _cached(M, ("minres", order), lambda: minimize(resolve(M, order=order)))
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:

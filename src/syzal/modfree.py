@@ -11,12 +11,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
-from syzal._kernel import mono_deg, mono_mul
 from syzal.ring import (
     ModuleOrder,
     Polynomial,
     RingSpec,
     format_polynomial,
+    mono_deg,
+    mono_mul,
     parse_polynomial,
 )
 
@@ -378,16 +379,28 @@ def presentation_to_json(M: ModulePresentation) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # JSON integers only: no bool (an int subclass), float or string coercion
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def presentation_from_json(obj) -> ModulePresentation:
     try:
         ring_obj = obj["ring"]
-        ring = RingSpec(int(ring_obj["r"]), int(ring_obj.get("d", 2)),
-                        ring_obj.get("names"))
-        gens = [int(g) for g in obj["generators"]]
-        relgens = [int(g) for g in obj["relation_generators"]]
+        r, d = ring_obj["r"], ring_obj.get("d", 2)
+        names = ring_obj.get("names")
+        gens = list(obj["generators"])
+        relgens = list(obj["relation_generators"])
         matrix = obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation object: {exc}")
+    if names is not None and not isinstance(names, list):
+        raise InputError(f"ring names must be a list, not {names!r}")
+    ring = RingSpec(_json_int(r, "ring r"), _json_int(d, "ring d"), names)
+    gens = [_json_int(g, "generator degree") for g in gens]
+    relgens = [_json_int(g, "relation generator degree") for g in relgens]
     F0 = FreeModule(ring, gens)
     F1 = FreeModule(ring, relgens)
     if len(matrix) != F0.rank:

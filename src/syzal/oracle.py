@@ -17,20 +17,18 @@ from syzal.ring import RingSpec
 
 
 class OracleConfig:
-    """Degree window and enabled checks for oracle runs."""
+    """Degree window for oracle runs."""
 
-    __slots__ = ("lo", "hi", "checks")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: int, hi: int,
-                 checks: Sequence[str] = ("hilbert", "kernel", "ext-dims")):
+    def __init__(self, lo: int, hi: int):
         if lo > hi:
             raise InputError(f"oracle window {lo}:{hi} is inverted")
         self.lo = lo
         self.hi = hi
-        self.checks = tuple(checks)
 
     def __repr__(self):
-        return f"OracleConfig({self.lo}:{self.hi}, checks={self.checks})"
+        return f"OracleConfig({self.lo}:{self.hi})"
 
 
 def default_window(M: ModulePresentation) -> Tuple[int, int]:

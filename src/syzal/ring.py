@@ -10,18 +10,84 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from syzal.errors import InputError
-from syzal._kernel import (
-    cmp_grevlex,
-    cmp_grlex,
-    mono_deg,
-    mono_div,
-    mono_mul,
-)
 
 # The coefficient field: arbitrary-precision rationals in lowest terms.
 Rational = Fraction
 
 Monomial = tuple  # exponent tuple of length RingSpec.r
+
+
+# ---------- monomials ----------
+# Exponent-tuple arithmetic and the two base orders: the hot path of every
+# Groebner computation.
+
+def mono_deg(a):
+    """Total exponent sum (ring degree is d times this)."""
+    return sum(a)
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True iff a divides b componentwise."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def mono_div(a, b):
+    """a / b, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        if y > x:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def mono_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def mono_coprime(a, b):
+    for x, y in zip(a, b):
+        if x and y:
+            return False
+    return True
+
+
+def cmp_grevlex(a, b):
+    """Graded reverse lexicographic: -1, 0 or 1."""
+    da, db = sum(a), sum(b)
+    if da != db:
+        return -1 if da < db else 1
+    # a > b iff the LAST nonzero entry of a - b is negative
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def cmp_grlex(a, b):
+    """Graded lexicographic: -1, 0 or 1."""
+    da, db = sum(a), sum(b)
+    if da != db:
+        return -1 if da < db else 1
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+# ---------- rings ----------
+
+def _is_variable_name(name) -> bool:
+    # the grammar's tokenizer must be able to tell names from numbers and operators
+    return (isinstance(name, str) and name != "" and not name[0].isdigit()
+            and not any(ch.isspace() or ch in "+-*^/" for ch in name))
 
 
 class RingSpec:
@@ -40,6 +106,11 @@ class RingSpec:
             names = tuple(names)
         if len(names) != r or len(set(names)) != r:
             raise InputError("variable names must be pairwise distinct, one per variable")
+        for name in names:
+            if not _is_variable_name(name):
+                raise InputError(f"invalid variable name {name!r}: names must be non-empty, "
+                                 "must not start with a digit, and must not contain "
+                                 "whitespace or any of +-*^/")
         self.r = r
         self.d = d
         self.names = names

@@ -306,6 +306,38 @@ def test_hilbert_check_of_unit_relation_over_r0(tmp_path):
     assert all(dim == 0 for _q, dim in data["dims"])
 
 
+def test_empty_variable_name_is_exit_2(tmp_path):
+    # an empty name used to make the polynomial tokenizer loop forever; the
+    # matrix is empty so that no polynomial is parsed either way
+    path = tmp_path / "empty_name.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 1, "d": 2, "names": [""]}, "generators": [],
+        "relation_generators": [], "matrix": []}))
+    code, _, err = run_cli("hilbert", "--file", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_resolve_check_computes_the_default_basis_once(m_pres, tmp_path,
+                                                       monkeypatch, capsys):
+    # resolve --check builds one basis for the resolution and one for the
+    # S-pair certificate; the minimal resolution it checks is the one it
+    # printed, taken from the presentation's cache
+    import syzal.resolution as resolution
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return buchberger(*args, **kwargs)
+    monkeypatch.setattr(resolution, "buchberger", counted)
+    monkeypatch.setattr(cli, "buchberger", counted)
+    path = tmp_path / "m3.pres"
+    save_presentation(maximal_ideal(RingSpec(3, 2)), str(path))
+    assert cli.main(["resolve", "--file", str(path), "--check"]) == 0
+    assert "resolution: 3 <- 3 <- 1" in capsys.readouterr().out
+    assert len(calls) == 2
+
+
 def test_main_maps_zero_module_error_to_exit_2(zero_pres, monkeypatch, capsys):
     def boom(args):
         raise ZeroModuleError("no invariants for the zero module")

@@ -8,6 +8,7 @@ from syzal import (
     FreeModule,
     GradedMatrix,
     InhomogeneousError,
+    InputError,
     ModuleElement,
     ModulePresentation,
     RingSpec,
@@ -156,6 +157,33 @@ def test_presentation_json_rejects_inhomogeneous():
     obj = presentation_to_json(M)
     obj["matrix"][0][0] = "t1^3"  # wrong degree for the (0,0) slot
     with pytest.raises(InhomogeneousError):
+        presentation_from_json(obj)
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("ring", "r", True),
+    ("ring", "r", 1.0),
+    ("ring", "r", "1"),
+    ("ring", "d", False),
+    ("ring", "d", 2.5),
+    ("ring", "d", "2"),
+    ("generators", 0, 0.5),
+    ("generators", 0, True),
+    ("generators", 0, "0"),
+    ("relation_generators", 0, 2.0),
+    ("relation_generators", 0, True),
+    ("relation_generators", 0, "2"),
+    ("ring", "names", "t1"),
+])
+def test_presentation_json_does_not_coerce(key, index, value):
+    # int() used to coerce bool, float and str: r = true loaded as 1 and a
+    # generator degree 0.5 as 0; tuple() split a names string into letters
+    # k = R/(t1) over one variable: {"r": true} and a generator degree 0.5
+    # give a well-formed presentation once coerced
+    obj = presentation_to_json(residue_field(RingSpec(1, 2)))
+    assert obj["generators"] == [0] and obj["relation_generators"] == [2]
+    obj[key][index] = value
+    with pytest.raises(InputError):
         presentation_from_json(obj)
 
 

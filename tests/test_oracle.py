@@ -99,6 +99,7 @@ def test_default_window_env_override(monkeypatch):
 def test_oracle_config_rejects_inverted_window():
     with pytest.raises(InputError):
         OracleConfig(3, 1)
+    assert repr(OracleConfig(1, 3)) == "OracleConfig(1:3)"
 
 
 def test_ext_dims_against_engine():

@@ -1,5 +1,7 @@
-"""Ring layer: polynomials, orders, parsing, formatting."""
+"""Ring layer: monomials, polynomials, orders, parsing, formatting."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,80 @@ from syzal import (
     format_polynomial,
     parse_polynomial,
 )
+from syzal.ring import (
+    cmp_grevlex,
+    cmp_grlex,
+    mono_coprime,
+    mono_deg,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
+
+
+def random_monos(rng, n, r, maxexp=4):
+    return [tuple(rng.randint(0, maxexp) for _ in range(r)) for _ in range(n)]
+
+
+def test_mono_ops_basic():
+    assert mono_deg((2, 0, 1)) == 3
+    assert mono_mul((1, 0), (0, 2)) == (1, 2)
+    assert mono_divides((1, 0), (2, 1))
+    assert not mono_divides((3, 0), (2, 1))
+    assert mono_div((2, 1), (1, 0)) == (1, 1)
+    assert mono_div((1, 0), (2, 0)) is None
+    assert mono_lcm((2, 0), (1, 3)) == (2, 3)
+    assert mono_coprime((1, 0), (0, 2))
+    assert not mono_coprime((1, 1), (0, 2))
+
+
+def test_grevlex_known_comparisons():
+    cmp = cmp_grevlex
+    # degree dominates
+    assert cmp((2, 0), (1, 0)) > 0
+    # same degree: smaller exponent in the LAST differing variable wins
+    assert cmp((1, 1, 0), (0, 1, 1)) > 0
+    assert cmp((0, 2), (1, 1)) < 0
+    assert cmp((1, 1), (1, 1)) == 0
+    # classic: x*z vs y^2 in three variables, grevlex makes y^2 > x*z
+    assert cmp((0, 2, 0), (1, 0, 1)) > 0
+
+
+def test_grlex_known_comparisons():
+    cmp = cmp_grlex
+    assert cmp((2, 0), (0, 2)) > 0
+    assert cmp((1, 1), (0, 2)) > 0
+    assert cmp((0, 2, 0), (1, 0, 1)) < 0  # grlex: x > y^2/x ordering flips
+
+
+def _check_order_axioms(cmp, monos):
+    for a in monos:
+        assert cmp(a, a) == 0
+    for a, b in itertools.combinations(monos, 2):
+        s, t = cmp(a, b), cmp(b, a)
+        assert s == -t
+        if a != b:
+            assert s != 0
+    # multiplicativity
+    for a, b in itertools.combinations(monos, 2):
+        for c in monos[:5]:
+            ac = tuple(x + y for x, y in zip(a, c))
+            bc = tuple(x + y for x, y in zip(b, c))
+            assert cmp(ac, bc) == cmp(a, b)
+    # 1 is smallest
+    one = (0,) * len(monos[0])
+    for a in monos:
+        if a != one:
+            assert cmp(a, one) > 0
+
+
+def test_order_axioms():
+    rng = random.Random(3)
+    for r in (1, 2, 3):
+        monos = list({m for m in random_monos(rng, 25, r, 3)})
+        _check_order_axioms(cmp_grevlex, monos)
+        _check_order_axioms(cmp_grlex, monos)
 
 
 def test_ringspec_defaults_and_names():
@@ -33,6 +109,10 @@ def test_ringspec_rejects_bad_input():
         RingSpec(2, 0)
     with pytest.raises(InputError):
         RingSpec(2, names=("x",))
+    # an empty name made the tokenizer match it forever without advancing
+    for name in ("", "1x", "x y", "x+", "-x", "x*y", "x^2", "a/b", 3):
+        with pytest.raises(InputError):
+            RingSpec(1, 2, names=[name])
 
 
 def test_monomials_of_degree():
