@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -369,7 +370,10 @@ def cmd_oracle(args) -> int:
 
 # ---------- parser ----------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the life of
+    the process."""
     parser = argparse.ArgumentParser(
         prog="syzal",
         description="Exact graded-module engine: resolutions, Ext, "
@@ -387,43 +391,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--order", choices=sorted(ORDERS), default="grevlex")
     common(p)
-    p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("ext", help="Ext^j against the ring")
     p.add_argument("--file", required=True)
     p.add_argument("--j", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("hilbert", help="Hilbert series and dimensions")
     p.add_argument("--file", required=True)
     common(p)
-    p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("depth", help="depth and Krull dimension")
     p.add_argument("--file", required=True)
     common(p)
-    p.set_defaults(func=cmd_depth)
 
     p = sub.add_parser("cm", help="Cohen-Macaulay test")
     p.add_argument("--file", required=True)
     common(p)
-    p.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("syzygy-order", help="largest j such that M is a j-th syzygy")
     p.add_argument("--file", required=True)
     common(p)
-    p.set_defaults(func=cmd_syzygy_order)
 
     p = sub.add_parser("koszul", help="Koszul complex diagnostics")
     p.add_argument("--r", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_koszul)
 
-    for name, fn, needs_r, needs_i in (
-            ("toric", cmd_toric, True, False),
-            ("mutant", cmd_mutant, False, False),
-            ("homogeneous", cmd_homogeneous, True, True)):
+    for name, needs_r, needs_i in (
+            ("toric", True, False),
+            ("mutant", False, False),
+            ("homogeneous", True, True)):
         p = sub.add_parser(name, help=f"{name} fixture")
         p.add_argument("what", choices=["ht", "hht", "ab"])
         if needs_r:
@@ -431,35 +428,32 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_i:
             p.add_argument("--i", type=int, required=True)
         common(p)
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("gkm", help="congruence module of a GKM graph")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--file", default=None,
                    help="graph file; omitted: the (CP^1)^r hypercube")
     common(p)
-    p.set_defaults(func=cmd_gkm)
 
     p = sub.add_parser("ab", help="Atiyah-Bredon report from presentation files")
     p.add_argument("--file", required=True, help="presentation of H^T_*")
     p.add_argument("--ht", default=None, help="optional presentation of H_T^*")
     common(p)
-    p.set_defaults(func=cmd_ab)
 
     p = sub.add_parser("oracle", help="degreewise dimension table (no Groebner)")
     p.add_argument("--file", required=True)
     p.add_argument("--window", default=None, help="lo:hi degree window")
     common(p)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,19 +1,29 @@
 """Degreewise brute-force dimension oracle.
 
 Ground truth for Hilbert functions, kernels, and Ext dimensions by exact
-Gaussian elimination on monomial-basis coefficient matrices, with no
-Groebner machinery involved. Everything here depends only on ring and
-modfree, so it can contradict the engine without sharing its bugs.
+fraction-free sparse row echelon on monomial-basis coefficient matrices,
+with no Groebner machinery involved. Everything here depends only on ring
+and modfree, so it can contradict the engine without sharing its bugs.
+
+The oracle works within a fixed budget, checked before anything is
+allocated: a window spans at most MAX_WINDOW degrees, and a degree piece
+it eliminates has at most MAX_BASIS basis elements. Past either it raises
+InputError.
 """
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from syzal.errors import InputError
 from syzal.modfree import FreeModule, GradedMatrix, ModulePresentation
-from syzal.ring import RingSpec
+from syzal.ring import mono_mul
+
+# Ten times and more the largest window (13 degrees) and degree piece (84
+# basis elements) that the test suite and the benchmark use.
+MAX_WINDOW = 200
+MAX_BASIS = 2000
 
 
 class OracleConfig:
@@ -52,6 +62,24 @@ def default_window(M: ModulePresentation) -> Tuple[int, int]:
     return lo, hi
 
 
+def _window(lo: int, hi: int) -> range:
+    """The degrees lo..hi, within the oracle's window budget."""
+    if hi - lo + 1 > MAX_WINDOW:
+        raise InputError(f"oracle window {lo}:{hi} spans more than "
+                         f"{MAX_WINDOW} degrees")
+    return range(lo, hi + 1)
+
+
+def _checked_dim(module: FreeModule, q: int) -> int:
+    """free_dim of a piece the oracle will eliminate, within its basis
+    budget."""
+    n = free_dim(module, q)
+    if n > MAX_BASIS:
+        raise InputError(f"oracle degree-{q} piece has {n} basis elements, "
+                         f"more than {MAX_BASIS}")
+    return n
+
+
 def _basis(module: FreeModule, q: int) -> List[tuple]:
     """Monomial basis of the degree-q piece: pairs (position, exponent)."""
     ring = module.ring
@@ -62,56 +90,67 @@ def _basis(module: FreeModule, q: int) -> List[tuple]:
 
 
 def free_dim(module: FreeModule, q: int) -> int:
-    return len(_basis(module, q))
+    """dim_k of the degree-q piece, counted in closed form: C(n + r - 1, n)
+    monomials of degree n = (q - g)/d per generator of degree g."""
+    r, d = module.ring.r, module.ring.d
+    total = 0
+    for g in module.degrees:
+        n, rest = divmod(q - g, d)
+        if n >= 0 and not rest:
+            total += comb(n + r - 1, n) if r else int(n == 0)
+    return total
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    """Rank by fraction-exact Gaussian elimination (row reduction)."""
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [list(r) for r in rows]
-    while rank < len(rows) and col < width:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
+def _rank(rows: Iterable[Dict[int, int]]) -> int:
+    """Rank of sparse integer rows {column: nonzero int} by fraction-free
+    forward elimination: each pivot row is kept under its leading column,
+    and an incoming row is reduced by a*row - b*pivot (a, b coprime) and
+    divided by its content until it is zero or leads in a new column."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                x = new.get(k, 0) - b * v
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            content = gcd(*new.values())
+            if content > 1:
+                new = {k: v // content for k, v in new.items()}
+            row = new
+    return len(pivots)
+
+
+def _integer_column(A: GradedMatrix, j: int) -> List[Tuple[int, tuple, int]]:
+    """Column j of A as (row, monomial, int) triples, scaled by the lcm of
+    its denominators; scaling a column does not change the rank."""
+    terms = [(i, m, c) for i in range(A.target.rank)
+             for m, c in A.entries[i][j].terms.items()]
+    scale = lcm(*(c.denominator for _i, _m, c in terms))
+    return [(i, m, c.numerator * (scale // c.denominator)) for i, m, c in terms]
 
 
 def map_rank(A: GradedMatrix, q: int) -> int:
     """Rank of the degree-q piece of A: images of the degree-q source
-    basis written on the degree-q target basis."""
-    src = _basis(A.source, q)
-    tgt = _basis(A.target, q)
-    if not src or not tgt:
+    basis written on the degree-q target basis, one sparse integer row per
+    source basis element."""
+    if not _checked_dim(A.source, q) or not _checked_dim(A.target, q):
         return 0
-    tindex = {bm: k for k, bm in enumerate(tgt)}
-    rows = []
-    for (j, mono) in src:
-        row = [Fraction(0)] * len(tgt)
-        for i in range(A.target.rank):
-            p = A.entries[i][j]
-            for m, c in p.terms.items():
-                shifted = tuple(a + b for a, b in zip(m, mono))
-                row[tindex[(i, shifted)]] += c
-        rows.append(row)
-    return _rank(rows)
+    tindex = {bm: k for k, bm in enumerate(_basis(A.target, q))}
+    columns = [_integer_column(A, j) for j in range(A.source.rank)]
+    # distinct (i, m) land on distinct target basis elements (i, m * mono)
+    return _rank({tindex[(i, mono_mul(m, mono))]: c for i, m, c in columns[j]}
+                 for j, mono in _basis(A.source, q))
 
 
 def kernel_dim(A: GradedMatrix, q: int) -> int:
@@ -127,7 +166,7 @@ def module_dims(M: ModulePresentation,
     else:
         lo, hi = config.lo, config.hi
     return {q: free_dim(M.F0, q) - map_rank(M.relations, q)
-            for q in range(lo, hi + 1)}
+            for q in _window(lo, hi)}
 
 
 def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
@@ -141,7 +180,7 @@ def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
     At_next = maps[j].transpose() if j < len(maps) else None
     At_prev = maps[j - 1].transpose() if j >= 1 else None
     out = {}
-    for q in range(lo, hi + 1):
+    for q in _window(lo, hi):
         dim = free_dim(Fdual, q)
         if At_next is not None:
             dim -= map_rank(At_next, q)
@@ -157,17 +196,13 @@ def resolution_is_exact(modules: Sequence[FreeModule],
                         lo: int, hi: int) -> bool:
     """Degreewise exactness of F_p -> ... -> F_0 against prescribed
     cokernel dimensions: homology vanishes at every inner position and the
-    end kernel is zero, coker(delta_1) matches target_dims."""
-    for q in range(lo, hi + 1):
-        rank1 = map_rank(maps[0], q) if maps else 0
-        if free_dim(modules[0], q) - rank1 != target_dims.get(q, 0):
+    end kernel is zero, coker(delta_1) matches target_dims. Each map's
+    rank is computed once per degree."""
+    for q in _window(lo, hi):
+        ranks = [map_rank(A, q) for A in maps] + [0]
+        if free_dim(modules[0], q) - ranks[0] != target_dims.get(q, 0):
             return False
-        for j in range(1, len(maps)):
-            ker = free_dim(modules[j], q) - map_rank(maps[j - 1], q)
-            if ker != map_rank(maps[j], q):
-                return False
-        if maps:
-            p = len(maps)
-            if free_dim(modules[p], q) - map_rank(maps[p - 1], q) != 0:
+        for j in range(1, len(maps) + 1):
+            if free_dim(modules[j], q) - ranks[j - 1] != ranks[j]:
                 return False
     return True

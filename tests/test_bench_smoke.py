@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: each API workload runs on its r = 3
+"""Smoke test of the benchmark harness: each workload runs on its small
 fixtures and every result digest recorded in perfbench/expected.json still
 matches."""
 
@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["toric-ab", "gkm-hypercube"])
+@pytest.mark.parametrize("workload", ["toric-ab", "gkm-hypercube", "cli-check"])
 def test_benchmark_smoke_run_passes_every_check(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke", "--seconds", "0.3",

@@ -21,6 +21,7 @@ from syzal import (
     zero_module,
 )
 import syzal.cli as cli
+import syzal.oracle as oracle
 
 
 def run_cli(*argv, env_extra=None):
@@ -199,6 +200,58 @@ def test_oracle_env_window(m_pres):
                            env_extra={"SYZAL_ORACLE_WINDOW": "0:2"})
     assert code == 0
     assert json.loads(out)["window"] == [0, 2]
+
+
+def _one_variable_presentation(tmp_path, gens):
+    """gens generators of degree 0 over Q[t1] and the relation t1*e_1, so
+    every degree-q piece of F0 has gens basis elements."""
+    path = tmp_path / f"free{gens}.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 1, "d": 2, "names": ["t1"]},
+        "generators": [0] * gens, "relation_generators": [2],
+        "matrix": [["t1"]] + [["0"]] * (gens - 1)}))
+    return str(path)
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Every monomial basis the oracle builds, as (rank, q)."""
+    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
+    calls = []
+    build = oracle._basis
+
+    def recorded(module, q):
+        calls.append((module.rank, q))
+        return build(module, q)
+    monkeypatch.setattr(oracle, "_basis", recorded)
+    return calls
+
+
+def test_oracle_window_budget(tmp_path, basis_calls, capsys):
+    path = _one_variable_presentation(tmp_path, 1)
+    top = oracle.MAX_WINDOW - 1
+    assert cli.main(["oracle", "--file", path, "--window", f"0:{top}",
+                     "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert dims[0] == [0, 1] and dims[-1] == [top, 0]
+    del basis_calls[:]
+    assert cli.main(["oracle", "--file", path,
+                     "--window", f"0:{top + 1}"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert basis_calls == []
+
+
+def test_oracle_basis_budget(tmp_path, basis_calls, capsys):
+    path = _one_variable_presentation(tmp_path, oracle.MAX_BASIS)
+    assert cli.main(["oracle", "--file", path, "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert dims[2] == [2, oracle.MAX_BASIS - 1]
+    assert (oracle.MAX_BASIS, 2) in basis_calls
+    del basis_calls[:]
+    path = _one_variable_presentation(tmp_path, oracle.MAX_BASIS + 1)
+    assert cli.main(["oracle", "--file", path, "--json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert basis_calls == []
 
 
 # ---------- determinism ----------

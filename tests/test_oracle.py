@@ -1,6 +1,12 @@
 """Brute-force dimension oracle: the independent cross-check layer."""
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import syzal.oracle as oracle
 
 from syzal import (
     FreeModule,
@@ -140,3 +146,99 @@ def test_resolution_is_exact_rejects_truncation():
     res = resolve(residue_field(R2), 1)
     # the cut-off leaves a nonzero kernel at the top
     assert not resolution_is_exact(res.modules, res.maps, {0: 1}, 0, 8)
+
+
+# ---------- fraction-free sparse elimination ----------
+
+def _dense_rank(rows):
+    """Reference: rank by dense Gauss-Jordan over Fraction."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _integer_row(row):
+    """A rational row as {column: int}, scaled by its denominators' lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return {k: int(x * scale) for k, x in enumerate(row) if x}
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _rational_matrices(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=6))
+    # zero rows, repeated rows and scaled copies of earlier rows
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "copy", "scaled"]))
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * width)
+        else:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            c = Fraction(1) if kind == "copy" else draw(st.builds(
+                Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 5)))
+            rows.insert(draw(st.integers(0, len(rows))), [c * x for x in src])
+    return rows
+
+
+@given(_rational_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_matches_dense_fraction_elimination(rows):
+    assert oracle._rank(_integer_row(r) for r in rows) == _dense_rank(rows)
+
+
+def test_map_rank_with_different_column_denominators():
+    A = _matrix(R2, (0,), (2, 2), [["1/2*t1", "2/3*t1"]])
+    assert map_rank(A, 2) == 1
+    assert map_rank(A, 4) == 2
+    B = _matrix(R2, (0,), (2, 2), [["1/2*t1", "2/3*t2"]])
+    assert map_rank(B, 2) == 2
+
+
+def test_map_rank_over_r0():
+    R0 = RingSpec(0, 2)
+    A = _matrix(R0, (0, 0), (0, 0), [["1/2", "1"], ["1/3", "2/3"]])
+    assert map_rank(A, 0) == 1
+    assert map_rank(A, 2) == 0
+    B = _matrix(R0, (0, 2), (0, 2), [["1/2", "0"], ["0", "3"]])
+    assert map_rank(B, 0) == 1 and map_rank(B, 2) == 1
+    assert [free_dim(B.target, q) for q in range(-1, 4)] == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_free_dim_closed_form_counts_the_basis(r, d):
+    F = FreeModule(RingSpec(r, d), (-2, 0, 1, 3))
+    for q in range(-4, 16):
+        assert free_dim(F, q) == len(oracle._basis(F, q))
+
+
+def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
+    from syzal import resolution_is_exact
+    calls = []
+
+    def counted(A, q):
+        calls.append(q)
+        return map_rank(A, q)
+    monkeypatch.setattr(oracle, "map_rank", counted)
+    kos = koszul_complex(RingSpec(3, 2))
+    assert resolution_is_exact(kos.modules, kos.maps, {0: 1}, 0, 10)
+    assert len(calls) == len(kos.maps) * 11
