@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Subcommands operate on presentation files or named fixtures, print a text
-report (or JSON with --json), and re-verify invariants under --check.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Every subcommand is one row of COMMANDS: its name, help text, arguments,
+the presentations it loads or builds, and a handler that only computes.
+`main` does the shared work once for all of them: it loads the inputs,
+re-verifies every input presentation under --check, runs the handler
+(which adds the checks of its own command), prints the handler's JSON
+payload under --json or its text report otherwise, and maps errors to
+exit codes: 0 success, 1 verification failure, 2 input error.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, List, NamedTuple, Tuple
 
 from syzal.equivariant import (
     ab_report,
@@ -52,9 +56,14 @@ from syzal.oracle import (
 from syzal.resolution import koszul_complex, minimize, resolve
 from syzal.ring import ORDERS, RingSpec
 
+# The largest --r accepted. toric, homogeneous, gkm and koszul build 2^r
+# subsets; at r = 12 the toric and Koszul builds take about one second and
+# 50 MB, at r = 13 about three seconds and 130 MB (2 vCPU, CPython 3.11).
+MAX_R = 12
 
-def _emit_json(payload: dict) -> None:
-    doc = {"format": 1}
+
+def _emit_json(command: str, payload: dict) -> None:
+    doc = {"format": 1, "command": command}
     doc.update(payload)
     print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -88,168 +97,146 @@ def _run_checks(M: ModulePresentation) -> None:
                 f"{hs.coefficient(q)} vs {dim}")
 
 
-def _module_payload(M: ModulePresentation) -> dict:
-    fp = fingerprint(M)
-    return {
-        "zero": is_zero_module(M),
-        "fingerprint": fp.to_json(),
-        "projective_dimension": minimal_resolution(M).length,
-        "hilbert": str(fp.hilbert),
-    }
+def _variables(text: str) -> int:
+    """The value of --r, within MAX_R: checked while parsing, so nothing
+    is built past the budget."""
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if r > MAX_R:
+        raise InputError(f"--r {r} is more than the budget of {MAX_R} variables")
+    return r
 
 
-def _print_module_report(M: ModulePresentation) -> None:
-    fp = fingerprint(M)
-    res = minimal_resolution(M)
-    print(f"hilbert series: {fp.hilbert}")
-    print(f"projective dimension: {res.length}")
-    print(fp.betti.render())
+# A handler's result: thunks for the JSON payload and the text report, so
+# each output mode computes only what it prints.
+Output = Tuple[Callable[[], dict], Callable[[], str]]
 
 
-def _report_module(M: ModulePresentation, args, extra: Optional[dict] = None) -> int:
-    if args.check:
-        _run_checks(M)
-    if args.json:
-        payload = _module_payload(M)
-        if extra:
-            payload.update(extra)
-        _emit_json(payload)
+# ---------- inputs ----------
+
+def _files(args) -> List[ModulePresentation]:
+    """The presentation of --file and, for ab, that of --ht if given."""
+    paths = [args.file, getattr(args, "ht", None)]
+    return [_load(path) for path in paths if path]
+
+
+def _fixture(build: Callable) -> Callable:
+    """Inputs of a fixture command: build(args) gives (H_T^*, H^T_*), and
+    `what` picks one of them or both (H^T_* first) for the AB report."""
+    def inputs(args) -> list:
+        ht, hht = build(args)
+        return {"ht": [ht], "hht": [hht], "ab": [hht, ht]}[args.what]
+    return inputs
+
+
+def _gkm_inputs(args) -> list:
+    """The congruence module of the --file graph (or of the hypercube),
+    followed by the graph itself."""
+    ring = RingSpec(args.r, 2)
+    if args.graph:
+        try:
+            with open(args.graph, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise InputError(f"cannot read {args.graph}: {e}")
+        graph = parse_gkm(text, ring)
     else:
-        _print_module_report(M)
-    return 0
+        graph = hypercube_graph(args.r)
+    return [gkm_module(graph), graph]
 
 
-# ---------- subcommands ----------
+# ---------- handlers ----------
 
-def cmd_resolve(args) -> int:
-    M = _load(args.file)
+def _module_output(M: ModulePresentation, extra: dict) -> Output:
+    fp = fingerprint(M)
+    pd = minimal_resolution(M).length
+    return (lambda: {"zero": is_zero_module(M), "fingerprint": fp.to_json(),
+                     "projective_dimension": pd, "hilbert": str(fp.hilbert),
+                     **extra},
+            lambda: (f"hilbert series: {fp.hilbert}\n"
+                     f"projective dimension: {pd}\n{fp.betti.render()}"))
+
+
+def run_resolve(args, M: ModulePresentation) -> Output:
     if args.max_len is None:
         res = minimal_resolution(M, ORDERS[args.order])
     else:
         res = minimize(resolve(M, args.max_len, ORDERS[args.order]))
-    if args.check:
+    # the shared checks have verified the default minimal resolution
+    if args.check and res is not minimal_resolution(M):
         res.check()
-        _run_checks(M)
-    if args.json:
-        _emit_json({
-            "command": "resolve",
-            "length": res.length,
-            "truncated": res.truncated,
-            "ranks": [m.rank for m in res.modules],
-            "degrees": [list(m.degrees) for m in res.modules],
-            "betti": res.betti().to_json(),
-        })
-    else:
-        ranks = " <- ".join(str(m.rank) for m in res.modules)
-        flag = " (truncated)" if res.truncated else ""
-        print(f"resolution: {ranks}{flag}")
-        print(res.betti().render())
-    return 0
+    ranks = [m.rank for m in res.modules]
+    flag = " (truncated)" if res.truncated else ""
+    return (lambda: {"length": res.length,
+                     "truncated": res.truncated, "ranks": ranks,
+                     "degrees": [list(m.degrees) for m in res.modules],
+                     "betti": res.betti().to_json()},
+            lambda: (f"resolution: {' <- '.join(map(str, ranks))}{flag}\n"
+                     f"{res.betti().render()}"))
 
 
-def cmd_ext(args) -> int:
-    M = _load(args.file)
+def run_ext(args, M: ModulePresentation) -> Output:
     E = ext(M, args.j)
     fp = fingerprint(E)
-    if args.check:
-        _run_checks(M)
+    if args.check and args.j <= minimal_resolution(M).length:
         res = minimal_resolution(M)
-        if args.j <= res.length:
-            lo, hi = default_window(E)
-            dims = ext_dims(res.modules, res.maps, args.j, lo, hi)
-            for q, dim in dims.items():
-                if fp.hilbert.coefficient(q) != dim:
-                    raise VerificationError(
-                        f"ext^{args.j} disagrees with the oracle in degree {q}")
-    if args.json:
-        _emit_json({"command": "ext", "j": args.j, "zero": is_zero_module(E),
-                    "fingerprint": fp.to_json()})
-    else:
-        if is_zero_module(E):
-            print(f"ext^{args.j} = 0")
-        else:
-            print(f"ext^{args.j}: hilbert series {fp.hilbert}")
-            print(fp.betti.render())
-    return 0
+        lo, hi = default_window(E)
+        for q, dim in ext_dims(res.modules, res.maps, args.j, lo, hi).items():
+            if fp.hilbert.coefficient(q) != dim:
+                raise VerificationError(
+                    f"ext^{args.j} disagrees with the oracle in degree {q}")
+    zero = is_zero_module(E)
+    return (lambda: {"j": args.j, "zero": zero, "fingerprint": fp.to_json()},
+            lambda: (f"ext^{args.j} = 0" if zero else
+                     f"ext^{args.j}: hilbert series {fp.hilbert}\n"
+                     f"{fp.betti.render()}"))
 
 
-def cmd_hilbert(args) -> int:
-    M = _load(args.file)
+def run_hilbert(args, M: ModulePresentation) -> Output:
     hs = hilbert_series(M)
     lo, hi = default_window(M)
-    if args.check:
-        _run_checks(M)
-    if args.json:
-        _emit_json({"command": "hilbert", "series": hs.to_json(),
-                    "window": [lo, hi],
-                    "dims": [[q, hs.coefficient(q)] for q in range(lo, hi + 1)]})
-    else:
-        print(f"hilbert series: {hs}")
-        for q in range(lo, hi + 1):
-            print(f"  dim_{q} = {hs.coefficient(q)}")
-    return 0
+    dims = [(q, hs.coefficient(q)) for q in range(lo, hi + 1)]
+    return (lambda: {"series": hs.to_json(),
+                     "window": [lo, hi], "dims": [list(d) for d in dims]},
+            lambda: "\n".join([f"hilbert series: {hs}"] +
+                              [f"  dim_{q} = {dim}" for q, dim in dims]))
 
 
-def cmd_depth(args) -> int:
-    M = _load(args.file)
-    if args.check:
-        _run_checks(M)
+def run_depth(args, M: ModulePresentation) -> Output:
     if is_zero_module(M):
-        if args.json:
-            _emit_json({"command": "depth", "zero_module": True,
-                        "depth": None, "dim": None})
-        else:
-            print("depth: undefined (zero module)")
-        return 0
+        return (lambda: {"zero_module": True, "depth": None, "dim": None},
+                lambda: "depth: undefined (zero module)")
     depth, dim = depth_dim(M)
     pd = minimal_resolution(M).length
     if args.check and depth + pd != M.ring.r:
         raise VerificationError("depth + projective dimension != r")
-    if args.json:
-        _emit_json({"command": "depth", "zero_module": False,
-                    "depth": depth, "dim": dim, "projective_dimension": pd})
-    else:
-        print(f"depth: {depth}")
-        print(f"dim: {dim}")
-    return 0
+    return (lambda: {"zero_module": False, "depth": depth, "dim": dim,
+                     "projective_dimension": pd},
+            lambda: f"depth: {depth}\ndim: {dim}")
 
 
-def cmd_cm(args) -> int:
-    M = _load(args.file)
-    if args.check:
-        _run_checks(M)
+def run_cm(args, M: ModulePresentation) -> Output:
     if is_zero_module(M):
-        if args.json:
-            _emit_json({"command": "cm", "zero_module": True,
-                        "cohen_macaulay": None})
-        else:
-            print("cohen_macaulay: undefined (zero module)")
-        return 0
+        return (lambda: {"zero_module": True, "cohen_macaulay": None},
+                lambda: "cohen_macaulay: undefined (zero module)")
     cm = is_cohen_macaulay(M)
-    if args.json:
-        _emit_json({"command": "cm", "zero_module": False, "cohen_macaulay": cm})
-    else:
-        print(f"cohen_macaulay: {'true' if cm else 'false'}")
-    return 0
+    return (lambda: {"zero_module": False, "cohen_macaulay": cm},
+            lambda: f"cohen_macaulay: {'true' if cm else 'false'}")
 
 
-def cmd_syzygy_order(args) -> int:
-    M = _load(args.file)
-    if args.check:
-        _run_checks(M)
+def run_syzygy_order(args, M: ModulePresentation) -> Output:
     order = syzygy_order(M)
     if args.check:
         free = minimal_resolution(M).length == 0
         if (order == M.ring.r) != free:
             raise VerificationError("syzygy order inconsistent with freeness")
-    if args.json:
-        _emit_json({"command": "syzygy-order", "order": order, "r": M.ring.r})
-    else:
-        print(f"syzygy order: {order} (of r = {M.ring.r})")
-    return 0
+    return (lambda: {"order": order, "r": M.ring.r},
+            lambda: f"syzygy order: {order} (of r = {M.ring.r})")
 
 
-def cmd_koszul(args) -> int:
+def run_koszul(args) -> Output:
     ring = RingSpec(args.r, 2)
     kos = koszul_complex(ring)
     if args.check:
@@ -260,89 +247,37 @@ def cmd_koszul(args) -> int:
         lo, hi = 0, ring.d * (ring.r + 2)
         if not resolution_is_exact(kos.modules, kos.maps, {0: 1}, lo, hi):
             raise VerificationError("Koszul complex fails degreewise exactness")
-    if args.json:
-        _emit_json({
-            "command": "koszul",
-            "r": args.r,
-            "ranks": [m.rank for m in kos.modules],
-            "betti": kos.betti().to_json(),
-        })
-    else:
-        ranks = " <- ".join(str(m.rank) for m in kos.modules)
-        print(f"koszul complex (r={args.r}): {ranks}")
-        print(kos.betti().render())
-    return 0
+    ranks = [m.rank for m in kos.modules]
+    return (lambda: {"r": args.r, "ranks": ranks,
+                     "betti": kos.betti().to_json()},
+            lambda: (f"koszul complex (r={args.r}): "
+                     f"{' <- '.join(map(str, ranks))}\n{kos.betti().render()}"))
 
 
-def _fixture_report(args, ht: ModulePresentation, hht: ModulePresentation,
-                    command: str, extra: dict) -> int:
-    if args.what == "ht":
-        return _report_module(ht, args, {"command": command, "what": "ht", **extra})
-    if args.what == "hht":
-        return _report_module(hht, args, {"command": command, "what": "hht", **extra})
+def _fixture_keys(args) -> dict:
+    """The JSON keys naming a fixture's input: `what`, --r and --i."""
+    return {k: v for k, v in vars(args).items() if k in ("what", "r", "i")}
+
+
+def run_ab(args, hht: ModulePresentation, ht=None) -> Output:
     report = ab_report(hht, ht)
-    if args.check:
-        _run_checks(ht)
-        _run_checks(hht)
-    if args.json:
-        _emit_json({"command": command, "what": "ab", **extra,
-                    "report": report.to_json()})
-    else:
-        print(report.render())
-    return 0
+    return (lambda: {**_fixture_keys(args), "report": report.to_json()},
+            report.render)
 
 
-def cmd_toric(args) -> int:
-    if args.r < 1:
-        raise InputError("toric fixture needs --r >= 1")
-    return _fixture_report(args, toric_ht(args.r), toric_hht(args.r),
-                           "toric", {"r": args.r})
+def run_fixture(args, *modules) -> Output:
+    """The module report of H_T^* or H^T_*, or their Atiyah-Bredon report."""
+    if args.what == "ab":
+        return run_ab(args, *modules)
+    return _module_output(modules[0], _fixture_keys(args))
 
 
-def cmd_mutant(args) -> int:
-    return _fixture_report(args, mutant_ht(), mutant_hht(), "mutant", {})
+def run_gkm(args, M: ModulePresentation, graph) -> Output:
+    return _module_output(M, {"vertices": len(graph.vertices),
+                              "edges": len(graph.edges)})
 
 
-def cmd_homogeneous(args) -> int:
-    ht, hht = homogeneous_space(args.r, args.i)
-    return _fixture_report(args, ht, hht, "homogeneous",
-                           {"r": args.r, "i": args.i})
-
-
-def cmd_gkm(args) -> int:
-    ring = RingSpec(args.r, 2)
-    if args.file:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise InputError(f"cannot read {args.file}: {e}")
-        graph = parse_gkm(text, ring)
-    else:
-        graph = hypercube_graph(args.r)
-    M = gkm_module(graph)
-    extra = {"command": "gkm", "vertices": len(graph.vertices),
-             "edges": len(graph.edges)}
-    return _report_module(M, args, extra)
-
-
-def cmd_ab(args) -> int:
-    hht = _load(args.file)
-    ht = _load(args.ht) if args.ht else None
-    if args.check:
-        _run_checks(hht)
-        if ht is not None:
-            _run_checks(ht)
-    report = ab_report(hht, ht)
-    if args.json:
-        _emit_json({"command": "ab", "report": report.to_json()})
-    else:
-        print(report.render())
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    M = _load(args.file)
+def run_oracle(args, M: ModulePresentation) -> Output:
     if args.window:
         try:
             lo_s, hi_s = args.window.split(":")
@@ -350,114 +285,116 @@ def cmd_oracle(args) -> int:
         except ValueError:
             raise InputError(f"--window must be lo:hi, got {args.window!r}")
     else:
-        lo, hi = default_window(M)
-        config = OracleConfig(lo, hi)
-    dims = module_dims(M, config)
+        config = OracleConfig(*default_window(M))
+    dims = sorted(module_dims(M, config).items())
     if args.check:
         hs = hilbert_series(M)
-        for q, dim in dims.items():
+        for q, dim in dims:
             if hs.coefficient(q) != dim:
                 raise VerificationError(
                     f"oracle and resolution disagree in degree {q}")
-    if args.json:
-        _emit_json({"command": "oracle", "window": [config.lo, config.hi],
-                    "dims": [[q, dim] for q, dim in sorted(dims.items())]})
-    else:
-        for q, dim in sorted(dims.items()):
-            print(f"dim_{q} = {dim}")
-    return 0
+    return (lambda: {"window": [config.lo, config.hi],
+                     "dims": [[q, dim] for q, dim in dims]},
+            lambda: "\n".join(f"dim_{q} = {dim}" for q, dim in dims))
 
 
-# ---------- parser ----------
+# ---------- the command table ----------
+
+# Every argument a subcommand can take: name -> (flag, add_argument keywords).
+ARGS = {
+    "file": ("--file", {"required": True, "help": "presentation file"}),
+    "ht": ("--ht", {"default": None, "help": "optional presentation of H_T^*"}),
+    "graph": ("--file", {"dest": "graph", "default": None,
+                         "help": "graph file; omitted: the (CP^1)^r hypercube"}),
+    "what": ("what", {"choices": ["ht", "hht", "ab"]}),
+    "r": ("--r", {"type": _variables, "required": True,
+                  "help": f"number of variables, at most {MAX_R}"}),
+    "i": ("--i", {"type": int, "required": True}),
+    "j": ("--j", {"type": int, "required": True}),
+    "max_len": ("--max-len", {"type": int, "default": None}),
+    "order": ("--order", {"choices": sorted(ORDERS), "default": "grevlex"}),
+    "window": ("--window", {"default": None, "help": "lo:hi degree window"}),
+}
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    args: Tuple[str, ...]
+    # args -> the handler's inputs; main re-verifies the presentations
+    # among them under --check
+    inputs: Callable[..., list]
+    # (args, *inputs) -> Output
+    run: Callable[..., Output]
+
+
+COMMANDS = {c.name: c for c in (
+    Command("resolve", "minimal free resolution of a presentation",
+            ("file", "max_len", "order"), _files, run_resolve),
+    Command("ext", "Ext^j against the ring", ("file", "j"), _files, run_ext),
+    Command("hilbert", "Hilbert series and dimensions", ("file",), _files,
+            run_hilbert),
+    Command("depth", "depth and Krull dimension", ("file",), _files,
+            run_depth),
+    Command("cm", "Cohen-Macaulay test", ("file",), _files, run_cm),
+    Command("syzygy-order", "largest j such that M is a j-th syzygy",
+            ("file",), _files, run_syzygy_order),
+    Command("koszul", "Koszul complex diagnostics", ("r",), lambda args: [],
+            run_koszul),
+    Command("toric", "toric fixture", ("what", "r"),
+            _fixture(lambda args: (toric_ht(args.r), toric_hht(args.r))),
+            run_fixture),
+    Command("mutant", "mutant fixture", ("what",),
+            _fixture(lambda args: (mutant_ht(), mutant_hht())), run_fixture),
+    Command("homogeneous", "homogeneous fixture", ("what", "r", "i"),
+            _fixture(lambda args: homogeneous_space(args.r, args.i)),
+            run_fixture),
+    Command("gkm", "congruence module of a GKM graph", ("r", "graph"),
+            _gkm_inputs, run_gkm),
+    Command("ab", "Atiyah-Bredon report from presentation files",
+            ("file", "ht"), _files, run_ab),
+    Command("oracle", "degreewise dimension table (no Groebner)",
+            ("file", "window"), _files, run_oracle),
+)}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared for the life of
-    the process."""
+    """The argument parser of COMMANDS, built on first use and shared for
+    the life of the process."""
     parser = argparse.ArgumentParser(
         prog="syzal",
         description="Exact graded-module engine: resolutions, Ext, "
                     "syzygy invariants, and equivariant fixtures.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command in COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
+        for name in command.args:
+            flag, options = ARGS[name]
+            p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true",
                        help="emit a deterministic JSON document")
         p.add_argument("--check", action="store_true",
                        help="re-verify invariants before reporting")
-
-    p = sub.add_parser("resolve", help="minimal free resolution of a presentation")
-    p.add_argument("--file", required=True)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--order", choices=sorted(ORDERS), default="grevlex")
-    common(p)
-
-    p = sub.add_parser("ext", help="Ext^j against the ring")
-    p.add_argument("--file", required=True)
-    p.add_argument("--j", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("hilbert", help="Hilbert series and dimensions")
-    p.add_argument("--file", required=True)
-    common(p)
-
-    p = sub.add_parser("depth", help="depth and Krull dimension")
-    p.add_argument("--file", required=True)
-    common(p)
-
-    p = sub.add_parser("cm", help="Cohen-Macaulay test")
-    p.add_argument("--file", required=True)
-    common(p)
-
-    p = sub.add_parser("syzygy-order", help="largest j such that M is a j-th syzygy")
-    p.add_argument("--file", required=True)
-    common(p)
-
-    p = sub.add_parser("koszul", help="Koszul complex diagnostics")
-    p.add_argument("--r", type=int, required=True)
-    common(p)
-
-    for name, needs_r, needs_i in (
-            ("toric", True, False),
-            ("mutant", False, False),
-            ("homogeneous", True, True)):
-        p = sub.add_parser(name, help=f"{name} fixture")
-        p.add_argument("what", choices=["ht", "hht", "ab"])
-        if needs_r:
-            p.add_argument("--r", type=int, required=True)
-        if needs_i:
-            p.add_argument("--i", type=int, required=True)
-        common(p)
-
-    p = sub.add_parser("gkm", help="congruence module of a GKM graph")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--file", default=None,
-                   help="graph file; omitted: the (CP^1)^r hypercube")
-    common(p)
-
-    p = sub.add_parser("ab", help="Atiyah-Bredon report from presentation files")
-    p.add_argument("--file", required=True, help="presentation of H^T_*")
-    p.add_argument("--ht", default=None, help="optional presentation of H_T^*")
-    common(p)
-
-    p = sub.add_parser("oracle", help="degreewise dimension table (no Groebner)")
-    p.add_argument("--file", required=True)
-    p.add_argument("--window", default=None, help="lo:hi degree window")
-    common(p)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up at call time, so a replaced cmd_* function takes effect
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ZeroModuleError as e:
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        inputs = command.inputs(args)
+        if args.check:
+            for M in inputs:
+                if isinstance(M, ModulePresentation):
+                    _run_checks(M)
+        payload, text = command.run(args, *inputs)
+        if args.json:
+            _emit_json(args.command, payload())
+        else:
+            print(text())
+        return 0
+    except (InputError, ZeroModuleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except VerificationError as e:

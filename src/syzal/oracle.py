@@ -44,7 +44,7 @@ class OracleConfig:
 def default_window(M: ModulePresentation) -> Tuple[int, int]:
     """Window from SYZAL_ORACLE_WINDOW=lo:hi if set, else from the
     presentation: starts at the lowest generator, reaches past every
-    relation degree."""
+    relation degree. Either way within the window budget."""
     env = os.environ.get("SYZAL_ORACLE_WINDOW")
     if env:
         try:
@@ -54,11 +54,12 @@ def default_window(M: ModulePresentation) -> Tuple[int, int]:
             raise InputError(f"SYZAL_ORACLE_WINDOW must be lo:hi, got {env!r}")
         if lo > hi:
             raise InputError(f"oracle window {env!r} is inverted")
-        return lo, hi
-    d = M.ring.d
-    lo = min(M.F0.degrees, default=0)
-    max_rel = max(M.F1.degrees, default=lo)
-    hi = max(lo + 3 * d, max_rel + 2 * d)
+    else:
+        d = M.ring.d
+        lo = min(M.F0.degrees, default=0)
+        max_rel = max(M.F1.degrees, default=lo)
+        hi = max(lo + 3 * d, max_rel + 2 * d)
+    _window(lo, hi)
     return lo, hi
 
 
