@@ -6,13 +6,15 @@ the presentations it loads or builds, and a handler that only computes.
 re-verifies every input presentation under --check, runs the handler
 (which adds the checks of its own command), prints the handler's JSON
 payload under --json or its text report otherwise, and maps errors to
-exit codes: 0 success, 1 verification failure, 2 input error.
+exit codes: 0 success, 1 verification failure, 2 input error, and
+EXIT_BROKEN_PIPE when the reader closed standard output.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -62,10 +64,15 @@ from syzal.ring import ORDERS, RingSpec
 MAX_R = 12
 
 
-def _emit_json(command: str, payload: dict) -> None:
+# Exit status when the reader closed standard output: 128 + SIGPIPE, what a
+# shell reports for a program that a closed pipe ended.
+EXIT_BROKEN_PIPE = 141
+
+
+def _json_document(command: str, payload: dict) -> str:
     doc = {"format": 1, "command": command}
     doc.update(payload)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _load(path: str) -> ModulePresentation:
@@ -389,17 +396,24 @@ def main(argv=None) -> int:
                 if isinstance(M, ModulePresentation):
                     _run_checks(M)
         payload, text = command.run(args, *inputs)
-        if args.json:
-            _emit_json(args.command, payload())
-        else:
-            print(text())
-        return 0
+        out = _json_document(args.command, payload()) if args.json else text()
     except (InputError, ZeroModuleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ with optional augmented entries driven by the syzygy order of H_T^*.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from syzal.errors import InputError
@@ -69,7 +68,7 @@ def toric_v(ring: RingSpec) -> ModuleElement:
     for pos, S in enumerate(subsets):
         mono = tuple(0 if i + 1 in S else 1 for i in range(r))
         sign = 1 if (r - len(S)) % 2 == 0 else -1
-        terms[(pos, mono)] = Fraction(sign)
+        terms[(pos, mono)] = sign
     return ModuleElement(F, terms)
 
 

@@ -7,7 +7,6 @@ via elimination on the graph submodule {(A e_j, e_j)}.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
@@ -24,6 +23,7 @@ from syzal.ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    qdiv,
 )
 
 
@@ -91,7 +91,7 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
             rem[t] = c
             continue
         q = mono_div(m, gm)
-        coeff = c / glc
+        coeff = qdiv(c, glc)
         for (p2, m2), c2 in gens[hit].terms.items():
             key = (p2, mono_mul(m2, q))
             if key == t:
@@ -291,7 +291,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
             quots, rem = divide(s, G.elements, G.order, want_quotients=True)
             if not rem.is_zero():
                 raise VerificationError("input basis is not a Groebner basis")
-            terms: dict = {(i, ai): Fraction(1)}
+            terms: dict = {(i, ai): 1}
             terms[(j, aj)] = terms.get((j, aj), 0) - 1
             for k, q in enumerate(quots):
                 for qm, qc in q.items():
@@ -333,7 +333,7 @@ class GraphBasis:
             if g.module != F:
                 raise InputError("generator outside the stated ambient module")
             terms = {(pos, m): c for (pos, m), c in g.terms.items()}
-            terms[(self.split + t, one)] = Fraction(1)
+            terms[(self.split + t, one)] = 1
             pairs.append(ModuleElement(self.big, terms))
         self.basis = buchberger(pairs, PositionOverTerm(base_order), ambient=self.big)
 

@@ -7,7 +7,6 @@ the opposite sign of the common R(-l) convention.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
@@ -19,6 +18,8 @@ from syzal.ring import (
     mono_deg,
     mono_mul,
     parse_polynomial,
+    qdiv,
+    qnorm,
 )
 
 
@@ -43,7 +44,7 @@ class FreeModule:
         return FreeModule(self.ring, tuple(-g for g in self.degrees))
 
     def generator(self, i: int) -> "ModuleElement":
-        return ModuleElement(self, {(i, self.ring.one_monomial()): Fraction(1)})
+        return ModuleElement(self, {(i, self.ring.one_monomial()): 1})
 
     def zero(self) -> "ModuleElement":
         return ModuleElement(self, {})
@@ -122,14 +123,14 @@ class ModuleElement:
         return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
-        c = Fraction(c)
+        c = qnorm(c)
         if not c:
             return ModuleElement(self.module, {})
         return ModuleElement(self.module, {t: c * v for t, v in self.terms.items()})
 
     def term_mul(self, mono, c) -> "ModuleElement":
         """Multiply by the single ring term c*x^mono."""
-        c = Fraction(c)
+        c = qnorm(c)
         if not c:
             return ModuleElement(self.module, {})
         return ModuleElement(
@@ -159,9 +160,9 @@ class ModuleElement:
 
     def monic(self, order: ModuleOrder) -> "ModuleElement":
         lt = self.leading_term(order)
-        if lt is None:
+        if lt is None or lt[1] == 1:
             return self
-        return self.scale(1 / lt[1])
+        return self.scale(qdiv(1, lt[1]))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
@@ -370,6 +371,15 @@ def direct_sum(Ms: Iterable[ModulePresentation]) -> ModulePresentation:
 
 # ---------- presentation file format ----------
 
+# The widest spread of generator and relation degrees a loaded presentation
+# may have, max - min. Output such as the Betti table grows with the spread
+# (about 3 us per degree: `resolve` of t1^k printed 200,003 lines in 0.76 s
+# at spread 200,000), and homogeneity then bounds every exponent. The test
+# suite spreads over at most 17 degrees and the cli-check benchmark over
+# about 13. 200 is also the oracle's window budget.
+MAX_DEGREE_SPAN = 200
+
+
 def presentation_to_json(M: ModulePresentation) -> dict:
     return {
         "ring": {"r": M.ring.r, "d": M.ring.d, "names": list(M.ring.names)},
@@ -401,6 +411,10 @@ def presentation_from_json(obj) -> ModulePresentation:
     ring = RingSpec(_json_int(r, "ring r"), _json_int(d, "ring d"), names)
     gens = [_json_int(g, "generator degree") for g in gens]
     relgens = [_json_int(g, "relation generator degree") for g in relgens]
+    degrees = gens + relgens
+    if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+        raise InputError(f"presentation degrees spread from {min(degrees)} to "
+                         f"{max(degrees)}, more than {MAX_DEGREE_SPAN} apart")
     F0 = FreeModule(ring, gens)
     F1 = FreeModule(ring, relgens)
     if len(matrix) != F0.rank:

@@ -25,7 +25,14 @@ from syzal.modfree import (
     shift,
     zero_module,
 )
-from syzal.ring import GREVLEX, MonomialOrder, Polynomial, PositionOverTerm, RingSpec
+from syzal.ring import (
+    GREVLEX,
+    MonomialOrder,
+    Polynomial,
+    PositionOverTerm,
+    RingSpec,
+    qdiv,
+)
 
 
 class FreeResolution:
@@ -132,7 +139,7 @@ def _cancel(entries, a: int, b: int):
     """Remove row a and column b, folding the pivot into the rest. Rows with
     a zero pivot-column entry, and cells under a zero pivot-row entry, are
     copied unchanged."""
-    inv = 1 / entries[a][b].constant_coefficient()
+    inv = qdiv(1, entries[a][b].constant_coefficient())
     pivot_row = entries[a]
     out = []
     for x, row in enumerate(entries):

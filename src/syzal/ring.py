@@ -1,7 +1,8 @@
 """Graded polynomial ring R = k[t1..tr] over the rationals, deg(ti) = d.
 
 Monomials are exponent tuples of length r; polynomials map monomials to
-nonzero Fractions. All arithmetic is exact; no floating point anywhere.
+nonzero exact coefficients: an int when the coefficient is integral, a
+Fraction when it is not. All arithmetic is exact; no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -15,6 +16,36 @@ from syzal.errors import InputError
 Rational = Fraction
 
 Monomial = tuple  # exponent tuple of length RingSpec.r
+
+
+# ---------- coefficients ----------
+# A coefficient is an int when it is integral and a Fraction only when it is
+# not. int and Fraction compare and hash equal, so the two forms of one value
+# are interchangeable as dict values and in every output. Sums and products
+# of Fractions may stay integral-valued Fractions: the form changes speed,
+# never a value. int / int is a float, so every coefficient division goes
+# through qdiv.
+
+def qnorm(c):
+    """The exact coefficient c as an int when integral, else a Fraction.
+    Refuses floats (and anything else) instead of coercing them."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def qdiv(a, b):
+    """Exact quotient a / b of two coefficients (b nonzero), normalized by
+    qnorm; a itself for b = 1 and -a for b = -1."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    if isinstance(a, int) and isinstance(b, int):
+        return qnorm(Fraction(a, b))
+    return qnorm(a / b)
 
 
 # ---------- monomials ----------
@@ -134,7 +165,7 @@ class RingSpec:
     def variable(self, i: int) -> "Polynomial":
         exps = [0] * self.r
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def variables(self) -> list:
         return [self.variable(i) for i in range(self.r)]
@@ -176,7 +207,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: RingSpec, c) -> "Polynomial":
-        return Polynomial(ring, {ring.one_monomial(): Fraction(c)})
+        return Polynomial(ring, {ring.one_monomial(): qnorm(c)})
 
     @staticmethod
     def one(ring: RingSpec) -> "Polynomial":
@@ -184,7 +215,7 @@ class Polynomial:
 
     @staticmethod
     def term(ring: RingSpec, exps: Monomial, c=1) -> "Polynomial":
-        return Polynomial(ring, {tuple(exps): Fraction(c)})
+        return Polynomial(ring, {tuple(exps): qnorm(c)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -224,7 +255,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = qnorm(c)
         if not c:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
@@ -249,8 +280,8 @@ class Polynomial:
             raise InputError("polynomial is not homogeneous")
         return self.ring.d * degs.pop()
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get(self.ring.one_monomial(), Fraction(0))
+    def constant_coefficient(self):
+        return self.terms.get(self.ring.one_monomial(), 0)
 
     def is_constant(self) -> bool:
         return all(mono_deg(m) == 0 for m in self.terms)
@@ -393,7 +424,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
 
     def parse_term(sign: int) -> Polynomial:
         # optional coefficient
-        coeff = Fraction(sign)
+        coeff = sign
         saw_factor = False
         kind, val, at = peek()
         if kind == "num":
@@ -460,7 +491,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
     return result
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from syzal import (
 )
 import syzal.cli as cli
 import syzal.oracle as oracle
+from syzal.modfree import MAX_DEGREE_SPAN
 
 
 def run_cli(*argv, env_extra=None):
@@ -256,6 +258,28 @@ def test_oracle_basis_budget(tmp_path, basis_calls, capsys):
     assert basis_calls == []
 
 
+def _power_presentation(tmp_path, k, d=1):
+    """Q[t1]/(t1^k) with deg t1 = d: its degrees spread over d*k."""
+    path = tmp_path / f"power{k}d{d}.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 1, "d": d, "names": ["t1"]},
+        "generators": [0], "relation_generators": [d * k],
+        "matrix": [[f"t1^{k}"]]}))
+    return str(path)
+
+
+def test_loaded_degree_spread_budget(tmp_path, capsys):
+    limit = MAX_DEGREE_SPAN
+    assert cli.main(["resolve", "--file", _power_presentation(tmp_path, limit)]) == 0
+    assert "total:" in capsys.readouterr().out
+    start = time.perf_counter()
+    # t1^10000000 used to print a 20,000,003-line Betti table in about 60 s
+    for k, d in ((limit + 1, 1), (10_000_000, 2), (1, 10**12)):
+        assert cli.main(["resolve", "--file", _power_presentation(tmp_path, k, d)]) == 2
+        assert f"more than {limit} apart" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
+
+
 # ---------- determinism ----------
 
 def test_json_byte_determinism_across_hash_seeds(m_pres):
@@ -308,6 +332,22 @@ def test_exit_code_2_on_inhomogeneous_file(tmp_path, m_pres):
     code, _, err = run_cli("hilbert", "--file", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("gkm", "--r", "3", "--json"),
+                                  ("koszul", "--r", "1")])
+def test_closed_stdout_exits_quietly(argv):
+    # stdout is a pipe whose reader is already gone, as in `syzal ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "syzal.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_argparse_rejects_unknown_fixture_argument():

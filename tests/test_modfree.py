@@ -1,5 +1,6 @@
 """Graded free modules, elements, matrices, presentations, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,32 @@ def test_save_load_roundtrip(tmp_path):
     M2 = load_presentation(str(path))
     assert M2.relations == M.relations
     assert fingerprint(M2) == fingerprint(M)
+
+
+def test_save_load_roundtrip_with_mixed_int_and_fraction_coefficients(tmp_path):
+    # ints, non-integral Fractions and integral-valued Fractions all print as
+    # reduced integers or p/q, and load back equal to the original matrix
+    from syzal import Polynomial, load_presentation, save_presentation
+    ring = RingSpec(2, 2)
+    F0 = FreeModule(ring, (0, 2))
+    F1 = FreeModule(ring, (2, 4))
+    entries = [
+        [Polynomial(ring, {(1, 0): 3, (0, 1): Fraction(-1, 2)}),
+         Polynomial(ring, {(2, 0): Fraction(4, 2), (1, 1): -1})],
+        [Polynomial(ring, {(0, 0): Fraction(-7, 3)}),
+         Polynomial(ring, {(0, 1): 1, (1, 0): Fraction(5, 1)})],
+    ]
+    M = ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, entries))
+    path = tmp_path / "mixed.pres"
+    save_presentation(M, str(path))
+    expected = {
+        "generators": [0, 2],
+        "matrix": [["3*t1 - 1/2*t2", "2*t1^2 - t1*t2"], ["-7/3", "5*t1 + t2"]],
+        "relation_generators": [2, 4],
+        "ring": {"d": 2, "names": ["t1", "t2"], "r": 2},
+    }
+    assert path.read_text(encoding="utf-8") \
+        == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    M2 = load_presentation(str(path))
+    assert M2.relations == M.relations
+    assert M2.F0 == M.F0 and M2.F1 == M.F1

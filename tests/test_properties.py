@@ -28,10 +28,12 @@ from syzal import (
     module_dims,
     normal_form,
     resolve,
+    schreyer_basis,
     shift,
     syzygies,
     verify_spairs,
 )
+from syzal.resolution import _cancel, _find_unit
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -298,3 +300,57 @@ def test_biduality_kernel_is_torsion(M):
     b = biduality(M)
     if not is_zero_module(b.kernel):
         assert is_zero_module(dual(b.kernel))
+
+
+# ---------- exact coefficients ----------
+
+@st.composite
+def rational_presentations(draw):
+    """Presentations with rational and non-monic int coefficients, including
+    constant entries that minimization cancels."""
+    ring = RingSpec(draw(st.integers(1, 2)), 2)
+    F0 = FreeModule(ring, draw(st.lists(st.sampled_from([0, 2]), min_size=1, max_size=2)))
+    F1 = FreeModule(ring, draw(st.lists(st.sampled_from([2, 4]), min_size=2, max_size=3)))
+    mixed = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    entries = []
+    for g in F0.degrees:
+        row = []
+        for c in F1.degrees:
+            basis = list(ring.monomials_of_degree(c - g))
+            picks = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+            row.append(Polynomial(ring, {m: draw(mixed) for m in picks}))
+        entries.append(row)
+    return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, entries))
+
+
+def _exact(coefficients) -> bool:
+    return all(type(c) in (int, Fraction) for c in coefficients)
+
+
+def _element_coeffs(elements):
+    return [c for e in elements for c in e.terms.values()]
+
+
+def _entry_coeffs(rows):
+    return [c for row in rows for p in row for c in p.terms.values()]
+
+
+@given(rational_presentations())
+@settings(max_examples=30)
+def test_no_float_coefficient_anywhere(M):
+    # int / int is a float: every division must stay exact
+    cols = [c for c in M.relations.columns() if not c.is_zero()]
+    assume(cols)
+    quotients, rem = divide(cols[-1], cols[:-1], PositionOverTerm(GREVLEX),
+                            want_quotients=True)
+    assert _exact(rem.terms.values())
+    assert _exact(c for q in quotients for c in q.values())
+    G = buchberger(cols, ambient=M.F0)
+    assert _exact(_element_coeffs(G.elements))
+    assert _exact(_element_coeffs(schreyer_basis(G).elements))
+    for A in minimal_resolution(M).maps:
+        assert _exact(_entry_coeffs(A.entries))
+    entries = [list(row) for row in M.relations.entries]
+    unit = _find_unit(entries)
+    if unit is not None:
+        assert _exact(_entry_coeffs(_cancel(entries, *unit)))

@@ -26,6 +26,8 @@ from syzal.ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    qdiv,
+    qnorm,
 )
 
 
@@ -152,6 +154,29 @@ def test_constant_helpers():
     assert c.constant_coefficient() == Fraction(3, 4)
     assert not ring.variable(0).is_constant()
     assert ring.variable(0).constant_coefficient() == 0
+
+
+def test_qnorm_refuses_floats_and_keeps_integers_int():
+    with pytest.raises(TypeError):
+        qnorm(0.5)
+    with pytest.raises(TypeError):
+        qnorm(1.0)
+    assert type(qnorm(Fraction(6, 3))) is int and qnorm(Fraction(6, 3)) == 2
+    assert type(qnorm(Fraction(1, 2))) is Fraction
+    assert type(qnorm(True)) is int
+    with pytest.raises(TypeError):
+        Polynomial.constant(RingSpec(1, 2), 0.5)
+
+
+def test_qdiv_is_int_exactly_when_the_quotient_is_integral():
+    # normalized coefficients: ints and non-integral Fractions
+    values = [1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+              Fraction(-4, 9)]
+    for a, b in itertools.product(values, repeat=2):
+        q = qdiv(a, b)
+        exact = Fraction(a) / Fraction(b)
+        assert q == exact
+        assert type(q) is (int if exact.denominator == 1 else Fraction), (a, b, q)
 
 
 def test_parse_simple():
