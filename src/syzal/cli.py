@@ -30,7 +30,7 @@ from syzal.equivariant import (
     toric_hht,
 )
 from syzal.errors import InputError, VerificationError, ZeroModuleError
-from syzal.groebner import buchberger, verify_spairs
+from syzal.groebner import verify_spairs
 from syzal.homalg import (
     depth_dim,
     euler_series,
@@ -55,7 +55,7 @@ from syzal.oracle import (
     module_dims,
     resolution_is_exact,
 )
-from syzal.resolution import koszul_complex, minimize, resolve
+from syzal.resolution import koszul_complex, minimize, relation_basis, resolve
 from syzal.ring import ORDERS, RingSpec
 
 # The largest --r accepted. toric, homogeneous, gkm and koszul build 2^r
@@ -91,8 +91,8 @@ def _run_checks(M: ModulePresentation) -> None:
         raise VerificationError("relation matrix is inhomogeneous")
     if M.embedding is not None and not check_homogeneous(M.embedding):
         raise VerificationError("embedding matrix is inhomogeneous")
-    cols = [c for c in M.relations.columns() if not c.is_zero()]
-    if cols and not verify_spairs(buchberger(cols, ambient=M.F0)):
+    G = relation_basis(M)
+    if G is not None and not verify_spairs(G):
         raise VerificationError("an S-pair of the Groebner basis does not reduce to zero")
     res = minimal_resolution(M)
     res.check()

@@ -108,7 +108,7 @@ def toric_ht(r: int) -> ModulePresentation:
     F0 = toric_ambient(ring)
     U = toric_u(ring)
     V = toric_v(ring)
-    rel = GradedMatrix.from_columns(F0, [U, V], [U.degree(), V.degree()])
+    rel = GradedMatrix.from_columns(F0, [U, V])
     return ModulePresentation(ring, F0, rel.source, rel)
 
 
@@ -291,14 +291,15 @@ def gkm_module(g: GkmGraph, ring: Optional[RingSpec] = None) -> ModulePresentati
     FV = FreeModule(ring, (0,) * nv)
     source = FreeModule(ring, (0,) * nv + (ring.d,) * ne)
     FE = FreeModule(ring, (0,) * ne)
-    zero = Polynomial.zero(ring)
-    entries = [[zero] * source.rank for _ in range(ne)]
+    one = ring.one_monomial()
+    columns = [dict() for _ in range(nv)]
     for row, (u, v, w) in enumerate(g.edges):
-        iu, iv = g.vertex_index(u), g.vertex_index(v)
-        entries[row][iu] = entries[row][iu] + Polynomial.one(ring)
-        entries[row][iv] = entries[row][iv] - Polynomial.one(ring)
-        entries[row][nv + row] = w.scale(-1)
-    A = GradedMatrix(source, FE, entries)
+        columns[g.vertex_index(u)][(row, one)] = 1
+        columns[g.vertex_index(v)][(row, one)] = -1
+    columns += [{(row, m): -c for m, c in w.terms.items()}
+                for row, (_u, _v, w) in enumerate(g.edges)]
+    A = GradedMatrix.from_columns(
+        FE, [ModuleElement(FE, terms) for terms in columns], source.degrees)
     gens = []
     for elem in kernel(A):
         proj = ModuleElement(FV, {(pos, m): c for (pos, m), c in elem.terms.items()

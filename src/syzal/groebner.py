@@ -7,7 +7,7 @@ via elimination on the graph submodule {(A e_j, e_j)}.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
@@ -28,22 +28,22 @@ from syzal.ring import (
 
 
 class GroebnerBasis:
-    """A completed basis: every S-pair reduces to zero. When reduced, each
-    element is monic and no leading term divides any same-position term of
-    another element."""
+    """A completed basis: every S-pair reduces to zero. The bases that
+    buchberger and schreyer_basis build are reduced: each element is monic
+    and no leading term divides any same-position term of another
+    element."""
 
-    __slots__ = ("ambient", "elements", "order", "reduced", "minimal", "_lts")
+    __slots__ = ("ambient", "elements", "order", "_lts")
 
     def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement],
-                 order: ModuleOrder, reduced: bool = False, minimal: bool = False):
+                 order: ModuleOrder):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.order = order
-        self.reduced = reduced
-        self.minimal = minimal
         self._lts = tuple(e.leading_term(order) for e in self.elements)
 
     def lead_terms(self):
+        """((position, monomial), coefficient) of each element, in order."""
         return self._lts
 
     def __len__(self):
@@ -167,6 +167,25 @@ def _spair_data(lt_i, lt_j):
     return mono_lcm(mi, mj)
 
 
+def _s_poly(f: ModuleElement, mf, g: ModuleElement, mg, lcm):
+    """(a_f, a_g, a_f f - a_g g) with a_f = lcm/mf and a_g = lcm/mg, for
+    monic f and g whose leading monomials mf and mg share a position."""
+    af, ag = mono_div(lcm, mf), mono_div(lcm, mg)
+    return af, ag, f.term_mul(af, 1) - g.term_mul(ag, 1)
+
+
+def _s_pairs(G: "GroebnerBasis"):
+    """(i, j, a_i, a_j, S-polynomial) for every same-position pair i < j of
+    G, in index order."""
+    lts = G.lead_terms()
+    for i in range(len(G.elements)):
+        for j in range(i + 1, len(G.elements)):
+            lcm = _spair_data(lts[i], lts[j])
+            if lcm is not None:
+                yield (i, j) + _s_poly(G.elements[i], lts[i][0][1],
+                                       G.elements[j], lts[j][0][1], lcm)
+
+
 def _position_pure(e: ModuleElement) -> bool:
     return len({pos for (pos, _m) in e.terms}) <= 1
 
@@ -239,33 +258,19 @@ def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = Non
         lcm = mono_lcm(mi, mj)
         if chain_skips(i, j, p, lcm):
             continue
-        s = (basis[i].term_mul(mono_div(lcm, mi), 1)
-             - basis[j].term_mul(mono_div(lcm, mj), 1))
-        r = divide(s, basis, order)[1]
+        r = divide(_s_poly(basis[i], mi, basis[j], mj, lcm)[2], basis, order)[1]
         if not r.is_zero():
             basis.append(r.monic(order))
             pure.append(_position_pure(r))
             lts.append(basis[-1].leading_term(order))
             push_pairs(len(basis) - 1)
 
-    reduced = _reduce_basis(basis, order)
-    return GroebnerBasis(ambient, reduced, order, reduced=True, minimal=True)
+    return GroebnerBasis(ambient, _reduce_basis(basis, order), order)
 
 
 def verify_spairs(G: GroebnerBasis) -> bool:
     """Certificate check: every same-position S-pair reduces to zero."""
-    for i in range(len(G.elements)):
-        for j in range(i + 1, len(G.elements)):
-            lcm = _spair_data(G._lts[i], G._lts[j])
-            if lcm is None:
-                continue
-            (p, mi), _ = G._lts[i]
-            (_, mj), _ = G._lts[j]
-            s = (G.elements[i].term_mul(mono_div(lcm, mi), 1)
-                 - G.elements[j].term_mul(mono_div(lcm, mj), 1))
-            if not normal_form(s, G).is_zero():
-                return False
-    return True
+    return all(normal_form(s, G).is_zero() for *_ij, s in _s_pairs(G))
 
 
 # ---------- Schreyer syzygies ----------
@@ -276,41 +281,30 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     ring = G.ambient.ring
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
-    sorder = SchreyerOrder(G.order, [lt[0] for lt in G._lts])
+    sorder = SchreyerOrder(G.order, [lt[0] for lt in G.lead_terms()])
     sygens: List[ModuleElement] = []
-    for i in range(len(G.elements)):
-        for j in range(i + 1, len(G.elements)):
-            lcm = _spair_data(G._lts[i], G._lts[j])
-            if lcm is None:
-                continue
-            (p, mi), _ = G._lts[i]
-            (_, mj), _ = G._lts[j]
-            ai = mono_div(lcm, mi)
-            aj = mono_div(lcm, mj)
-            s = (G.elements[i].term_mul(ai, 1) - G.elements[j].term_mul(aj, 1))
-            quots, rem = divide(s, G.elements, G.order, want_quotients=True)
-            if not rem.is_zero():
-                raise VerificationError("input basis is not a Groebner basis")
-            terms: dict = {(i, ai): 1}
-            terms[(j, aj)] = terms.get((j, aj), 0) - 1
-            for k, q in enumerate(quots):
-                for qm, qc in q.items():
-                    key = (k, qm)
-                    v = terms.get(key, 0) - qc
-                    if v:
-                        terms[key] = v
-                    else:
-                        terms.pop(key, None)
-            sygens.append(ModuleElement(aux, terms))
-    reduced = _reduce_basis(sygens, sorder)
-    return GroebnerBasis(aux, reduced, sorder, reduced=True, minimal=True)
+    for i, j, ai, aj, s in _s_pairs(G):
+        quots, rem = divide(s, G.elements, G.order, want_quotients=True)
+        if not rem.is_zero():
+            raise VerificationError("input basis is not a Groebner basis")
+        terms: dict = {(i, ai): 1}
+        terms[(j, aj)] = terms.get((j, aj), 0) - 1
+        for k, q in enumerate(quots):
+            for qm, qc in q.items():
+                key = (k, qm)
+                v = terms.get(key, 0) - qc
+                if v:
+                    terms[key] = v
+                else:
+                    terms.pop(key, None)
+        sygens.append(ModuleElement(aux, terms))
+    return GroebnerBasis(aux, _reduce_basis(sygens, sorder), sorder)
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:
     """Matrix whose columns generate all syzygies of G.elements."""
     syzb = schreyer_basis(G)
-    return GradedMatrix.from_columns(
-        syzb.ambient, syzb.elements, [e.degree() for e in syzb.elements])
+    return GradedMatrix.from_columns(syzb.ambient, syzb.elements)
 
 
 # ---------- elimination: graphs, kernels, membership ----------

@@ -138,17 +138,11 @@ class HilbertSeries:
         return f"HilbertSeries({self})"
 
 
-def _cached(M: ModulePresentation, key, build):
-    if key not in M._cache:
-        M._cache[key] = build()
-    return M._cache[key]
-
-
 def minimal_resolution(M: ModulePresentation,
                        order: MonomialOrder = GREVLEX) -> FreeResolution:
     """Minimized resolution of length <= max(r, 1), cached on the
     presentation per monomial order."""
-    return _cached(M, ("minres", order), lambda: minimize(resolve(M, order=order)))
+    return M.cached(("minres", order), lambda: minimize(resolve(M, order=order)))
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:
@@ -162,7 +156,7 @@ def hilbert_series(M: ModulePresentation) -> HilbertSeries:
             for g in mod.degrees:
                 numer[g] = numer.get(g, 0) + sign
         return HilbertSeries(numer, M.ring.r, M.ring.d)
-    return _cached(M, "hilbert", build)
+    return M.cached("hilbert", build)
 
 
 def euler_series(res: FreeResolution) -> HilbertSeries:
@@ -192,15 +186,15 @@ class ModuleFingerprint(NamedTuple):
 def fingerprint(M: ModulePresentation) -> ModuleFingerprint:
     """(Hilbert series, minimal Betti table): the verification relation for
     all displayed module identities."""
-    return _cached(M, "fingerprint",
-                   lambda: ModuleFingerprint(hilbert_series(M),
-                                             minimal_resolution(M).betti()))
+    return M.cached("fingerprint",
+                    lambda: ModuleFingerprint(hilbert_series(M),
+                                              minimal_resolution(M).betti()))
 
 
 def is_zero_module(M: ModulePresentation) -> bool:
     """True iff M = 0: the minimal presentation has no generators."""
-    return _cached(M, "iszero",
-                   lambda: minimize_presentation(M).F0.rank == 0)
+    return M.cached("iszero",
+                    lambda: minimize_presentation(M).F0.rank == 0)
 
 
 # ---------- submodules and subquotients ----------
@@ -214,7 +208,7 @@ def submodule_presentation(ambient: FreeModule,
     graph = GraphBasis(ambient, gens, degrees)
     syz = graph.syzygy_part()
     F0 = FreeModule(ambient.ring, degrees)
-    rel = GradedMatrix.from_columns(F0, syz, [s.degree() for s in syz])
+    rel = GradedMatrix.from_columns(F0, syz)
     embedding = GradedMatrix.from_columns(ambient, gens, degrees)
     return ModulePresentation(ambient.ring, F0, rel.source, rel,
                               embedding=embedding)
@@ -241,7 +235,7 @@ def subquotient_presentation(ambient: FreeModule,
         columns.append(expr)
     F0 = FreeModule(ambient.ring, degrees)
     kept = [c for c in columns if not c.is_zero()]
-    rel = GradedMatrix.from_columns(F0, kept, [c.degree() for c in kept])
+    rel = GradedMatrix.from_columns(F0, kept)
     pres = ModulePresentation(ambient.ring, F0, rel.source, rel)
     return minimize_presentation(pres)
 
@@ -256,7 +250,7 @@ def dual(M: ModulePresentation) -> ModulePresentation:
         At = M.relations.transpose()
         ker = kernel(At)
         return submodule_presentation(At.source, ker)
-    return _cached(M, "dual", build)
+    return M.cached("dual", build)
 
 
 def ext(M: ModulePresentation, j: int) -> ModulePresentation:
@@ -269,7 +263,7 @@ def ext(M: ModulePresentation, j: int) -> ModulePresentation:
     def build():
         res = minimal_resolution(M)
         return ext_from_resolution(res, j)
-    return _cached(M, ("ext", j), build)
+    return M.cached(("ext", j), build)
 
 
 def ext_from_resolution(res: FreeResolution, j: int) -> ModulePresentation:
@@ -283,10 +277,7 @@ def ext_from_resolution(res: FreeResolution, j: int) -> ModulePresentation:
         up = kernel(res.maps[j].transpose())
     else:
         up = [Fdual.generator(i) for i in range(Fdual.rank)]
-    if j >= 1:
-        downs = res.maps[j - 1].transpose().columns()
-    else:
-        downs = []
+    downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
     if not up:
         return zero_module(ring)
     return subquotient_presentation(Fdual, up, downs)
@@ -295,7 +286,7 @@ def ext_from_resolution(res: FreeResolution, j: int) -> ModulePresentation:
 def _ext_support(M: ModulePresentation) -> List[int]:
     def build():
         return [j for j in range(M.ring.r + 1) if not is_zero_module(ext(M, j))]
-    return _cached(M, "ext_support", build)
+    return M.cached("ext_support", build)
 
 
 def depth_dim(M: ModulePresentation):
@@ -346,13 +337,9 @@ def biduality(M: ModulePresentation) -> BidualityResult:
             L_cols.append(ModuleElement(D2.F0, expr.terms))
         L = GradedMatrix.from_columns(D2.F0, L_cols, list(M.F0.degrees))
         # kernel of the induced map: {v : L v in im(D2.relations)} / im(relations)
-        stack_src = FreeModule(ring, M.F0.degrees + D2.F1.degrees)
-        zero_p = [  # block matrix [L | -B]
-            [L.entries[i][j] for j in range(M.F0.rank)]
-            + [-D2.relations.entries[i][j] for j in range(D2.F1.rank)]
-            for i in range(D2.F0.rank)
-        ]
-        stacked = GradedMatrix(stack_src, D2.F0, zero_p)
+        stacked = GradedMatrix.from_columns(  # block matrix [L | -B]
+            D2.F0, L.columns() + [-v for v in D2.relations.columns()],
+            M.F0.degrees + D2.F1.degrees)
         upstairs = []
         for v in kernel(stacked):
             proj = ModuleElement(
@@ -365,8 +352,7 @@ def biduality(M: ModulePresentation) -> BidualityResult:
         # cokernel: M** modulo the image of L and the relations of M**
         cok_cols = list(L.columns()) + list(D2.relations.columns())
         kept = [c for c in cok_cols if not c.is_zero()]
-        cok_rel = GradedMatrix.from_columns(D2.F0, kept,
-                                            [c.degree() for c in kept])
+        cok_rel = GradedMatrix.from_columns(D2.F0, kept)
         cok = minimize_presentation(
             ModulePresentation(ring, D2.F0, cok_rel.source, cok_rel))
         injective = is_zero_module(ker_pres)
@@ -374,7 +360,7 @@ def biduality(M: ModulePresentation) -> BidualityResult:
         iso = (injective and surjective
                and hilbert_series(M) == hilbert_series(D2))
         return BidualityResult(L, ker_pres, injective, iso)
-    return _cached(M, "biduality", build)
+    return M.cached("biduality", build)
 
 
 def syzygy_order(M: ModulePresentation) -> int:

@@ -3,6 +3,10 @@
 Shift convention: R[l] has its generator in degree l, so shift(M, l) adds l
 to every generator degree and multiplies the Hilbert series by x^l. This is
 the opposite sign of the common R(-l) convention.
+
+A degree-0 map (GradedMatrix) is stored as its columns only, each a
+ModuleElement of the target; rows of Polynomials appear only at the
+boundary: the row constructor, `entries`, and the JSON file format.
 """
 from __future__ import annotations
 
@@ -173,96 +177,107 @@ class ModuleElement:
 
 
 class GradedMatrix:
-    """Degree-0 map between graded free modules. Rows are indexed by target
-    generators, columns by source generators; entry (i, j) is homogeneous of
-    degree source.degrees[j] - target.degrees[i], or zero."""
+    """Degree-0 map between graded free modules, stored as its columns:
+    column j, the image of source generator j, is an element of the target
+    that is zero or homogeneous of degree source.degrees[j], checked once
+    when the matrix is built. Entry (i, j), the part of column j at target
+    position i, is then zero or homogeneous of ring degree
+    source.degrees[j] - target.degrees[i].
 
-    __slots__ = ("source", "target", "entries")
+    GradedMatrix(source, target, rows) builds the map from rows of
+    Polynomials, the form of files, API callers and tests; `entries` gives
+    the rows back."""
 
-    def __init__(self, source: FreeModule, target: FreeModule, entries,
-                 validate: bool = True):
+    __slots__ = ("source", "target", "_columns")
+
+    def __init__(self, source: FreeModule, target: FreeModule, rows):
+        rows = [tuple(row) for row in rows]
+        if len(rows) != target.rank:
+            raise InputError("matrix row count does not match target rank")
+        if any(len(row) != source.rank for row in rows):
+            raise InputError("matrix column count does not match source rank")
+        self._set_columns(source, target, [
+            ModuleElement.from_vector(target, [row[j] for row in rows])
+            for j in range(source.rank)])
+
+    def _set_columns(self, source: FreeModule, target: FreeModule, columns) -> None:
         self.source = source
         self.target = target
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.rank:
-            raise InputError("matrix row count does not match target rank")
-        for row in self.entries:
-            if len(row) != source.rank:
-                raise InputError("matrix column count does not match source rank")
-        if validate and not check_homogeneous(self):
+        self._columns = tuple(columns)
+        if len(self._columns) != source.rank:
+            raise InputError("matrix column count does not match source rank")
+        if any(v.module != target for v in self._columns):
+            raise InputError("matrix column lies outside the target module")
+        if not check_homogeneous(self):
             raise InhomogeneousError("matrix entries violate the degree invariant")
 
     @staticmethod
-    def zero(source: FreeModule, target: FreeModule) -> "GradedMatrix":
-        z = Polynomial.zero(source.ring)
-        return GradedMatrix(
-            source, target,
-            [[z] * source.rank for _ in range(target.rank)], validate=False)
-
-    @staticmethod
     def from_columns(target: FreeModule, columns, source_degrees=None) -> "GradedMatrix":
-        """Build a map into target whose columns are the given homogeneous
-        elements of target."""
+        """The map into target whose columns are the given elements of
+        target. Source degrees default to the column degrees; a zero column
+        needs them given."""
         columns = list(columns)
         if source_degrees is None:
-            source_degrees = []
-            for v in columns:
-                deg = v.degree()
-                if deg is None:
-                    raise InputError("zero column needs an explicit source degree")
-                source_degrees.append(deg)
-        source = FreeModule(target.ring, source_degrees)
-        vectors = [v.to_vector() for v in columns]
-        entries = [[vectors[j][i] for j in range(len(columns))]
-                   for i in range(target.rank)]
-        return GradedMatrix(source, target, entries)
+            source_degrees = [v.degree() for v in columns]
+            if None in source_degrees:
+                raise InputError("zero column needs an explicit source degree")
+        A = GradedMatrix.__new__(GradedMatrix)
+        A._set_columns(FreeModule(target.ring, source_degrees), target, columns)
+        return A
 
     def column_element(self, j: int) -> ModuleElement:
-        return ModuleElement.from_vector(
-            self.target, [self.entries[i][j] for i in range(self.target.rank)])
+        return self._columns[j]
 
     def columns(self) -> list:
-        return [self.column_element(j) for j in range(self.source.rank)]
+        return list(self._columns)
+
+    @property
+    def entries(self) -> tuple:
+        """The rows of Polynomials: entries[i][j] is entry (i, j)."""
+        vectors = [v.to_vector() for v in self._columns]
+        return tuple(tuple(vec[i] for vec in vectors)
+                     for i in range(self.target.rank))
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         """Image of an element of the source."""
-        out = self.target.zero()
+        out: dict = {}
         for (pos, m), c in v.terms.items():
-            out = out + self.column_element(pos).term_mul(m, c)
-        return out
+            for (i, m2), c2 in self._columns[pos].terms.items():
+                key = (i, mono_mul(m2, m))
+                s = out.get(key, 0) + c * c2
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return ModuleElement(self.target, out)
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         """self after other: (self . other): other.source -> self.target."""
         if other.target != self.source:
             raise InputError("composition shape mismatch")
-        zero = Polynomial.zero(self.source.ring)
-        entries = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = zero
-                for k in range(self.source.rank):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            entries.append(row)
-        return GradedMatrix(other.source, self.target, entries)
+        return GradedMatrix.from_columns(
+            self.target, [self.apply(v) for v in other._columns],
+            other.source.degrees)
 
     def transpose(self) -> "GradedMatrix":
-        """The dual map between dual free modules (degrees negated)."""
-        entries = [[self.entries[i][j] for i in range(self.target.rank)]
-                   for j in range(self.source.rank)]
-        return GradedMatrix(self.target.dual(), self.source.dual(), entries)
+        """The dual map between dual free modules (degrees negated): column
+        i of the transpose gathers row i of every column."""
+        rows = [dict() for _ in range(self.target.rank)]
+        for j, v in enumerate(self._columns):
+            for (i, m), c in v.terms.items():
+                rows[i][(j, m)] = c
+        target = self.source.dual()
+        return GradedMatrix.from_columns(
+            target, [ModuleElement(target, t) for t in rows],
+            self.target.dual().degrees)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return all(v.is_zero() for v in self._columns)
 
     def __eq__(self, other):
         return (isinstance(other, GradedMatrix)
                 and self.source == other.source and self.target == other.target
-                and self.entries == other.entries)
+                and self._columns == other._columns)
 
     def __repr__(self):
         rows = ["[" + ", ".join(format_polynomial(p) for p in row) + "]"
@@ -271,15 +286,13 @@ class GradedMatrix:
 
 
 def check_homogeneous(A: GradedMatrix) -> bool:
-    """True iff every entry satisfies the degree invariant."""
-    for i in range(A.target.rank):
-        for j in range(A.source.rank):
-            p = A.entries[i][j]
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous():
-                return False
-            if p.homogeneous_degree() != A.source.degrees[j] - A.target.degrees[i]:
+    """True iff every column of A is zero or homogeneous of its source
+    degree."""
+    d = A.target.ring.d
+    tdeg = A.target.degrees
+    for g, v in zip(A.source.degrees, A._columns):
+        for i, m in v.terms:
+            if tdeg[i] + d * mono_deg(m) != g:
                 return False
     return True
 
@@ -307,6 +320,13 @@ class ModulePresentation:
         self.embedding = embedding
         self._cache: dict = {}
 
+    def cached(self, key, build):
+        """The value memoized under key, computed by build() on first use.
+        Presentations are immutable, so a value never goes stale."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def __repr__(self):
         return (f"ModulePresentation(gens={self.F0.degrees}, "
                 f"rels={self.F1.degrees})")
@@ -314,8 +334,8 @@ class ModulePresentation:
 
 def free_presentation(ring: RingSpec, degrees: Iterable[int]) -> ModulePresentation:
     F0 = FreeModule(ring, degrees)
-    F1 = FreeModule(ring, ())
-    return ModulePresentation(ring, F0, F1, GradedMatrix.zero(F1, F0))
+    rel = GradedMatrix.from_columns(F0, [], ())
+    return ModulePresentation(ring, F0, rel.source, rel)
 
 
 def zero_module(ring: RingSpec) -> ModulePresentation:
@@ -330,17 +350,18 @@ def ring_module(ring: RingSpec) -> ModulePresentation:
 def residue_field(ring: RingSpec) -> ModulePresentation:
     """k = R/m, presented by the row of all variables."""
     F0 = FreeModule(ring, (0,))
-    F1 = FreeModule(ring, (ring.d,) * ring.r)
-    row = [ring.variable(i) for i in range(ring.r)]
-    return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, [row]))
+    rel = GradedMatrix.from_columns(
+        F0, [F0.generator(0).poly_mul(ring.variable(i)) for i in range(ring.r)])
+    return ModulePresentation(ring, F0, rel.source, rel)
 
 
 def shift(M: ModulePresentation, l: int) -> ModulePresentation:
     """Degree shift M[l]: adds l to all generator degrees; HS gains x^l."""
     F0 = FreeModule(M.ring, tuple(g + l for g in M.F0.degrees))
-    F1 = FreeModule(M.ring, tuple(g + l for g in M.F1.degrees))
-    rel = GradedMatrix(F1, F0, M.relations.entries)
-    return ModulePresentation(M.ring, F0, F1, rel)
+    rel = GradedMatrix.from_columns(
+        F0, [ModuleElement(F0, v.terms) for v in M.relations.columns()],
+        tuple(g + l for g in M.F1.degrees))
+    return ModulePresentation(M.ring, F0, rel.source, rel)
 
 
 def direct_sum(Ms: Iterable[ModulePresentation]) -> ModulePresentation:
@@ -352,21 +373,17 @@ def direct_sum(Ms: Iterable[ModulePresentation]) -> ModulePresentation:
     for M in Ms:
         if M.ring != ring:
             raise InputError("direct_sum over mismatched rings")
-    g0 = [g for M in Ms for g in M.F0.degrees]
-    g1 = [g for M in Ms for g in M.F1.degrees]
-    F0 = FreeModule(ring, g0)
-    F1 = FreeModule(ring, g1)
-    zero = Polynomial.zero(ring)
-    entries = [[zero] * F1.rank for _ in range(F0.rank)]
+    F0 = FreeModule(ring, [g for M in Ms for g in M.F0.degrees])
+    columns = []
     row0 = 0
-    col0 = 0
     for M in Ms:
-        for i in range(M.F0.rank):
-            for j in range(M.F1.rank):
-                entries[row0 + i][col0 + j] = M.relations.entries[i][j]
+        for v in M.relations.columns():
+            columns.append(ModuleElement(
+                F0, {(row0 + i, m): c for (i, m), c in v.terms.items()}))
         row0 += M.F0.rank
-        col0 += M.F1.rank
-    return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, entries))
+    rel = GradedMatrix.from_columns(
+        F0, columns, [g for M in Ms for g in M.F1.degrees])
+    return ModulePresentation(ring, F0, rel.source, rel)
 
 
 # ---------- presentation file format ----------
@@ -419,15 +436,12 @@ def presentation_from_json(obj) -> ModulePresentation:
     F1 = FreeModule(ring, relgens)
     if len(matrix) != F0.rank:
         raise InputError("matrix row count does not match generators")
-    entries = []
+    rows = []
     for row in matrix:
         if len(row) != F1.rank:
             raise InputError("matrix column count does not match relation_generators")
-        entries.append([parse_polynomial(s, ring) for s in row])
-    A = GradedMatrix(F1, F0, entries, validate=False)
-    if not check_homogeneous(A):
-        raise InhomogeneousError("relation matrix is not a degree-0 graded map")
-    return ModulePresentation(ring, F0, F1, A)
+        rows.append([parse_polynomial(s, ring) for s in row])
+    return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, rows))
 
 
 def load_presentation(path: str) -> ModulePresentation:

@@ -5,10 +5,11 @@ fraction-free sparse row echelon on monomial-basis coefficient matrices,
 with no Groebner machinery involved. Everything here depends only on ring
 and modfree, so it can contradict the engine without sharing its bugs.
 
-The oracle works within a fixed budget, checked before anything is
-allocated: a window spans at most MAX_WINDOW degrees, and a degree piece
-it eliminates has at most MAX_BASIS basis elements. Past either it raises
-InputError.
+The oracle works within a fixed budget: a window spans at most MAX_WINDOW
+degrees, and a degree piece it eliminates has at most MAX_BASIS basis
+elements, both checked before anything is allocated; one elimination makes
+at most MAX_WORK cell updates, counted as it goes. Past any of them it
+raises InputError.
 """
 from __future__ import annotations
 
@@ -24,6 +25,12 @@ from syzal.ring import mono_mul
 # basis elements) that the test suite and the benchmark use.
 MAX_WINDOW = 200
 MAX_BASIS = 2000
+# Cell updates (row plus pivot length, summed over the reductions) one
+# elimination may make: time grows with the cube of a dense piece, and a
+# dense 200 x 336 piece took 7.8 M updates and 25.8 s. Real eliminations
+# make at most 786 (test suite), 5,713 (cli-check benchmark) and 7,840
+# (`koszul --r 6 --check`); at about 1 us an update this is 0.1 s a rank.
+MAX_WORK = 100_000
 
 
 class OracleConfig:
@@ -108,6 +115,7 @@ def _rank(rows: Iterable[Dict[int, int]]) -> int:
     and an incoming row is reduced by a*row - b*pivot (a, b coprime) and
     divided by its content until it is zero or leads in a new column."""
     pivots: Dict[int, Dict[int, int]] = {}
+    work = 0
     for row in rows:
         while row:
             lead = min(row)
@@ -115,6 +123,10 @@ def _rank(rows: Iterable[Dict[int, int]]) -> int:
             if pivot is None:
                 pivots[lead] = row
                 break
+            work += len(row) + len(pivot)
+            if work > MAX_WORK:
+                raise InputError(f"oracle elimination needs more than "
+                                 f"{MAX_WORK} cell updates")
             a, b = pivot[lead], row[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
@@ -135,8 +147,7 @@ def _rank(rows: Iterable[Dict[int, int]]) -> int:
 def _integer_column(A: GradedMatrix, j: int) -> List[Tuple[int, tuple, int]]:
     """Column j of A as (row, monomial, int) triples, scaled by the lcm of
     its denominators; scaling a column does not change the rank."""
-    terms = [(i, m, c) for i in range(A.target.rank)
-             for m, c in A.entries[i][j].terms.items()]
+    terms = [(i, m, c) for (i, m), c in A.column_element(j).terms.items()]
     scale = lcm(*(c.denominator for _i, _m, c in terms))
     return [(i, m, c.numerator * (scale // c.denominator)) for i, m, c in terms]
 

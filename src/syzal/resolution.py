@@ -7,7 +7,7 @@ cancelling constant-entry pivots.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
 from syzal.groebner import (
@@ -28,9 +28,10 @@ from syzal.modfree import (
 from syzal.ring import (
     GREVLEX,
     MonomialOrder,
-    Polynomial,
     PositionOverTerm,
     RingSpec,
+    mono_deg,
+    mono_mul,
     qdiv,
 )
 
@@ -65,12 +66,9 @@ class FreeResolution:
             raise VerificationError("resolution flagged minimal has constant entries")
 
     def is_minimal_data(self) -> bool:
-        for A in self.maps:
-            for row in A.entries:
-                for p in row:
-                    if p.constant_coefficient():
-                        return False
-        return True
+        """True iff no map has a constant entry."""
+        return not any(mono_deg(m) == 0 for A in self.maps
+                       for v in A.columns() for (_i, m) in v.terms)
 
     def betti(self) -> "BettiTable":
         return BettiTable.from_resolution(self)
@@ -83,6 +81,19 @@ class FreeResolution:
 def _has_same_position_pair(G: GroebnerBasis) -> bool:
     positions = [lt[0][0] for lt in G.lead_terms()]
     return len(set(positions)) < len(positions)
+
+
+def relation_basis(M: ModulePresentation,
+                   order: MonomialOrder = GREVLEX) -> Optional[GroebnerBasis]:
+    """Groebner basis of the nonzero relation columns of M under order
+    (position over term), None if there are none. Cached on M per order:
+    resolve and the --check S-pair certificate share it."""
+    def build():
+        cols = [c for c in M.relations.columns() if not c.is_zero()]
+        if not cols:
+            return None
+        return buchberger(cols, PositionOverTerm(order), ambient=M.F0)
+    return M.cached(("relation_basis", order), build)
 
 
 def resolve(M: ModulePresentation, max_len: Optional[int] = None,
@@ -98,129 +109,119 @@ def resolve(M: ModulePresentation, max_len: Optional[int] = None,
         max_len = max(M.ring.r, 1)
     if max_len < 0:
         raise InputError("max_len must be non-negative")
-    base = order if order is not None else GREVLEX
-    modules: List[FreeModule] = [M.F0]
-    maps: List[GradedMatrix] = []
-    cols = [c for c in M.relations.columns() if not c.is_zero()]
-    if not cols:
-        return FreeResolution(M.ring, M, modules, maps, minimal=True, truncated=False)
-    if max_len == 0:
-        return FreeResolution(M.ring, M, modules, maps, minimal=True, truncated=True)
-    G = buchberger(cols, PositionOverTerm(base), ambient=M.F0)
-    delta1 = GradedMatrix.from_columns(M.F0, G.elements,
-                                       [e.degree() for e in G.elements])
-    maps.append(delta1)
-    modules.append(delta1.source)
-    step = 1
-    while step < max_len and _has_same_position_pair(G):
-        syzb = schreyer_basis(G)
-        delta = GradedMatrix.from_columns(
-            syzb.ambient, syzb.elements, [e.degree() for e in syzb.elements])
-        maps.append(delta)
-        modules.append(delta.source)
-        G = syzb
-        step += 1
-    truncated = step == max_len and _has_same_position_pair(G)
-    return FreeResolution(M.ring, M, modules, maps, minimal=False,
-                          truncated=truncated)
+    if M.relations.is_zero() or max_len == 0:
+        return FreeResolution(M.ring, M, [M.F0], [], minimal=True,
+                              truncated=not M.relations.is_zero())
+    G = relation_basis(M, order if order is not None else GREVLEX)
+    maps = [GradedMatrix.from_columns(M.F0, G.elements)]
+    while len(maps) < max_len and _has_same_position_pair(G):
+        G = schreyer_basis(G)
+        maps.append(GradedMatrix.from_columns(G.ambient, G.elements))
+    truncated = len(maps) == max_len and _has_same_position_pair(G)
+    return FreeResolution(M.ring, M, [M.F0] + [A.source for A in maps], maps,
+                          minimal=False, truncated=truncated)
 
 
 # ---------- minimization ----------
 
-def _find_unit(entries) -> Optional[tuple]:
-    for a, row in enumerate(entries):
-        for b, p in enumerate(row):
-            if p.terms and p.is_constant():
-                return a, b
-    return None
+def _by_row(v: ModuleElement) -> dict:
+    """Column v as a dict row -> {monomial: coefficient}."""
+    col: dict = {}
+    for (i, m), c in v.terms.items():
+        col.setdefault(i, {})[m] = c
+    return col
 
 
-def _cancel(entries, a: int, b: int):
-    """Remove row a and column b, folding the pivot into the rest. Rows with
-    a zero pivot-column entry, and cells under a zero pivot-row entry, are
-    copied unchanged."""
-    inv = qdiv(1, entries[a][b].constant_coefficient())
-    pivot_row = entries[a]
-    out = []
-    for x, row in enumerate(entries):
-        if x == a:
+def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
+    """Cancel every constant entry of the chain F_0 <- F_1 <- ... with
+    maps[s]: F_{s+1} -> F_s; returns the shorter (modules, maps).
+
+    The pivot is the first constant entry, in row-major order, of the first
+    map that has one. Cancelling entry (a, b) of maps[s] removes generator
+    a of F_s and b of F_{s+1}: each other column y of maps[s] becomes
+    column y - column b * entry (a, y) / entry (a, b), row b of maps[s + 1]
+    and column a of maps[s - 1] are dropped. That creates no constant entry
+    in an earlier map, so the search resumes at the map of the last pivot.
+    A column is a dict row -> {monomial: coefficient} meanwhile, a removed
+    generator has degree None and a removed column is None; rows are
+    renumbered once, at the end.
+    """
+    degs = [list(F.degrees) for F in modules]
+    mats = [[_by_row(v) for v in A.columns()] for A in maps]
+    s = 0
+    while s < len(mats):
+        cols = mats[s]
+        # an entry of a homogeneous map between generators of equal degree
+        # is constant, so only those columns can hold a pivot in row a
+        cols_of: dict = {}
+        for b, g in enumerate(degs[s + 1]):
+            if g is not None:
+                cols_of.setdefault(g, []).append(b)
+        hit = next(((a, b) for a, g in enumerate(degs[s])
+                    for b in cols_of.get(g, ()) if a in cols[b]), None)
+        if hit is None:
+            s += 1
             continue
-        f = row[b]
-        if not f.terms:
-            out.append(row[:b] + row[b + 1:])
-            continue
-        f = f.scale(inv)
-        new_row = []
-        for y, p in enumerate(row):
-            if y == b:
+        a, b = hit
+        pivot = cols[b]
+        inv = qdiv(1, next(iter(pivot[a].values())))
+        fold = [(x, [(m, c * inv) for m, c in e.items()])
+                for x, e in pivot.items() if x != a]
+        cols[b] = degs[s + 1][b] = degs[s][a] = None
+        for col in cols:
+            e = col and col.pop(a, None)
+            if not e:
                 continue
-            e = pivot_row[y]
-            new_row.append(p - f * e if e.terms else p)
-        out.append(new_row)
-    return out
-
-
-def _drop_row(entries, b: int):
-    return [row for x, row in enumerate(entries) if x != b]
-
-
-def _drop_col(entries, a: int):
-    return [[p for y, p in enumerate(row) if y != a] for row in entries]
+            for x, f in fold:
+                entry = col.setdefault(x, {})
+                for mf, cf in f:
+                    for me, ce in e.items():
+                        key = mono_mul(mf, me)
+                        v = entry.get(key, 0) - cf * ce
+                        if v:
+                            entry[key] = v
+                        else:
+                            del entry[key]
+                if not entry:
+                    del col[x]
+        if s + 1 < len(mats):
+            for col in mats[s + 1]:
+                if col is not None:
+                    col.pop(b, None)
+        if s > 0:
+            mats[s - 1][a] = None
+    ring = modules[0].ring
+    out_modules = [FreeModule(ring, [g for g in d if g is not None]) for d in degs]
+    out_maps = []
+    for s, cols in enumerate(mats):
+        target = out_modules[s]
+        live = [i for i, g in enumerate(degs[s]) if g is not None]
+        index = {i: k for k, i in enumerate(live)}
+        out_maps.append(GradedMatrix.from_columns(target, [
+            ModuleElement(target, {(index[i], m): c for i, e in col.items()
+                                   for m, c in e.items()})
+            for col in cols if col is not None], out_modules[s + 1].degrees))
+    return out_modules, out_maps
 
 
 def minimize(res: FreeResolution) -> FreeResolution:
     """Homotopy-equivalent minimal resolution of the same target."""
-    degs = [list(m.degrees) for m in res.modules]
-    mats = [[list(row) for row in A.entries] for A in res.maps]
-    while True:
-        hit = None
-        for s in range(len(mats)):
-            found = _find_unit(mats[s])
-            if found is not None:
-                hit = (s, found[0], found[1])
-                break
-        if hit is None:
-            break
-        s, a, b = hit
-        mats[s] = _cancel(mats[s], a, b)
-        del degs[s][a]
-        del degs[s + 1][b]
-        if s + 1 < len(mats):
-            mats[s + 1] = _drop_row(mats[s + 1], b)
-        if s - 1 >= 0:
-            mats[s - 1] = _drop_col(mats[s - 1], a)
-    while degs and not degs[-1] and mats:
-        degs.pop()
-        mats.pop()
-    ring = res.ring
-    modules = [FreeModule(ring, d) for d in degs]
-    maps = [GradedMatrix(modules[i + 1], modules[i], mats[i])
-            for i in range(len(mats))]
-    return FreeResolution(ring, res.target, modules, maps, minimal=True,
+    modules, maps = _cancel_units(res.modules, res.maps)
+    while maps and not modules[-1].rank:
+        modules.pop()
+        maps.pop()
+    return FreeResolution(res.ring, res.target, modules, maps, minimal=True,
                           truncated=res.truncated)
 
 
 def minimize_presentation(M: ModulePresentation) -> ModulePresentation:
     """Minimal presentation: cancel constant pivots in the relation matrix,
     then drop relations that became zero."""
-    g0 = list(M.F0.degrees)
-    g1 = list(M.F1.degrees)
-    ents = [list(row) for row in M.relations.entries]
-    while True:
-        found = _find_unit(ents)
-        if found is None:
-            break
-        a, b = found
-        ents = _cancel(ents, a, b)
-        del g0[a]
-        del g1[b]
-    keep = [j for j in range(len(g1))
-            if any(ents[i][j].terms for i in range(len(g0)))]
-    g1 = [g1[j] for j in keep]
-    ents = [[row[j] for j in keep] for row in ents]
-    F0 = FreeModule(M.ring, g0)
-    F1 = FreeModule(M.ring, g1)
-    return ModulePresentation(M.ring, F0, F1, GradedMatrix(F1, F0, ents))
+    (F0, F1), (rel,) = _cancel_units([M.F0, M.F1], [M.relations])
+    kept = [(g, v) for g, v in zip(F1.degrees, rel.columns()) if not v.is_zero()]
+    rel = GradedMatrix.from_columns(F0, [v for _g, v in kept],
+                                    [g for g, _v in kept])
+    return ModulePresentation(M.ring, F0, rel.source, rel)
 
 
 # ---------- Koszul complex ----------
@@ -239,17 +240,16 @@ def koszul_complex(ring: RingSpec) -> FreeResolution:
     subsets = [_subsets_colex(r, j) for j in range(r + 1)]
     index = [{S: i for i, S in enumerate(level)} for level in subsets]
     modules = [FreeModule(ring, (d * j,) * len(subsets[j])) for j in range(r + 1)]
+    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
     maps = []
-    zero = Polynomial.zero(ring)
     for j in range(1, r + 1):
-        entries = [[zero] * len(subsets[j]) for _ in subsets[j - 1]]
-        for col, S in enumerate(subsets[j]):
-            for idx, s in enumerate(S):
-                T = tuple(x for x in S if x != s)
-                row = index[j - 1][T]
-                sign = 1 if idx % 2 == 0 else -1
-                entries[row][col] = entries[row][col] + ring.variable(s - 1).scale(sign)
-        maps.append(GradedMatrix(modules[j], modules[j - 1], entries))
+        columns = []
+        for S in subsets[j]:
+            columns.append(ModuleElement(modules[j - 1], {
+                (index[j - 1][S[:idx] + S[idx + 1:]], unit[s - 1]): (-1) ** idx
+                for idx, s in enumerate(S)}))
+        maps.append(GradedMatrix.from_columns(modules[j - 1], columns,
+                                              modules[j].degrees))
     return FreeResolution(ring, residue_field(ring), modules, maps,
                           minimal=True, truncated=False)
 
@@ -263,12 +263,10 @@ def koszul_syzygy(ring: RingSpec, j: int) -> ModulePresentation:
     if j == r + 1:
         return zero_module(ring)
     kos = koszul_complex(ring)
-    F0 = FreeModule(ring, tuple(g - d * j for g in kos.modules[j].degrees))
     if j == r:
-        return free_presentation(ring, F0.degrees)
-    F1 = FreeModule(ring, tuple(g - d * j for g in kos.modules[j + 1].degrees))
-    rel = GradedMatrix(F1, F0, kos.maps[j].entries)
-    return ModulePresentation(ring, F0, F1, rel)
+        return free_presentation(ring, (0,) * kos.modules[j].rank)
+    return shift(ModulePresentation(ring, kos.modules[j], kos.modules[j + 1],
+                                    kos.maps[j]), -d * j)
 
 
 def maximal_ideal(ring: RingSpec) -> ModulePresentation:

@@ -280,12 +280,6 @@ class Polynomial:
             raise InputError("polynomial is not homogeneous")
         return self.ring.d * degs.pop()
 
-    def constant_coefficient(self):
-        return self.terms.get(self.ring.one_monomial(), 0)
-
-    def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
-
     def __str__(self):
         return format_polynomial(self)
 

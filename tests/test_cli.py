@@ -28,14 +28,26 @@ import syzal.oracle as oracle
 from syzal.modfree import MAX_DEGREE_SPAN
 
 
-def run_cli(*argv, env_extra=None):
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def child_env(env_extra=None) -> dict:
+    """The environment of a `python -m syzal.cli` child: this checkout's
+    src first on PYTHONPATH, and no oracle window override."""
     env = dict(os.environ)
     env.pop("SYZAL_ORACLE_WINDOW", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*argv, env_extra=None):
     proc = subprocess.run(
         [sys.executable, "-m", "syzal.cli", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env(env_extra))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -258,6 +270,30 @@ def test_oracle_basis_budget(tmp_path, basis_calls, capsys):
     assert basis_calls == []
 
 
+def test_oracle_work_budget_refuses_a_dense_piece(tmp_path, capsys):
+    # 4 generators and 14 dense rational linear relations over Q[t1..t4]:
+    # the degree-6 piece is 80 x 140, and its elimination, 0.5 s and
+    # 491,461 cell updates without the budget, stops at oracle.MAX_WORK
+    import random
+    rng = random.Random(5)
+    names = ["t1", "t2", "t3", "t4"]
+
+    def form():
+        return " + ".join(f"{rng.randint(1, 9)}/{rng.randint(1, 9)}*{v}"
+                          for v in names)
+    path = tmp_path / "dense.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 4, "d": 2}, "generators": [0] * 4,
+        "relation_generators": [2] * 14,
+        "matrix": [[form() for _ in range(14)] for _ in range(4)]}))
+    start = time.perf_counter()
+    assert cli.main(["oracle", "--file", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {oracle.MAX_WORK} cell updates" in captured.err
+
+
 def _power_presentation(tmp_path, k, d=1):
     """Q[t1]/(t1^k) with deg t1 = d: its degrees spread over d*k."""
     path = tmp_path / f"power{k}d{d}.pres"
@@ -343,7 +379,7 @@ def test_closed_stdout_exits_quietly(argv):
     try:
         proc = subprocess.run([sys.executable, "-m", "syzal.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, timeout=120)
+                              text=True, timeout=120, env=child_env())
     finally:
         os.close(write_end)
     assert proc.returncode == 141
@@ -370,19 +406,21 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
                                                      capsys):
     # (t1^2, t1*t2 + t2^2) has the reduced basis {t1^2, t1*t2 + t2^2, t2^3};
     # without its last element the S-pair of the first two no longer
-    # reduces to zero, and --check must say so
+    # reduces to zero, and --check must say so. The basis comes from
+    # relation_basis, shared by the resolution and the certificate.
+    import syzal.resolution as resolution
     path = tmp_path / "quotient.pres"
     path.write_text(json.dumps({
         "ring": {"r": 2, "d": 2}, "generators": [0],
         "relation_generators": [4, 4], "matrix": [["t1^2", "t1*t2 + t2^2"]]}))
     assert cli.main(["resolve", "--file", str(path), "--check"]) == 0
 
-    def truncated_basis(cols, **kwargs):
-        G = buchberger(cols, **kwargs)
+    def truncated_basis(*args, **kwargs):
+        G = buchberger(*args, **kwargs)
         short = GroebnerBasis(G.ambient, G.elements[:-1], G.order)
         assert not verify_spairs(short)
         return short
-    monkeypatch.setattr(cli, "buchberger", truncated_basis)
+    monkeypatch.setattr(resolution, "buchberger", truncated_basis)
     capsys.readouterr()
     assert cli.main(["resolve", "--file", str(path), "--check"]) == 1
     assert "S-pair" in capsys.readouterr().err
@@ -415,9 +453,9 @@ def test_empty_variable_name_is_exit_2(tmp_path):
 
 def test_resolve_check_computes_the_default_basis_once(m_pres, tmp_path,
                                                        monkeypatch, capsys):
-    # resolve --check builds one basis for the resolution and one for the
-    # S-pair certificate; the minimal resolution it checks is the one it
-    # printed, taken from the presentation's cache
+    # resolve --check builds one basis, which the resolution and the
+    # S-pair certificate share; the minimal resolution it checks is the one
+    # it printed, taken from the presentation's cache
     import syzal.resolution as resolution
     calls = []
 
@@ -425,12 +463,11 @@ def test_resolve_check_computes_the_default_basis_once(m_pres, tmp_path,
         calls.append(1)
         return buchberger(*args, **kwargs)
     monkeypatch.setattr(resolution, "buchberger", counted)
-    monkeypatch.setattr(cli, "buchberger", counted)
     path = tmp_path / "m3.pres"
     save_presentation(maximal_ideal(RingSpec(3, 2)), str(path))
     assert cli.main(["resolve", "--file", str(path), "--check"]) == 0
     assert "resolution: 3 <- 3 <- 1" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_resolve_check_verifies_each_resolution_once(tmp_path, monkeypatch,

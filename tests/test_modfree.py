@@ -73,8 +73,18 @@ def test_graded_matrix_validation():
     GradedMatrix(src, tgt, [[t1]])  # degree 2 - 0 matches t1
     with pytest.raises(InhomogeneousError):
         GradedMatrix(FreeModule(ring, (0,)), tgt, [[t1]])
-    bad = GradedMatrix(FreeModule(ring, (0,)), tgt, [[t1]], validate=False)
-    assert not check_homogeneous(bad)
+    # columns are checked as they come in: the degree of each, the module
+    # it lives in, and their count
+    col = tgt.generator(0).poly_mul(t1)
+    assert GradedMatrix.from_columns(tgt, [col]).source.degrees == (2,)
+    with pytest.raises(InhomogeneousError):
+        GradedMatrix.from_columns(tgt, [col], [0])
+    with pytest.raises(InhomogeneousError):
+        GradedMatrix.from_columns(tgt, [col + tgt.generator(0)])
+    with pytest.raises(InputError):
+        GradedMatrix.from_columns(FreeModule(ring, (2,)), [col], [2])
+    with pytest.raises(InputError):
+        GradedMatrix.from_columns(tgt, [col], [2, 2])
 
 
 def test_matrix_compose_transpose_apply():

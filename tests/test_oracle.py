@@ -205,6 +205,29 @@ def test_sparse_rank_matches_dense_fraction_elimination(rows):
     assert oracle._rank(_integer_row(r) for r in rows) == _dense_rank(rows)
 
 
+def _rows_with_work(work):
+    """Rows whose elimination makes exactly `work` cell updates: a pivot
+    {0: 1}, then rows {0: 1, k: 1} (3 updates each, each a new pivot) and
+    rows {0: 2} (2 updates each, reduced to zero)."""
+    zeros = -work % 3
+    leads = (work - 2 * zeros) // 3
+    rows = [{0: 1}] + [{0: 1, k: 1} for k in range(1, leads + 1)]
+    return rows + [{0: 2}] * zeros, 1 + leads
+
+
+def test_rank_work_budget(monkeypatch):
+    rows, rank = _rows_with_work(oracle.MAX_WORK)
+    assert oracle._rank(rows) == rank
+    with pytest.raises(InputError, match="cell updates"):
+        oracle._rank(_rows_with_work(oracle.MAX_WORK + 1)[0])
+    # the budget is read when the elimination runs
+    monkeypatch.setattr(oracle, "MAX_WORK", 7)
+    rows, rank = _rows_with_work(7)
+    assert oracle._rank(rows) == rank
+    with pytest.raises(InputError):
+        oracle._rank(_rows_with_work(8)[0])
+
+
 def test_map_rank_with_different_column_denominators():
     A = _matrix(R2, (0,), (2, 2), [["1/2*t1", "2/3*t1"]])
     assert map_rank(A, 2) == 1

@@ -33,7 +33,7 @@ from syzal import (
     syzygies,
     verify_spairs,
 )
-from syzal.resolution import _cancel, _find_unit
+from syzal.resolution import _cancel_units
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -304,23 +304,36 @@ def test_biduality_kernel_is_torsion(M):
 
 # ---------- exact coefficients ----------
 
-@st.composite
-def rational_presentations(draw):
-    """Presentations with rational and non-monic int coefficients, including
-    constant entries that minimization cancels."""
-    ring = RingSpec(draw(st.integers(1, 2)), 2)
-    F0 = FreeModule(ring, draw(st.lists(st.sampled_from([0, 2]), min_size=1, max_size=2)))
-    F1 = FreeModule(ring, draw(st.lists(st.sampled_from([2, 4]), min_size=2, max_size=3)))
+def _rational_rows(draw, source: FreeModule, target: FreeModule) -> list:
+    """Rows of homogeneous entries with rational and non-monic int
+    coefficients, for a degree-0 map source -> target."""
+    ring = target.ring
     mixed = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
-    entries = []
-    for g in F0.degrees:
+    rows = []
+    for g in target.degrees:
         row = []
-        for c in F1.degrees:
+        for c in source.degrees:
             basis = list(ring.monomials_of_degree(c - g))
             picks = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
             row.append(Polynomial(ring, {m: draw(mixed) for m in picks}))
-        entries.append(row)
-    return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, entries))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def rational_relations(draw):
+    """(F1, F0, rows) of a relation matrix F1 -> F0 with rational and
+    non-monic int coefficients, including constant entries that
+    minimization cancels."""
+    ring = RingSpec(draw(st.integers(1, 2)), 2)
+    F0 = FreeModule(ring, draw(st.lists(st.sampled_from([0, 2]), min_size=1, max_size=2)))
+    F1 = FreeModule(ring, draw(st.lists(st.sampled_from([2, 4]), min_size=2, max_size=3)))
+    return F1, F0, _rational_rows(draw, F1, F0)
+
+
+def rational_presentations():
+    return rational_relations().map(lambda rel: ModulePresentation(
+        rel[1].ring, rel[1], rel[0], GradedMatrix(*rel)))
 
 
 def _exact(coefficients) -> bool:
@@ -329,10 +342,6 @@ def _exact(coefficients) -> bool:
 
 def _element_coeffs(elements):
     return [c for e in elements for c in e.terms.values()]
-
-
-def _entry_coeffs(rows):
-    return [c for row in rows for p in row for c in p.terms.values()]
 
 
 @given(rational_presentations())
@@ -349,8 +358,42 @@ def test_no_float_coefficient_anywhere(M):
     assert _exact(_element_coeffs(G.elements))
     assert _exact(_element_coeffs(schreyer_basis(G).elements))
     for A in minimal_resolution(M).maps:
-        assert _exact(_entry_coeffs(A.entries))
-    entries = [list(row) for row in M.relations.entries]
-    unit = _find_unit(entries)
-    if unit is not None:
-        assert _exact(_entry_coeffs(_cancel(entries, *unit)))
+        assert _exact(_element_coeffs(A.columns()))
+    _modules, (A,) = _cancel_units([M.F0, M.F1], [M.relations])
+    assert _exact(_element_coeffs(A.columns()))
+
+
+# ---------- matrices as columns ----------
+
+def _dense_product(A_rows, B_rows, width: int, ring) -> list:
+    """Row-by-column product of two matrices given by their rows, B with
+    `width` columns: the reference for GradedMatrix.compose."""
+    out = []
+    for row in A_rows:
+        out_row = []
+        for j in range(width):
+            acc = Polynomial.zero(ring)
+            for k, a in enumerate(row):
+                if a.terms and B_rows[k][j].terms:
+                    acc = acc + a * B_rows[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@given(rational_relations(), st.data())
+@settings(max_examples=30)
+def test_columns_keep_rows_transpose_and_products(rel, data):
+    F1, F0, rows = rel
+    A = GradedMatrix(F1, F0, rows)
+    assert A.entries == tuple(tuple(row) for row in rows)
+    assert A.transpose().transpose() == A
+    assert A.transpose().entries == tuple(zip(*rows))
+    # B: F2 -> F1, with F2 in degrees that map onto F1
+    F2 = FreeModule(F0.ring, data.draw(st.lists(st.sampled_from([4, 6]),
+                                                max_size=3)))
+    B_rows = _rational_rows(data.draw, F2, F1)
+    AB = A.compose(GradedMatrix(F2, F1, B_rows))
+    assert AB.source == F2 and AB.target == F0
+    assert AB.entries == tuple(tuple(row) for row in _dense_product(
+        rows, B_rows, F2.rank, F0.ring))

@@ -119,6 +119,19 @@ def test_minimize_presentation_keeps_honest_relations():
     assert N.relations.source.rank == 1
 
 
+def test_minimization_pivot_is_the_first_constant_in_row_major_order():
+    # each matrix offers two constant pivots; the first in row-major order
+    # decides which generator is left, and with what relation
+    from syzal import ModulePresentation
+    ring = RingSpec(1, 2)
+    A = _matrix(ring, (2, 0, 2), (2,), [["1"], ["t1"], ["1"]])
+    N = minimize_presentation(ModulePresentation(ring, A.target, A.source, A))
+    assert N.F0.degrees == (0, 2)
+    B = _matrix(ring, (2, 0), (2, 2), [["1", "1"], ["t1", "0"]])
+    N = minimize_presentation(ModulePresentation(ring, B.target, B.source, B))
+    assert N.relations.entries == ((parse_polynomial("-t1", ring),),)
+
+
 # ---------- Koszul ----------
 
 def test_koszul_complex_shape():

@@ -147,15 +147,6 @@ def test_homogeneous_degree():
         mixed.homogeneous_degree()
 
 
-def test_constant_helpers():
-    ring = RingSpec(1, 2)
-    c = Polynomial.constant(ring, Fraction(3, 4))
-    assert c.is_constant()
-    assert c.constant_coefficient() == Fraction(3, 4)
-    assert not ring.variable(0).is_constant()
-    assert ring.variable(0).constant_coefficient() == 0
-
-
 def test_qnorm_refuses_floats_and_keeps_integers_int():
     with pytest.raises(TypeError):
         qnorm(0.5)
