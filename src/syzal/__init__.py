@@ -49,6 +49,7 @@ from syzal.groebner import (
     buchberger,
     divide,
     kernel,
+    lift,
     normal_form,
     schreyer_basis,
     syzygies,
@@ -78,7 +79,6 @@ from syzal.homalg import (
     is_cohen_macaulay,
     is_zero_module,
     minimal_resolution,
-    submodule_presentation,
     subquotient_presentation,
     syzygy_order,
 )

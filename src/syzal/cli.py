@@ -75,15 +75,6 @@ def _json_document(command: str, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _load(path: str) -> ModulePresentation:
-    try:
-        return load_presentation(path)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}")
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"malformed presentation file {path}: {e}")
-
-
 def _run_checks(M: ModulePresentation) -> None:
     """Re-verify invariants: homogeneity, S-pair reduction, delta.delta = 0,
     and the Hilbert function against the degreewise oracle."""
@@ -126,7 +117,7 @@ Output = Tuple[Callable[[], dict], Callable[[], str]]
 def _files(args) -> List[ModulePresentation]:
     """The presentation of --file and, for ab, that of --ht if given."""
     paths = [args.file, getattr(args, "ht", None)]
-    return [_load(path) for path in paths if path]
+    return [load_presentation(path) for path in paths if path]
 
 
 def _fixture(build: Callable) -> Callable:
@@ -146,7 +137,7 @@ def _gkm_inputs(args) -> list:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {args.graph}: {e}")
         graph = parse_gkm(text, ring)
     else:

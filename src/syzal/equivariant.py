@@ -18,10 +18,10 @@ from syzal.homalg import (
     ext,
     fingerprint,
     hilbert_series,
-    submodule_presentation,
+    subquotient_presentation,
     syzygy_order,
 )
-from syzal.groebner import kernel
+from syzal.groebner import GroebnerBasis, kernel
 from syzal.modfree import (
     FreeModule,
     GradedMatrix,
@@ -300,13 +300,16 @@ def gkm_module(g: GkmGraph, ring: Optional[RingSpec] = None) -> ModulePresentati
                 for row, (_u, _v, w) in enumerate(g.edges)]
     A = GradedMatrix.from_columns(
         FE, [ModuleElement(FE, terms) for terms in columns], source.degrees)
-    gens = []
-    for elem in kernel(A):
-        proj = ModuleElement(FV, {(pos, m): c for (pos, m), c in elem.terms.items()
-                                  if pos < nv})
-        if not proj.is_zero():
-            gens.append(proj)
-    return submodule_presentation(FV, gens)
+    # The vertex block is the stronger one under position-over-term, so the
+    # nonzero vertex blocks of a Groebner basis of the kernel are a Groebner
+    # basis of their span. The projection is injective on the kernel
+    # (alpha_e * g_e = 0 forces g_e = 0), so no basis element is dropped and
+    # the presentation is of the kernel itself.
+    K = kernel(A)
+    gens = [ModuleElement(FV, {(pos, m): c for (pos, m), c in elem.terms.items()
+                               if pos < nv})
+            for elem in K.elements]
+    return subquotient_presentation(GroebnerBasis(FV, gens, K.order))
 
 
 # ---------- Atiyah-Bredon report ----------

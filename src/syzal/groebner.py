@@ -1,20 +1,19 @@
 """Groebner bases for submodules of graded free modules.
 
 Division with remainder, Buchberger completion (homogeneous input only,
-normal selection strategy), Schreyer syzygies, and kernels of graded maps
-via elimination on the graph submodule {(A e_j, e_j)}.
+normal selection strategy), Schreyer syzygies, kernels of graded maps via
+elimination on the graph submodule {(A e_j, e_j)}, and lifts by division.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
 from syzal.ring import (
     GREVLEX,
     ModuleOrder,
-    MonomialOrder,
     PositionOverTerm,
     SchreyerOrder,
     mono_coprime,
@@ -27,16 +26,23 @@ from syzal.ring import (
 )
 
 
+# the order of kernel and the default of buchberger and GroebnerBasis; one
+# shared instance, because elements memoize their leading term per order
+# object
+POT_GREVLEX = PositionOverTerm(GREVLEX)
+
+
 class GroebnerBasis:
-    """A completed basis: every S-pair reduces to zero. The bases that
-    buchberger and schreyer_basis build are reduced: each element is monic
-    and no leading term divides any same-position term of another
-    element."""
+    """A completed basis: every S-pair reduces to zero, and every leading
+    coefficient is 1. The constructor checks neither; schreyer_basis
+    refuses a basis that breaks either (VerificationError, InputError). The
+    bases that buchberger, schreyer_basis and kernel build are reduced: no
+    leading term divides any same-position term of another element."""
 
     __slots__ = ("ambient", "elements", "order", "_lts")
 
     def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement],
-                 order: ModuleOrder):
+                 order: ModuleOrder = POT_GREVLEX):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.order = order
@@ -128,10 +134,6 @@ def _canonical_key(elem: ModuleElement, order: ModuleOrder):
     return (pos, tuple(-e for e in m))
 
 
-def _canonical_sort(elements: Iterable[ModuleElement], order: ModuleOrder):
-    return sorted(elements, key=lambda e: _canonical_key(e, order))
-
-
 def _reduce_basis(elements: Sequence[ModuleElement], order: ModuleOrder):
     """Interreduce a Groebner basis: minimal (no leading term divides
     another), tails fully reduced, monic, canonically sorted."""
@@ -154,7 +156,7 @@ def _reduce_basis(elements: Sequence[ModuleElement], order: ModuleOrder):
         r = divide(elems[i], elems[:i] + elems[i + 1:], order)[1]
         if r.terms != elems[i].terms:
             elems[i] = r.monic(order)
-    return _canonical_sort(elems, order)
+    return sorted(elems, key=lambda e: _canonical_key(e, order))
 
 
 # ---------- Buchberger ----------
@@ -190,7 +192,7 @@ def _position_pure(e: ModuleElement) -> bool:
     return len({pos for (pos, _m) in e.terms}) <= 1
 
 
-def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = None,
+def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
                ambient: Optional[FreeModule] = None) -> GroebnerBasis:
     """Groebner basis of the submodule generated by homogeneous gens.
 
@@ -207,8 +209,6 @@ def buchberger(gens: Sequence[ModuleElement], order: Optional[ModuleOrder] = Non
         if not gens:
             raise InputError("buchberger needs generators or an explicit ambient")
         ambient = gens[0].module
-    if order is None:
-        order = PositionOverTerm(GREVLEX)
     d = ambient.ring.d
     basis: List[ModuleElement] = []
     pure: List[bool] = []
@@ -277,7 +277,13 @@ def verify_spairs(G: GroebnerBasis) -> bool:
 
 def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     """Syzygies of G.elements as a Groebner basis under the Schreyer order
-    induced by G. Every same-position pair contributes one generator."""
+    induced by G. Every same-position pair (i, j) contributes the generator
+    a_i e_i - a_j e_j - sum_k q_k e_k, from the division of its
+    S-polynomial. That generator is a syzygy only when the leading
+    coefficients are 1 (else InputError) and the S-polynomial reduces to
+    zero (else VerificationError: G is not a Groebner basis)."""
+    if any(lt is None or lt[1] != 1 for lt in G.lead_terms()):
+        raise InputError("basis element is zero or its leading coefficient is not 1")
     ring = G.ambient.ring
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
@@ -307,59 +313,40 @@ def syzygies(G: GroebnerBasis) -> GradedMatrix:
     return GradedMatrix.from_columns(syzb.ambient, syzb.elements)
 
 
-# ---------- elimination: graphs, kernels, membership ----------
+# ---------- elimination: kernels and lifts ----------
 
-class GraphBasis:
-    """Groebner basis of the graph submodule {(gens[t], e_t)} inside
-    F + aux with the F block stronger; supports kernel extraction and
-    expressing members in terms of the generators."""
-
-    def __init__(self, F: FreeModule, gens: Sequence[ModuleElement],
-                 aux_degrees: Sequence[int], base_order: MonomialOrder = GREVLEX):
-        ring = F.ring
-        self.F = F
-        self.aux = FreeModule(ring, aux_degrees)
-        self.big = FreeModule(ring, F.degrees + self.aux.degrees)
-        self.split = F.rank
-        one = ring.one_monomial()
-        pairs = []
-        for t, g in enumerate(gens):
-            if g.module != F:
-                raise InputError("generator outside the stated ambient module")
-            terms = {(pos, m): c for (pos, m), c in g.terms.items()}
-            terms[(self.split + t, one)] = 1
-            pairs.append(ModuleElement(self.big, terms))
-        self.basis = buchberger(pairs, PositionOverTerm(base_order), ambient=self.big)
-
-    def syzygy_part(self) -> List[ModuleElement]:
-        """Elements with zero F block: a Groebner basis of the syzygies of
-        the generators, written in the aux module."""
-        out = []
-        for e in self.basis.elements:
-            if any(pos < self.split for (pos, _m) in e.terms):
-                continue
-            out.append(ModuleElement(
-                self.aux, {(pos - self.split, m): c for (pos, m), c in e.terms.items()}))
-        return out
-
-    def express(self, v: ModuleElement) -> Optional[ModuleElement]:
-        """Coefficients writing v as a combination of the generators, or
-        None when v is not in the generated submodule."""
-        if v.module != self.F:
-            raise InputError("element outside the stated ambient module")
-        big_v = ModuleElement(self.big, dict(v.terms))
-        rem = normal_form(big_v, self.basis)
-        expr = {}
-        for (pos, m), c in rem.terms.items():
-            if pos < self.split:
-                return None
-            expr[(pos - self.split, m)] = -c
-        return ModuleElement(self.aux, expr)
+def kernel(A: GradedMatrix) -> GroebnerBasis:
+    """Groebner basis of ker(A) inside A.source under position-over-term
+    grevlex. It is computed on the graph submodule {(A e_j, e_j)} of
+    A.target + A.source, target block stronger: the basis elements with
+    zero target block, shifted back, are a reduced basis of the kernel, and
+    shifting positions by a constant keeps their canonical order."""
+    target, source = A.target, A.source
+    split = target.rank
+    big = FreeModule(target.ring, target.degrees + source.degrees)
+    one = target.ring.one_monomial()
+    pairs = []
+    for j, col in enumerate(A.columns()):
+        terms = dict(col.terms)
+        terms[(split + j, one)] = 1
+        pairs.append(ModuleElement(big, terms))
+    graph = buchberger(pairs, ambient=big)
+    elems = [ModuleElement(source, {(pos - split, m): c
+                                    for (pos, m), c in e.terms.items()})
+             for e in graph.elements
+             if all(pos >= split for (pos, _m) in e.terms)]
+    return GroebnerBasis(source, elems)
 
 
-def kernel(A: GradedMatrix) -> List[ModuleElement]:
-    """Homogeneous generators of ker(A), a Groebner basis as a submodule of
-    A.source under position-over-term order."""
-    graph = GraphBasis(A.target, A.columns(), A.source.degrees)
-    elems = [ModuleElement(A.source, e.terms) for e in graph.syzygy_part()]
-    return _canonical_sort(elems, PositionOverTerm(GREVLEX))
+def lift(G: GroebnerBasis, v: ModuleElement,
+         F: FreeModule) -> Optional[ModuleElement]:
+    """Coefficients writing v as a combination of G.elements, as an element
+    of F (one position per basis element), or None when v is not in the
+    submodule: for a Groebner basis, v is a member iff its remainder is 0."""
+    if v.module != G.ambient:
+        raise InputError("element does not live in the basis ambient module")
+    quots, rem = divide(v, G.elements, G.order, want_quotients=True)
+    if not rem.is_zero():
+        return None
+    return ModuleElement(F, {(k, m): c for k, q in enumerate(quots)
+                             for m, c in q.items()})

@@ -11,7 +11,7 @@ import math
 from typing import List, NamedTuple, Sequence
 
 from syzal.errors import InputError, VerificationError, ZeroModuleError
-from syzal.groebner import GraphBasis, kernel
+from syzal.groebner import GroebnerBasis, kernel, lift, schreyer_basis
 from syzal.modfree import (
     FreeModule,
     GradedMatrix,
@@ -199,45 +199,25 @@ def is_zero_module(M: ModulePresentation) -> bool:
 
 # ---------- submodules and subquotients ----------
 
-def submodule_presentation(ambient: FreeModule,
-                           gens: Sequence[ModuleElement]) -> ModulePresentation:
-    """Presentation of the submodule generated by homogeneous gens, with the
-    generator embedding stored."""
-    gens = [g for g in gens if not g.is_zero()]
-    degrees = [g.degree() for g in gens]
-    graph = GraphBasis(ambient, gens, degrees)
-    syz = graph.syzygy_part()
-    F0 = FreeModule(ambient.ring, degrees)
-    rel = GradedMatrix.from_columns(F0, syz)
-    embedding = GradedMatrix.from_columns(ambient, gens, degrees)
-    return ModulePresentation(ambient.ring, F0, rel.source, rel,
-                              embedding=embedding)
-
-
-def subquotient_presentation(ambient: FreeModule,
-                             upstairs: Sequence[ModuleElement],
-                             downstairs: Sequence[ModuleElement]) -> ModulePresentation:
-    """Minimal presentation of <upstairs>/<downstairs>. The downstairs
-    elements must lie in the submodule generated by upstairs."""
-    upstairs = [g for g in upstairs if not g.is_zero()]
-    downstairs = [g for g in downstairs if not g.is_zero()]
-    if not upstairs:
-        if downstairs:
-            raise VerificationError("downstairs elements outside the zero submodule")
-        return zero_module(ambient.ring)
-    degrees = [g.degree() for g in upstairs]
-    graph = GraphBasis(ambient, upstairs, degrees)
-    columns = list(graph.syzygy_part())
+def subquotient_presentation(G: GroebnerBasis,
+                             downstairs: Sequence[ModuleElement] = ()) -> ModulePresentation:
+    """Presentation of <G>/<downstairs> on the generators G.elements, with
+    their embedding into G.ambient stored. The relations are the Schreyer
+    syzygies of G followed by the lift of each downstairs element, zero
+    columns dropped; a downstairs element outside <G> raises
+    VerificationError. G must be a Groebner basis with monic leading terms
+    (see schreyer_basis)."""
+    ring = G.ambient.ring
+    F0 = FreeModule(ring, [e.degree() for e in G.elements])
+    columns = list(schreyer_basis(G).elements)
     for v in downstairs:
-        expr = graph.express(v)
+        expr = lift(G, v, F0)
         if expr is None:
             raise VerificationError("subquotient: element escapes the submodule")
         columns.append(expr)
-    F0 = FreeModule(ambient.ring, degrees)
-    kept = [c for c in columns if not c.is_zero()]
-    rel = GradedMatrix.from_columns(F0, kept)
-    pres = ModulePresentation(ambient.ring, F0, rel.source, rel)
-    return minimize_presentation(pres)
+    rel = GradedMatrix.from_columns(F0, [c for c in columns if not c.is_zero()])
+    embedding = GradedMatrix.from_columns(G.ambient, G.elements, F0.degrees)
+    return ModulePresentation(ring, F0, rel.source, rel, embedding=embedding)
 
 
 # ---------- dual and Ext ----------
@@ -246,11 +226,8 @@ def dual(M: ModulePresentation) -> ModulePresentation:
     """Hom(M, R) = ker(relations^T), presented on its kernel generators with
     the embedding into the dual of F0 stored. Generator degrees are negated
     relative to M: dual(R[l]) = R[-l]."""
-    def build():
-        At = M.relations.transpose()
-        ker = kernel(At)
-        return submodule_presentation(At.source, ker)
-    return M.cached("dual", build)
+    return M.cached("dual", lambda: subquotient_presentation(
+        kernel(M.relations.transpose())))
 
 
 def ext(M: ModulePresentation, j: int) -> ModulePresentation:
@@ -272,15 +249,15 @@ def ext_from_resolution(res: FreeResolution, j: int) -> ModulePresentation:
     p = res.length
     if j > p:
         return zero_module(ring)
-    Fdual = res.modules[j].dual()
     if j < p:
         up = kernel(res.maps[j].transpose())
     else:
-        up = [Fdual.generator(i) for i in range(Fdual.rank)]
-    downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
+        Fdual = res.modules[j].dual()
+        up = GroebnerBasis(Fdual, [Fdual.generator(i) for i in range(Fdual.rank)])
     if not up:
         return zero_module(ring)
-    return subquotient_presentation(Fdual, up, downs)
+    downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
+    return minimize_presentation(subquotient_presentation(up, downs))
 
 
 def _ext_support(M: ModulePresentation) -> List[int]:
@@ -325,30 +302,32 @@ def biduality(M: ModulePresentation) -> BidualityResult:
         ring = M.ring
         D1 = dual(M)
         D2 = dual(D1)
-        # evaluation on generators: transpose of the dual embedding
+        # evaluation on generators: transpose of the dual embedding, lifted
+        # over the kernel basis that D2 is presented on
         ev = D1.embedding.transpose()  # F0 -> (D1.F0)*
-        bidual_gens = D2.embedding.columns() if D2.F0.rank else []
-        graph = GraphBasis(ev.target, bidual_gens, list(D2.F0.degrees))
+        bidual = GroebnerBasis(ev.target, D2.embedding.columns())
         L_cols = []
-        for jcol in range(ev.source.rank):
-            expr = graph.express(ev.column_element(jcol))
+        for v in ev.columns():
+            expr = lift(bidual, v, D2.F0)
             if expr is None:
                 raise VerificationError("evaluation image escapes the bidual")
-            L_cols.append(ModuleElement(D2.F0, expr.terms))
+            L_cols.append(expr)
         L = GradedMatrix.from_columns(D2.F0, L_cols, list(M.F0.degrees))
         # kernel of the induced map: {v : L v in im(D2.relations)} / im(relations)
         stacked = GradedMatrix.from_columns(  # block matrix [L | -B]
             D2.F0, L.columns() + [-v for v in D2.relations.columns()],
             M.F0.degrees + D2.F1.degrees)
+        # the F0 block is the stronger one, so the nonzero F0 parts of a
+        # Groebner basis of the kernel are a Groebner basis of their span
         upstairs = []
-        for v in kernel(stacked):
+        for v in kernel(stacked).elements:
             proj = ModuleElement(
                 M.F0, {(pos, m): c for (pos, m), c in v.terms.items()
                        if pos < M.F0.rank})
             if not proj.is_zero():
                 upstairs.append(proj)
-        ker_pres = subquotient_presentation(M.F0, upstairs,
-                                            M.relations.columns())
+        ker_pres = minimize_presentation(subquotient_presentation(
+            GroebnerBasis(M.F0, upstairs), M.relations.columns()))
         # cokernel: M** modulo the image of L and the relations of M**
         cok_cols = list(L.columns()) + list(D2.relations.columns())
         kept = [c for c in cok_cols if not c.is_zero()]

@@ -200,29 +200,46 @@ class GradedMatrix:
             ModuleElement.from_vector(target, [row[j] for row in rows])
             for j in range(source.rank)])
 
-    def _set_columns(self, source: FreeModule, target: FreeModule, columns) -> None:
-        self.source = source
-        self.target = target
-        self._columns = tuple(columns)
-        if len(self._columns) != source.rank:
+    def _set_columns(self, source: Optional[FreeModule], target: FreeModule,
+                     columns) -> None:
+        # one pass over the terms: every column lies in target, every term
+        # position is a row of target, and column j is zero or homogeneous
+        # of degree source.degrees[j] (of one degree, taken as the source
+        # degree, when source is None)
+        columns = tuple(columns)
+        if source is not None and len(columns) != source.rank:
             raise InputError("matrix column count does not match source rank")
-        if any(v.module != target for v in self._columns):
-            raise InputError("matrix column lies outside the target module")
-        if not check_homogeneous(self):
-            raise InhomogeneousError("matrix entries violate the degree invariant")
+        d, tdeg, rows = target.ring.d, target.degrees, target.rank
+        degrees = []
+        for j, v in enumerate(columns):
+            if v.module != target:
+                raise InputError("matrix column lies outside the target module")
+            g = None if source is None else source.degrees[j]
+            for i, m in v.terms:
+                if not 0 <= i < rows:
+                    raise InputError(f"matrix column has a term at position {i}, "
+                                     f"but the target has {rows} rows")
+                deg = tdeg[i] + d * mono_deg(m)
+                if g is None:
+                    g = deg
+                elif deg != g:
+                    raise InhomogeneousError("matrix entries violate the degree invariant")
+            if g is None:
+                raise InputError("zero column needs an explicit source degree")
+            degrees.append(g)
+        self.source = FreeModule(target.ring, degrees) if source is None else source
+        self.target = target
+        self._columns = columns
 
     @staticmethod
     def from_columns(target: FreeModule, columns, source_degrees=None) -> "GradedMatrix":
         """The map into target whose columns are the given elements of
         target. Source degrees default to the column degrees; a zero column
         needs them given."""
-        columns = list(columns)
-        if source_degrees is None:
-            source_degrees = [v.degree() for v in columns]
-            if None in source_degrees:
-                raise InputError("zero column needs an explicit source degree")
+        source = (None if source_degrees is None
+                  else FreeModule(target.ring, source_degrees))
         A = GradedMatrix.__new__(GradedMatrix)
-        A._set_columns(FreeModule(target.ring, source_degrees), target, columns)
+        A._set_columns(source, target, columns)
         return A
 
     def column_element(self, j: int) -> ModuleElement:
@@ -423,8 +440,9 @@ def presentation_from_json(obj) -> ModulePresentation:
         matrix = obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation object: {exc}")
-    if names is not None and not isinstance(names, list):
-        raise InputError(f"ring names must be a list, not {names!r}")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(n, str) for n in names)):
+        raise InputError(f"ring names must be a list of strings, not {names!r}")
     ring = RingSpec(_json_int(r, "ring r"), _json_int(d, "ring d"), names)
     gens = [_json_int(g, "generator degree") for g in gens]
     relgens = [_json_int(g, "relation generator degree") for g in relgens]
@@ -434,23 +452,29 @@ def presentation_from_json(obj) -> ModulePresentation:
                          f"{max(degrees)}, more than {MAX_DEGREE_SPAN} apart")
     F0 = FreeModule(ring, gens)
     F1 = FreeModule(ring, relgens)
-    if len(matrix) != F0.rank:
-        raise InputError("matrix row count does not match generators")
+    if not isinstance(matrix, list) or len(matrix) != F0.rank:
+        raise InputError("matrix must be a list with one row per generator")
     rows = []
     for row in matrix:
-        if len(row) != F1.rank:
-            raise InputError("matrix column count does not match relation_generators")
+        if not isinstance(row, list) or len(row) != F1.rank:
+            raise InputError("matrix row must be a list with one entry per relation generator")
+        if not all(isinstance(s, str) for s in row):
+            raise InputError("matrix entries must be polynomial strings")
         rows.append([parse_polynomial(s, ring) for s in row])
     return ModulePresentation(ring, F0, F1, GradedMatrix(F1, F0, rows))
 
 
 def load_presentation(path: str) -> ModulePresentation:
+    """The presentation in a JSON file; InputError for a file that cannot
+    be read, is not UTF-8, is not JSON, nests too deeply, or holds an
+    integer past the interpreter's digit limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise InputError(f"{path} is not valid JSON: {exc}")
     return presentation_from_json(obj)
 

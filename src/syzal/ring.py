@@ -371,6 +371,13 @@ class SchreyerOrder(ModuleOrder):
 _NUMBER = re.compile(r"\d+")
 
 
+def _number(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's integer digit limit
+        raise InputError(f"number at position {at} has too many digits")
+
+
 def _tokenize(text: str, ring: RingSpec):
     # longest-match variable names so names like t1 and t12 coexist
     names = sorted(ring.names, key=len, reverse=True)
@@ -423,13 +430,13 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
         kind, val, at = peek()
         if kind == "num":
             advance()
-            num = int(val)
+            num = _number(val, at)
             if peek()[0] == "/":
                 advance()
                 k2, v2, a2 = advance()
                 if k2 != "num":
                     raise InputError(f"expected denominator at position {a2}")
-                den = int(v2)
+                den = _number(v2, a2)
                 if den == 0:
                     raise InputError(f"zero denominator at position {a2}")
                 coeff *= Fraction(num, den)
@@ -450,7 +457,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
                 k2, v2, a2 = advance()
                 if k2 != "num":
                     raise InputError(f"expected exponent at position {a2}")
-                e = int(v2)
+                e = _number(v2, a2)
             exps[var_index[val]] += e
             saw_factor = True
             if peek()[0] == "*":

@@ -370,6 +370,45 @@ def test_exit_code_2_on_inhomogeneous_file(tmp_path, m_pres):
     assert "error:" in err
 
 
+_DIGITS = "9" * 5000
+
+
+def _one_entry_file(matrix: str) -> bytes:
+    return ('{"ring": {"r": 1}, "generators": [0], "relation_generators": [2], '
+            '"matrix": %s}' % matrix).encode()
+
+
+# command -> file bytes; each file is malformed in a way the reader must name
+MALFORMED_FILES = {
+    "deep nesting": ("hilbert", b"[" * 1000 + b"]" * 1000),
+    "huge JSON integer": ("hilbert", (
+        '{"ring": {"r": 1}, "generators": [%s], "relation_generators": [], '
+        '"matrix": [[]]}' % _DIGITS).encode()),
+    "matrix not a list": ("hilbert", _one_entry_file("5")),
+    "row not a list": ("hilbert", _one_entry_file("[5]")),
+    "entry not a string": ("hilbert", _one_entry_file("[[5]]")),
+    "huge exponent": ("hilbert", _one_entry_file('[["t1^%s"]]' % _DIGITS)),
+    "presentation not UTF-8": ("hilbert", b'{"ring": "\xff\xfe"}'),
+    "GKM huge coefficient": (
+        "gkm", ("vertex a\nvertex b\nedge a b %s*t1\n" % _DIGITS).encode()),
+    "GKM huge exponent": (
+        "gkm", ("vertex a\nvertex b\nedge a b t1^%s\n" % _DIGITS).encode()),
+    "GKM not UTF-8": ("gkm", b"vertex a\nvertex \xff\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exits_2(case, tmp_path, capsys):
+    command, data = MALFORMED_FILES[case]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = ([command, "--file", str(path)] if command == "hilbert"
+            else [command, "--r", "2", "--file", str(path)])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [("gkm", "--r", "3", "--json"),
                                   ("koszul", "--r", "1")])
 def test_closed_stdout_exits_quietly(argv):

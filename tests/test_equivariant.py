@@ -350,3 +350,33 @@ def test_ab_report_of_shifted_input_keeps_positions():
     # shifting hht moves Hilbert data but not which positions vanish
     rep = ab_report(shift(mutant_hht(), 4))
     assert rep.nonzero_positions() == [0, 2]
+
+
+# ---------- Buchberger runs ----------
+
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    """Counts Buchberger completions: kernels and relation bases are the
+    only callers, and every submodule is presented from the basis they
+    return."""
+    import syzal.groebner as groebner
+    import syzal.resolution as resolution
+    runs = []
+    original = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(resolution, "buchberger", counted)
+    return runs
+
+
+def test_ab_report_buchberger_runs(buchberger_runs):
+    ab_report(toric_hht(4), toric_ht(4))
+    assert len(buchberger_runs) == 15
+
+
+def test_gkm_module_buchberger_runs(buchberger_runs):
+    fingerprint(gkm_module(hypercube_graph(4)))
+    assert len(buchberger_runs) == 1

@@ -3,15 +3,19 @@
 import pytest
 
 from syzal import (
+    GREVLEX,
     FreeModule,
     GradedMatrix,
+    GroebnerBasis,
     HilbertSeries,
     InputError,
     ModuleElement,
     ModulePresentation,
     OracleConfig,
+    PositionOverTerm,
     Rational,
     RingSpec,
+    VerificationError,
     ZeroModuleError,
     biduality,
     depth_dim,
@@ -30,8 +34,8 @@ from syzal import (
     parse_polynomial,
     residue_field,
     resolve,
+    buchberger,
     shift,
-    submodule_presentation,
     subquotient_presentation,
     syzygy_order,
     zero_module,
@@ -166,7 +170,7 @@ def test_submodule_presentation_of_variables():
         ModuleElement(F, {(0, (1, 0)): Rational(1)}),
         ModuleElement(F, {(0, (0, 1)): Rational(1)}),
     ]
-    N = submodule_presentation(F, gens)
+    N = subquotient_presentation(buchberger(gens, ambient=F))
     assert fingerprint(N) == fingerprint(maximal_ideal(R2))
     # embedding columns reproduce the generators
     cols = N.embedding.columns()
@@ -177,7 +181,7 @@ def test_submodule_presentation_drops_zero_generators():
     F = FreeModule(R2, (0,))
     gens = [ModuleElement(F, {}),
             ModuleElement(F, {(0, (1, 0)): Rational(1)})]
-    N = submodule_presentation(F, gens)
+    N = subquotient_presentation(buchberger(gens, ambient=F))
     assert N.F0.rank == 1
 
 
@@ -189,9 +193,29 @@ def test_subquotient_presentation_quotient_of_ideal():
         ModuleElement(F, {(0, (0, 1)): Rational(1)}),
     ]
     down = [up[0]]
-    Q = subquotient_presentation(F, up, down)
+    Q = subquotient_presentation(buchberger(up, ambient=F), down)
     want = _pres(R2, (2,), (4,), [["t1"]])
     assert fingerprint(Q) == fingerprint(want)
+
+
+def test_subquotient_presentation_refuses_bad_input():
+    F = FreeModule(R2, (0,))
+    t1, t2 = R2.variables()
+    e = F.generator(0)
+    ideal = buchberger([e.poly_mul(t1 * t1), e.poly_mul(t2)], ambient=F)
+    # a downstairs element outside the submodule
+    with pytest.raises(VerificationError):
+        subquotient_presentation(ideal, [e.poly_mul(t1)])
+    # monic, but not a Groebner basis: the S-pair of t1^2 and t1*t2 + t2^2
+    # leaves t2^3
+    order = PositionOverTerm(GREVLEX)
+    not_groebner = GroebnerBasis(
+        F, [e.poly_mul(t1 * t1), e.poly_mul(t1 * t2 + t2 * t2)], order)
+    with pytest.raises(VerificationError):
+        subquotient_presentation(not_groebner)
+    # a leading coefficient other than 1
+    with pytest.raises(InputError):
+        subquotient_presentation(GroebnerBasis(F, [e.term_mul((1, 0), 2)], order))
 
 
 # ---------- duals and Ext ----------

@@ -87,6 +87,18 @@ def test_graded_matrix_validation():
         GradedMatrix.from_columns(tgt, [col], [2, 2])
 
 
+@pytest.mark.parametrize("position", [-1, 3])
+def test_graded_matrix_refuses_positions_outside_the_target(position):
+    # -1 used to be read as the last row, 3 to raise a bare IndexError
+    ring = RingSpec(1, 2)
+    F = FreeModule(ring, (0,))
+    col = ModuleElement(F, {(position, (1,)): 1})
+    with pytest.raises(InputError, match="position"):
+        GradedMatrix.from_columns(F, [col])
+    with pytest.raises(InputError, match="position"):
+        GradedMatrix.from_columns(F, [col], [2])
+
+
 def test_matrix_compose_transpose_apply():
     ring = RingSpec(2, 2)
     t1, t2 = ring.variables()
@@ -194,6 +206,18 @@ def test_presentation_json_does_not_coerce(key, index, value):
     obj = presentation_to_json(residue_field(RingSpec(1, 2)))
     assert obj["generators"] == [0] and obj["relation_generators"] == [2]
     obj[key][index] = value
+    with pytest.raises(InputError):
+        presentation_from_json(obj)
+
+
+@pytest.mark.parametrize("matrix", [5, [5], [[5]], {"0": ["t1"]},
+                                    [["t1^" + "9" * 5000]],
+                                    [["9" * 5000 + "*t1"]]])
+def test_presentation_json_refuses_malformed_matrices(matrix):
+    # a bare TypeError (non-list matrix or row, non-string entry) or
+    # ValueError (a literal past the integer digit limit) used to escape
+    obj = presentation_to_json(residue_field(RingSpec(1, 2)))
+    obj["matrix"] = matrix
     with pytest.raises(InputError):
         presentation_from_json(obj)
 

@@ -24,12 +24,14 @@ from syzal import (
     hilbert_series,
     is_zero_module,
     kernel,
+    map_rank,
     minimal_resolution,
     module_dims,
     normal_form,
     resolve,
     schreyer_basis,
     shift,
+    subquotient_presentation,
     syzygies,
     verify_spairs,
 )
@@ -227,13 +229,54 @@ def test_buchberger_output_is_reduced_and_complete(data):
         == module_dims(quotient(gens), window)
 
 
+@st.composite
+def subquotients(draw):
+    """(ambient, Groebner basis, downstairs): the downstairs elements are
+    random homogeneous combinations of the generators, some of them zero."""
+    F, gens = draw(submodule_generators())
+    G = buchberger(gens, ambient=F)
+    assume(G.elements)
+    ring = F.ring
+    gens = [g for g in gens if not g.is_zero()]
+    degs = [g.degree() for g in gens]
+    downs = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = draw(st.sampled_from(degs)) + ring.d * draw(st.integers(0, 2))
+        v = F.zero()
+        for g, dg in zip(gens, degs):
+            k, rest = divmod(top - dg, ring.d)
+            if k >= 0 and not rest and draw(st.booleans()):
+                mono = draw(st.sampled_from(list(ring.monomials_of_degree(k * ring.d))))
+                v = v + g.term_mul(mono, draw(coeffs))
+        downs.append((v, top))
+    return F, G, downs
+
+
+@given(subquotients())
+@settings(max_examples=25)
+def test_subquotient_dimensions_match_the_oracle(data):
+    # dim (<G> / <downs>)_q = rank [G | downs]_q - rank [downs]_q, read off
+    # the oracle only
+    F, G, downs = data
+    Q = subquotient_presentation(G, [v for v, _top in downs])
+    both = GradedMatrix.from_columns(
+        F, list(G.elements) + [v for v, _top in downs],
+        [e.degree() for e in G.elements] + [top for _v, top in downs])
+    below = GradedMatrix.from_columns(
+        F, [v for v, _top in downs], [top for _v, top in downs])
+    lo = min(F.degrees)
+    dims = module_dims(Q, OracleConfig(lo, lo + 10))
+    for q, dim in dims.items():
+        assert dim == map_rank(both, q) - map_rank(below, q), q
+
+
 # ---------- kernels and syzygies ----------
 
 @given(monomial_presentations())
 @settings(max_examples=20)
 def test_kernel_elements_map_to_zero(M):
     A = M.relations
-    for elem in kernel(A):
+    for elem in kernel(A).elements:
         assert A.apply(elem).is_zero()
 
 
