@@ -56,7 +56,7 @@ from syzal.oracle import (
     resolution_is_exact,
 )
 from syzal.resolution import koszul_complex, minimize, relation_basis, resolve
-from syzal.ring import ORDERS, RingSpec
+from syzal.ring import GREVLEX, ORDERS, MonomialOrder, RingSpec
 
 # The largest --r accepted. toric, homogeneous, gkm and koszul build 2^r
 # subsets; at r = 12 the toric and Koszul builds take about one second and
@@ -75,6 +75,13 @@ def _json_document(command: str, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _check_spairs(M: ModulePresentation, order: MonomialOrder) -> None:
+    """The S-pair certificate of M's relation basis under order."""
+    G = relation_basis(M, order)
+    if G is not None and not verify_spairs(G):
+        raise VerificationError("an S-pair of the Groebner basis does not reduce to zero")
+
+
 def _run_checks(M: ModulePresentation) -> None:
     """Re-verify invariants: homogeneity, S-pair reduction, delta.delta = 0,
     and the Hilbert function against the degreewise oracle."""
@@ -82,9 +89,7 @@ def _run_checks(M: ModulePresentation) -> None:
         raise VerificationError("relation matrix is inhomogeneous")
     if M.embedding is not None and not check_homogeneous(M.embedding):
         raise VerificationError("embedding matrix is inhomogeneous")
-    G = relation_basis(M)
-    if G is not None and not verify_spairs(G):
-        raise VerificationError("an S-pair of the Groebner basis does not reduce to zero")
+    _check_spairs(M, GREVLEX)
     res = minimal_resolution(M)
     res.check()
     hs = hilbert_series(M)
@@ -158,13 +163,20 @@ def _module_output(M: ModulePresentation, extra: dict) -> Output:
 
 
 def run_resolve(args, M: ModulePresentation) -> Output:
+    order = ORDERS[args.order]
+    # the shared checks have verified the default order's relation basis and
+    # minimal resolution, and the Hilbert series against the oracle
+    if args.check and order is not GREVLEX:
+        _check_spairs(M, order)
     if args.max_len is None:
-        res = minimal_resolution(M, ORDERS[args.order])
+        res = minimal_resolution(M, order)
     else:
-        res = minimize(resolve(M, args.max_len, ORDERS[args.order]))
-    # the shared checks have verified the default minimal resolution
+        res = minimize(resolve(M, args.max_len, order))
     if args.check and res is not minimal_resolution(M):
         res.check()
+        if not res.truncated and euler_series(res) != hilbert_series(M):
+            raise VerificationError("the Euler series of the resolution disagrees "
+                                    "with the Hilbert series")
     ranks = [m.rank for m in res.modules]
     flag = " (truncated)" if res.truncated else ""
     return (lambda: {"length": res.length,

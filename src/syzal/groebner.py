@@ -37,9 +37,10 @@ class GroebnerBasis:
     coefficient is 1. The constructor checks neither; schreyer_basis
     refuses a basis that breaks either (VerificationError, InputError). The
     bases that buchberger, schreyer_basis and kernel build are reduced: no
-    leading term divides any same-position term of another element."""
+    leading term divides any same-position term of another element. The
+    lead-term index that division reads is built once, here."""
 
-    __slots__ = ("ambient", "elements", "order", "_lts")
+    __slots__ = ("ambient", "elements", "order", "_lts", "_index")
 
     def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement],
                  order: ModuleOrder = POT_GREVLEX):
@@ -47,6 +48,7 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.order = order
         self._lts = tuple(e.leading_term(order) for e in self.elements)
+        self._index = _lead_index(self._lts)
 
     def lead_terms(self):
         """((position, monomial), coefficient) of each element, in order."""
@@ -61,36 +63,43 @@ class GroebnerBasis:
 
 # ---------- division ----------
 
-def _max_term(terms: dict, order: ModuleOrder):
-    best = None
-    for t in terms:
-        if best is None or order.cmp(t, best) > 0:
-            best = t
-    return best
+def _lead_index(lts) -> dict:
+    """{position: [(k, monomial, coefficient)]} of the nonzero lead terms
+    lts[k], each group in list order: only a divisor at a term's position
+    can divide it."""
+    index: dict = {}
+    for k, lt in enumerate(lts):
+        if lt is not None:
+            (pos, m), c = lt
+            index.setdefault(pos, []).append((k, m, c))
+    return index
 
 
 def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
-           want_quotients: bool = False):
+           want_quotients: bool = False, *, index: Optional[dict] = None):
     """Deterministic division: scan gens in list order for the first leading
     term dividing the current work leading term. Returns (quotients, rem)
     with f = sum(quotients[k] * gens[k]) + rem and no term of rem divisible
-    by any leading term of gens. Quotients are ring polynomial term maps."""
-    # only a divisor at the work term's position can divide it, so the lead
-    # terms are grouped by position once, each group in list order
-    divisors: dict = {}
-    for k, g in enumerate(gens):
-        lt = g.leading_term(order)
-        if lt is not None:
-            (gpos, gm), glc = lt
-            divisors.setdefault(gpos, []).append((k, gm, glc))
+    by any leading term of gens. Quotients are ring polynomial term maps.
+    index, when given, is the _lead_index of gens under order."""
+    if index is None:
+        index = _lead_index([g.leading_term(order) for g in gens])
+    key = order.key
     work = dict(f.terms)
+    # every term enters the heap when it enters work; a popped term that has
+    # cancelled since is skipped, and no term enters twice after it is
+    # popped, since each step only adds terms smaller than the one it removes
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     rem: dict = {}
     quots: Optional[List[dict]] = [dict() for _ in gens] if want_quotients else None
-    while work:
-        t = _max_term(work, order)
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         pos, m = t
-        for hit, gm, glc in divisors.get(pos, ()):
+        for hit, gm, glc in index.get(pos, ()):
             if mono_divides(gm, m):
                 break
         else:
@@ -99,14 +108,16 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
         q = mono_div(m, gm)
         coeff = qdiv(c, glc)
         for (p2, m2), c2 in gens[hit].terms.items():
-            key = (p2, mono_mul(m2, q))
-            if key == t:
+            u = (p2, mono_mul(m2, q))
+            if u == t:
                 continue  # the leading term cancels exactly
-            s = work.get(key, 0) - coeff * c2
+            if u not in work:
+                heapq.heappush(heap, (key(u), u))
+            s = work.get(u, 0) - coeff * c2
             if s:
-                work[key] = s
+                work[u] = s
             else:
-                work.pop(key, None)
+                del work[u]
         if quots is not None:
             s = quots[hit].get(q, 0) + coeff
             if s:
@@ -121,7 +132,7 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     """Remainder of f on division by G; f - result lies in the submodule."""
     if f.module != G.ambient:
         raise InputError("element does not live in the basis ambient module")
-    return divide(f, G.elements, G.order)[1]
+    return divide(f, G.elements, G.order, index=G._index)[1]
 
 
 # ---------- canonical element order ----------
@@ -138,24 +149,27 @@ def _reduce_basis(elements: Sequence[ModuleElement], order: ModuleOrder):
     """Interreduce a Groebner basis: minimal (no leading term divides
     another), tails fully reduced, monic, canonically sorted."""
     elems = [e.monic(order) for e in elements if not e.is_zero()]
-    lts = [e.leading_term(order)[0] for e in elems]
+    lts = [e.leading_term(order) for e in elems]
+    index = _lead_index(lts)
     keep = [True] * len(elems)
-    for i in range(len(elems)):
-        pi, mi = lts[i]
-        for k in range(len(elems)):
-            if k == i or not keep[k]:
-                continue
-            pk, mk = lts[k]
-            if pk == pi and mono_divides(mk, mi) and (mk != mi or k < i):
+    for i, ((pi, mi), _c) in enumerate(lts):
+        for k, mk, _ck in index[pi]:
+            if k != i and keep[k] and mono_divides(mk, mi) and (mk != mi or k < i):
                 keep[i] = False
                 break
     elems = [e for e, f in zip(elems, keep) if f]
     # No leading term divides another, so tail reduction leaves every
     # leading term in place: one in-place pass reduces all tails for good.
-    for i in range(len(elems)):
-        r = divide(elems[i], elems[:i] + elems[i + 1:], order)[1]
-        if r.terms != elems[i].terms:
-            elems[i] = r.monic(order)
+    # A tail term is smaller than its own leading term, which therefore
+    # never divides it, so one index serves every element.
+    lts = [e.leading_term(order) for e in elems]
+    index = _lead_index(lts)
+    for i, e in enumerate(elems):
+        lt, c = lts[i]
+        tail = ModuleElement(e.module, {t: v for t, v in e.terms.items() if t != lt})
+        r = divide(tail, elems, order, index=index)[1]
+        if r.terms != tail.terms:
+            elems[i] = ModuleElement(e.module, {lt: c, **r.terms})
     return sorted(elems, key=lambda e: _canonical_key(e, order))
 
 
@@ -221,24 +235,23 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
             basis.append(g.monic(order))
             pure.append(_position_pure(g))
     lts = [e.leading_term(order) for e in basis]
+    index = _lead_index(lts)
 
     heap: list = []
 
+    # S-pairs and chain-criterion witnesses share a position, so both read
+    # the index: the earlier elements at that position, in list order
     def push_pairs(j: int):
-        for i in range(j):
-            lcm = _spair_data(lts[i], lts[j])
-            if lcm is None:
-                continue
-            pos = lts[i][0][0]
-            sdeg = ambient.degrees[pos] + d * mono_deg(lcm)
+        (p, mj), _ = lts[j]
+        for i, mi, _c in index[p]:
+            if i >= j:
+                break
+            sdeg = ambient.degrees[p] + d * mono_deg(mono_lcm(mi, mj))
             heapq.heappush(heap, (sdeg, i, j))
 
     def chain_skips(i: int, j: int, p: int, lcm) -> bool:
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            (pk, mk), _ = lts[k]
-            if (pk == p and mono_divides(mk, lcm)
+        for k, mk, _c in index[p]:
+            if (k != i and k != j and mono_divides(mk, lcm)
                     and (min(i, k), max(i, k)) in done
                     and (min(j, k), max(j, k)) in done):
                 return True
@@ -258,11 +271,14 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
         lcm = mono_lcm(mi, mj)
         if chain_skips(i, j, p, lcm):
             continue
-        r = divide(_s_poly(basis[i], mi, basis[j], mj, lcm)[2], basis, order)[1]
+        r = divide(_s_poly(basis[i], mi, basis[j], mj, lcm)[2], basis, order,
+                   index=index)[1]
         if not r.is_zero():
             basis.append(r.monic(order))
             pure.append(_position_pure(r))
             lts.append(basis[-1].leading_term(order))
+            (pos, m), c = lts[-1]
+            index.setdefault(pos, []).append((len(basis) - 1, m, c))
             push_pairs(len(basis) - 1)
 
     return GroebnerBasis(ambient, _reduce_basis(basis, order), order)
@@ -290,7 +306,8 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     sorder = SchreyerOrder(G.order, [lt[0] for lt in G.lead_terms()])
     sygens: List[ModuleElement] = []
     for i, j, ai, aj, s in _s_pairs(G):
-        quots, rem = divide(s, G.elements, G.order, want_quotients=True)
+        quots, rem = divide(s, G.elements, G.order, want_quotients=True,
+                            index=G._index)
         if not rem.is_zero():
             raise VerificationError("input basis is not a Groebner basis")
         terms: dict = {(i, ai): 1}
@@ -345,7 +362,8 @@ def lift(G: GroebnerBasis, v: ModuleElement,
     submodule: for a Groebner basis, v is a member iff its remainder is 0."""
     if v.module != G.ambient:
         raise InputError("element does not live in the basis ambient module")
-    quots, rem = divide(v, G.elements, G.order, want_quotients=True)
+    quots, rem = divide(v, G.elements, G.order, want_quotients=True,
+                        index=G._index)
     if not rem.is_zero():
         return None
     return ModuleElement(F, {(k, m): c for k, q in enumerate(quots)

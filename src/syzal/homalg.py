@@ -146,17 +146,8 @@ def minimal_resolution(M: ModulePresentation,
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:
-    """Alternating sum of generator-degree terms of a minimal resolution
-    over (1 - x^d)^r."""
-    def build():
-        res = minimal_resolution(M)
-        numer: dict = {}
-        for i, mod in enumerate(res.modules):
-            sign = -1 if i % 2 else 1
-            for g in mod.degrees:
-                numer[g] = numer.get(g, 0) + sign
-        return HilbertSeries(numer, M.ring.r, M.ring.d)
-    return M.cached("hilbert", build)
+    """The Euler series of a minimal resolution of M."""
+    return M.cached("hilbert", lambda: euler_series(minimal_resolution(M)))
 
 
 def euler_series(res: FreeResolution) -> HilbertSeries:

@@ -153,11 +153,10 @@ class ModuleElement:
         memoized for the last order asked (compared by identity)."""
         if self._lt_order is order:
             return self._lt
-        best = None
-        for t in self.terms:
-            if best is None or order.cmp(t, best) > 0:
-                best = t
-        lt = None if best is None else (best, self.terms[best])
+        lt = None
+        if self.terms:
+            best = min(self.terms, key=order.key)
+            lt = (best, self.terms[best])
         self._lt_order = order
         self._lt = lt
         return lt

@@ -90,27 +90,19 @@ def mono_coprime(a, b):
     return True
 
 
-def cmp_grevlex(a, b):
-    """Graded reverse lexicographic: -1, 0 or 1."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    # a > b iff the LAST nonzero entry of a - b is negative
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
+# A term order is a sort key: the larger monomial gets the smaller key, so
+# min(terms, key=...) is the leading term and a heap pops it first.
+
+def grevlex_key(m):
+    """Graded reverse lexicographic: higher degree first, then the monomial
+    whose last differing exponent is smaller."""
+    return (-sum(m), m[::-1])
 
 
-def cmp_grlex(a, b):
-    """Graded lexicographic: -1, 0 or 1."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+def grlex_key(m):
+    """Graded lexicographic: higher degree first, then the monomial whose
+    first differing exponent is larger."""
+    return (-sum(m), tuple(-e for e in m))
 
 
 # ---------- rings ----------
@@ -158,9 +150,6 @@ class RingSpec:
 
     def one_monomial(self) -> Monomial:
         return (0,) * self.r
-
-    def monomial_degree(self, m: Monomial) -> int:
-        return self.d * mono_deg(m)
 
     def variable(self, i: int) -> "Polynomial":
         exps = [0] * self.r
@@ -290,31 +279,30 @@ class Polynomial:
 # ---------- monomial orders ----------
 
 class MonomialOrder:
-    """Total multiplicative well-order on ring monomials."""
+    """Total multiplicative well-order on ring monomials, given by its sort
+    key."""
 
-    __slots__ = ("name", "_cmp")
+    __slots__ = ("name", "key")
 
-    def __init__(self, name: str, cmp_fn):
+    def __init__(self, name: str, key):
         self.name = name
-        self._cmp = cmp_fn
-
-    def cmp(self, a: Monomial, b: Monomial) -> int:
-        return self._cmp(a, b)
+        self.key = key
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
 
 
-GREVLEX = MonomialOrder("grevlex", cmp_grevlex)
-GRLEX = MonomialOrder("grlex", cmp_grlex)
+GREVLEX = MonomialOrder("grevlex", grevlex_key)
+GRLEX = MonomialOrder("grlex", grlex_key)
 
 ORDERS = {"grevlex": GREVLEX, "grlex": GRLEX}
 
 
 class ModuleOrder:
-    """Order on module terms (position, monomial)."""
+    """Order on module terms (position, monomial), given by a sort key that
+    is smaller for the larger term."""
 
-    def cmp(self, t1, t2) -> int:
+    def key(self, t):
         raise NotImplementedError
 
 
@@ -327,12 +315,8 @@ class PositionOverTerm(ModuleOrder):
     def __init__(self, base: MonomialOrder = GREVLEX):
         self.base = base
 
-    def cmp(self, t1, t2) -> int:
-        p1, m1 = t1
-        p2, m2 = t2
-        if p1 != p2:
-            return 1 if p1 < p2 else -1
-        return self.base.cmp(m1, m2)
+    def key(self, t):
+        return (t[0], self.base.key(t[1]))
 
     def __repr__(self):
         return f"PositionOverTerm({self.base.name})"
@@ -348,17 +332,10 @@ class SchreyerOrder(ModuleOrder):
         self.prior = prior
         self.lead_terms = tuple(lead_terms)  # [(position, monomial)] per basis element
 
-    def cmp(self, t1, t2) -> int:
-        i, m1 = t1
-        j, m2 = t2
-        pi, mi = self.lead_terms[i]
-        pj, mj = self.lead_terms[j]
-        c = self.prior.cmp((pi, mono_mul(m1, mi)), (pj, mono_mul(m2, mj)))
-        if c:
-            return c
-        if i != j:
-            return 1 if i < j else -1
-        return 0
+    def key(self, t):
+        i, m = t
+        p, mi = self.lead_terms[i]
+        return (self.prior.key((p, mono_mul(m, mi))), i)
 
     def __repr__(self):
         return f"SchreyerOrder({len(self.lead_terms)} leads)"
@@ -500,7 +477,7 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical text form: terms in descending grevlex order."""
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, key=_grevlex_key, reverse=True)
+    monos = sorted(p.terms, key=GREVLEX.key)
     parts = []
     for idx, m in enumerate(monos):
         c = p.terms[m]
@@ -521,8 +498,3 @@ def format_polynomial(p: Polynomial) -> str:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
 
-
-def _grevlex_key(m: Monomial):
-    # sort key equivalent to grevlex: by degree, then by reversed exponents
-    # negated (the grevlex-larger monomial gets the larger key)
-    return (mono_deg(m), tuple(-e for e in reversed(m)))

@@ -465,6 +465,42 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
     assert "S-pair" in capsys.readouterr().err
 
 
+def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
+                                                          capsys):
+    # Under --order grlex the shared checks certify the grevlex basis; the
+    # grlex basis that resolve uses must be certified as well. Dropping the
+    # last element of a grlex basis breaks the S-pair certificate of
+    # (t1^2, t1*t2 + t2^2), also where no Schreyer step would notice
+    # (--max-len 1), and the Hilbert series of (t1, t2), whose one-element
+    # remainder {t1} passes every S-pair.
+    import syzal.resolution as resolution
+    quotient = tmp_path / "quotient.pres"
+    quotient.write_text(json.dumps({
+        "ring": {"r": 2, "d": 2}, "generators": [0],
+        "relation_generators": [4, 4], "matrix": [["t1^2", "t1*t2 + t2^2"]]}))
+    ideal = tmp_path / "ideal.pres"
+    ideal.write_text(json.dumps({
+        "ring": {"r": 2, "d": 2}, "generators": [0],
+        "relation_generators": [2, 2], "matrix": [["t1", "t2"]]}))
+    grlex = ["--order", "grlex", "--check"]
+    for path in (quotient, ideal):
+        assert cli.main(["resolve", "--file", str(path), *grlex]) == 0
+
+    def truncated_grlex_basis(gens, order, **kwargs):
+        G = buchberger(gens, order, **kwargs)
+        if order.base.name != "grlex":
+            return G
+        return GroebnerBasis(G.ambient, G.elements[:-1], G.order)
+    monkeypatch.setattr(resolution, "buchberger", truncated_grlex_basis)
+    for argv, message in (
+            (["--file", str(quotient), *grlex], "S-pair"),
+            (["--file", str(quotient), "--max-len", "1", *grlex], "S-pair"),
+            (["--file", str(ideal), *grlex], "Hilbert series")):
+        capsys.readouterr()
+        assert cli.main(["resolve", *argv]) == 1, argv
+        assert message in capsys.readouterr().err
+
+
 def test_hilbert_check_of_unit_relation_over_r0(tmp_path):
     path = tmp_path / "unit.pres"
     path.write_text(json.dumps({

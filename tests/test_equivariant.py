@@ -356,27 +356,31 @@ def test_ab_report_of_shifted_input_keeps_positions():
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Counts Buchberger completions: kernels and relation bases are the
-    only callers, and every submodule is presented from the basis they
-    return."""
+    """Counts Buchberger completions and divisions: kernels and relation
+    bases are the only Buchberger callers, every submodule is presented from
+    the basis they return, and all engine division goes through
+    groebner.divide. Returns {"buchberger": n, "divide": n}."""
     import syzal.groebner as groebner
     import syzal.resolution as resolution
-    runs = []
-    original = groebner.buchberger
+    runs = {"buchberger": 0, "divide": 0}
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    monkeypatch.setattr(resolution, "buchberger", counted)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            runs[name] += 1
+            return original(*args, **kwargs)
+        return counted
+    buchberger = counting("buchberger", groebner.buchberger)
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    monkeypatch.setattr(resolution, "buchberger", buchberger)
+    monkeypatch.setattr(groebner, "divide", counting("divide", groebner.divide))
     return runs
 
 
 def test_ab_report_buchberger_runs(buchberger_runs):
     ab_report(toric_hht(4), toric_ht(4))
-    assert len(buchberger_runs) == 15
+    assert buchberger_runs == {"buchberger": 15, "divide": 420}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
     fingerprint(gkm_module(hypercube_graph(4)))
-    assert len(buchberger_runs) == 1
+    assert buchberger_runs == {"buchberger": 1, "divide": 98}

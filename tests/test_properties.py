@@ -15,6 +15,7 @@ from syzal import (
     Polynomial,
     PositionOverTerm,
     RingSpec,
+    SchreyerOrder,
     buchberger,
     divide,
     dual,
@@ -142,12 +143,13 @@ def test_order_multiplicativity(data):
     a = data.draw(monomials(r))
     b = data.draw(monomials(r))
     c = data.draw(monomials(r))
-    for order in (GREVLEX, GRLEX):
-        s = order.cmp(a, b)
-        shifted = order.cmp(tuple(x + z for x, z in zip(a, c)),
-                            tuple(y + z for y, z in zip(b, c)))
-        assert s == shifted
-        assert order.cmp(a, b) == -order.cmp(b, a)
+    ac = tuple(x + z for x, z in zip(a, c))
+    bc = tuple(y + z for y, z in zip(b, c))
+    for key in (GREVLEX.key, GRLEX.key):
+        # the larger monomial has the smaller key, before and after the shift
+        assert ((key(a) < key(b), key(a) == key(b))
+                == (key(ac) < key(bc), key(ac) == key(bc)))
+        assert (key(a) == key(b)) == (a == b)
 
 
 # ---------- division ----------
@@ -175,6 +177,124 @@ def test_divide_invariant(data):
             if lpos == pos:
                 assert any(m < l for m, l in zip(mono, lmono)), \
                     "remainder term divisible by a leading term"
+
+
+# A reference for division, written from the definitions: comparators
+# returning 1 when the first term is the larger, a rescan of the work terms
+# for the largest, and the first dividing lead term in list order.
+
+def _ref_grevlex(a, b):
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def _ref_grlex(a, b):
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def _ref_position_over_term(base):
+    def cmp(t1, t2):
+        (p1, m1), (p2, m2) = t1, t2
+        if p1 != p2:
+            return 1 if p1 < p2 else -1
+        return base(m1, m2)
+    return cmp
+
+
+def _ref_schreyer(prior, lead_terms):
+    def cmp(t1, t2):
+        (i, m1), (j, m2) = t1, t2
+        (pi, mi), (pj, mj) = lead_terms[i], lead_terms[j]
+        c = prior((pi, tuple(x + y for x, y in zip(m1, mi))),
+                  (pj, tuple(x + y for x, y in zip(m2, mj))))
+        if c or i == j:
+            return c
+        return 1 if i < j else -1
+    return cmp
+
+
+def _ref_largest(terms, cmp):
+    best = None
+    for t in terms:
+        if best is None or cmp(t, best) > 0:
+            best = t
+    return best
+
+
+def _ref_divide(f: dict, gens, cmp):
+    leads = [_ref_largest(g, cmp) for g in gens]
+    work, rem = dict(f), {}
+    quots = [dict() for _ in gens]
+    while work:
+        t = _ref_largest(work, cmp)
+        for k, lt in enumerate(leads):
+            if (lt is not None and lt[0] == t[0]
+                    and all(x <= y for x, y in zip(lt[1], t[1]))):
+                break
+        else:
+            rem[t] = work.pop(t)
+            continue
+        q = tuple(y - x for x, y in zip(lt[1], t[1]))
+        coeff = Fraction(work[t]) / gens[k][lt]
+        for (p, m), c in gens[k].items():
+            u = (p, tuple(x + y for x, y in zip(m, q)))
+            work[u] = work.get(u, 0) - coeff * c
+            if not work[u]:
+                del work[u]
+        quots[k][q] = quots[k].get(q, 0) + coeff
+        if not quots[k][q]:
+            del quots[k][q]
+    return leads, quots, rem
+
+
+@st.composite
+def division_cases(draw):
+    """(f, gens, order, reference comparator) under position-over-term
+    grevlex or grlex, or a Schreyer order over position-over-term grevlex,
+    with int or Fraction coefficients and a zero generator somewhere."""
+    r = draw(st.integers(1, 3))
+    ring = RingSpec(r, 2)
+    rank = draw(st.integers(1, 3))
+    F = FreeModule(ring, (0,) * rank)
+    kind = draw(st.sampled_from(["grevlex", "grlex", "schreyer"]))
+    if kind == "schreyer":
+        leads = [(draw(st.integers(0, 1)), draw(monomials(r, 2)))
+                 for _ in range(rank)]
+        order = SchreyerOrder(PositionOverTerm(GREVLEX), leads)
+        cmp = _ref_schreyer(_ref_position_over_term(_ref_grevlex), leads)
+    else:
+        base, ref = {"grevlex": (GREVLEX, _ref_grevlex),
+                     "grlex": (GRLEX, _ref_grlex)}[kind]
+        order, cmp = PositionOverTerm(base), _ref_position_over_term(ref)
+    values = draw(st.sampled_from([
+        st.integers(-4, 4).filter(bool), coeffs]))
+    terms = st.dictionaries(st.tuples(st.integers(0, rank - 1), monomials(r, 2)),
+                            values, max_size=5)
+    gens = [ModuleElement(F, draw(terms)) for _ in range(draw(st.integers(1, 4)))]
+    gens.insert(draw(st.integers(0, len(gens))), F.zero())
+    f = ModuleElement(F, draw(terms.filter(bool)))
+    return f, gens, order, cmp
+
+
+@given(division_cases())
+@settings(max_examples=80)
+def test_divide_matches_the_reference(case):
+    f, gens, order, cmp = case
+    leads, ref_quots, ref_rem = _ref_divide(f.terms, [g.terms for g in gens], cmp)
+    quots, rem = divide(f, gens, order, want_quotients=True)
+    assert quots == ref_quots
+    assert rem.terms == ref_rem
+    for g, lt in zip(gens + [f], leads + [_ref_largest(f.terms, cmp)]):
+        assert g.leading_term(order) == (None if lt is None else (lt, g.terms[lt]))
 
 
 @given(st.data())
