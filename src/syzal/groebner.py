@@ -208,7 +208,22 @@ def _position_pure(e: ModuleElement) -> bool:
 
 def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
                ambient: Optional[FreeModule] = None) -> GroebnerBasis:
-    """Groebner basis of the submodule generated by homogeneous gens.
+    """Reduced Groebner basis of the submodule generated by homogeneous
+    gens: _complete, then _reduce_basis."""
+    gens = list(gens)
+    if ambient is None:
+        if not gens:
+            raise InputError("buchberger needs generators or an explicit ambient")
+        ambient = gens[0].module
+    return GroebnerBasis(ambient, _reduce_basis(_complete(gens, order, ambient),
+                                                order), order)
+
+
+def _complete(gens: Sequence[ModuleElement], order: ModuleOrder,
+              ambient: FreeModule) -> List[ModuleElement]:
+    """A monic, unreduced Groebner basis of the submodule of ambient
+    generated by homogeneous gens: the nonzero gens, then every nonzero
+    S-pair remainder in the order it was found.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. The coprimality criterion is
@@ -218,11 +233,6 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
     same-position leading term dividing lcm(LT_i, LT_j) and both pairs
     (i, k) and (j, k) have already left the queue.
     """
-    gens = list(gens)
-    if ambient is None:
-        if not gens:
-            raise InputError("buchberger needs generators or an explicit ambient")
-        ambient = gens[0].module
     d = ambient.ring.d
     basis: List[ModuleElement] = []
     pure: List[bool] = []
@@ -281,7 +291,7 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
             index.setdefault(pos, []).append((len(basis) - 1, m, c))
             push_pairs(len(basis) - 1)
 
-    return GroebnerBasis(ambient, _reduce_basis(basis, order), order)
+    return basis
 
 
 def verify_spairs(G: GroebnerBasis) -> bool:
@@ -333,11 +343,22 @@ def syzygies(G: GroebnerBasis) -> GradedMatrix:
 # ---------- elimination: kernels and lifts ----------
 
 def kernel(A: GradedMatrix) -> GroebnerBasis:
-    """Groebner basis of ker(A) inside A.source under position-over-term
-    grevlex. It is computed on the graph submodule {(A e_j, e_j)} of
-    A.target + A.source, target block stronger: the basis elements with
-    zero target block, shifted back, are a reduced basis of the kernel, and
-    shifting positions by a constant keeps their canonical order."""
+    """Reduced Groebner basis of ker(A) inside A.source under
+    position-over-term grevlex, by elimination on the graph submodule
+    {(A e_j, e_j)} of A.target + A.source, target block stronger
+    (Eisenbud, Commutative Algebra, 15.10).
+
+    The graph basis is completed, but only its kernel block is
+    interreduced. Every target position ranks above every source position,
+    so an element whose leading term sits at a source position has no
+    target terms, and the completed elements with source leading terms are
+    a Groebner basis of the kernel. No other element takes part in their
+    interreduction: a target leading term never divides a source term, so
+    it neither removes one of them as non-minimal nor reduces one of their
+    tails. Reducing them alone therefore gives the kernel part of the
+    reduced graph basis, which is unique. Shifting positions back by a
+    constant keeps both the order and the canonical element order.
+    """
     target, source = A.target, A.source
     split = target.rank
     big = FreeModule(target.ring, target.degrees + source.degrees)
@@ -347,12 +368,11 @@ def kernel(A: GradedMatrix) -> GroebnerBasis:
         terms = dict(col.terms)
         terms[(split + j, one)] = 1
         pairs.append(ModuleElement(big, terms))
-    graph = buchberger(pairs, ambient=big)
     elems = [ModuleElement(source, {(pos - split, m): c
                                     for (pos, m), c in e.terms.items()})
-             for e in graph.elements
-             if all(pos >= split for (pos, _m) in e.terms)]
-    return GroebnerBasis(source, elems)
+             for e in _complete(pairs, POT_GREVLEX, big)
+             if e.leading_term(POT_GREVLEX)[0][0] >= split]
+    return GroebnerBasis(source, _reduce_basis(elems, POT_GREVLEX))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,

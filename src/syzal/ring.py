@@ -6,6 +6,7 @@ Fraction when it is not. All arithmetic is exact; no floating point anywhere.
 """
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -58,7 +59,7 @@ def mono_deg(a):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a, b):
@@ -80,7 +81,9 @@ def mono_div(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    # a list is built faster than a generator feeds tuple(), and faster
+    # than map(max, a, b)
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def mono_coprime(a, b):

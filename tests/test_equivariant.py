@@ -356,31 +356,40 @@ def test_ab_report_of_shifted_input_keeps_positions():
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """Counts Buchberger completions and divisions: kernels and relation
-    bases are the only Buchberger callers, every submodule is presented from
-    the basis they return, and all engine division goes through
-    groebner.divide. Returns {"buchberger": n, "divide": n}."""
+    """Counts Buchberger completions and divisions. Every completion, of a
+    relation basis by buchberger or of a graph by kernel, runs the one
+    helper groebner._complete; every submodule is presented from the basis
+    they return, and all engine division goes through groebner.divide.
+    Returns {"completions": n, "divide": n}."""
     import syzal.groebner as groebner
-    import syzal.resolution as resolution
-    runs = {"buchberger": 0, "divide": 0}
+    runs = {"completions": 0, "divide": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
             runs[name] += 1
             return original(*args, **kwargs)
         return counted
-    buchberger = counting("buchberger", groebner.buchberger)
-    monkeypatch.setattr(groebner, "buchberger", buchberger)
-    monkeypatch.setattr(resolution, "buchberger", buchberger)
+    monkeypatch.setattr(groebner, "_complete",
+                        counting("completions", groebner._complete))
     monkeypatch.setattr(groebner, "divide", counting("divide", groebner.divide))
     return runs
 
 
 def test_ab_report_buchberger_runs(buchberger_runs):
     ab_report(toric_hht(4), toric_ht(4))
-    assert buchberger_runs == {"buchberger": 15, "divide": 420}
+    assert buchberger_runs == {"completions": 15, "divide": 365}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
     fingerprint(gkm_module(hypercube_graph(4)))
-    assert buchberger_runs == {"buchberger": 1, "divide": 98}
+    assert buchberger_runs == {"completions": 1, "divide": 49}
+
+
+def test_ab_report_buchberger_runs_r6(buchberger_runs):
+    ab_report(toric_hht(6), toric_ht(6))
+    assert buchberger_runs == {"completions": 19, "divide": 2035}
+
+
+def test_gkm_module_buchberger_runs_r6(buchberger_runs):
+    fingerprint(gkm_module(hypercube_graph(6)))
+    assert buchberger_runs == {"completions": 1, "divide": 257}

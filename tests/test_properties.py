@@ -392,6 +392,53 @@ def test_subquotient_dimensions_match_the_oracle(data):
 
 # ---------- kernels and syzygies ----------
 
+@st.composite
+def graded_maps(draw):
+    """A degree-0 map over r = 0..3 variables with int or Fraction entries:
+    constant entries where a source and a target degree meet (so the map
+    need not be minimal), zero columns, and the zero map."""
+    ring = RingSpec(draw(st.integers(0, 3)), 2)
+    F0 = FreeModule(ring, draw(st.lists(st.sampled_from([0, 2]),
+                                        min_size=1, max_size=3)))
+    degrees = draw(st.lists(st.sampled_from([0, 2, 4]), min_size=1, max_size=4))
+    values = draw(st.sampled_from([st.sampled_from([1, -1, 2, -3]), coeffs]))
+    zero = draw(st.integers(0, 4)) == 0
+    cols = []
+    for c in degrees:
+        terms = {}
+        if not zero and draw(st.integers(0, 3)):
+            for i, g in enumerate(F0.degrees):
+                basis = list(ring.monomials_of_degree(c - g))
+                if basis:
+                    for m in draw(st.lists(st.sampled_from(basis), max_size=2,
+                                           unique=True)):
+                        terms[(i, m)] = draw(values)
+        cols.append(ModuleElement(F0, terms))
+    return GradedMatrix.from_columns(F0, cols, degrees)
+
+
+def _graph_route_kernel(A):
+    """ker(A) by a reduced Groebner basis of the whole graph
+    {(A e_j, e_j)}: its elements with zero target block, shifted back."""
+    split = A.target.rank
+    big = FreeModule(A.target.ring, A.target.degrees + A.source.degrees)
+    one = A.target.ring.one_monomial()
+    graph = buchberger([ModuleElement(big, {**col.terms, (split + j, one): 1})
+                        for j, col in enumerate(A.columns())], ambient=big)
+    return [{(pos - split, m): c for (pos, m), c in e.terms.items()}
+            for e in graph.elements if all(pos >= split for pos, _m in e.terms)]
+
+
+@given(graded_maps())
+@settings(max_examples=80)
+def test_kernel_matches_the_whole_graph_route(A):
+    K = kernel(A)
+    assert [e.terms for e in K.elements] == _graph_route_kernel(A)
+    for elem in K.elements:
+        assert A.apply(elem).is_zero()
+    assert verify_spairs(K)
+
+
 @given(monomial_presentations())
 @settings(max_examples=20)
 def test_kernel_elements_map_to_zero(M):
