@@ -98,7 +98,6 @@ from syzal.equivariant import (
     toric_hht,
     toric_u,
     toric_v,
-    toric_v_expanded,
 )
 from syzal.oracle import (
     OracleConfig,

@@ -53,6 +53,7 @@ from syzal.oracle import (
     default_window,
     ext_dims,
     module_dims,
+    parse_window,
     resolution_is_exact,
 )
 from syzal.resolution import koszul_complex, minimize, relation_basis, resolve
@@ -288,14 +289,8 @@ def run_gkm(args, M: ModulePresentation, graph) -> Output:
 
 
 def run_oracle(args, M: ModulePresentation) -> Output:
-    if args.window:
-        try:
-            lo_s, hi_s = args.window.split(":")
-            config = OracleConfig(int(lo_s), int(hi_s))
-        except ValueError:
-            raise InputError(f"--window must be lo:hi, got {args.window!r}")
-    else:
-        config = OracleConfig(*default_window(M))
+    config = (parse_window(args.window, "--window") if args.window
+              else OracleConfig(*default_window(M)))
     dims = sorted(module_dims(M, config).items())
     if args.check:
         hs = hilbert_series(M)

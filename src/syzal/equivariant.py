@@ -21,7 +21,7 @@ from syzal.homalg import (
     subquotient_presentation,
     syzygy_order,
 )
-from syzal.groebner import GroebnerBasis, kernel
+from syzal.groebner import kernel
 from syzal.modfree import (
     FreeModule,
     GradedMatrix,
@@ -69,33 +69,6 @@ def toric_v(ring: RingSpec) -> ModuleElement:
         mono = tuple(0 if i + 1 in S else 1 for i in range(r))
         sign = 1 if (r - len(S)) % 2 == 0 else -1
         terms[(pos, mono)] = sign
-    return ModuleElement(F, terms)
-
-
-def toric_v_expanded(ring: RingSpec) -> ModuleElement:
-    """Brute-force expansion of prod_i (u_i - t_i) by distributivity,
-    reducing with u_i^2 = t_i u_i (so u_S u_T = (prod_{S cap T} t_i)
-    u_{S cup T}); used to cross-check toric_v."""
-    r = ring.r
-    acc = {(): Polynomial.one(ring)}
-    for i in range(1, r + 1):
-        factor = {(i,): Polynomial.one(ring),
-                  (): ring.variable(i - 1).scale(-1)}
-        nxt: dict = {}
-        for S, p in acc.items():
-            for T, q in factor.items():
-                overlap = set(S) & set(T)
-                mono = tuple(1 if k + 1 in overlap else 0 for k in range(r))
-                union = tuple(sorted(set(S) | set(T)))
-                prod = (p * q) * Polynomial.term(ring, mono)
-                nxt[union] = nxt.get(union, Polynomial.zero(ring)) + prod
-        acc = nxt
-    F = toric_ambient(ring)
-    index = {S: i for i, S in enumerate(_all_subsets(r))}
-    terms = {}
-    for S, p in acc.items():
-        for mono, c in p.terms.items():
-            terms[(index[S], mono)] = c
     return ModuleElement(F, terms)
 
 
@@ -281,35 +254,25 @@ def hypercube_graph(r: int) -> GkmGraph:
 
 def gkm_module(g: GkmGraph, ring: Optional[RingSpec] = None) -> ModulePresentation:
     """Congruence kernel {(f_v) : f_u = f_v mod (alpha_e) for all edges}:
-    the projection to the f-block of the kernel of
-    (f, g) -> (f_u - f_v - alpha_e g_e)."""
+    {f : D f in im W} for the difference map D f = (f_u - f_v)_e and the
+    weight map W h = (alpha_e h_e)_e."""
     if ring is None:
         ring = g.ring
     elif ring != g.ring:
         raise InputError("GKM graph was parsed over a different ring")
     nv, ne = len(g.vertices), len(g.edges)
-    FV = FreeModule(ring, (0,) * nv)
-    source = FreeModule(ring, (0,) * nv + (ring.d,) * ne)
     FE = FreeModule(ring, (0,) * ne)
     one = ring.one_monomial()
     columns = [dict() for _ in range(nv)]
+    weights = []
     for row, (u, v, w) in enumerate(g.edges):
         columns[g.vertex_index(u)][(row, one)] = 1
         columns[g.vertex_index(v)][(row, one)] = -1
-    columns += [{(row, m): -c for m, c in w.terms.items()}
-                for row, (_u, _v, w) in enumerate(g.edges)]
-    A = GradedMatrix.from_columns(
-        FE, [ModuleElement(FE, terms) for terms in columns], source.degrees)
-    # The vertex block is the stronger one under position-over-term, so the
-    # nonzero vertex blocks of a Groebner basis of the kernel are a Groebner
-    # basis of their span. The projection is injective on the kernel
-    # (alpha_e * g_e = 0 forces g_e = 0), so no basis element is dropped and
-    # the presentation is of the kernel itself.
-    K = kernel(A)
-    gens = [ModuleElement(FV, {(pos, m): c for (pos, m), c in elem.terms.items()
-                               if pos < nv})
-            for elem in K.elements]
-    return subquotient_presentation(GroebnerBasis(FV, gens, K.order))
+        weights.append(ModuleElement(FE, {(row, m): c for m, c in w.terms.items()}))
+    D = GradedMatrix.from_columns(
+        FE, [ModuleElement(FE, terms) for terms in columns], (0,) * nv)
+    W = GradedMatrix.from_columns(FE, weights, (ring.d,) * ne)
+    return subquotient_presentation(kernel(D, modulo=W))
 
 
 # ---------- Atiyah-Bredon report ----------

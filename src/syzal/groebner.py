@@ -1,8 +1,8 @@
 """Groebner bases for submodules of graded free modules.
 
 Division with remainder, Buchberger completion (homogeneous input only,
-normal selection strategy), Schreyer syzygies, kernels of graded maps via
-elimination on the graph submodule {(A e_j, e_j)}, and lifts by division.
+normal selection strategy), Schreyer syzygies, kernels and preimages of
+graded maps by elimination on a graph submodule, and lifts by division.
 """
 from __future__ import annotations
 
@@ -342,11 +342,15 @@ def syzygies(G: GroebnerBasis) -> GradedMatrix:
 
 # ---------- elimination: kernels and lifts ----------
 
-def kernel(A: GradedMatrix) -> GroebnerBasis:
+def kernel(A: GradedMatrix,
+           modulo: Optional[GradedMatrix] = None) -> GroebnerBasis:
     """Reduced Groebner basis of ker(A) inside A.source under
-    position-over-term grevlex, by elimination on the graph submodule
-    {(A e_j, e_j)} of A.target + A.source, target block stronger
-    (Eisenbud, Commutative Algebra, 15.10).
+    position-over-term grevlex; with modulo = B, of the preimage
+    {x in A.source : A x in im B}, the kernel of A followed by
+    A.target -> coker B (InputError unless B.target is A.target). By
+    elimination on the graph submodule of A.target + A.source generated by
+    the (A e_j, e_j) and the (B e_k, 0), target block stronger (Eisenbud,
+    Commutative Algebra, 15.10).
 
     The graph basis is completed, but only its kernel block is
     interreduced. Every target position ranks above every source position,
@@ -360,6 +364,8 @@ def kernel(A: GradedMatrix) -> GroebnerBasis:
     constant keeps both the order and the canonical element order.
     """
     target, source = A.target, A.source
+    if modulo is not None and modulo.target != target:
+        raise InputError("kernel: modulo map has another target")
     split = target.rank
     big = FreeModule(target.ring, target.degrees + source.degrees)
     one = target.ring.one_monomial()
@@ -368,6 +374,8 @@ def kernel(A: GradedMatrix) -> GroebnerBasis:
         terms = dict(col.terms)
         terms[(split + j, one)] = 1
         pairs.append(ModuleElement(big, terms))
+    if modulo is not None:
+        pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
     elems = [ModuleElement(source, {(pos - split, m): c
                                     for (pos, m), c in e.terms.items()})
              for e in _complete(pairs, POT_GREVLEX, big)

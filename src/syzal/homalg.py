@@ -305,20 +305,8 @@ def biduality(M: ModulePresentation) -> BidualityResult:
             L_cols.append(expr)
         L = GradedMatrix.from_columns(D2.F0, L_cols, list(M.F0.degrees))
         # kernel of the induced map: {v : L v in im(D2.relations)} / im(relations)
-        stacked = GradedMatrix.from_columns(  # block matrix [L | -B]
-            D2.F0, L.columns() + [-v for v in D2.relations.columns()],
-            M.F0.degrees + D2.F1.degrees)
-        # the F0 block is the stronger one, so the nonzero F0 parts of a
-        # Groebner basis of the kernel are a Groebner basis of their span
-        upstairs = []
-        for v in kernel(stacked).elements:
-            proj = ModuleElement(
-                M.F0, {(pos, m): c for (pos, m), c in v.terms.items()
-                       if pos < M.F0.rank})
-            if not proj.is_zero():
-                upstairs.append(proj)
         ker_pres = minimize_presentation(subquotient_presentation(
-            GroebnerBasis(M.F0, upstairs), M.relations.columns()))
+            kernel(L, modulo=D2.relations), M.relations.columns()))
         # cokernel: M** modulo the image of L and the relations of M**
         cok_cols = list(L.columns()) + list(D2.relations.columns())
         kept = [c for c in cok_cols if not c.is_zero()]

@@ -48,19 +48,25 @@ class OracleConfig:
         return f"OracleConfig({self.lo}:{self.hi})"
 
 
+def parse_window(text: str, source: str) -> OracleConfig:
+    """The window that text spells as lo:hi; source names where text came
+    from, for the error message."""
+    try:
+        lo_s, hi_s = text.split(":")
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise InputError(f"{source} must be lo:hi, got {text!r}")
+    return OracleConfig(lo, hi)
+
+
 def default_window(M: ModulePresentation) -> Tuple[int, int]:
     """Window from SYZAL_ORACLE_WINDOW=lo:hi if set, else from the
     presentation: starts at the lowest generator, reaches past every
     relation degree. Either way within the window budget."""
     env = os.environ.get("SYZAL_ORACLE_WINDOW")
     if env:
-        try:
-            lo_s, hi_s = env.split(":")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise InputError(f"SYZAL_ORACLE_WINDOW must be lo:hi, got {env!r}")
-        if lo > hi:
-            raise InputError(f"oracle window {env!r} is inverted")
+        config = parse_window(env, "SYZAL_ORACLE_WINDOW")
+        lo, hi = config.lo, config.hi
     else:
         d = M.ring.d
         lo = min(M.F0.degrees, default=0)

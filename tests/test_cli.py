@@ -218,6 +218,21 @@ def test_oracle_env_window(m_pres):
     assert json.loads(out)["window"] == [0, 2]
 
 
+@pytest.mark.parametrize("window, message", [
+    ("0-6", "must be lo:hi"), ("0:x", "must be lo:hi"),
+    ("0:2:4", "must be lo:hi"), ("9:1", "is inverted")])
+def test_oracle_malformed_window(m_pres, monkeypatch, capsys, window, message):
+    # one parser reads --window and SYZAL_ORACLE_WINDOW: both exit 2
+    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
+    assert cli.main(["oracle", "--file", m_pres, "--window", window]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", window)
+    assert cli.main(["oracle", "--file", m_pres]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def _one_variable_presentation(tmp_path, gens):
     """gens generators of degree 0 over Q[t1] and the relation t1*e_1, so
     every degree-q piece of F0 has gens basis elements."""

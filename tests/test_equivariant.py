@@ -3,10 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzal import (
+    FreeModule,
     GkmGraph,
+    GradedMatrix,
+    GroebnerBasis,
     InputError,
+    ModuleElement,
+    Polynomial,
     RingSpec,
     ab_report,
     direct_sum,
@@ -17,6 +23,7 @@ from syzal import (
     homogeneous_space,
     hypercube_graph,
     is_zero_module,
+    kernel,
     maximal_ideal,
     mutant_hht,
     mutant_ht,
@@ -25,6 +32,7 @@ from syzal import (
     residue_field,
     ring_module,
     shift,
+    subquotient_presentation,
     syzygy_order,
     toric_ext_expected,
     toric_hht,
@@ -32,11 +40,38 @@ from syzal import (
     toric_ht_expected,
     toric_u,
     toric_v,
-    toric_v_expanded,
 )
+from syzal.equivariant import _all_subsets
 
 
 # ---------- toric fixture ----------
+
+def toric_v_expanded(ring: RingSpec) -> ModuleElement:
+    """Brute-force expansion of prod_i (u_i - t_i) by distributivity,
+    reducing with u_i^2 = t_i u_i (so u_S u_T = (prod_{S cap T} t_i)
+    u_{S cup T}); the reference for toric_v's closed form."""
+    r = ring.r
+    acc = {(): Polynomial.one(ring)}
+    for i in range(1, r + 1):
+        factor = {(i,): Polynomial.one(ring),
+                  (): ring.variable(i - 1).scale(-1)}
+        nxt: dict = {}
+        for S, p in acc.items():
+            for T, q in factor.items():
+                overlap = set(S) & set(T)
+                mono = tuple(1 if k + 1 in overlap else 0 for k in range(r))
+                union = tuple(sorted(set(S) | set(T)))
+                prod = (p * q) * Polynomial.term(ring, mono)
+                nxt[union] = nxt.get(union, Polynomial.zero(ring)) + prod
+        acc = nxt
+    F = toric_u(ring).module
+    index = {S: i for i, S in enumerate(_all_subsets(r))}
+    terms = {}
+    for S, p in acc.items():
+        for mono, c in p.terms.items():
+            terms[(index[S], mono)] = c
+    return ModuleElement(F, terms)
+
 
 def test_toric_v_closed_form_matches_expansion():
     for r in (1, 2, 3):
@@ -280,6 +315,62 @@ def test_parse_gkm_errors():
         parse_gkm("vertex a\nvertex b\nedge a b 0", ring)
     with pytest.raises(InputError):
         parse_gkm("vertex a b", ring)
+
+
+def _stacked_gkm_module(g):
+    """The congruence module by the kernel of the stacked map
+    (f, h) -> (f_u - f_v - alpha_e h_e) on FV + FE[d], projected to the
+    vertex block FV: the reference for gkm_module's preimage route."""
+    ring = g.ring
+    nv, ne = len(g.vertices), len(g.edges)
+    FV = FreeModule(ring, (0,) * nv)
+    FE = FreeModule(ring, (0,) * ne)
+    one = ring.one_monomial()
+    columns = [dict() for _ in range(nv)]
+    for row, (u, v, w) in enumerate(g.edges):
+        columns[g.vertex_index(u)][(row, one)] = 1
+        columns[g.vertex_index(v)][(row, one)] = -1
+    columns += [{(row, m): -c for m, c in w.terms.items()}
+                for row, (_u, _v, w) in enumerate(g.edges)]
+    A = GradedMatrix.from_columns(
+        FE, [ModuleElement(FE, terms) for terms in columns],
+        (0,) * nv + (ring.d,) * ne)
+    K = kernel(A)
+    gens = [ModuleElement(FV, {(pos, m): c for (pos, m), c in e.terms.items()
+                               if pos < nv})
+            for e in K.elements]
+    return subquotient_presentation(GroebnerBasis(FV, gens, K.order))
+
+
+@st.composite
+def gkm_texts(draw):
+    """(graph text, ring) for r = 1..3: up to four joined vertices and one
+    isolated vertex, edges with repeats (parallel edges) and linear forms
+    such as 2*t1 - t3 as weights."""
+    r = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    lines = [f"vertex {name}" for name in names + ["lone"]]
+    for _ in range(draw(st.integers(0, 5) if len(names) > 1 else st.just(0))):
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                             unique=True))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+                      .filter(any))
+        form = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*t{i + 1}"
+                        for i, c in enumerate(coeffs) if c)
+        lines.append(f"edge {u} {v} {form.removeprefix('+ ')}")
+    return "\n".join(lines), RingSpec(r, 2)
+
+
+@given(gkm_texts())
+@settings(max_examples=60)
+def test_gkm_module_matches_the_stacked_route(case):
+    text, ring = case
+    g = parse_gkm(text, ring)
+    M, ref = gkm_module(g), _stacked_gkm_module(g)
+    assert ([c.terms for c in M.embedding.columns()]
+            == [c.terms for c in ref.embedding.columns()])
+    assert ([c.terms for c in M.relations.columns()]
+            == [c.terms for c in ref.relations.columns()])
 
 
 def test_gkm_module_ring_mismatch():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from syzal import (
@@ -9,6 +10,7 @@ from syzal import (
     GRLEX,
     FreeModule,
     GradedMatrix,
+    InputError,
     ModuleElement,
     ModulePresentation,
     OracleConfig,
@@ -394,27 +396,32 @@ def test_subquotient_dimensions_match_the_oracle(data):
 
 @st.composite
 def graded_maps(draw):
-    """A degree-0 map over r = 0..3 variables with int or Fraction entries:
-    constant entries where a source and a target degree meet (so the map
-    need not be minimal), zero columns, and the zero map."""
+    """Degree-0 maps A and B into one target over r = 0..3 variables with
+    int or Fraction entries: constant entries where a source and a target
+    degree meet (so the map need not be minimal), zero columns, the zero
+    map, and a B with no columns."""
     ring = RingSpec(draw(st.integers(0, 3)), 2)
     F0 = FreeModule(ring, draw(st.lists(st.sampled_from([0, 2]),
                                         min_size=1, max_size=3)))
-    degrees = draw(st.lists(st.sampled_from([0, 2, 4]), min_size=1, max_size=4))
     values = draw(st.sampled_from([st.sampled_from([1, -1, 2, -3]), coeffs]))
-    zero = draw(st.integers(0, 4)) == 0
-    cols = []
-    for c in degrees:
-        terms = {}
-        if not zero and draw(st.integers(0, 3)):
-            for i, g in enumerate(F0.degrees):
-                basis = list(ring.monomials_of_degree(c - g))
-                if basis:
-                    for m in draw(st.lists(st.sampled_from(basis), max_size=2,
-                                           unique=True)):
-                        terms[(i, m)] = draw(values)
-        cols.append(ModuleElement(F0, terms))
-    return GradedMatrix.from_columns(F0, cols, degrees)
+
+    def draw_map(min_size):
+        degrees = draw(st.lists(st.sampled_from([0, 2, 4]), min_size=min_size,
+                                max_size=4))
+        zero = draw(st.integers(0, 4)) == 0
+        cols = []
+        for c in degrees:
+            terms = {}
+            if not zero and draw(st.integers(0, 3)):
+                for i, g in enumerate(F0.degrees):
+                    basis = list(ring.monomials_of_degree(c - g))
+                    if basis:
+                        for m in draw(st.lists(st.sampled_from(basis),
+                                               max_size=2, unique=True)):
+                            terms[(i, m)] = draw(values)
+            cols.append(ModuleElement(F0, terms))
+        return GradedMatrix.from_columns(F0, cols, degrees)
+    return draw_map(1), draw_map(0)
 
 
 def _graph_route_kernel(A):
@@ -429,14 +436,71 @@ def _graph_route_kernel(A):
             for e in graph.elements if all(pos >= split for pos, _m in e.terms)]
 
 
+def _stacked_route_preimage(A, B):
+    """{x : A x in im B} by the kernel of the block matrix [A | -B],
+    projected to A's block, zero projections dropped."""
+    stacked = GradedMatrix.from_columns(
+        A.target, A.columns() + [-v for v in B.columns()],
+        A.source.degrees + B.source.degrees)
+    split = A.source.rank
+    out = []
+    for e in kernel(stacked).elements:
+        proj = {(pos, m): c for (pos, m), c in e.terms.items() if pos < split}
+        if proj:
+            out.append(proj)
+    return out
+
+
 @given(graded_maps())
 @settings(max_examples=80)
-def test_kernel_matches_the_whole_graph_route(A):
+def test_kernel_matches_the_whole_graph_route(maps):
+    A, _B = maps
     K = kernel(A)
     assert [e.terms for e in K.elements] == _graph_route_kernel(A)
     for elem in K.elements:
         assert A.apply(elem).is_zero()
     assert verify_spairs(K)
+
+
+@given(graded_maps())
+@settings(max_examples=80)
+def test_kernel_modulo_matches_the_stacked_route(maps):
+    A, B = maps
+    K = kernel(A, modulo=B)
+    assert [e.terms for e in K.elements] == _stacked_route_preimage(A, B)
+    image = buchberger(B.columns(), ambient=A.target)
+    for elem in K.elements:
+        assert normal_form(A.apply(elem), image).is_zero()
+    assert verify_spairs(K)
+    if all(col.is_zero() for col in B.columns()):
+        assert [e.terms for e in K.elements] == [e.terms for e in kernel(A).elements]
+
+
+def test_kernel_modulo_edge_cases():
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0, 0))
+    t1, t2 = ring.variable(0), ring.variable(1)
+    A = GradedMatrix.from_columns(F, [F.generator(0).poly_mul(t1),
+                                      F.generator(1).poly_mul(t2)], (2, 2))
+    no_columns = GradedMatrix.from_columns(F, [], ())
+    zero_column = GradedMatrix.from_columns(F, [ModuleElement(F, {})], (2,))
+    for B in (no_columns, zero_column):
+        assert ([e.terms for e in kernel(A, modulo=B).elements]
+                == [e.terms for e in kernel(A).elements])
+    # modulo the image of e_0 * t1 the first source generator is free
+    B = GradedMatrix.from_columns(F, [F.generator(0).poly_mul(t1)])
+    assert ([e.terms for e in kernel(A, modulo=B).elements]
+            == [{(0, (0, 0)): 1}])
+    # r = 0 with Fraction entries: A = (1/2), B = (3) fills the target
+    R0 = RingSpec(0, 2)
+    F1 = FreeModule(R0, (0,))
+    half = GradedMatrix.from_columns(F1, [ModuleElement(F1, {(0, ()): Fraction(1, 2)})])
+    three = GradedMatrix.from_columns(F1, [ModuleElement(F1, {(0, ()): 3})])
+    assert kernel(half).elements == ()
+    assert [e.terms for e in kernel(half, modulo=three).elements] == [{(0, ()): 1}]
+    with pytest.raises(InputError):
+        kernel(A, modulo=GradedMatrix.from_columns(
+            FreeModule(ring, (0,)), [], ()))
 
 
 @given(monomial_presentations())
