@@ -15,17 +15,15 @@ from syzal.errors import (
     ZeroModuleError,
 )
 from syzal.ring import (
-    GREVLEX,
-    GRLEX,
-    MonomialOrder,
     ORDERS,
     Polynomial,
-    PositionOverTerm,
     Rational,
     RingSpec,
-    SchreyerOrder,
     format_polynomial,
+    grevlex,
+    grlex,
     parse_polynomial,
+    schreyer_order,
 )
 from syzal.modfree import (
     FreeModule,
@@ -100,7 +98,6 @@ from syzal.equivariant import (
     toric_v,
 )
 from syzal.oracle import (
-    OracleConfig,
     default_window,
     ext_dims,
     free_dim,

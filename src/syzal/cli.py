@@ -49,7 +49,6 @@ from syzal.modfree import (
     residue_field,
 )
 from syzal.oracle import (
-    OracleConfig,
     default_window,
     ext_dims,
     module_dims,
@@ -57,7 +56,7 @@ from syzal.oracle import (
     resolution_is_exact,
 )
 from syzal.resolution import koszul_complex, minimize, relation_basis, resolve
-from syzal.ring import GREVLEX, ORDERS, MonomialOrder, RingSpec
+from syzal.ring import ORDERS, RingSpec, grevlex
 
 # The largest --r accepted. toric, homogeneous, gkm and koszul build 2^r
 # subsets; at r = 12 the toric and Koszul builds take about one second and
@@ -76,7 +75,7 @@ def _json_document(command: str, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _check_spairs(M: ModulePresentation, order: MonomialOrder) -> None:
+def _check_spairs(M: ModulePresentation, order) -> None:
     """The S-pair certificate of M's relation basis under order."""
     G = relation_basis(M, order)
     if G is not None and not verify_spairs(G):
@@ -90,7 +89,7 @@ def _run_checks(M: ModulePresentation) -> None:
         raise VerificationError("relation matrix is inhomogeneous")
     if M.embedding is not None and not check_homogeneous(M.embedding):
         raise VerificationError("embedding matrix is inhomogeneous")
-    _check_spairs(M, GREVLEX)
+    _check_spairs(M, grevlex)
     res = minimal_resolution(M)
     res.check()
     hs = hilbert_series(M)
@@ -167,7 +166,7 @@ def run_resolve(args, M: ModulePresentation) -> Output:
     order = ORDERS[args.order]
     # the shared checks have verified the default order's relation basis and
     # minimal resolution, and the Hilbert series against the oracle
-    if args.check and order is not GREVLEX:
+    if args.check and order is not grevlex:
         _check_spairs(M, order)
     if args.max_len is None:
         res = minimal_resolution(M, order)
@@ -289,16 +288,16 @@ def run_gkm(args, M: ModulePresentation, graph) -> Output:
 
 
 def run_oracle(args, M: ModulePresentation) -> Output:
-    config = (parse_window(args.window, "--window") if args.window
-              else OracleConfig(*default_window(M)))
-    dims = sorted(module_dims(M, config).items())
+    window = (parse_window(args.window, "--window") if args.window
+              else default_window(M))
+    dims = sorted(module_dims(M, window).items())
     if args.check:
         hs = hilbert_series(M)
         for q, dim in dims:
             if hs.coefficient(q) != dim:
                 raise VerificationError(
                     f"oracle and resolution disagree in degree {q}")
-    return (lambda: {"window": [config.lo, config.hi],
+    return (lambda: {"window": list(window),
                      "dims": [[q, dim] for q, dim in dims]},
             lambda: "\n".join(f"dim_{q} = {dim}" for q, dim in dims))
 

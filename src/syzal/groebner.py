@@ -12,10 +12,7 @@ from typing import List, Optional, Sequence
 from syzal.errors import InhomogeneousError, InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
 from syzal.ring import (
-    GREVLEX,
-    ModuleOrder,
-    PositionOverTerm,
-    SchreyerOrder,
+    grevlex,
     mono_coprime,
     mono_deg,
     mono_div,
@@ -23,13 +20,8 @@ from syzal.ring import (
     mono_lcm,
     mono_mul,
     qdiv,
+    schreyer_order,
 )
-
-
-# the order of kernel and the default of buchberger and GroebnerBasis; one
-# shared instance, because elements memoize their leading term per order
-# object
-POT_GREVLEX = PositionOverTerm(GREVLEX)
 
 
 class GroebnerBasis:
@@ -43,7 +35,7 @@ class GroebnerBasis:
     __slots__ = ("ambient", "elements", "order", "_lts", "_index")
 
     def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement],
-                 order: ModuleOrder = POT_GREVLEX):
+                 order=grevlex):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.order = order
@@ -75,7 +67,7 @@ def _lead_index(lts) -> dict:
     return index
 
 
-def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
+def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
            want_quotients: bool = False, *, index: Optional[dict] = None):
     """Deterministic division: scan gens in list order for the first leading
     term dividing the current work leading term. Returns (quotients, rem)
@@ -84,12 +76,11 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
     index, when given, is the _lead_index of gens under order."""
     if index is None:
         index = _lead_index([g.leading_term(order) for g in gens])
-    key = order.key
     work = dict(f.terms)
     # every term enters the heap when it enters work; a popped term that has
     # cancelled since is skipped, and no term enters twice after it is
     # popped, since each step only adds terms smaller than the one it removes
-    heap = [(key(t), t) for t in work]
+    heap = [(order(t), t) for t in work]
     heapq.heapify(heap)
     rem: dict = {}
     quots: Optional[List[dict]] = [dict() for _ in gens] if want_quotients else None
@@ -112,7 +103,7 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order: ModuleOrder,
             if u == t:
                 continue  # the leading term cancels exactly
             if u not in work:
-                heapq.heappush(heap, (key(u), u))
+                heapq.heappush(heap, (order(u), u))
             s = work.get(u, 0) - coeff * c2
             if s:
                 work[u] = s
@@ -137,7 +128,7 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
 
 # ---------- canonical element order ----------
 
-def _canonical_key(elem: ModuleElement, order: ModuleOrder):
+def _canonical_key(elem: ModuleElement, order):
     # position ascending, then leading exponent vector lexicographically
     # descending; this ordering also realizes the Hilbert-syzygy length
     # bound for iterated Schreyer syzygies.
@@ -145,7 +136,7 @@ def _canonical_key(elem: ModuleElement, order: ModuleOrder):
     return (pos, tuple(-e for e in m))
 
 
-def _reduce_basis(elements: Sequence[ModuleElement], order: ModuleOrder):
+def _reduce_basis(elements: Sequence[ModuleElement], order):
     """Interreduce a Groebner basis: minimal (no leading term divides
     another), tails fully reduced, monic, canonically sorted."""
     elems = [e.monic(order) for e in elements if not e.is_zero()]
@@ -206,7 +197,7 @@ def _position_pure(e: ModuleElement) -> bool:
     return len({pos for (pos, _m) in e.terms}) <= 1
 
 
-def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
+def buchberger(gens: Sequence[ModuleElement], order=grevlex,
                ambient: Optional[FreeModule] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by homogeneous
     gens: _complete, then _reduce_basis."""
@@ -219,7 +210,7 @@ def buchberger(gens: Sequence[ModuleElement], order: ModuleOrder = POT_GREVLEX,
                                                 order), order)
 
 
-def _complete(gens: Sequence[ModuleElement], order: ModuleOrder,
+def _complete(gens: Sequence[ModuleElement], order,
               ambient: FreeModule) -> List[ModuleElement]:
     """A monic, unreduced Groebner basis of the submodule of ambient
     generated by homogeneous gens: the nonzero gens, then every nonzero
@@ -261,9 +252,10 @@ def _complete(gens: Sequence[ModuleElement], order: ModuleOrder,
 
     def chain_skips(i: int, j: int, p: int, lcm) -> bool:
         for k, mk, _c in index[p]:
-            if (k != i and k != j and mono_divides(mk, lcm)
+            if (k != i and k != j
                     and (min(i, k), max(i, k)) in done
-                    and (min(j, k), max(j, k)) in done):
+                    and (min(j, k), max(j, k)) in done
+                    and mono_divides(mk, lcm)):
                 return True
         return False
 
@@ -313,7 +305,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     ring = G.ambient.ring
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
-    sorder = SchreyerOrder(G.order, [lt[0] for lt in G.lead_terms()])
+    sorder = schreyer_order(G.order, [lt[0] for lt in G.lead_terms()])
     sygens: List[ModuleElement] = []
     for i, j, ai, aj, s in _s_pairs(G):
         quots, rem = divide(s, G.elements, G.order, want_quotients=True,
@@ -378,9 +370,9 @@ def kernel(A: GradedMatrix,
         pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
     elems = [ModuleElement(source, {(pos - split, m): c
                                     for (pos, m), c in e.terms.items()})
-             for e in _complete(pairs, POT_GREVLEX, big)
-             if e.leading_term(POT_GREVLEX)[0][0] >= split]
-    return GroebnerBasis(source, _reduce_basis(elems, POT_GREVLEX))
+             for e in _complete(pairs, grevlex, big)
+             if e.leading_term(grevlex)[0][0] >= split]
+    return GroebnerBasis(source, _reduce_basis(elems, grevlex))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,

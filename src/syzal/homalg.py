@@ -26,7 +26,7 @@ from syzal.resolution import (
     minimize_presentation,
     resolve,
 )
-from syzal.ring import GREVLEX, MonomialOrder, RingSpec
+from syzal.ring import RingSpec, grevlex
 
 
 # ---------- Hilbert series ----------
@@ -139,9 +139,9 @@ class HilbertSeries:
 
 
 def minimal_resolution(M: ModulePresentation,
-                       order: MonomialOrder = GREVLEX) -> FreeResolution:
+                       order=grevlex) -> FreeResolution:
     """Minimized resolution of length <= max(r, 1), cached on the
-    presentation per monomial order."""
+    presentation per term order."""
     return M.cached(("minres", order), lambda: minimize(resolve(M, order=order)))
 
 

@@ -15,7 +15,6 @@ from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
 from syzal.ring import (
-    ModuleOrder,
     Polynomial,
     RingSpec,
     format_polynomial,
@@ -148,20 +147,20 @@ class ModuleElement:
             out = out + self.term_mul(m, c)
         return out
 
-    def leading_term(self, order: ModuleOrder):
+    def leading_term(self, order):
         """((position, monomial), coefficient) of the order-largest term,
         memoized for the last order asked (compared by identity)."""
         if self._lt_order is order:
             return self._lt
         lt = None
         if self.terms:
-            best = min(self.terms, key=order.key)
+            best = min(self.terms, key=order)
             lt = (best, self.terms[best])
         self._lt_order = order
         self._lt = lt
         return lt
 
-    def monic(self, order: ModuleOrder) -> "ModuleElement":
+    def monic(self, order) -> "ModuleElement":
         lt = self.leading_term(order)
         if lt is None or lt[1] == 1:
             return self

@@ -14,6 +14,7 @@ raises InputError.
 from __future__ import annotations
 
 import os
+import re
 from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,30 +34,17 @@ MAX_BASIS = 2000
 MAX_WORK = 100_000
 
 
-class OracleConfig:
-    """Degree window for oracle runs."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        if lo > hi:
-            raise InputError(f"oracle window {lo}:{hi} is inverted")
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self):
-        return f"OracleConfig({self.lo}:{self.hi})"
-
-
-def parse_window(text: str, source: str) -> OracleConfig:
-    """The window that text spells as lo:hi; source names where text came
-    from, for the error message."""
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise InputError(f"{source} must be lo:hi, got {text!r}")
-    return OracleConfig(lo, hi)
+def parse_window(text: str, source: str) -> Tuple[int, int]:
+    """The window (lo, hi) that text spells as lo:hi, each side ASCII
+    digits with an optional leading '-'; source names where text came from,
+    for the error message."""
+    match = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", text)
+    if match:
+        try:
+            return int(match[1]), int(match[2])
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"{source} must be lo:hi, got {text!r}")
 
 
 def default_window(M: ModulePresentation) -> Tuple[int, int]:
@@ -65,8 +53,7 @@ def default_window(M: ModulePresentation) -> Tuple[int, int]:
     relation degree. Either way within the window budget."""
     env = os.environ.get("SYZAL_ORACLE_WINDOW")
     if env:
-        config = parse_window(env, "SYZAL_ORACLE_WINDOW")
-        lo, hi = config.lo, config.hi
+        lo, hi = parse_window(env, "SYZAL_ORACLE_WINDOW")
     else:
         d = M.ring.d
         lo = min(M.F0.degrees, default=0)
@@ -78,6 +65,8 @@ def default_window(M: ModulePresentation) -> Tuple[int, int]:
 
 def _window(lo: int, hi: int) -> range:
     """The degrees lo..hi, within the oracle's window budget."""
+    if lo > hi:
+        raise InputError(f"oracle window {lo}:{hi} is inverted")
     if hi - lo + 1 > MAX_WINDOW:
         raise InputError(f"oracle window {lo}:{hi} spans more than "
                          f"{MAX_WINDOW} degrees")
@@ -176,13 +165,10 @@ def kernel_dim(A: GradedMatrix, q: int) -> int:
 
 
 def module_dims(M: ModulePresentation,
-                config: Optional[OracleConfig] = None) -> Dict[int, int]:
+                window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
     """dim_k M_q = dim (F0)_q - rank of the degree-q relation block, for
-    each q in the window."""
-    if config is None:
-        lo, hi = default_window(M)
-    else:
-        lo, hi = config.lo, config.hi
+    each q in the window (lo, hi), by default default_window(M)."""
+    lo, hi = default_window(M) if window is None else window
     return {q: free_dim(M.F0, q) - map_rank(M.relations, q)
             for q in _window(lo, hi)}
 

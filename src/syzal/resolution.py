@@ -26,10 +26,8 @@ from syzal.modfree import (
     zero_module,
 )
 from syzal.ring import (
-    GREVLEX,
-    MonomialOrder,
-    PositionOverTerm,
     RingSpec,
+    grevlex,
     mono_deg,
     mono_mul,
     qdiv,
@@ -84,20 +82,20 @@ def _has_same_position_pair(G: GroebnerBasis) -> bool:
 
 
 def relation_basis(M: ModulePresentation,
-                   order: MonomialOrder = GREVLEX) -> Optional[GroebnerBasis]:
-    """Groebner basis of the nonzero relation columns of M under order
-    (position over term), None if there are none. Cached on M per order:
-    resolve and the --check S-pair certificate share it."""
+                   order=grevlex) -> Optional[GroebnerBasis]:
+    """Groebner basis of the nonzero relation columns of M under order,
+    None if there are none. Cached on M per order: resolve and the --check
+    S-pair certificate share it."""
     def build():
         cols = [c for c in M.relations.columns() if not c.is_zero()]
         if not cols:
             return None
-        return buchberger(cols, PositionOverTerm(order), ambient=M.F0)
+        return buchberger(cols, order, ambient=M.F0)
     return M.cached(("relation_basis", order), build)
 
 
 def resolve(M: ModulePresentation, max_len: Optional[int] = None,
-            order: Optional[MonomialOrder] = None) -> FreeResolution:
+            order=grevlex) -> FreeResolution:
     """Free resolution of M of length at most max_len via Schreyer iteration.
 
     truncated is set when the kernel at the cut-off is nonzero. The default
@@ -112,7 +110,7 @@ def resolve(M: ModulePresentation, max_len: Optional[int] = None,
     if M.relations.is_zero() or max_len == 0:
         return FreeResolution(M.ring, M, [M.F0], [], minimal=True,
                               truncated=not M.relations.is_zero())
-    G = relation_basis(M, order if order is not None else GREVLEX)
+    G = relation_basis(M, order)
     maps = [GradedMatrix.from_columns(M.F0, G.elements)]
     while len(maps) < max_len and _has_same_position_pair(G):
         G = schreyer_basis(G)

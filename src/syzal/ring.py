@@ -93,21 +93,6 @@ def mono_coprime(a, b):
     return True
 
 
-# A term order is a sort key: the larger monomial gets the smaller key, so
-# min(terms, key=...) is the leading term and a heap pops it first.
-
-def grevlex_key(m):
-    """Graded reverse lexicographic: higher degree first, then the monomial
-    whose last differing exponent is smaller."""
-    return (-sum(m), m[::-1])
-
-
-def grlex_key(m):
-    """Graded lexicographic: higher degree first, then the monomial whose
-    first differing exponent is larger."""
-    return (-sum(m), tuple(-e for e in m))
-
-
 # ---------- rings ----------
 
 def _is_variable_name(name) -> bool:
@@ -279,69 +264,41 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
-# ---------- monomial orders ----------
+# ---------- term orders ----------
+# A term order is a sort key on module terms (position, monomial): the
+# larger term gets the smaller key, so min(terms, key=order) is the leading
+# term and a heap pops it first.
 
-class MonomialOrder:
-    """Total multiplicative well-order on ring monomials, given by its sort
-    key."""
-
-    __slots__ = ("name", "key")
-
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name})"
+def grevlex(t):
+    """Position over graded reverse lexicographic: the smaller position
+    first, then higher degree, then the monomial whose last differing
+    exponent is smaller."""
+    pos, m = t
+    return (pos, -sum(m), m[::-1])
 
 
-GREVLEX = MonomialOrder("grevlex", grevlex_key)
-GRLEX = MonomialOrder("grlex", grlex_key)
-
-ORDERS = {"grevlex": GREVLEX, "grlex": GRLEX}
-
-
-class ModuleOrder:
-    """Order on module terms (position, monomial), given by a sort key that
-    is smaller for the larger term."""
-
-    def key(self, t):
-        raise NotImplementedError
+def grlex(t):
+    """Position over graded lexicographic: the smaller position first, then
+    higher degree, then the monomial whose first differing exponent is
+    larger."""
+    pos, m = t
+    return (pos, -sum(m), tuple(-e for e in m))
 
 
-class PositionOverTerm(ModuleOrder):
-    """Position-over-term: smaller generator index is stronger; monomials
-    within one position compared by the base ring order."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: MonomialOrder = GREVLEX):
-        self.base = base
-
-    def key(self, t):
-        return (t[0], self.base.key(t[1]))
-
-    def __repr__(self):
-        return f"PositionOverTerm({self.base.name})"
+ORDERS = {"grevlex": grevlex, "grlex": grlex}
 
 
-class SchreyerOrder(ModuleOrder):
-    """Order induced by a prior Groebner basis: compare m*LT(g_i) against
-    m'*LT(g_j) in the prior order, ties broken by smaller index stronger."""
+def schreyer_order(prior, lead_terms):
+    """The order induced by a prior Groebner basis with lead terms
+    [(position, monomial)]: the term m e_i is compared as m*LT(g_i) in the
+    prior order, ties broken by smaller index stronger."""
+    lead_terms = tuple(lead_terms)
 
-    __slots__ = ("prior", "lead_terms")
-
-    def __init__(self, prior: ModuleOrder, lead_terms):
-        self.prior = prior
-        self.lead_terms = tuple(lead_terms)  # [(position, monomial)] per basis element
-
-    def key(self, t):
+    def schreyer(t):
         i, m = t
-        p, mi = self.lead_terms[i]
-        return (self.prior.key((p, mono_mul(m, mi))), i)
-
-    def __repr__(self):
-        return f"SchreyerOrder({len(self.lead_terms)} leads)"
+        p, mi = lead_terms[i]
+        return (prior((p, mono_mul(m, mi))), i)
+    return schreyer
 
 
 # ---------- text grammar ----------
@@ -480,7 +437,7 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical text form: terms in descending grevlex order."""
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, key=GREVLEX.key)
+    monos = sorted(p.terms, key=lambda m: grevlex((0, m)))
     parts = []
     for idx, m in enumerate(monos):
         c = p.terms[m]

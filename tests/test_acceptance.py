@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 
 from syzal import (
-    GRLEX,
     FreeModule,
     GradedMatrix,
     HilbertSeries,
@@ -25,6 +24,7 @@ from syzal import (
     euler_series,
     fingerprint,
     gkm_module,
+    grlex,
     hilbert_series,
     homogeneous_space,
     hypercube_graph,
@@ -255,7 +255,7 @@ def test_acceptance_6_randomized_properties():
                     assert hE.coefficient(q) == dim, (j, q)
             # Betti table invariant under monomial-order change
             b1 = minimize(resolve(M, r)).betti()
-            b2 = minimize(resolve(M, r, GRLEX)).betti()
+            b2 = minimize(resolve(M, r, grlex)).betti()
             assert b1 == b2
         count = 0
         while count < 20:

@@ -12,6 +12,7 @@ import pytest
 from syzal import (
     GroebnerBasis,
     InputError,
+    ORDERS,
     RingSpec,
     ZeroModuleError,
     buchberger,
@@ -220,7 +221,9 @@ def test_oracle_env_window(m_pres):
 
 @pytest.mark.parametrize("window, message", [
     ("0-6", "must be lo:hi"), ("0:x", "must be lo:hi"),
-    ("0:2:4", "must be lo:hi"), ("9:1", "is inverted")])
+    ("0:2:4", "must be lo:hi"), ("9:1", "is inverted"),
+    ("0:1_0", "must be lo:hi"), (" 0 : 6 ", "must be lo:hi"),
+    ("\uff10:\uff16", "must be lo:hi"), ("+0:6", "must be lo:hi")])
 def test_oracle_malformed_window(m_pres, monkeypatch, capsys, window, message):
     # one parser reads --window and SYZAL_ORACLE_WINDOW: both exit 2
     monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
@@ -503,7 +506,7 @@ def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
 
     def truncated_grlex_basis(gens, order, **kwargs):
         G = buchberger(gens, order, **kwargs)
-        if order.base.name != "grlex":
+        if order is not ORDERS["grlex"]:
             return G
         return GroebnerBasis(G.ambient, G.elements[:-1], G.order)
     monkeypatch.setattr(resolution, "buchberger", truncated_grlex_basis)

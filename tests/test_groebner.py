@@ -7,14 +7,13 @@ import pytest
 
 from syzal import (
     FreeModule,
-    GREVLEX,
     GradedMatrix,
     InhomogeneousError,
     ModuleElement,
-    PositionOverTerm,
     RingSpec,
     buchberger,
     divide,
+    grevlex,
     kernel,
     lift,
     module_dims,
@@ -40,7 +39,6 @@ def test_divide_invariant_randomized():
     ring = RingSpec(2, 2)
     t1, t2 = ring.variables()
     F = FreeModule(ring, (0, 0))
-    order = PositionOverTerm(GREVLEX)
     gens = [
         F.generator(0).poly_mul(t1) + F.generator(1).poly_mul(t2),
         F.generator(1).poly_mul(t1 * t1),
@@ -54,14 +52,14 @@ def test_divide_invariant_randomized():
                 if c:
                     terms[(pos, mono)] = Fraction(c)
         f = ModuleElement(F, terms)
-        quots, rem = divide(f, gens, order, want_quotients=True)
+        quots, rem = divide(f, gens, grevlex, want_quotients=True)
         total = rem
         for q, g in zip(quots, gens):
             for mono, c in q.items():
                 total = total + g.term_mul(mono, c)
         assert total == f
         # remainder has no term divisible by a leading term
-        lts = [g.leading_term(order)[0] for g in gens]
+        lts = [g.leading_term(grevlex)[0] for g in gens]
         for key in rem.terms:
             assert not any(_lt_divides(lt, key) for lt in lts)
 

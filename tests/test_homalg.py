@@ -3,7 +3,6 @@
 import pytest
 
 from syzal import (
-    GREVLEX,
     FreeModule,
     GradedMatrix,
     GroebnerBasis,
@@ -11,8 +10,6 @@ from syzal import (
     InputError,
     ModuleElement,
     ModulePresentation,
-    OracleConfig,
-    PositionOverTerm,
     Rational,
     RingSpec,
     VerificationError,
@@ -24,6 +21,7 @@ from syzal import (
     ext,
     fingerprint,
     free_presentation,
+    grevlex,
     hilbert_series,
     is_cohen_macaulay,
     is_zero_module,
@@ -107,7 +105,7 @@ def test_hilbert_series_mixed_shape_rejected():
 def test_hilbert_series_against_oracle():
     m = maximal_ideal(R2)
     h = hilbert_series(m)
-    for q, dim in module_dims(m, OracleConfig(0, 10)).items():
+    for q, dim in module_dims(m, (0, 10)).items():
         assert h.coefficient(q) == dim
 
 
@@ -208,14 +206,13 @@ def test_subquotient_presentation_refuses_bad_input():
         subquotient_presentation(ideal, [e.poly_mul(t1)])
     # monic, but not a Groebner basis: the S-pair of t1^2 and t1*t2 + t2^2
     # leaves t2^3
-    order = PositionOverTerm(GREVLEX)
     not_groebner = GroebnerBasis(
-        F, [e.poly_mul(t1 * t1), e.poly_mul(t1 * t2 + t2 * t2)], order)
+        F, [e.poly_mul(t1 * t1), e.poly_mul(t1 * t2 + t2 * t2)], grevlex)
     with pytest.raises(VerificationError):
         subquotient_presentation(not_groebner)
     # a leading coefficient other than 1
     with pytest.raises(InputError):
-        subquotient_presentation(GroebnerBasis(F, [e.term_mul((1, 0), 2)], order))
+        subquotient_presentation(GroebnerBasis(F, [e.term_mul((1, 0), 2)], grevlex))
 
 
 # ---------- duals and Ext ----------

@@ -12,7 +12,6 @@ from syzal import (
     FreeModule,
     GradedMatrix,
     InputError,
-    OracleConfig,
     RingSpec,
     default_window,
     ext,
@@ -28,6 +27,7 @@ from syzal import (
     module_dims,
     parse_polynomial,
     residue_field,
+    resolution_is_exact,
     resolve,
     toric_ht,
 )
@@ -53,14 +53,14 @@ def test_free_dim_counts_monomials():
 
 
 def test_module_dims_residue_field():
-    dims = module_dims(residue_field(R2), OracleConfig(0, 8))
+    dims = module_dims(residue_field(R2), (0, 8))
     assert dims[0] == 1
     assert all(v == 0 for q, v in dims.items() if q != 0)
 
 
 def test_module_dims_toric_matches_split_sum():
     M = toric_ht(2)
-    dims = module_dims(M, OracleConfig(0, 8))
+    dims = module_dims(M, (0, 8))
     hR = hilbert_series(free_presentation(R2, (0,)))
     hm = hilbert_series(maximal_ideal(R2))
     for q, dim in dims.items():
@@ -100,12 +100,22 @@ def test_default_window_env_override(monkeypatch):
     monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "5:1")
     with pytest.raises(InputError):
         default_window(maximal_ideal(R2))
+    # more digits than int() converts
+    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "0:" + "9" * 5000)
+    with pytest.raises(InputError, match="must be lo:hi"):
+        default_window(maximal_ideal(R2))
 
 
-def test_oracle_config_rejects_inverted_window():
-    with pytest.raises(InputError):
-        OracleConfig(3, 1)
-    assert repr(OracleConfig(1, 3)) == "OracleConfig(1:3)"
+def test_every_entry_point_refuses_an_inverted_window():
+    # an inverted window holds no degree: a check run on it checks nothing
+    kos = koszul_complex(RingSpec(2, 2))
+    with pytest.raises(InputError, match="9:1 is inverted"):
+        module_dims(maximal_ideal(R2), (9, 1))
+    with pytest.raises(InputError, match="9:1 is inverted"):
+        ext_dims(kos.modules, kos.maps, 1, 9, 1)
+    with pytest.raises(InputError, match="9:1 is inverted"):
+        resolution_is_exact(kos.modules, kos.maps, {0: 5}, 9, 1)
+    assert module_dims(maximal_ideal(R2), (4, 4)) == {4: 3}
 
 
 def test_ext_dims_against_engine():

@@ -178,8 +178,7 @@ def test_maximal_ideal_presentation():
     m = maximal_ideal(ring)
     assert m.F0.degrees == (2, 2)
     assert m.relations.source.degrees == (4,)
-    from syzal import OracleConfig
-    dims = module_dims(m, OracleConfig(0, 8))
+    dims = module_dims(m, (0, 8))
     # m_q = R_q for q >= d, zero below
     assert dims[0] == 0
     assert dims[2] == 2

@@ -7,19 +7,16 @@ from fractions import Fraction
 import pytest
 
 from syzal import (
-    GREVLEX,
-    GRLEX,
     InputError,
     Polynomial,
-    PositionOverTerm,
     RingSpec,
-    SchreyerOrder,
     format_polynomial,
+    grevlex,
+    grlex,
     parse_polynomial,
+    schreyer_order,
 )
 from syzal.ring import (
-    grevlex_key,
-    grlex_key,
     mono_coprime,
     mono_deg,
     mono_div,
@@ -47,10 +44,15 @@ def test_mono_ops_basic():
     assert not mono_coprime((1, 1), (0, 2))
 
 
-# An order is a sort key: the larger monomial has the smaller key.
+# An order is a sort key on terms (position, monomial): the larger term has
+# the smaller key.
+
+def _monomial_key(order):
+    return lambda m: order((0, m))
+
 
 def test_grevlex_known_comparisons():
-    key = grevlex_key
+    key = _monomial_key(grevlex)
     # degree dominates
     assert key((2, 0)) < key((1, 0))
     # same degree: smaller exponent in the LAST differing variable wins
@@ -62,34 +64,41 @@ def test_grevlex_known_comparisons():
 
 
 def test_grlex_known_comparisons():
-    key = grlex_key
+    key = _monomial_key(grlex)
     assert key((2, 0)) < key((0, 2))
     assert key((1, 1)) < key((0, 2))
     assert key((0, 2, 0)) > key((1, 0, 1))  # grlex: x > y^2/x ordering flips
 
 
-def _check_order_axioms(key, monos):
-    # a total order: distinct monomials get distinct keys (antisymmetry
-    # holds for any key, since keys are compared as tuples)
-    for a, b in itertools.combinations(monos, 2):
-        assert key(a) != key(b)
-    # multiplicativity
-    for a, b in itertools.combinations(monos, 2):
+def _check_order_axioms(order, monos, positions=(0,)):
+    terms = [(p, m) for p in positions for m in monos]
+    # a total order: distinct terms get distinct keys (antisymmetry holds
+    # for any key, since keys are compared as tuples)
+    for a, b in itertools.combinations(terms, 2):
+        assert order(a) != order(b)
+    for (p, a), (q, b) in itertools.combinations(terms, 2):
+        if p != q:
+            # the position decides first: the smaller one is stronger
+            assert (order((p, a)) < order((q, b))) == (p < q)
+            continue
+        # multiplicativity within a position
         for c in monos[:5]:
-            assert (key(mono_mul(a, c)) < key(mono_mul(b, c))) == (key(a) < key(b))
-    # 1 is smallest
+            assert ((order((p, mono_mul(a, c))) < order((p, mono_mul(b, c))))
+                    == (order((p, a)) < order((p, b))))
+    # 1 is smallest at each position
     one = (0,) * len(monos[0])
-    for a in monos:
+    for p, a in terms:
         if a != one:
-            assert key(a) < key(one)
+            assert order((p, a)) < order((p, one))
 
 
 def test_order_axioms():
     rng = random.Random(3)
     for r in (1, 2, 3):
         monos = list({m for m in random_monos(rng, 25, r, 3)})
-        _check_order_axioms(grevlex_key, monos)
-        _check_order_axioms(grlex_key, monos)
+        for order in (grevlex, grlex):
+            _check_order_axioms(order, monos)
+            _check_order_axioms(order, monos, positions=(0, 1))
 
 
 def test_ringspec_defaults_and_names():
@@ -216,23 +225,21 @@ def test_format_is_deterministic_and_readable():
 
 
 def test_position_over_term_order():
-    order = PositionOverTerm(GREVLEX)
     # smaller position is stronger
-    assert order.key((0, (0, 0))) < order.key((1, (5, 5)))
-    assert ((order.key((1, (1, 0))) < order.key((1, (0, 1))))
-            == (GREVLEX.key((1, 0)) < GREVLEX.key((0, 1))))
+    assert grevlex((0, (0, 0))) < grevlex((1, (5, 5)))
+    assert ((grevlex((1, (1, 0))) < grevlex((1, (0, 1))))
+            == (grevlex((0, (1, 0))) < grevlex((0, (0, 1)))))
 
 
 def test_schreyer_order_ties_break_by_index():
-    base = PositionOverTerm(GREVLEX)
     # two generators with the same induced product: index decides
     lead = [(0, (1, 0)), (0, (1, 0))]
-    order = SchreyerOrder(base, lead)
-    assert order.key((0, (0, 1))) < order.key((1, (0, 1)))
-    assert order.key((1, (0, 1))) > order.key((0, (0, 1)))
+    order = schreyer_order(grevlex, lead)
+    assert order((0, (0, 1))) < order((1, (0, 1)))
+    assert order((1, (0, 1))) > order((0, (0, 1)))
 
 
 def test_grevlex_vs_grlex_disagree():
     # y^2 vs x*z: grevlex says bigger, grlex says smaller
-    assert GREVLEX.key((0, 2, 0)) < GREVLEX.key((1, 0, 1))
-    assert GRLEX.key((0, 2, 0)) > GRLEX.key((1, 0, 1))
+    assert grevlex((0, (0, 2, 0))) < grevlex((0, (1, 0, 1)))
+    assert grlex((0, (0, 2, 0))) > grlex((0, (1, 0, 1)))
