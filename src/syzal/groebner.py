@@ -7,6 +7,7 @@ graded maps by elimination on a graph submodule, and lifts by division.
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
@@ -25,10 +26,11 @@ from syzal.ring import (
 
 
 class GroebnerBasis:
-    """A completed basis: every S-pair reduces to zero, and every leading
-    coefficient is 1. The constructor checks neither; schreyer_basis
-    refuses a basis that breaks either (VerificationError, InputError). The
-    bases that buchberger, schreyer_basis and kernel build are reduced: no
+    """A completed basis: every S-pair reduces to zero, and every element
+    is a primitive int row (coefficients of gcd 1) with a positive leading
+    coefficient. The constructor checks neither; schreyer_basis refuses a
+    basis that breaks either (VerificationError, InputError). The bases
+    that buchberger, schreyer_basis and kernel build are reduced: no
     leading term divides any same-position term of another element. The
     lead-term index that division reads is built once, here."""
 
@@ -53,6 +55,37 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements)"
 
 
+# ---------- int rows ----------
+# Inside the Groebner layer an element is a primitive int row: int
+# coefficients of gcd 1, the leading one positive. It stands for the monic
+# element it is a positive multiple of, and division scales its work
+# instead of dividing (pseudo-division with content removal), so no
+# Fraction arises.
+
+def _primitive(e: ModuleElement, order) -> ModuleElement:
+    """The int row e divided by the gcd of its coefficients, signed so that
+    its leading coefficient is positive; e itself when that coefficient is
+    already 1, without looking at the others."""
+    lt = e.leading_term(order)
+    if lt is None or lt[1] == 1:
+        return e
+    g = gcd(*e.terms.values())
+    if lt[1] < 0:
+        g = -g
+    if g == 1:
+        return e
+    return ModuleElement._of(e.module, {t: c // g for t, c in e.terms.items()})
+
+
+def _integral(e: ModuleElement, order) -> ModuleElement:
+    """The primitive int row that is a positive multiple of the exact
+    element e: where rational input enters the Groebner layer."""
+    if any(type(c) is not int for c in e.terms.values()):
+        den = lcm(*(c.denominator for c in e.terms.values()))
+        e = ModuleElement._of(e.module, {t: int(c * den) for t, c in e.terms.items()})
+    return _primitive(e, order)
+
+
 # ---------- division ----------
 
 def _lead_index(lts) -> dict:
@@ -70,10 +103,15 @@ def _lead_index(lts) -> dict:
 def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
            want_quotients: bool = False, *, index: Optional[dict] = None):
     """Deterministic division: scan gens in list order for the first leading
-    term dividing the current work leading term. Returns (quotients, rem)
-    with f = sum(quotients[k] * gens[k]) + rem and no term of rem divisible
-    by any leading term of gens. Quotients are ring polynomial term maps.
-    index, when given, is the _lead_index of gens under order."""
+    term dividing the current work leading term. Returns (quotients, rem,
+    mu) with mu * f = sum(quotients[k] * gens[k]) + rem, a positive int mu,
+    and no term of rem divisible by any leading term of gens. Quotients are
+    ring polynomial term maps. Where the leading coefficient glc of the
+    divisor does not divide the int coefficient c it removes, the work is
+    multiplied by glc / gcd(glc, c) instead, and mu by the same factor; so
+    int input gives int output. A Fraction coefficient on either side is
+    divided exactly instead. index, when given, is the _lead_index of gens
+    under order."""
     if index is None:
         index = _lead_index([g.leading_term(order) for g in gens])
     work = dict(f.terms)
@@ -84,6 +122,7 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
     heapq.heapify(heap)
     rem: dict = {}
     quots: Optional[List[dict]] = [dict() for _ in gens] if want_quotients else None
+    mu = 1
     while heap:
         t = heapq.heappop(heap)[1]
         c = work.pop(t, None)
@@ -97,7 +136,20 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
             rem[t] = c
             continue
         q = mono_div(m, gm)
-        coeff = qdiv(c, glc)
+        if glc == 1:
+            coeff = c
+        elif type(c) is int and type(glc) is int:
+            g = gcd(c, glc)
+            if glc < 0:
+                g = -g
+            scale, coeff = glc // g, c // g
+            if scale != 1:
+                mu *= scale
+                for part in (work, rem, *(quots or ())):
+                    for u in part:
+                        part[u] *= scale
+        else:
+            coeff = qdiv(c, glc)
         for (p2, m2), c2 in gens[hit].terms.items():
             u = (p2, mono_mul(m2, q))
             if u == t:
@@ -115,15 +167,17 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
                 quots[hit][q] = s
             else:
                 quots[hit].pop(q, None)
-    remainder = ModuleElement(f.module, rem)
-    return quots, remainder
+    return quots, ModuleElement._of(f.module, rem), mu
 
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     """Remainder of f on division by G; f - result lies in the submodule."""
     if f.module != G.ambient:
         raise InputError("element does not live in the basis ambient module")
-    return divide(f, G.elements, G.order, index=G._index)[1]
+    _quots, rem, mu = divide(f, G.elements, G.order, index=G._index)
+    if mu == 1:
+        return rem
+    return ModuleElement._of(f.module, {t: qdiv(c, mu) for t, c in rem.terms.items()})
 
 
 # ---------- canonical element order ----------
@@ -137,9 +191,10 @@ def _canonical_key(elem: ModuleElement, order):
 
 
 def _reduce_basis(elements: Sequence[ModuleElement], order):
-    """Interreduce a Groebner basis: minimal (no leading term divides
-    another), tails fully reduced, monic, canonically sorted."""
-    elems = [e.monic(order) for e in elements if not e.is_zero()]
+    """Interreduce a Groebner basis of primitive int rows: minimal (no
+    leading term divides another), tails fully reduced, primitive with a
+    positive leading coefficient, canonically sorted."""
+    elems = [e for e in elements if not e.is_zero()]
     lts = [e.leading_term(order) for e in elems]
     index = _lead_index(lts)
     keep = [True] * len(elems)
@@ -155,12 +210,18 @@ def _reduce_basis(elements: Sequence[ModuleElement], order):
     # never divides it, so one index serves every element.
     lts = [e.leading_term(order) for e in elems]
     index = _lead_index(lts)
+    # A reduced element keeps its leading term but may change its leading
+    # coefficient, which its index entry then follows.
     for i, e in enumerate(elems):
         lt, c = lts[i]
-        tail = ModuleElement(e.module, {t: v for t, v in e.terms.items() if t != lt})
-        r = divide(tail, elems, order, index=index)[1]
+        tail = ModuleElement._of(e.module, {t: v for t, v in e.terms.items() if t != lt})
+        _quots, r, mu = divide(tail, elems, order, index=index)
         if r.terms != tail.terms:
-            elems[i] = ModuleElement(e.module, {lt: c, **r.terms})
+            e = elems[i] = _primitive(
+                ModuleElement._of(e.module, {lt: mu * c, **r.terms}), order)
+            group = index[lt[0]]
+            n = next(n for n, (k, _m, _c) in enumerate(group) if k == i)
+            group[n] = (i, lt[1], e.terms[lt])
     return sorted(elems, key=lambda e: _canonical_key(e, order))
 
 
@@ -174,23 +235,42 @@ def _spair_data(lt_i, lt_j):
     return mono_lcm(mi, mj)
 
 
-def _s_poly(f: ModuleElement, mf, g: ModuleElement, mg, lcm):
-    """(a_f, a_g, a_f f - a_g g) with a_f = lcm/mf and a_g = lcm/mg, for
-    monic f and g whose leading monomials mf and mg share a position."""
+def _s_poly(f: ModuleElement, lt_f, g: ModuleElement, lt_g, lcm):
+    """(a_f, a_g, b_f, b_g, b_f a_f f - b_g a_g g) for elements f and g with
+    same-position leading terms lt_f = ((p, m_f), c_f) and lt_g =
+    ((p, m_g), c_g): a_f = lcm/m_f, a_g = lcm/m_g, and for int c_f, c_g,
+    b_f = c_g/h and b_g = c_f/h with h = gcd(c_f, c_g) (b_f = c_g and
+    b_g = c_f otherwise). Built in one pass over the terms of f and g; the
+    leading terms cancel."""
+    (_p, mf), cf = lt_f
+    (_p, mg), cg = lt_g
+    if type(cf) is int and type(cg) is int:
+        h = gcd(cf, cg)
+        bf, bg = cg // h, cf // h
+    else:
+        bf, bg = cg, cf
     af, ag = mono_div(lcm, mf), mono_div(lcm, mg)
-    return af, ag, f.term_mul(af, 1) - g.term_mul(ag, 1)
+    terms = {(p, mono_mul(m, af)): bf * c for (p, m), c in f.terms.items()}
+    for (p, m), c in g.terms.items():
+        u = (p, mono_mul(m, ag))
+        s = terms.get(u, 0) - bg * c
+        if s:
+            terms[u] = s
+        else:
+            del terms[u]
+    return af, ag, bf, bg, ModuleElement._of(f.module, terms)
 
 
 def _s_pairs(G: "GroebnerBasis"):
-    """(i, j, a_i, a_j, S-polynomial) for every same-position pair i < j of
-    G, in index order."""
+    """(i, j, a_i, a_j, b_i, b_j, S-polynomial) for every same-position
+    pair i < j of G, in index order."""
     lts = G.lead_terms()
     for i in range(len(G.elements)):
         for j in range(i + 1, len(G.elements)):
             lcm = _spair_data(lts[i], lts[j])
             if lcm is not None:
-                yield (i, j) + _s_poly(G.elements[i], lts[i][0][1],
-                                       G.elements[j], lts[j][0][1], lcm)
+                yield (i, j) + _s_poly(G.elements[i], lts[i],
+                                       G.elements[j], lts[j], lcm)
 
 
 def _position_pure(e: ModuleElement) -> bool:
@@ -212,9 +292,10 @@ def buchberger(gens: Sequence[ModuleElement], order=grevlex,
 
 def _complete(gens: Sequence[ModuleElement], order,
               ambient: FreeModule) -> List[ModuleElement]:
-    """A monic, unreduced Groebner basis of the submodule of ambient
-    generated by homogeneous gens: the nonzero gens, then every nonzero
-    S-pair remainder in the order it was found.
+    """An unreduced Groebner basis of the submodule of ambient generated by
+    homogeneous gens, of primitive int rows with positive leading
+    coefficients: the nonzero gens, cleared of denominators, then every
+    nonzero S-pair remainder in the order it was found.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. The coprimality criterion is
@@ -233,7 +314,7 @@ def _complete(gens: Sequence[ModuleElement], order,
         if not g.is_homogeneous():
             raise InhomogeneousError("buchberger requires homogeneous generators")
         if not g.is_zero():
-            basis.append(g.monic(order))
+            basis.append(_integral(g, order))
             pure.append(_position_pure(g))
     lts = [e.leading_term(order) for e in basis]
     index = _lead_index(lts)
@@ -253,8 +334,8 @@ def _complete(gens: Sequence[ModuleElement], order,
     def chain_skips(i: int, j: int, p: int, lcm) -> bool:
         for k, mk, _c in index[p]:
             if (k != i and k != j
-                    and (min(i, k), max(i, k)) in done
-                    and (min(j, k), max(j, k)) in done
+                    and ((i, k) if i < k else (k, i)) in done
+                    and ((j, k) if j < k else (k, j)) in done
                     and mono_divides(mk, lcm)):
                 return True
         return False
@@ -273,10 +354,10 @@ def _complete(gens: Sequence[ModuleElement], order,
         lcm = mono_lcm(mi, mj)
         if chain_skips(i, j, p, lcm):
             continue
-        r = divide(_s_poly(basis[i], mi, basis[j], mj, lcm)[2], basis, order,
-                   index=index)[1]
+        r = divide(_s_poly(basis[i], lts[i], basis[j], lts[j], lcm)[4], basis,
+                   order, index=index)[1]
         if not r.is_zero():
-            basis.append(r.monic(order))
+            basis.append(_primitive(r, order))
             pure.append(_position_pure(r))
             lts.append(basis[-1].leading_term(order))
             (pos, m), c = lts[-1]
@@ -296,24 +377,26 @@ def verify_spairs(G: GroebnerBasis) -> bool:
 def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     """Syzygies of G.elements as a Groebner basis under the Schreyer order
     induced by G. Every same-position pair (i, j) contributes the generator
-    a_i e_i - a_j e_j - sum_k q_k e_k, from the division of its
-    S-polynomial. That generator is a syzygy only when the leading
-    coefficients are 1 (else InputError) and the S-polynomial reduces to
-    zero (else VerificationError: G is not a Groebner basis)."""
-    if any(lt is None or lt[1] != 1 for lt in G.lead_terms()):
-        raise InputError("basis element is zero or its leading coefficient is not 1")
+    mu b_i a_i e_i - mu b_j a_j e_j - sum_k q_k e_k, made primitive, from
+    the division mu S = sum_k q_k g_k of its S-polynomial
+    S = b_i a_i g_i - b_j a_j g_j (see _s_poly). The elements of G must be
+    primitive int rows with positive leading coefficients (else
+    InputError), and every S-polynomial must reduce to zero (else
+    VerificationError: G is not a Groebner basis)."""
+    if any(e.is_zero() or _integral(e, G.order) is not e for e in G.elements):
+        raise InputError("basis element is zero or not a primitive int row "
+                         "with a positive leading coefficient")
     ring = G.ambient.ring
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
     sorder = schreyer_order(G.order, [lt[0] for lt in G.lead_terms()])
     sygens: List[ModuleElement] = []
-    for i, j, ai, aj, s in _s_pairs(G):
-        quots, rem = divide(s, G.elements, G.order, want_quotients=True,
-                            index=G._index)
+    for i, j, ai, aj, bi, bj, s in _s_pairs(G):
+        quots, rem, mu = divide(s, G.elements, G.order, want_quotients=True,
+                                index=G._index)
         if not rem.is_zero():
             raise VerificationError("input basis is not a Groebner basis")
-        terms: dict = {(i, ai): 1}
-        terms[(j, aj)] = terms.get((j, aj), 0) - 1
+        terms: dict = {(i, ai): mu * bi, (j, aj): -mu * bj}
         for k, q in enumerate(quots):
             for qm, qc in q.items():
                 key = (k, qm)
@@ -322,7 +405,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                     terms[key] = v
                 else:
                     terms.pop(key, None)
-        sygens.append(ModuleElement(aux, terms))
+        sygens.append(_primitive(ModuleElement._of(aux, terms), sorder))
     return GroebnerBasis(aux, _reduce_basis(sygens, sorder), sorder)
 
 
@@ -368,8 +451,8 @@ def kernel(A: GradedMatrix,
         pairs.append(ModuleElement(big, terms))
     if modulo is not None:
         pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
-    elems = [ModuleElement(source, {(pos - split, m): c
-                                    for (pos, m), c in e.terms.items()})
+    elems = [ModuleElement._of(source, {(pos - split, m): c
+                                        for (pos, m), c in e.terms.items()})
              for e in _complete(pairs, grevlex, big)
              if e.leading_term(grevlex)[0][0] >= split]
     return GroebnerBasis(source, _reduce_basis(elems, grevlex))
@@ -382,9 +465,9 @@ def lift(G: GroebnerBasis, v: ModuleElement,
     submodule: for a Groebner basis, v is a member iff its remainder is 0."""
     if v.module != G.ambient:
         raise InputError("element does not live in the basis ambient module")
-    quots, rem = divide(v, G.elements, G.order, want_quotients=True,
-                        index=G._index)
+    quots, rem, mu = divide(v, G.elements, G.order, want_quotients=True,
+                            index=G._index)
     if not rem.is_zero():
         return None
-    return ModuleElement(F, {(k, m): c for k, q in enumerate(quots)
-                             for m, c in q.items()})
+    return ModuleElement._of(F, {(k, m): qdiv(c, mu) for k, q in enumerate(quots)
+                                 for m, c in q.items()})

@@ -196,8 +196,8 @@ def subquotient_presentation(G: GroebnerBasis,
     their embedding into G.ambient stored. The relations are the Schreyer
     syzygies of G followed by the lift of each downstairs element, zero
     columns dropped; a downstairs element outside <G> raises
-    VerificationError. G must be a Groebner basis with monic leading terms
-    (see schreyer_basis)."""
+    VerificationError. G must be a Groebner basis of primitive int rows
+    with positive leading coefficients (see schreyer_basis)."""
     ring = G.ambient.ring
     F0 = FreeModule(ring, [e.degree() for e in G.elements])
     columns = list(schreyer_basis(G).elements)

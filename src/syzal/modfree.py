@@ -21,7 +21,6 @@ from syzal.ring import (
     mono_deg,
     mono_mul,
     parse_polynomial,
-    qdiv,
     qnorm,
 )
 
@@ -75,6 +74,15 @@ class ModuleElement:
         self.terms = {t: c for t, c in terms.items() if c}
         self._lt_order = self._lt = None
 
+    @classmethod
+    def _of(cls, module: FreeModule, terms: dict) -> "ModuleElement":
+        """The element with exactly these terms, taken as they are: for
+        engine code whose terms dict holds no zero and is not used again."""
+        e = cls.__new__(cls)
+        e.module, e.terms = module, terms
+        e._lt_order = e._lt = None
+        return e
+
     @staticmethod
     def from_vector(module: FreeModule, coords: Iterable[Polynomial]) -> "ModuleElement":
         terms: dict = {}
@@ -117,7 +125,7 @@ class ModuleElement:
                 out[t] = s
             else:
                 out.pop(t, None)
-        return ModuleElement(self.module, out)
+        return ModuleElement._of(self.module, out)
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement(self.module, {t: -c for t, c in self.terms.items()})
@@ -136,7 +144,7 @@ class ModuleElement:
         c = qnorm(c)
         if not c:
             return ModuleElement(self.module, {})
-        return ModuleElement(
+        return ModuleElement._of(
             self.module,
             {(pos, mono_mul(m, mono)): c * v for (pos, m), v in self.terms.items()},
         )
@@ -159,12 +167,6 @@ class ModuleElement:
         self._lt_order = order
         self._lt = lt
         return lt
-
-    def monic(self, order) -> "ModuleElement":
-        lt = self.leading_term(order)
-        if lt is None or lt[1] == 1:
-            return self
-        return self.scale(qdiv(1, lt[1]))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)

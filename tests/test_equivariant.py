@@ -320,7 +320,8 @@ def test_parse_gkm_errors():
 def _stacked_gkm_module(g):
     """The congruence module by the kernel of the stacked map
     (f, h) -> (f_u - f_v - alpha_e h_e) on FV + FE[d], projected to the
-    vertex block FV: the reference for gkm_module's preimage route."""
+    vertex block FV and made primitive: the reference for gkm_module's
+    preimage route."""
     ring = g.ring
     nv, ne = len(g.vertices), len(g.edges)
     FV = FreeModule(ring, (0,) * nv)
@@ -336,9 +337,11 @@ def _stacked_gkm_module(g):
         FE, [ModuleElement(FE, terms) for terms in columns],
         (0,) * nv + (ring.d,) * ne)
     K = kernel(A)
-    gens = [ModuleElement(FV, {(pos, m): c for (pos, m), c in e.terms.items()
-                               if pos < nv})
-            for e in K.elements]
+    gens = []
+    for e in K.elements:
+        proj = {(pos, m): c for (pos, m), c in e.terms.items() if pos < nv}
+        g = math.gcd(*proj.values())
+        gens.append(ModuleElement(FV, {t: c // g for t, c in proj.items()}))
     return subquotient_presentation(GroebnerBasis(FV, gens, K.order))
 
 

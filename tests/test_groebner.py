@@ -52,12 +52,12 @@ def test_divide_invariant_randomized():
                 if c:
                     terms[(pos, mono)] = Fraction(c)
         f = ModuleElement(F, terms)
-        quots, rem = divide(f, gens, grevlex, want_quotients=True)
+        quots, rem, mu = divide(f, gens, grevlex, want_quotients=True)
         total = rem
         for q, g in zip(quots, gens):
             for mono, c in q.items():
                 total = total + g.term_mul(mono, c)
-        assert total == f
+        assert total == f.scale(mu)
         # remainder has no term divisible by a leading term
         lts = [g.leading_term(grevlex)[0] for g in gens]
         for key in rem.terms:

@@ -1,6 +1,7 @@
 """Property-based invariants over randomized inputs."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -166,12 +167,12 @@ def test_divide_invariant(data):
     gens = [g for g in gens if not g.is_zero()]
     assume(gens)
     f = data.draw(homogeneous_elements(F, 4))
-    quotients, rem = divide(f, gens, grevlex, want_quotients=True)
+    quotients, rem, mu = divide(f, gens, grevlex, want_quotients=True)
     rebuilt = rem
     for q, g in zip(quotients, gens):
         for mono, c in q.items():
             rebuilt = rebuilt + g.term_mul(mono, c)
-    assert rebuilt.terms == f.terms
+    assert rebuilt.terms == f.scale(mu).terms
     lts = [g.leading_term(grevlex) for g in gens]
     for (pos, mono) in rem.terms:
         for (lpos, lmono), _c in lts:
@@ -291,9 +292,9 @@ def division_cases(draw):
 def test_divide_matches_the_reference(case):
     f, gens, order, cmp = case
     leads, ref_quots, ref_rem = _ref_divide(f.terms, [g.terms for g in gens], cmp)
-    quots, rem = divide(f, gens, order, want_quotients=True)
-    assert quots == ref_quots
-    assert rem.terms == ref_rem
+    quots, rem, mu = divide(f, gens, order, want_quotients=True)
+    assert [{q: Fraction(c) / mu for q, c in qk.items()} for qk in quots] == ref_quots
+    assert {t: Fraction(c) / mu for t, c in rem.terms.items()} == ref_rem
     for g, lt in zip(gens + [f], leads + [_ref_largest(f.terms, cmp)]):
         assert g.leading_term(order) == (None if lt is None else (lt, g.terms[lt]))
 
@@ -334,7 +335,7 @@ def test_buchberger_output_is_reduced_and_complete(data):
     G = buchberger(gens, ambient=F)
     assert verify_spairs(G)
     for e, ((pos, lmono), lc) in zip(G.elements, G.lead_terms()):
-        assert lc == 1
+        assert lc > 0 and _primitive_int_row(e.terms)
         for other in G.elements:
             if other is e:
                 continue
@@ -435,9 +436,19 @@ def _graph_route_kernel(A):
             for e in graph.elements if all(pos >= split for pos, _m in e.terms)]
 
 
+def _primitive_int_row(terms: dict) -> bool:
+    return all(type(c) is int for c in terms.values()) and gcd(*terms.values()) == 1
+
+
+def _content_free(terms: dict) -> dict:
+    """An int row divided by the gcd of its coefficients."""
+    g = gcd(*terms.values())
+    return {t: c // g for t, c in terms.items()}
+
+
 def _stacked_route_preimage(A, B):
     """{x : A x in im B} by the kernel of the block matrix [A | -B],
-    projected to A's block, zero projections dropped."""
+    projected to A's block and made primitive, zero projections dropped."""
     stacked = GradedMatrix.from_columns(
         A.target, A.columns() + [-v for v in B.columns()],
         A.source.degrees + B.source.degrees)
@@ -446,7 +457,7 @@ def _stacked_route_preimage(A, B):
     for e in kernel(stacked).elements:
         proj = {(pos, m): c for (pos, m), c in e.terms.items() if pos < split}
         if proj:
-            out.append(proj)
+            out.append(_content_free(proj))
     return out
 
 
@@ -519,6 +530,162 @@ def test_syzygies_compose_to_zero(M):
     A = GradedMatrix.from_columns(M.F0, G.elements,
                                   [e.degree() for e in G.elements])
     assert A.compose(S).is_zero()
+
+
+# ---------- the monic route ----------
+# Before its rows were primitive int rows, the Groebner layer kept every
+# element monic and divided by leading coefficients. That route is written
+# out here over term dicts, from the reference comparators and _ref_divide,
+# without the S-pair criteria (they only skip pairs that reduce to zero).
+# A reduced Groebner basis is unique once its elements are monic, so every
+# basis of the fraction-free layer, scaled to monic, must equal this one
+# term for term and in order.
+
+def _ref_monic(terms, cmp):
+    lc = terms[_ref_largest(terms, cmp)]
+    return {t: Fraction(c) / lc for t, c in terms.items()}
+
+
+def _ref_s_poly(f, g, cmp):
+    """(a_f, a_g, a_f f - a_g g) for monic f and g whose leading terms
+    share a position, else None."""
+    (p, mf), (q, mg) = _ref_largest(f, cmp), _ref_largest(g, cmp)
+    if p != q:
+        return None
+    lcm = tuple(map(max, mf, mg))
+    af = tuple(x - y for x, y in zip(lcm, mf))
+    ag = tuple(x - y for x, y in zip(lcm, mg))
+    s: dict = {}
+    for terms, a, sign in ((f, af, 1), (g, ag, -1)):
+        for (pos, m), c in terms.items():
+            u = (pos, tuple(x + y for x, y in zip(m, a)))
+            s[u] = s.get(u, 0) + sign * c
+            if not s[u]:
+                del s[u]
+    return af, ag, s
+
+
+def _ref_complete(gens, cmp):
+    basis = [_ref_monic(g, cmp) for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        sp = _ref_s_poly(basis[i], basis[j], cmp)
+        rem = sp and _ref_divide(sp[2], basis, cmp)[2]
+        if rem:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_ref_monic(rem, cmp))
+    return basis
+
+
+def _ref_reduce(basis, cmp):
+    """The reduced basis: minimal, tails reduced, sorted by position, then
+    by leading exponent vector descending."""
+    leads = [_ref_largest(g, cmp) for g in basis]
+    minimal = [g for i, (g, (p, m)) in enumerate(zip(basis, leads))
+               if not any(q == p and all(x <= y for x, y in zip(mk, m))
+                          and (mk != m or k < i)
+                          for k, (q, mk) in enumerate(leads) if k != i)]
+    out = []
+    for g in minimal:
+        lt = _ref_largest(g, cmp)
+        tail = {t: c for t, c in g.items() if t != lt}
+        out.append({lt: g[lt], **_ref_divide(tail, minimal, cmp)[2]})
+    return sorted(out, key=lambda g: (lambda p, m: (p, [-e for e in m]))(
+        *_ref_largest(g, cmp)))
+
+
+_POT_GREVLEX = _ref_position_over_term(_ref_grevlex)
+
+
+def _ref_kernel(A, B=None):
+    split = A.target.rank
+    one = A.target.ring.one_monomial()
+    graph = [{**col.terms, (split + j, one): 1} for j, col in enumerate(A.columns())]
+    graph += [dict(col.terms) for col in (B.columns() if B else ())]
+    block = [g for g in _ref_complete(graph, _POT_GREVLEX)
+             if _ref_largest(g, _POT_GREVLEX)[0] >= split]
+    return [{(pos - split, m): c for (pos, m), c in g.items()}
+            for g in _ref_reduce(block, _POT_GREVLEX)]
+
+
+def _ref_syzygies(G):
+    """The reduced Schreyer basis of the syzygies of the monic rows G:
+    a_i e_i - a_j e_j - sum_k q_k e_k for every same-position pair."""
+    cmp = _ref_schreyer(_POT_GREVLEX, [_ref_largest(g, _POT_GREVLEX) for g in G])
+    gens = []
+    for j in range(len(G)):
+        for i in range(j):
+            sp = _ref_s_poly(G[i], G[j], _POT_GREVLEX)
+            if sp is None:
+                continue
+            ai, aj, s = sp
+            _leads, quots, rem = _ref_divide(s, G, _POT_GREVLEX)
+            assert not rem
+            terms = {(i, ai): 1, (j, aj): -1}
+            for k, q in enumerate(quots):
+                for qm, qc in q.items():
+                    terms[(k, qm)] = terms.get((k, qm), 0) - qc
+                    if not terms[(k, qm)]:
+                        del terms[(k, qm)]
+            gens.append(terms)
+    return _ref_reduce(gens, cmp)
+
+
+def _monic_of(B, scale=None):
+    """The elements of B, each a primitive int row with a positive leading
+    coefficient, scaled to monic; with scale, position k is first
+    multiplied by scale[k]."""
+    out = []
+    for e, (lt, lc) in zip(B.elements, B.lead_terms()):
+        assert lc > 0 and _primitive_int_row(e.terms)
+        terms = e.terms if scale is None else {
+            (k, m): c * scale[k] for (k, m), c in e.terms.items()}
+        out.append({t: Fraction(c) / terms[lt] for t, c in terms.items()})
+    return out
+
+
+def _assert_schreyer_matches_the_monic_route(G):
+    # position k of a syzygy of G stands for lc_k times monic element k
+    lcs = [lc for _lt, lc in G.lead_terms()]
+    assert _monic_of(schreyer_basis(G), lcs) == _ref_syzygies(_monic_of(G))
+
+
+@given(submodule_generators())
+@settings(max_examples=30)
+def test_buchberger_and_schreyer_match_the_monic_route(data):
+    F, gens = data
+    G = buchberger(gens, ambient=F)
+    assert _monic_of(G) == _ref_reduce(
+        _ref_complete([g.terms for g in gens], _POT_GREVLEX), _POT_GREVLEX)
+    _assert_schreyer_matches_the_monic_route(G)
+
+
+def test_interreduction_follows_a_changed_leading_coefficient():
+    # Reducing the tail of one element of this basis changes its primitive
+    # leading coefficient, and the element then reduces a later tail: the
+    # lead-term index must carry the new coefficient.
+    ring = RingSpec(3, 2)
+    F = FreeModule(ring, (0, 0))
+    t1, t2, t3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    gens = [{(0, t3): 1, (1, t1): Fraction(1, 4)},
+            {(0, t3): Fraction(-5, 4), (0, t2): Fraction(2, 3),
+             (1, t2): Fraction(-1, 4), (1, t3): -1},
+            {(1, t3): 2, (0, t2): -2, (0, t1): Fraction(5, 2)}]
+    G = buchberger([ModuleElement(F, g) for g in gens], ambient=F)
+    assert _monic_of(G) == _ref_reduce(_ref_complete(gens, _POT_GREVLEX),
+                                       _POT_GREVLEX)
+    _assert_schreyer_matches_the_monic_route(G)
+
+
+@given(graded_maps())
+@settings(max_examples=40)
+def test_kernel_and_schreyer_match_the_monic_route(maps):
+    A, B = maps
+    K = kernel(A)
+    assert _monic_of(K) == _ref_kernel(A)
+    assert _monic_of(kernel(A, modulo=B)) == _ref_kernel(A, B)
+    _assert_schreyer_matches_the_monic_route(K)
 
 
 # ---------- graded invariants ----------
@@ -623,13 +790,21 @@ def test_no_float_coefficient_anywhere(M):
     # int / int is a float: every division must stay exact
     cols = [c for c in M.relations.columns() if not c.is_zero()]
     assume(cols)
-    quotients, rem = divide(cols[-1], cols[:-1], grevlex,
-                            want_quotients=True)
+    quotients, rem, _mu = divide(cols[-1], cols[:-1], grevlex,
+                                 want_quotients=True)
     assert _exact(rem.terms.values())
     assert _exact(c for q in quotients for c in q.values())
     G = buchberger(cols, ambient=M.F0)
     assert _exact(_element_coeffs(G.elements))
     assert _exact(_element_coeffs(schreyer_basis(G).elements))
+    # every Groebner basis the engine builds, from int or rational input,
+    # holds int rows only
+    bases = [G, schreyer_basis(G), kernel(M.relations),
+             kernel(M.relations.transpose()),
+             kernel(M.relations, modulo=GradedMatrix.from_columns(
+                 M.F0, cols[:1], [cols[0].degree()]))]
+    for B in bases:
+        assert all(type(c) is int for c in _element_coeffs(B.elements))
     for A in minimal_resolution(M).maps:
         assert _exact(_element_coeffs(A.columns()))
     _modules, (A,) = _cancel_units([M.F0, M.F1], [M.relations])
