@@ -3,6 +3,12 @@
 Division with remainder, Buchberger completion (homogeneous input only,
 normal selection strategy), Schreyer syzygies, kernels and preimages of
 graded maps by elimination on a graph submodule, and lifts by division.
+
+Inside this layer every term is one packed int (syzal.packed): an element
+is a Row {key: coefficient}. Elements are packed once, where they enter
+(the lead-term index of a basis, the generators of a completion, the
+dividend of a public division), and unpacked only where they leave: the
+remainders, quotients and basis elements handed back.
 """
 from __future__ import annotations
 
@@ -12,17 +18,8 @@ from typing import List, Optional, Sequence
 
 from syzal.errors import InhomogeneousError, InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
-from syzal.ring import (
-    grevlex,
-    mono_coprime,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    qdiv,
-    schreyer_order,
-)
+from syzal.packed import MAX_DEGREE, Row, Schreyer, packing, too_high
+from syzal.ring import grevlex, mono_coprime, mono_lcm, qdiv, schreyer_order
 
 
 class GroebnerBasis:
@@ -32,7 +29,7 @@ class GroebnerBasis:
     basis that breaks either (VerificationError, InputError). The bases
     that buchberger, schreyer_basis and kernel build are reduced: no
     leading term divides any same-position term of another element. The
-    lead-term index that division reads is built once, here."""
+    elements are packed, and their lead-term index built, once, here."""
 
     __slots__ = ("ambient", "elements", "order", "_lts", "_index")
 
@@ -41,8 +38,21 @@ class GroebnerBasis:
         self.ambient = ambient
         self.elements = tuple(elements)
         self.order = order
-        self._lts = tuple(e.leading_term(order) for e in self.elements)
-        self._index = _lead_index(self._lts)
+        self._index = _lead_index(self.elements, order, ambient)
+        pk = self._index.packing
+        self._lts = tuple((pk.term(next(iter(row))), next(iter(row.values())))
+                          if row else None for row in self._index.rows)
+
+    @classmethod
+    def _of(cls, ambient: FreeModule, order, index: "_Index") -> "GroebnerBasis":
+        """The basis of the nonzero homogeneous rows of index."""
+        G = cls.__new__(cls)
+        G.ambient, G.order, G._index = ambient, order, index
+        pk = index.packing
+        index.limit = _limit(pk, ambient)
+        G.elements = tuple(_element(ambient, order, pk, row) for row in index.rows)
+        G._lts = tuple(e.leading_term(order) for e in G.elements)
+        return G
 
     def lead_terms(self):
         """((position, monomial), coefficient) of each element, in order."""
@@ -55,53 +65,127 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements)"
 
 
-# ---------- int rows ----------
+# ---------- packed rows ----------
 # Inside the Groebner layer an element is a primitive int row: int
 # coefficients of gcd 1, the leading one positive. It stands for the monic
 # element it is a positive multiple of, and division scales its work
 # instead of dividing (pseudo-division with content removal), so no
 # Fraction arises.
 
-def _primitive(e: ModuleElement, order) -> ModuleElement:
-    """The int row e divided by the gcd of its coefficients, signed so that
-    its leading coefficient is positive; e itself when that coefficient is
-    already 1, without looking at the others."""
-    lt = e.leading_term(order)
-    if lt is None or lt[1] == 1:
-        return e
-    g = gcd(*e.terms.values())
-    if lt[1] < 0:
+def _primitive(row: Row) -> Row:
+    """The int row divided by the gcd of its coefficients, signed so that
+    its leading coefficient is positive; row itself when that coefficient
+    is already 1, without looking at the others."""
+    if not row:
+        return row
+    c = next(iter(row.values()))
+    if c == 1:
+        return row
+    g = gcd(*row.values())
+    if c < 0:
         g = -g
     if g == 1:
-        return e
-    return ModuleElement._of(e.module, {t: c // g for t, c in e.terms.items()})
+        return row
+    return Row({t: v // g for t, v in row.items()})
 
 
-def _integral(e: ModuleElement, order) -> ModuleElement:
-    """The primitive int row that is a positive multiple of the exact
-    element e: where rational input enters the Groebner layer."""
-    if any(type(c) is not int for c in e.terms.values()):
-        den = lcm(*(c.denominator for c in e.terms.values()))
-        e = ModuleElement._of(e.module, {t: int(c * den) for t, c in e.terms.items()})
-    return _primitive(e, order)
+def _integral(row: Row) -> Row:
+    """The primitive int row that is a positive multiple of the exact row:
+    where rational input enters the Groebner layer."""
+    if any(type(c) is not int for c in row.values()):
+        den = lcm(*(c.denominator for c in row.values()))
+        row = Row({t: int(c * den) for t, c in row.items()})
+    return _primitive(row)
+
+
+def _element(module: FreeModule, order, pk, row: Row) -> ModuleElement:
+    """The row unpacked, with its leading term (its first) memoized."""
+    term = pk.term
+    terms = {term(t): c for t, c in row.items()}
+    return ModuleElement._of(module, terms, order, next(iter(terms.items()), None))
+
+
+def _limit(pk, module: FreeModule) -> int:
+    """The largest degree of a homogeneous element of module whose every
+    term, at any position, packs a monomial of degree at most MAX_DEGREE.
+    A term of degree q at position p packs one of degree (q - o_p) / d,
+    with o_p = degree of p - d * lift(p). Division of such an element by
+    homogeneous divisors, and an S-pair of that degree, form only terms of
+    that degree, so one check per element or S-pair keeps the packed
+    layer in bounds."""
+    d = module.ring.d
+    return min((g - d * pk.lift(p) for p, g in enumerate(module.degrees)),
+               default=0) + d * MAX_DEGREE
 
 
 # ---------- division ----------
 
-def _lead_index(lts) -> dict:
-    """{position: [(k, monomial, coefficient)]} of the nonzero lead terms
-    lts[k], each group in list order: only a divisor at a term's position
-    can divide it."""
-    index: dict = {}
-    for k, lt in enumerate(lts):
-        if lt is not None:
-            (pos, m), c = lt
-            index.setdefault(pos, []).append((k, m, c))
+class _Index:
+    """Divisors as packed rows, their leading terms grouped by position:
+    groups[pos] holds (k, probe, key, coefficient) for each nonzero row k
+    whose leading term, of that key, sits at pos, in list order; probe is
+    the key times packing.sign. For a division by a basis, limit is the
+    _limit of its ambient; slack is None when every divisor is homogeneous,
+    otherwise it bounds how far a division can raise a packed degree, and
+    excess[k] how far row k's terms lie above its leading term."""
+
+    __slots__ = ("packing", "rows", "groups", "limit", "slack", "excess")
+
+    def __init__(self, pk, rows: List[Row]):
+        self.packing, self.rows, self.groups = pk, rows, {}
+        self.limit = self.slack = self.excess = None
+        for k, row in enumerate(rows):
+            self._register(k, row)
+
+    def add(self, row: Row) -> None:
+        self.rows.append(row)
+        self._register(len(self.rows) - 1, row)
+
+    def _register(self, k: int, row: Row) -> None:
+        if row:
+            pk = self.packing
+            t = next(iter(row))
+            self.groups.setdefault(pk.position(t), []).append(
+                (k, pk.sign * t, t, row[t]))
+
+
+def _lead_index(elements: Sequence[ModuleElement], order,
+                ambient: FreeModule) -> _Index:
+    """Pack the elements under order and index their leading terms.
+
+    A division by homogeneous divisors keeps the degree of every term.
+    Otherwise a term moves to a larger position at most rank - 1 times,
+    each time raising its packed degree by at most the largest excess of a
+    divisor, and only then; that bound is the slack."""
+    pk = packing(order, ambient.ring.r)
+    index = _Index(pk, [pk.row(e.terms) for e in elements])
+    index.limit = _limit(pk, ambient)
+    if not all(e.is_homogeneous() for e in elements):
+        index.excess = [
+            max(map(pk.degree, e.terms)) - pk.degree(pk.term(next(iter(row))))
+            if row else 0 for e, row in zip(elements, index.rows)]
+        index.slack = (ambient.rank - 1) * max(0, *index.excess)
     return index
 
 
-def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
-           want_quotients: bool = False, *, index: Optional[dict] = None):
+def _dividend(f: ModuleElement, index: _Index) -> Row:
+    """f packed for division by index, or InputError when the division
+    could form a monomial of degree above MAX_DEGREE."""
+    pk = index.packing
+    row = pk.row(f.terms)
+    if not row:
+        return row
+    if index.slack is None:
+        degrees, d = f.module.degrees, f.module.ring.d
+        if max(degrees[p] + d * sum(m) for p, m in f.terms) > index.limit:
+            raise too_high("division")
+    elif max(map(pk.degree, f.terms)) + index.slack > MAX_DEGREE:
+        raise too_high("division")
+    return row
+
+
+def divide(f, gens: Sequence[ModuleElement], order,
+           want_quotients: bool = False, *, index: Optional[_Index] = None):
     """Deterministic division: scan gens in list order for the first leading
     term dividing the current work leading term. Returns (quotients, rem,
     mu) with mu * f = sum(quotients[k] * gens[k]) + rem, a positive int mu,
@@ -110,32 +194,41 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
     divisor does not divide the int coefficient c it removes, the work is
     multiplied by glc / gcd(glc, c) instead, and mu by the same factor; so
     int input gives int output. A Fraction coefficient on either side is
-    divided exactly instead. index, when given, is the _lead_index of gens
-    under order."""
+    divided exactly instead. index, when given, is the _Index of gens under
+    order.
+
+    The engine's own callers pass f already packed, a dict {key:
+    coefficient}, with the index: then rem is a packed Row and the
+    quotients map values V(q) (syzal.packed) to coefficients."""
     if index is None:
-        index = _lead_index([g.leading_term(order) for g in gens])
-    work = dict(f.terms)
+        index = _lead_index(gens, order, f.module)
+    pk = index.packing
+    packed = not isinstance(f, ModuleElement)
+    work = dict(f) if packed else dict(_dividend(f, index))
     # every term enters the heap when it enters work; a popped term that has
     # cancelled since is skipped, and no term enters twice after it is
     # popped, since each step only adds terms smaller than the one it removes
-    heap = [(order(t), t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
-    rem: dict = {}
-    quots: Optional[List[dict]] = [dict() for _ in gens] if want_quotients else None
+    heappop, heappush = heapq.heappop, heapq.heappush
+    rows, groups = index.rows, index.groups
+    sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
+    rem = Row()
+    quots: Optional[List[dict]] = [dict() for _ in rows] if want_quotients else None
     mu = 1
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        pos, m = t
-        for hit, gm, glc in index.get(pos, ()):
-            if mono_divides(gm, m):
+        x = sign * t
+        for hit, probe, lead, glc in groups.get((t >> pshift) & pmask, ()):
+            if not (x - probe) & guard:
                 break
         else:
             rem[t] = c
             continue
-        q = mono_div(m, gm)
+        q = lead - t  # V(q) for the monomial q with t = q * lead
         if glc == 1:
             coeff = c
         elif type(c) is int and type(glc) is int:
@@ -150,12 +243,12 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
                         part[u] *= scale
         else:
             coeff = qdiv(c, glc)
-        for (p2, m2), c2 in gens[hit].terms.items():
-            u = (p2, mono_mul(m2, q))
+        for u, c2 in rows[hit].items():
+            u -= q
             if u == t:
                 continue  # the leading term cancels exactly
             if u not in work:
-                heapq.heappush(heap, (order(u), u))
+                heappush(heap, u)
             s = work.get(u, 0) - coeff * c2
             if s:
                 work[u] = s
@@ -167,7 +260,13 @@ def divide(f: ModuleElement, gens: Sequence[ModuleElement], order,
                 quots[hit][q] = s
             else:
                 quots[hit].pop(q, None)
-    return quots, ModuleElement._of(f.module, rem), mu
+    if packed:
+        return quots, rem, mu
+    if quots is not None:
+        mono = pk.mono
+        quots = [{mono(v): c for v, c in qk.items()} if qk else qk
+                 for qk in quots]
+    return quots, _element(f.module, order, pk, rem), mu
 
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
@@ -177,104 +276,113 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     _quots, rem, mu = divide(f, G.elements, G.order, index=G._index)
     if mu == 1:
         return rem
-    return ModuleElement._of(f.module, {t: qdiv(c, mu) for t, c in rem.terms.items()})
+    terms = {t: qdiv(c, mu) for t, c in rem.terms.items()}
+    return ModuleElement._of(f.module, terms, G.order,
+                             next(iter(terms.items()), None))
 
 
 # ---------- canonical element order ----------
 
-def _canonical_key(elem: ModuleElement, order):
+def _canonical_key(pk, row: Row):
     # position ascending, then leading exponent vector lexicographically
     # descending; this ordering also realizes the Hilbert-syzygy length
     # bound for iterated Schreyer syzygies.
-    (pos, m), _ = elem.leading_term(order)
+    pos, m = pk.term(next(iter(row)))
     return (pos, tuple(-e for e in m))
 
 
-def _reduce_basis(elements: Sequence[ModuleElement], order):
-    """Interreduce a Groebner basis of primitive int rows: minimal (no
-    leading term divides another), tails fully reduced, primitive with a
-    positive leading coefficient, canonically sorted."""
-    elems = [e for e in elements if not e.is_zero()]
-    lts = [e.leading_term(order) for e in elems]
-    index = _lead_index(lts)
-    keep = [True] * len(elems)
-    for i, ((pi, mi), _c) in enumerate(lts):
-        for k, mk, _ck in index[pi]:
-            if k != i and keep[k] and mono_divides(mk, mi) and (mk != mi or k < i):
+def _reduce_basis(rows: List[Row], order, pk) -> _Index:
+    """Interreduce a Groebner basis of primitive int rows packed under pk:
+    minimal (no leading term divides another), tails fully reduced,
+    primitive with a positive leading coefficient, canonically sorted.
+    Returns the _Index of the reduced rows."""
+    rows = [row for row in rows if row]
+    index = _Index(pk, rows)
+    sign, guard = pk.sign, pk.guard
+    keep = [True] * len(rows)
+    for i, row in enumerate(rows):
+        t = next(iter(row))
+        x = sign * t
+        for k, probe, lead, _c in index.groups[pk.position(t)]:
+            if (k != i and keep[k] and not (x - probe) & guard
+                    and (lead != t or k < i)):
                 keep[i] = False
                 break
-    elems = [e for e, f in zip(elems, keep) if f]
+    rows = sorted((row for row, kept in zip(rows, keep) if kept),
+                  key=lambda row: _canonical_key(pk, row))
     # No leading term divides another, so tail reduction leaves every
-    # leading term in place: one in-place pass reduces all tails for good.
-    # A tail term is smaller than its own leading term, which therefore
-    # never divides it, so one index serves every element.
-    lts = [e.leading_term(order) for e in elems]
-    index = _lead_index(lts)
-    # A reduced element keeps its leading term but may change its leading
+    # leading term in place: one in-place pass reduces all tails for good,
+    # to the unique reduced basis whatever the order of the pass. A tail
+    # term is smaller than its own leading term, which therefore never
+    # divides it, so one index serves every row.
+    index = _Index(pk, rows)
+    # A reduced row keeps its leading term but may change its leading
     # coefficient, which its index entry then follows.
-    for i, e in enumerate(elems):
-        lt, c = lts[i]
-        tail = ModuleElement._of(e.module, {t: v for t, v in e.terms.items() if t != lt})
-        _quots, r, mu = divide(tail, elems, order, index=index)
-        if r.terms != tail.terms:
-            e = elems[i] = _primitive(
-                ModuleElement._of(e.module, {lt: mu * c, **r.terms}), order)
-            group = index[lt[0]]
-            n = next(n for n, (k, _m, _c) in enumerate(group) if k == i)
-            group[n] = (i, lt[1], e.terms[lt])
-    return sorted(elems, key=lambda e: _canonical_key(e, order))
+    for i, row in enumerate(rows):
+        items = iter(row.items())
+        lt, c = next(items)
+        tail = dict(items)
+        _quots, r, mu = divide(tail, rows, order, index=index)
+        if r != tail:
+            new = Row({lt: mu * c})
+            new.update(r)  # every tail key is larger than lt
+            new = rows[i] = _primitive(new)
+            group = index.groups[pk.position(lt)]
+            n = next(n for n, (k, *_e) in enumerate(group) if k == i)
+            group[n] = (i, sign * lt, lt, new[lt])
+    return index
 
 
 # ---------- Buchberger ----------
 
-def _spair_data(lt_i, lt_j):
-    (p, mi), _ = lt_i
-    (p2, mj), _ = lt_j
-    if p != p2:
-        return None
-    return mono_lcm(mi, mj)
-
-
-def _s_poly(f: ModuleElement, lt_f, g: ModuleElement, lt_g, lcm):
-    """(a_f, a_g, b_f, b_g, b_f a_f f - b_g a_g g) for elements f and g with
-    same-position leading terms lt_f = ((p, m_f), c_f) and lt_g =
-    ((p, m_g), c_g): a_f = lcm/m_f, a_g = lcm/m_g, and for int c_f, c_g,
-    b_f = c_g/h and b_g = c_f/h with h = gcd(c_f, c_g) (b_f = c_g and
-    b_g = c_f otherwise). Built in one pass over the terms of f and g; the
-    leading terms cancel."""
-    (_p, mf), cf = lt_f
-    (_p, mg), cg = lt_g
+def _s_poly(f: Row, g: Row, lcm_key: int):
+    """(v_f, v_g, b_f, b_g, b_f a_f f - b_g a_g g) for rows f and g whose
+    same-position leading terms have the lcm of key lcm_key: v_f and v_g
+    are the values V(a_f), V(a_g) of a_f = lcm/LT(f) and a_g = lcm/LT(g),
+    and for int leading coefficients c_f, c_g, b_f = c_g/h and b_g = c_f/h
+    with h = gcd(c_f, c_g) (b_f = c_g and b_g = c_f otherwise). The
+    S-polynomial is a packed dict built in one pass over the terms of f
+    and g; the leading terms cancel."""
+    (tf, cf), (tg, cg) = next(iter(f.items())), next(iter(g.items()))
     if type(cf) is int and type(cg) is int:
         h = gcd(cf, cg)
         bf, bg = cg // h, cf // h
     else:
         bf, bg = cg, cf
-    af, ag = mono_div(lcm, mf), mono_div(lcm, mg)
-    terms = {(p, mono_mul(m, af)): bf * c for (p, m), c in f.terms.items()}
-    for (p, m), c in g.terms.items():
-        u = (p, mono_mul(m, ag))
+    vf, vg = tf - lcm_key, tg - lcm_key
+    terms = {t - vf: bf * c for t, c in f.items()}
+    for t, c in g.items():
+        u = t - vg
         s = terms.get(u, 0) - bg * c
         if s:
             terms[u] = s
         else:
             del terms[u]
-    return af, ag, bf, bg, ModuleElement._of(f.module, terms)
+    return vf, vg, bf, bg, terms
 
 
 def _s_pairs(G: "GroebnerBasis"):
-    """(i, j, a_i, a_j, b_i, b_j, S-polynomial) for every same-position
-    pair i < j of G, in index order."""
-    lts = G.lead_terms()
-    for i in range(len(G.elements)):
-        for j in range(i + 1, len(G.elements)):
-            lcm = _spair_data(lts[i], lts[j])
-            if lcm is not None:
-                yield (i, j) + _s_poly(G.elements[i], lts[i],
-                                       G.elements[j], lts[j], lcm)
-
-
-def _position_pure(e: ModuleElement) -> bool:
-    return len({pos for (pos, _m) in e.terms}) <= 1
+    """(i, j, v_i, v_j, b_i, b_j, S-polynomial) for every same-position
+    pair i < j of G, in index order; InputError for a pair whose
+    S-polynomial or its division could form a monomial of degree above
+    MAX_DEGREE."""
+    index, lts = G._index, G._lts
+    pk, rows = index.packing, index.rows
+    d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if lts[i] is None or lts[j] is None:
+                continue
+            (p, mi), _ = lts[i]
+            (p2, mj), _ = lts[j]
+            if p != p2:
+                continue
+            lcm = mono_lcm(mi, mj)
+            if (degrees[p] + d * sum(lcm) > limit if index.slack is None
+                    else pk.degree((p, lcm)) + max(index.excess[i], index.excess[j])
+                    + index.slack > MAX_DEGREE):
+                raise too_high("S-pair")
+            yield (i, j) + _s_poly(rows[i], rows[j], pk.key(p, lcm))
 
 
 def buchberger(gens: Sequence[ModuleElement], order=grevlex,
@@ -286,16 +394,18 @@ def buchberger(gens: Sequence[ModuleElement], order=grevlex,
         if not gens:
             raise InputError("buchberger needs generators or an explicit ambient")
         ambient = gens[0].module
-    return GroebnerBasis(ambient, _reduce_basis(_complete(gens, order, ambient),
-                                                order), order)
+    index = _complete(gens, order, ambient)
+    return GroebnerBasis._of(ambient, order,
+                             _reduce_basis(index.rows, order, index.packing))
 
 
 def _complete(gens: Sequence[ModuleElement], order,
-              ambient: FreeModule) -> List[ModuleElement]:
+              ambient: FreeModule) -> _Index:
     """An unreduced Groebner basis of the submodule of ambient generated by
-    homogeneous gens, of primitive int rows with positive leading
-    coefficients: the nonzero gens, cleared of denominators, then every
-    nonzero S-pair remainder in the order it was found.
+    homogeneous gens, as the _Index of its packed rows, primitive int rows
+    with positive leading coefficients: the nonzero gens, cleared of
+    denominators, then every nonzero S-pair remainder in the order it was
+    found. InputError for a generator or S-pair of degree above _limit.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. The coprimality criterion is
@@ -306,70 +416,80 @@ def _complete(gens: Sequence[ModuleElement], order,
     (i, k) and (j, k) have already left the queue.
     """
     d = ambient.ring.d
-    basis: List[ModuleElement] = []
+    pk = packing(order, ambient.ring.r)
+    limit = _limit(pk, ambient)
+    sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
+    index = _Index(pk, [])
+    rows, groups = index.rows, index.groups
+    lts: list = []  # (position, monomial) of each leading term
     pure: List[bool] = []
+
+    def add(row: Row):
+        index.add(row)
+        lts.append(pk.term(next(iter(row))))
+        pure.append(len({(t >> pshift) & pmask for t in row}) == 1)
+
     for g in gens:
         if g.module != ambient:
             raise InputError("generators live in different ambient modules")
         if not g.is_homogeneous():
             raise InhomogeneousError("buchberger requires homogeneous generators")
         if not g.is_zero():
-            basis.append(_integral(g, order))
-            pure.append(_position_pure(g))
-    lts = [e.leading_term(order) for e in basis]
-    index = _lead_index(lts)
+            if g.degree() > limit:
+                raise too_high("generator")
+            add(_integral(pk.row(g.terms)))
 
     heap: list = []
 
     # S-pairs and chain-criterion witnesses share a position, so both read
     # the index: the earlier elements at that position, in list order
     def push_pairs(j: int):
-        (p, mj), _ = lts[j]
-        for i, mi, _c in index[p]:
+        p, mj = lts[j]
+        for i, _probe, _t, _c in groups[p]:
             if i >= j:
                 break
-            sdeg = ambient.degrees[p] + d * mono_deg(mono_lcm(mi, mj))
+            sdeg = ambient.degrees[p] + d * sum(mono_lcm(lts[i][1], mj))
             heapq.heappush(heap, (sdeg, i, j))
 
-    def chain_skips(i: int, j: int, p: int, lcm) -> bool:
-        for k, mk, _c in index[p]:
+    def chain_skips(i: int, j: int, p: int, lcm_key: int) -> bool:
+        x = sign * lcm_key
+        for k, probe, _t, _c in groups[p]:
             if (k != i and k != j
                     and ((i, k) if i < k else (k, i)) in done
                     and ((j, k) if j < k else (k, j)) in done
-                    and mono_divides(mk, lcm)):
+                    and not (x - probe) & guard):
                 return True
         return False
 
-    for j in range(len(basis)):
+    for j in range(len(rows)):
         push_pairs(j)
 
     done = set()
     while heap:
         sdeg, i, j = heapq.heappop(heap)
         done.add((i, j))
-        (p, mi), _ = lts[i]
-        (_, mj), _ = lts[j]
+        p, mi = lts[i]
+        mj = lts[j][1]
         if pure[i] and pure[j] and mono_coprime(mi, mj):
             continue
-        lcm = mono_lcm(mi, mj)
-        if chain_skips(i, j, p, lcm):
+        if sdeg > limit:
+            raise too_high("S-pair")
+        lcm_key = pk.key(p, mono_lcm(mi, mj))
+        if chain_skips(i, j, p, lcm_key):
             continue
-        r = divide(_s_poly(basis[i], lts[i], basis[j], lts[j], lcm)[4], basis,
-                   order, index=index)[1]
-        if not r.is_zero():
-            basis.append(_primitive(r, order))
-            pure.append(_position_pure(r))
-            lts.append(basis[-1].leading_term(order))
-            (pos, m), c = lts[-1]
-            index.setdefault(pos, []).append((len(basis) - 1, m, c))
-            push_pairs(len(basis) - 1)
+        r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows, order,
+                   index=index)[1]
+        if r:
+            add(_primitive(r))
+            push_pairs(len(rows) - 1)
 
-    return basis
+    return index
 
 
 def verify_spairs(G: GroebnerBasis) -> bool:
     """Certificate check: every same-position S-pair reduces to zero."""
-    return all(normal_form(s, G).is_zero() for *_ij, s in _s_pairs(G))
+    return all(divide(s, G.elements, G.order, index=G._index)[1].is_zero()
+               for *_ij, s in _s_pairs(G))
 
 
 # ---------- Schreyer syzygies ----------
@@ -383,30 +503,34 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     primitive int rows with positive leading coefficients (else
     InputError), and every S-polynomial must reduce to zero (else
     VerificationError: G is not a Groebner basis)."""
-    if any(e.is_zero() or _integral(e, G.order) is not e for e in G.elements):
+    index = G._index
+    if any(not row or _integral(row) is not row for row in index.rows):
         raise InputError("basis element is zero or not a primitive int row "
                          "with a positive leading coefficient")
     ring = G.ambient.ring
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
-    sorder = schreyer_order(G.order, [lt[0] for lt in G.lead_terms()])
-    sygens: List[ModuleElement] = []
-    for i, j, ai, aj, bi, bj, s in _s_pairs(G):
+    leads = [lt[0] for lt in G.lead_terms()]
+    sorder = schreyer_order(G.order, leads)
+    spk = Schreyer(index.packing, leads)
+    key = spk.key_of_value
+    sygens: List[Row] = []
+    for i, j, vi, vj, bi, bj, s in _s_pairs(G):
         quots, rem, mu = divide(s, G.elements, G.order, want_quotients=True,
-                                index=G._index)
-        if not rem.is_zero():
+                                index=index)
+        if rem:
             raise VerificationError("input basis is not a Groebner basis")
-        terms: dict = {(i, ai): mu * bi, (j, aj): -mu * bj}
+        terms: dict = {key(i, vi): mu * bi, key(j, vj): -mu * bj}
         for k, q in enumerate(quots):
-            for qm, qc in q.items():
-                key = (k, qm)
-                v = terms.get(key, 0) - qc
-                if v:
-                    terms[key] = v
+            for v, qc in q.items():
+                t = key(k, v)
+                c = terms.get(t, 0) - qc
+                if c:
+                    terms[t] = c
                 else:
-                    terms.pop(key, None)
-        sygens.append(_primitive(ModuleElement._of(aux, terms), sorder))
-    return GroebnerBasis(aux, _reduce_basis(sygens, sorder), sorder)
+                    terms.pop(t, None)
+        sygens.append(_primitive(Row(sorted(terms.items()))))
+    return GroebnerBasis._of(aux, sorder, _reduce_basis(sygens, sorder, spk))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:
@@ -436,7 +560,8 @@ def kernel(A: GradedMatrix,
     it neither removes one of them as non-minimal nor reduces one of their
     tails. Reducing them alone therefore gives the kernel part of the
     reduced graph basis, which is unique. Shifting positions back by a
-    constant keeps both the order and the canonical element order.
+    constant keeps both the order and the canonical element order, and
+    under the packed layout it is one subtraction per key.
     """
     target, source = A.target, A.source
     if modulo is not None and modulo.target != target:
@@ -451,11 +576,12 @@ def kernel(A: GradedMatrix,
         pairs.append(ModuleElement(big, terms))
     if modulo is not None:
         pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
-    elems = [ModuleElement._of(source, {(pos - split, m): c
-                                        for (pos, m), c in e.terms.items()})
-             for e in _complete(pairs, grevlex, big)
-             if e.leading_term(grevlex)[0][0] >= split]
-    return GroebnerBasis(source, _reduce_basis(elems, grevlex))
+    index = _complete(pairs, grevlex, big)
+    pk = index.packing
+    shift = pk.base(split) - pk.base(0)
+    rows = [Row({t - shift: c for t, c in row.items()}) for row in index.rows
+            if pk.position(next(iter(row))) >= split]
+    return GroebnerBasis._of(source, grevlex, _reduce_basis(rows, grevlex, pk))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,

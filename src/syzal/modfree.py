@@ -75,12 +75,15 @@ class ModuleElement:
         self._lt_order = self._lt = None
 
     @classmethod
-    def _of(cls, module: FreeModule, terms: dict) -> "ModuleElement":
+    def _of(cls, module: FreeModule, terms: dict, order=None,
+            lt=None) -> "ModuleElement":
         """The element with exactly these terms, taken as they are: for
-        engine code whose terms dict holds no zero and is not used again."""
+        engine code whose terms dict holds no zero and is not used again.
+        An engine that knows the leading term lt under order passes both,
+        and leading_term(order) returns lt without a scan."""
         e = cls.__new__(cls)
         e.module, e.terms = module, terms
-        e._lt_order = e._lt = None
+        e._lt_order, e._lt = order, lt
         return e
 
     @staticmethod

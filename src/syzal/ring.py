@@ -50,8 +50,8 @@ def qdiv(a, b):
 
 
 # ---------- monomials ----------
-# Exponent-tuple arithmetic and the two base orders: the hot path of every
-# Groebner computation.
+# Exponent-tuple arithmetic. The Groebner layer packs each term into one
+# int instead (syzal.packed) and uses tuples only at its edges.
 
 def mono_deg(a):
     """Total exponent sum (ring degree is d times this)."""
@@ -60,24 +60,6 @@ def mono_deg(a):
 
 def mono_mul(a, b):
     return tuple(map(operator.add, a, b))
-
-
-def mono_divides(a, b):
-    """True iff a divides b componentwise."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if y > x:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 def mono_lcm(a, b):
@@ -298,6 +280,8 @@ def schreyer_order(prior, lead_terms):
         i, m = t
         p, mi = lead_terms[i]
         return (prior((p, mono_mul(m, mi))), i)
+    # the Groebner layer builds its packed layout from these (syzal.packed)
+    schreyer.prior, schreyer.lead_terms = prior, lead_terms
     return schreyer
 
 

@@ -29,8 +29,11 @@ from syzal import (
 from syzal.oracle import free_dim, kernel_dim
 
 
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _lt_divides(lt, key):
-    from syzal.ring import mono_divides
     return lt[0] == key[0] and mono_divides(lt[1], key[1])
 
 
@@ -86,7 +89,6 @@ def test_buchberger_toric_hilbert_vs_oracle():
     # standard monomials of the leading-term module == module dimensions
     M = toric_ht(2)
     G = buchberger(M.relations.columns(), ambient=M.F0)
-    from syzal.ring import mono_divides
     lts = G.lead_terms()
     from syzal.oracle import _basis
     dims = module_dims(M, None)

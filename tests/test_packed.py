@@ -1,0 +1,227 @@
+"""Packed terms (syzal.packed) and the bound of the packed Groebner layer."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from syzal import (
+    FreeModule,
+    GradedMatrix,
+    GroebnerBasis,
+    InputError,
+    ModuleElement,
+    RingSpec,
+    buchberger,
+    divide,
+    grevlex,
+    grlex,
+    kernel,
+    normal_form,
+    schreyer_basis,
+    schreyer_order,
+)
+from syzal.packed import MAX_DEGREE, packing
+from syzal.ring import mono_mul
+
+settings.register_profile("suite", deadline=None, max_examples=30)
+settings.load_profile("suite")
+
+
+def _divides(pk, a, b):
+    """The packed test: the leading key a divides the key b."""
+    return not (pk.sign * (b - a)) & pk.guard
+
+
+# ---------- the layout against the tuple orders ----------
+
+@st.composite
+def monomials(draw, r, top=MAX_DEGREE):
+    """Small exponents, and now and then one near the degree bound top."""
+    small = min(4, top // r) if r else 0
+    m = draw(st.lists(st.integers(0, small), min_size=r, max_size=r))
+    if r and draw(st.booleans()):
+        i = draw(st.integers(0, r - 1))
+        m[i] = draw(st.integers(0, top - sum(m) + m[i]))
+    return tuple(m)
+
+
+@st.composite
+def layouts(draw):
+    """(r, order, positions, top): grevlex, grlex, or a Schreyer order over
+    either with up to three leading terms, and the degree below which its
+    monomials stay packable."""
+    r = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["grevlex", "grlex", "schreyer"]))
+    if kind != "schreyer":
+        return r, {"grevlex": grevlex, "grlex": grlex}[kind], 3, MAX_DEGREE
+    prior = draw(st.sampled_from([grevlex, grlex]))
+    leads = draw(st.lists(st.tuples(st.integers(0, 2), monomials(r, 4 * r)),
+                          min_size=1, max_size=3))
+    return r, schreyer_order(prior, leads), len(leads), MAX_DEGREE - 4 * r
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_packing_matches_the_tuple_order(data):
+    r, order, npos, top = data.draw(layouts())
+    pk = packing(order, r)
+    terms = st.tuples(st.integers(0, npos - 1), monomials(r, top))
+    (p, a), (p2, b) = data.draw(terms), data.draw(terms)
+    ka, kb = pk.key(p, a), pk.key(p2, b)
+    # keys sort exactly like the tuple keys
+    assert (ka < kb) == (order((p, a)) < order((p2, b)))
+    assert (ka == kb) == ((p, a) == (p2, b))
+    # pack and unpack round-trip
+    assert pk.term(ka) == (p, a)
+    assert pk.term(kb) == (p2, b)
+    # the key of a product is the key minus the value of the factor
+    q = data.draw(monomials(r, top - sum(a)))
+    assert pk.key(p, mono_mul(a, q)) == ka - pk.value(q)
+    assert pk.mono(pk.value(q)) == q
+    # the mask test is componentwise divisibility at one position
+    b = data.draw(st.one_of(monomials(r, top), st.just(mono_mul(a, q))))
+    assert (_divides(pk, ka, pk.key(p, b))
+            == all(x <= y for x, y in zip(a, b)))
+
+
+def test_packed_divisibility_and_quotient():
+    # the exponent-tuple helpers mono_divides and mono_div these replace
+    pk = packing(grevlex, 2)
+    assert _divides(pk, pk.key(0, (1, 0)), pk.key(0, (2, 1)))
+    assert not _divides(pk, pk.key(0, (3, 0)), pk.key(0, (2, 1)))
+    assert pk.mono(pk.key(0, (1, 0)) - pk.key(0, (2, 1))) == (1, 1)
+    assert not _divides(pk, pk.key(0, (2, 0)), pk.key(0, (1, 0)))
+
+
+def test_unknown_order_is_refused():
+    with pytest.raises(InputError):
+        packing(lambda t: t, 2)
+
+
+# ---------- the degree bound, through the API ----------
+
+def _power(F, pos, exps):
+    return ModuleElement(F, {(pos, tuple(exps)): 1})
+
+
+def test_largest_exponent_computes_and_one_more_is_refused():
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0,))
+    G = buchberger([_power(F, 0, (MAX_DEGREE, 0))], ambient=F)
+    assert G.lead_terms() == (((0, (MAX_DEGREE, 0)), 1),)
+    assert normal_form(_power(F, 0, (MAX_DEGREE, 0)), G).is_zero()
+    with pytest.raises(InputError):
+        buchberger([_power(F, 0, (MAX_DEGREE + 1, 0))], ambient=F)
+    with pytest.raises(InputError):
+        normal_form(_power(F, 0, (MAX_DEGREE + 1, 0)), G)
+    assert len(GroebnerBasis(F, [_power(F, 0, (MAX_DEGREE, 0))])) == 1
+    with pytest.raises(InputError):
+        GroebnerBasis(F, [_power(F, 0, (MAX_DEGREE + 1, 0))])
+    # a quotient of the largest degree leaves the packed layer intact
+    quots, rem, mu = divide(_power(F, 0, (0, MAX_DEGREE)),
+                            [_power(F, 0, (0, 1))], grevlex, want_quotients=True)
+    assert quots == [{(0, MAX_DEGREE - 1): 1}] and rem.is_zero() and mu == 1
+
+
+def test_an_s_pair_past_the_bound_is_refused():
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0,))
+    top = MAX_DEGREE
+    # lcm t1^(top-1) t2 has degree top: computes, with one syzygy
+    G = buchberger([_power(F, 0, (top - 1, 0)), _power(F, 0, (top - 2, 1))],
+                   ambient=F)
+    assert len(schreyer_basis(G)) == 1
+    # lcm t1^top t2 has degree top + 1
+    with pytest.raises(InputError):
+        buchberger([_power(F, 0, (top, 0)), _power(F, 0, (top - 1, 1))],
+                   ambient=F)
+    # completion skips a coprime pair, but the Schreyer syzygies need it:
+    # the lcm of t1^(top-5) and t2^5 has degree top, with t2^6 top + 1
+    H = buchberger([_power(F, 0, (top - 5, 0)), _power(F, 0, (0, 5))], ambient=F)
+    assert len(schreyer_basis(H)) == 1
+    H = buchberger([_power(F, 0, (top - 5, 0)), _power(F, 0, (0, 6))], ambient=F)
+    assert len(H) == 2
+    with pytest.raises(InputError):
+        schreyer_basis(H)
+    # under a Schreyer order a term packs m times the leading monomial:
+    # t1^2 e_0 and t1 t2 e_0 pack degree top, their lcm top + 1
+    lead = (0, (top - 2, 0))
+    order = schreyer_order(grevlex, [lead, lead])
+    aux = FreeModule(ring, (2 * (top - 2),) * 2)
+    gens = [_power(aux, 0, (2, 0)), _power(aux, 0, (1, 1))]
+    assert len(buchberger(gens[:1], order, ambient=aux)) == 1
+    with pytest.raises(InputError):
+        buchberger(gens, order, ambient=aux)
+
+
+def test_the_bound_counts_every_position():
+    # at degree 2 top an element may sit at position 1 (degree 2), but a
+    # division could move its degree to position 0 (degree 0), where the
+    # monomial is one degree higher
+    ring = RingSpec(1, 2)
+    F = FreeModule(ring, (0, 2))
+    assert len(buchberger([_power(F, 1, (MAX_DEGREE - 1,))], ambient=F)) == 1
+    with pytest.raises(InputError):
+        buchberger([_power(F, 1, (MAX_DEGREE,))], ambient=F)
+    # dividing t1^k e_0 by e_0 - t1 e_1 forms t1^(k+1) e_1
+    F = FreeModule(ring, (2, 0))
+    g = ModuleElement(F, {(0, (0,)): 1, (1, (1,)): -1})
+    _q, rem, _mu = divide(_power(F, 0, (MAX_DEGREE - 1,)), [g], grevlex)
+    assert rem.terms == {(1, (MAX_DEGREE,)): 1}
+    with pytest.raises(InputError):
+        divide(_power(F, 0, (MAX_DEGREE,)), [g], grevlex)
+
+
+def test_inhomogeneous_division_past_the_bound_is_refused():
+    # e_0 + t1^5 e_1 moves a term from position 0 to 1 five degrees higher
+    ring = RingSpec(1, 2)
+    F = FreeModule(ring, (0, 0))
+    g = ModuleElement(F, {(0, (0,)): 1, (1, (5,)): 1})
+    quots, rem, mu = divide(_power(F, 0, (MAX_DEGREE - 5,)), [g], grevlex,
+                            want_quotients=True)
+    assert rem.terms == {(1, (MAX_DEGREE,)): -1}
+    with pytest.raises(InputError):
+        divide(_power(F, 0, (MAX_DEGREE - 4,)), [g], grevlex)
+
+
+def test_kernel_at_the_bound():
+    ring = RingSpec(1, 2)
+    R = FreeModule(ring, (0,))
+    col = _power(R, 0, (MAX_DEGREE,))
+    assert len(kernel(GradedMatrix.from_columns(R, [col, col]))) == 1
+    col = _power(R, 0, (MAX_DEGREE + 1,))
+    with pytest.raises(InputError):
+        kernel(GradedMatrix.from_columns(R, [col, col]))
+
+
+def test_r0_and_the_zero_module():
+    ring = RingSpec(0, 2)
+    F = FreeModule(ring, (0, 0))
+    e0, e1 = F.generator(0), F.generator(1)
+    G = buchberger([e0 + e1, e0 - e1], ambient=F)
+    assert [lt for lt, _c in G.lead_terms()] == [(0, ()), (1, ())]
+    assert normal_form(e0.scale(3), G).is_zero()
+    one = GradedMatrix.from_columns(FreeModule(ring, (0,)), [ModuleElement(
+        FreeModule(ring, (0,)), {(0, ()): 1})] * 2)
+    assert len(kernel(one)) == 1
+    zero = FreeModule(ring, ())
+    G0 = buchberger([], ambient=zero)
+    assert len(G0) == 0 and len(schreyer_basis(G0)) == 0
+    empty = GradedMatrix(zero, FreeModule(ring, (0,)), [()])
+    assert len(kernel(empty)) == 0
+
+
+def test_the_oracle_keeps_exponent_tuples():
+    # the oracle, and every syzal module it imports, stays off the packed code
+    import ast
+    import importlib
+    seen, todo = set(), ["syzal.oracle"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        tree = ast.parse(open(importlib.import_module(name).__file__).read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("syzal.") and node.module not in seen):
+                todo.append(node.module)
+    assert "syzal.packed" not in seen and "syzal.groebner" not in seen
+    assert seen == {"syzal.oracle", "syzal.modfree", "syzal.ring", "syzal.errors"}
