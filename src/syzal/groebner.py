@@ -448,8 +448,9 @@ def _complete(gens: Sequence[ModuleElement], order,
         for i, _probe, _t, _c in groups[p]:
             if i >= j:
                 break
-            sdeg = ambient.degrees[p] + d * sum(mono_lcm(lts[i][1], mj))
-            heapq.heappush(heap, (sdeg, i, j))
+            lcm = mono_lcm(lts[i][1], mj)
+            heapq.heappush(heap, (ambient.degrees[p] + d * sum(lcm), i, j,
+                                  pk.key(p, lcm)))
 
     def chain_skips(i: int, j: int, p: int, lcm_key: int) -> bool:
         x = sign * lcm_key
@@ -466,7 +467,7 @@ def _complete(gens: Sequence[ModuleElement], order,
 
     done = set()
     while heap:
-        sdeg, i, j = heapq.heappop(heap)
+        sdeg, i, j, lcm_key = heapq.heappop(heap)
         done.add((i, j))
         p, mi = lts[i]
         mj = lts[j][1]
@@ -474,7 +475,6 @@ def _complete(gens: Sequence[ModuleElement], order,
             continue
         if sdeg > limit:
             raise too_high("S-pair")
-        lcm_key = pk.key(p, mono_lcm(mi, mj))
         if chain_skips(i, j, p, lcm_key):
             continue
         r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows, order,

@@ -52,8 +52,9 @@ class FreeModule:
         return ModuleElement(self, {})
 
     def __eq__(self, other):
-        return (isinstance(other, FreeModule)
-                and self.ring == other.ring and self.degrees == other.degrees)
+        return self is other or (isinstance(other, FreeModule)
+                                 and self.ring == other.ring
+                                 and self.degrees == other.degrees)
 
     def __hash__(self):
         return hash((self.ring, self.degrees))

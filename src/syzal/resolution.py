@@ -7,6 +7,7 @@ cancelling constant-entry pivots.
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
@@ -30,7 +31,6 @@ from syzal.ring import (
     grevlex,
     mono_deg,
     mono_mul,
-    qdiv,
 )
 
 
@@ -130,64 +130,115 @@ def _by_row(v: ModuleElement) -> dict:
     return col
 
 
+def _divide_content(entries) -> int:
+    """Divide the coefficient dicts {monomial: coefficient} in entries, in
+    place, by the positive content of all their coefficients: the gcd of
+    the numerators over the lcm of the denominators. They are then
+    primitive, and every coefficient is an int, also one that was an
+    integral Fraction. Returns that gcd (1 when there is no coefficient),
+    which is the content when the coefficients were ints."""
+    entries = list(entries)
+    coeffs = [c for e in entries for c in e.values()]
+    g = gcd(*(c.numerator for c in coeffs)) or 1
+    den = lcm(*(c.denominator for c in coeffs))
+    if g > 1 or den > 1 or any(type(c) is not int for c in coeffs):
+        for e in entries:
+            for m, c in e.items():
+                e[m] = c * den // g
+    return g
+
+
 def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     """Cancel every constant entry of the chain F_0 <- F_1 <- ... with
-    maps[s]: F_{s+1} -> F_s; returns the shorter (modules, maps).
+    maps[s]: F_{s+1} -> F_s; returns the shorter (modules, maps). No
+    coefficient is divided by a pivot, and every output map is an int
+    matrix, also for rational input.
 
-    The pivot is the first constant entry, in row-major order, of the first
-    map that has one. Cancelling entry (a, b) of maps[s] removes generator
-    a of F_s and b of F_{s+1}: each other column y of maps[s] becomes
-    column y - column b * entry (a, y) / entry (a, b), row b of maps[s + 1]
-    and column a of maps[s - 1] are dropped. That creates no constant entry
-    in an earlier map, so the search resumes at the map of the last pivot.
-    A column is a dict row -> {monomial: coefficient} meanwhile, a removed
+    The search takes the maps in turn. When it reaches maps[s], the map is
+    divided by its content (see _divide_content): a scalar on a whole map
+    is an isomorphism of complexes (scale F_{s+1}, F_{s+2}, ... by it), and
+    on maps[0] it keeps the image, so the cokernel is unchanged. The pivot
+    is then the first constant entry, in row-major order, of maps[s], until
+    there is none. Cancelling entry (a, b) = p removes generator a of F_s
+    and b of F_{s+1}, with row b of maps[s + 1] and column a of
+    maps[s - 1]. Before that, each other column y of maps[s] with entry
+    (a, y) = e != 0 is cleared in row a:
+    - p = +-1: column y becomes column y - e p column b, as the basis change
+      y -> y - (e / p) b of F_{s+1}, under which maps[s + 1] keeps its rows;
+    - else: column y becomes (p column y - e column b) / g, with g the
+      content of p column y - e column b, as the basis change
+      y -> (p y - e b) / g. That multiplies row y of maps[s + 1] by g / p.
+      Every row of maps[s + 1] is multiplied by p on top, an isomorphism
+      as above, so row y is multiplied by g and every other row by p.
+    Dividing each such column by its content keeps it the primitive part of
+    the column that dividing by p would give, so its coefficients stay
+    bounded by minors of the input; the scalar that the factors p leave on
+    maps[s + 1] goes when the search reaches it. Cancelling creates no
+    constant entry in an earlier map, so the search never goes back. A
+    column is a dict row -> {monomial: coefficient} meanwhile, a removed
     generator has degree None and a removed column is None; rows are
     renumbered once, at the end.
     """
     degs = [list(F.degrees) for F in modules]
     mats = [[_by_row(v) for v in A.columns()] for A in maps]
-    s = 0
-    while s < len(mats):
-        cols = mats[s]
-        # an entry of a homogeneous map between generators of equal degree
-        # is constant, so only those columns can hold a pivot in row a
-        cols_of: dict = {}
-        for b, g in enumerate(degs[s + 1]):
-            if g is not None:
-                cols_of.setdefault(g, []).append(b)
-        hit = next(((a, b) for a, g in enumerate(degs[s])
-                    for b in cols_of.get(g, ()) if a in cols[b]), None)
-        if hit is None:
-            s += 1
-            continue
-        a, b = hit
-        pivot = cols[b]
-        inv = qdiv(1, next(iter(pivot[a].values())))
-        fold = [(x, [(m, c * inv) for m, c in e.items()])
-                for x, e in pivot.items() if x != a]
-        cols[b] = degs[s + 1][b] = degs[s][a] = None
-        for col in cols:
-            e = col and col.pop(a, None)
-            if not e:
-                continue
-            for x, f in fold:
-                entry = col.setdefault(x, {})
-                for mf, cf in f:
-                    for me, ce in e.items():
-                        key = mono_mul(mf, me)
-                        v = entry.get(key, 0) - cf * ce
-                        if v:
-                            entry[key] = v
-                        else:
-                            del entry[key]
-                if not entry:
-                    del col[x]
-        if s + 1 < len(mats):
-            for col in mats[s + 1]:
-                if col is not None:
+    for s, cols in enumerate(mats):
+        _divide_content(e for col in cols for e in col.values())
+        while True:
+            # an entry of a homogeneous map between generators of equal
+            # degree is constant, so only those columns can hold a pivot
+            # in row a
+            cols_of: dict = {}
+            for b, g in enumerate(degs[s + 1]):
+                if g is not None:
+                    cols_of.setdefault(g, []).append(b)
+            hit = next(((a, b) for a, g in enumerate(degs[s])
+                        for b in cols_of.get(g, ()) if a in cols[b]), None)
+            if hit is None:
+                break
+            a, b = hit
+            pivot = cols[b]
+            p = next(iter(pivot[a].values()))
+            unit = p == 1 or p == -1
+            q = p if unit else 1  # 1 / p = p for a unit
+            fold = [(x, [(m, c * q) for m, c in e.items()])
+                    for x, e in pivot.items() if x != a]
+            cols[b] = degs[s + 1][b] = degs[s][a] = None
+            scale = {}  # row y of maps[s + 1] -> its factor, p if absent
+            for y, col in enumerate(cols):
+                e = col and col.pop(a, None)
+                if not e:
+                    continue
+                if not unit:
+                    for entry in col.values():
+                        for m in entry:
+                            entry[m] *= p
+                for x, f in fold:
+                    entry = col.setdefault(x, {})
+                    for mf, cf in f:
+                        for me, ce in e.items():
+                            key = mono_mul(mf, me)
+                            v = entry.get(key, 0) - cf * ce
+                            if v:
+                                entry[key] = v
+                            else:
+                                del entry[key]
+                    if not entry:
+                        del col[x]
+                if not unit:
+                    scale[y] = _divide_content(col.values())
+            if s + 1 < len(mats):
+                for col in mats[s + 1]:
+                    if col is None:
+                        continue
                     col.pop(b, None)
-        if s > 0:
-            mats[s - 1][a] = None
+                    if not unit:
+                        for x, entry in col.items():
+                            f = scale.get(x, p)
+                            if f != 1:
+                                for m in entry:
+                                    entry[m] *= f
+            if s > 0:
+                mats[s - 1][a] = None
     ring = modules[0].ring
     out_modules = [FreeModule(ring, [g for g in d if g is not None]) for d in degs]
     out_maps = []

@@ -1,10 +1,11 @@
 """Property-based invariants over randomized inputs."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syzal import (
     FreeModule,
@@ -27,8 +28,10 @@ from syzal import (
     kernel,
     map_rank,
     minimal_resolution,
+    minimize_presentation,
     module_dims,
     normal_form,
+    parse_polynomial,
     resolve,
     schreyer_basis,
     schreyer_order,
@@ -37,7 +40,9 @@ from syzal import (
     syzygies,
     verify_spairs,
 )
+from syzal import resolution
 from syzal.resolution import _cancel_units
+from syzal.ring import mono_mul, qdiv
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -744,17 +749,20 @@ def test_biduality_kernel_is_torsion(M):
 
 # ---------- exact coefficients ----------
 
-def _rational_rows(draw, source: FreeModule, target: FreeModule) -> list:
-    """Rows of homogeneous entries with rational and non-monic int
-    coefficients, for a degree-0 map source -> target."""
+def _rational_rows(draw, source: FreeModule, target: FreeModule,
+                   values=(1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))) -> list:
+    """Rows of homogeneous entries with coefficients drawn from values (by
+    default rational and non-monic int ones), for a degree-0 map
+    source -> target."""
     ring = target.ring
-    mixed = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    mixed = st.sampled_from(values)
     rows = []
     for g in target.degrees:
         row = []
         for c in source.degrees:
             basis = list(ring.monomials_of_degree(c - g))
-            picks = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+            picks = draw(st.lists(st.sampled_from(basis), max_size=3,
+                                  unique=True)) if basis else []
             row.append(Polynomial(ring, {m: draw(mixed) for m in picks}))
         rows.append(row)
     return rows
@@ -805,10 +813,276 @@ def test_no_float_coefficient_anywhere(M):
                  M.F0, cols[:1], [cols[0].degree()]))]
     for B in bases:
         assert all(type(c) is int for c in _element_coeffs(B.elements))
+    # minimization divides by no pivot and clears the denominators of
+    # rational input: every minimized map is an int matrix
     for A in minimal_resolution(M).maps:
-        assert _exact(_element_coeffs(A.columns()))
+        assert all(type(c) is int for c in _element_coeffs(A.columns()))
     _modules, (A,) = _cancel_units([M.F0, M.F1], [M.relations])
-    assert _exact(_element_coeffs(A.columns()))
+    assert all(type(c) is int for c in _element_coeffs(A.columns()))
+
+
+# ---------- the qdiv route of minimization ----------
+# The cancellation as it was before it went fraction-free: each other column
+# y of the pivot's map becomes column y - column b * entry (a, y) / p, and
+# the next map only loses row b. The fraction-free route must cancel the
+# same pivots, and its chain must be this route's with each basis element
+# rescaled.
+
+def _ref_cancel_units(modules, maps):
+    """(modules, maps, number of pivots cancelled) by the qdiv route."""
+    degs = [list(F.degrees) for F in modules]
+    mats = []
+    for A in maps:
+        cols = []
+        for v in A.columns():
+            col: dict = {}
+            for (i, m), c in v.terms.items():
+                col.setdefault(i, {})[m] = c
+            cols.append(col)
+        mats.append(cols)
+    s = cancelled = 0
+    while s < len(mats):
+        cols = mats[s]
+        hit = next(((a, b) for a, g in enumerate(degs[s]) if g is not None
+                    for b, h in enumerate(degs[s + 1])
+                    if h == g and a in cols[b]), None)
+        if hit is None:
+            s += 1
+            continue
+        a, b = hit
+        cancelled += 1
+        pivot = cols[b]
+        inv = qdiv(1, next(iter(pivot[a].values())))
+        cols[b] = degs[s + 1][b] = degs[s][a] = None
+        for col in cols:
+            e = col and col.pop(a, None)
+            for x, f in pivot.items() if e else ():
+                if x == a:
+                    continue
+                entry = col.setdefault(x, {})
+                for mf, cf in f.items():
+                    for me, ce in e.items():
+                        key = mono_mul(mf, me)
+                        entry[key] = entry.get(key, 0) - cf * inv * ce
+                        if not entry[key]:
+                            del entry[key]
+                if not entry:
+                    del col[x]
+        for col in mats[s + 1] if s + 1 < len(mats) else ():
+            col.pop(b, None)
+        if s > 0:
+            mats[s - 1][a] = None
+    ring = modules[0].ring
+    out_modules = [FreeModule(ring, [g for g in d if g is not None]) for d in degs]
+    out_maps = []
+    for s, cols in enumerate(mats):
+        live = [i for i, g in enumerate(degs[s]) if g is not None]
+        index = {i: k for k, i in enumerate(live)}
+        out_maps.append(GradedMatrix.from_columns(out_modules[s], [
+            ModuleElement(out_modules[s], {(index[i], m): c for i, e in col.items()
+                                           for m, c in e.items()})
+            for col in cols if col is not None], out_modules[s + 1].degrees))
+    return out_modules, out_maps, cancelled
+
+
+def _chain(ring, gens, rels, rows, scales=None):
+    """(modules, maps): the relation matrix F1 -> F0 given by rows and, when
+    scales are given, its kernel as the next map, column k times scales[k]
+    (cycled)."""
+    F0, F1 = FreeModule(ring, gens), FreeModule(ring, rels)
+    A = GradedMatrix(F1, F0, rows)
+    if scales is None:
+        return [F0, F1], [A]
+    K = kernel(A).elements
+    B = GradedMatrix.from_columns(
+        F1, [k.scale(scales[i % len(scales)]) for i, k in enumerate(K)],
+        [k.degree() for k in K])
+    return [F0, F1, B.source], [A, B]
+
+
+_UNIT_VALUES = (1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def unit_chains(draw):
+    """A presentation F0 <- F1, or a chain F0 <- F1 <- F2, over r = 0..2,
+    with constants +-1, +-2, +-3 and rational entries; F0 may be empty and
+    the cokernel zero. A chain is a relation matrix A and its kernel K,
+    with a generator u added to F0 and b to F1, entry (u, b) = c in
+    {+-2, +-3}, folded in by the basis change y -> y + lam_y b of F1 for
+    some of the other generators y of F1: column y of A gains c lam_y in
+    row u, and row b of K is -sum_y lam_y (row y of K). So the pivot c
+    touches only the columns with lam_y != 0."""
+    ring = RingSpec(draw(st.integers(0, 2)), 2)
+    gens = draw(st.lists(st.sampled_from([0, 2]), max_size=3))
+    rels = draw(st.lists(st.sampled_from([2, 4]), min_size=len(gens) + 1,
+                         max_size=len(gens) + 3))
+    rows = _rational_rows(draw, FreeModule(ring, rels), FreeModule(ring, gens),
+                          _UNIT_VALUES)
+    if draw(st.booleans()):
+        return _chain(ring, gens, rels, rows)
+    scales = draw(st.lists(st.sampled_from([1, -1, 2, 3, -3]), min_size=1,
+                           max_size=3))
+    _modules, (_A, K) = _chain(ring, gens, rels, rows, scales)
+    g = draw(st.sampled_from([0, 2]))
+    c = Polynomial.constant(ring, draw(st.sampled_from([2, -2, 3, -3])))
+    (lam,) = _rational_rows(draw, K.target, FreeModule(ring, [g]), _UNIT_VALUES)
+    F0, F1 = FreeModule(ring, gens + [g]), FreeModule(ring, rels + [g])
+    zero = Polynomial.zero(ring)
+    A = GradedMatrix(F1, F0, [row + [zero] for row in rows]
+                     + [[c * l for l in lam] + [c]])
+    folded = []
+    for k in K.columns():
+        v = k.to_vector()
+        fold = zero
+        for l, x in zip(lam, v):
+            fold = fold - l * x
+        folded.append(ModuleElement.from_vector(F1, v + [fold]))
+    B = GradedMatrix.from_columns(F1, folded, K.source.degrees)
+    return [F0, F1, B.source], [A, B]
+
+
+def _cokernel(A):
+    return ModulePresentation(A.target.ring, A.target, A.source, A)
+
+
+def _assert_rescaled(maps, ref_maps):
+    """maps is the chain ref_maps with every basis element scaled: there
+    are nonzero w[(s, i)], one per generator i of F_s, such that entry
+    (x, y) of maps[s] is entry (x, y) of ref_maps[s] * w[(s + 1, y)] /
+    w[(s, x)]. Checked by propagating w along the nonzero entries."""
+    edges: dict = {}
+    for s, (A, B) in enumerate(zip(maps, ref_maps)):
+        assert A.source == B.source and A.target == B.target
+        for y, (u, v) in enumerate(zip(A.columns(), B.columns())):
+            assert u.terms.keys() == v.terms.keys()
+            for (x, m), c in u.terms.items():
+                q = Fraction(c) / v.terms[(x, m)]
+                edges.setdefault((s, x), []).append(((s + 1, y), q))
+                edges.setdefault((s + 1, y), []).append(((s, x), 1 / q))
+    w: dict = {}
+    for start in edges:
+        if start in w:
+            continue
+        w[start], todo = Fraction(1), [start]
+        while todo:
+            node = todo.pop()
+            for other, q in edges[node]:
+                if other in w:
+                    assert w[other] == w[node] * q
+                else:
+                    w[other] = w[node] * q
+                    todo.append(other)
+
+
+def _rows(ring, texts):
+    return [[parse_polynomial(t, ring) for t in row] for row in texts]
+
+
+_R0, _R1, _R2 = RingSpec(0, 2), RingSpec(1, 2), RingSpec(2, 2)
+
+
+@given(unit_chains())
+@settings(max_examples=100)
+# pivot 2 at (0, 0) touches column 1 but not column 2, and both rows of
+# the kernel survive: row 2 must be scaled by 2 against row 1
+@example(_chain(_R2, (0, 0), (0, 2, 2),
+                _rows(_R2, [["2", "t1", "0"], ["0", "t2", "t1"]]), [1]))
+# pivot 2 touches columns 1 and 2 and folds its row 1 into both
+@example(_chain(_R2, (0, 0), (0, 2, 2, 2), _rows(_R2, [
+    ["2", "t1", "t2", "0"], ["3", "t2", "0", "t1"]]), [1]))
+# two non-unit pivots in a row, each touching one of two other columns
+@example(_chain(_R1, (0, 0, 0), (0, 0, 2, 2), _rows(_R1, [
+    ["3", "0", "t1", "0"], ["0", "-2", "0", "t1"], ["0", "0", "t1", "t1"]]),
+    [1, -3]))
+# r = 0: every entry is constant, and the module is zero
+@example(_chain(_R0, (0,), (0, 0), _rows(_R0, [["2", "3"]]), [2]))
+@example(_chain(_R1, (), (0, 2), [], [3]))
+@example(_chain(_R1, (0, 2), (2, 2),
+                _rows(_R1, [["1/2*t1", "-2/3*t1"], ["3", "2"]])))
+def test_cancel_units_matches_the_qdiv_route(chain):
+    modules, maps = chain
+    out_modules, out_maps = _cancel_units(modules, maps)
+    ref_modules, ref_maps, cancelled = _ref_cancel_units(modules, maps)
+    assert [F.degrees for F in out_modules] == [F.degrees for F in ref_modules]
+    assert (sum(F.rank for F in modules) - sum(F.rank for F in out_modules)
+            == 2 * cancelled)
+    _assert_rescaled(out_maps, ref_maps)
+    for A in out_maps:
+        assert all(type(c) is int for c in _element_coeffs(A.columns()))
+        assert not any(sum(m) == 0 for v in A.columns() for (_i, m) in v.terms)
+    for A, B in zip(out_maps, out_maps[1:]):
+        assert A.compose(B).is_zero()
+    assert (module_dims(_cokernel(out_maps[0]))
+            == module_dims(_cokernel(ref_maps[0])))
+
+
+def test_cancel_units_coefficients_stay_small():
+    # 20 pivots of value 3, the even ones touching column u1 and the odd
+    # ones column u2, followed by the kernel. Each pivot multiplies the
+    # touched column by 3, which its own content division takes out at once,
+    # and every row of the kernel by 3, which the division of the kernel by
+    # its content takes out when the search reaches it: without the first
+    # the touched columns reach 3^10, without the second the kernel keeps
+    # 3^21.
+    ring = RingSpec(2, 2)
+    n = 20
+    rows = _rows(ring, [["3" if j == i else "0" for j in range(n)]
+                        + ["0" if i % 2 else "t1", "t2" if i % 2 else "0"]
+                        for i in range(n)] + [["0"] * n + ["t1", "t2"]])
+    modules, maps = _chain(ring, (0,) * (n + 1), (0,) * n + (2, 2), rows, [1])
+    out_modules, out_maps = _cancel_units(modules, maps)
+    assert [F.degrees for F in out_modules] == [(0,), (2, 2), (4,)]
+    assert out_maps[0].compose(out_maps[1]).is_zero()
+    bits = max(abs(c).bit_length() for A in out_maps
+               for c in _element_coeffs(A.columns()))
+    assert bits <= 2
+
+
+def test_dense_constant_presentation_stays_within_the_hadamard_bound(monkeypatch):
+    # A dense n x n constant block has n pivots, and each of them touches
+    # columns that earlier ones already touched. Without a division inside
+    # the map, the bit length of the cross-multiplied columns doubles with
+    # every pivot (to 626383 bits here, and past 9 million at n = 24).
+    # Divided by their content, the columns are the primitive parts of the
+    # qdiv route's, whose entries are quotients of minors.
+    n, top = 20, 9
+    rng = random.Random(15)
+    ring = RingSpec(1, 2)
+    block = [[rng.randint(-top, top) for _ in range(n - 2)] for _ in range(n)]
+    rows = [[Polynomial.constant(ring, c) for c in row]
+            + [Polynomial(ring, {(1,): rng.randint(-top, top)})
+               for _ in range(2)] for row in block]
+    modules, maps = _chain(ring, (0,) * n, (0,) * (n - 2) + (2, 2), rows)
+    M = _cokernel(maps[0])
+    seen = []  # every coefficient the cancellation holds at a division
+    divide_content = resolution._divide_content
+
+    def spy(entries):
+        entries = list(entries)
+        seen.extend(c for e in entries for c in e.values())
+        return divide_content(entries)
+
+    monkeypatch.setattr(resolution, "_divide_content", spy)
+    N = minimize_presentation(M)
+    ref_modules, (ref,), _cancelled = _ref_cancel_units(modules, maps)
+    assert N.F0.degrees == ref_modules[0].degrees == (0, 0)
+    assert module_dims(N) == module_dims(_cokernel(ref))
+    assert not is_zero_module(M)
+    # Hadamard: an (n - 1) x (n - 1) minor is at most
+    # (sqrt(n - 1) * top)^(n - 1), about 101 bits here; a cross-multiplied
+    # column is a sum of products of two such
+    hadamard = (n - 1) * (log2(n - 1) / 2 + log2(top))
+    coeffs = _element_coeffs(N.relations.columns())
+    assert coeffs and all(type(c) is int for c in coeffs)
+    assert max(abs(c).bit_length() for c in coeffs) <= hadamard + 1
+    assert max(abs(c).bit_length() for c in seen) <= 2 * hadamard + 2
+    # r = 0: the square block alone presents the zero module
+    ring = RingSpec(0, 2)
+    square = [[Polynomial.constant(ring, rng.randint(-top, top))
+               for _ in range(n)] for _ in range(n)]
+    _modules, (A,) = _chain(ring, (0,) * n, (0,) * n, square)
+    assert is_zero_module(_cokernel(A))
 
 
 # ---------- matrices as columns ----------
