@@ -90,9 +90,7 @@ from syzal.equivariant import (
     mutant_ht,
     mutant_hht,
     parse_gkm,
-    toric_ext_expected,
     toric_ht,
-    toric_ht_expected,
     toric_hht,
     toric_u,
     toric_v,
@@ -101,7 +99,6 @@ from syzal.oracle import (
     default_window,
     ext_dims,
     free_dim,
-    kernel_dim,
     map_rank,
     module_dims,
     resolution_is_exact,

@@ -31,7 +31,6 @@ from syzal.modfree import (
     residue_field,
     ring_module,
     shift,
-    zero_module,
 )
 from syzal.resolution import _subsets_colex, koszul_syzygy, maximal_ideal
 from syzal.ring import Polynomial, RingSpec, parse_polynomial
@@ -85,19 +84,6 @@ def toric_ht(r: int) -> ModulePresentation:
     return ModulePresentation(ring, F0, rel.source, rel)
 
 
-def toric_ht_expected(r: int) -> ModulePresentation:
-    """The split decomposition sum_{i<=r-2} R[2i]^C(r,i) + K_{r-1}[2(r-1)]
-    that toric_ht must match in fingerprint."""
-    if r < 1:
-        raise InputError("toric fixture needs r >= 1")
-    ring = RingSpec(r, 2)
-    parts: List[ModulePresentation] = []
-    for i in range(r - 1):
-        parts.extend([shift(ring_module(ring), 2 * i)] * math.comb(r, i))
-    parts.append(shift(koszul_syzygy(ring, r - 1), 2 * (r - 1)))
-    return direct_sum(parts)
-
-
 def toric_hht(r: int) -> ModulePresentation:
     """Equivariant homology of the toric fixture:
     sum_{i<=r-2} R[-2i]^C(r,i) + K_2[-2(r-2)] + k[1-2r]."""
@@ -110,21 +96,6 @@ def toric_hht(r: int) -> ModulePresentation:
     parts.append(shift(koszul_syzygy(ring, 2), -2 * (r - 2)))
     parts.append(shift(residue_field(ring), 1 - 2 * r))
     return direct_sum(parts)
-
-
-def toric_ext_expected(r: int, j: int) -> ModulePresentation:
-    """Displayed Ext^j(H_T^*, R): the dualized decomposition at j = 0,
-    k[-2r] at j = 1, zero above."""
-    ring = RingSpec(r, 2)
-    if j == 0:
-        parts: List[ModulePresentation] = []
-        for i in range(r - 1):
-            parts.extend([shift(ring_module(ring), -2 * i)] * math.comb(r, i))
-        parts.append(shift(koszul_syzygy(ring, 2), -2 * (r - 2)))
-        return direct_sum(parts)
-    if j == 1:
-        return shift(residue_field(ring), -2 * r)
-    return zero_module(ring)
 
 
 # ---------- the seven-dimensional mutant (r = 3) ----------

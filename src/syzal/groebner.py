@@ -39,9 +39,7 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.order = order
         self._index = _lead_index(self.elements, order, ambient)
-        pk = self._index.packing
-        self._lts = tuple((pk.term(next(iter(row))), next(iter(row.values())))
-                          if row else None for row in self._index.rows)
+        self._lts = _lead_terms(self._index)
 
     @classmethod
     def _of(cls, ambient: FreeModule, order, index: "_Index") -> "GroebnerBasis":
@@ -50,8 +48,8 @@ class GroebnerBasis:
         G.ambient, G.order, G._index = ambient, order, index
         pk = index.packing
         index.limit = _limit(pk, ambient)
-        G.elements = tuple(_element(ambient, order, pk, row) for row in index.rows)
-        G._lts = tuple(e.leading_term(order) for e in G.elements)
+        G.elements = tuple(_element(ambient, pk, row) for row in index.rows)
+        G._lts = _lead_terms(index)
         return G
 
     def lead_terms(self):
@@ -98,11 +96,18 @@ def _integral(row: Row) -> Row:
     return _primitive(row)
 
 
-def _element(module: FreeModule, order, pk, row: Row) -> ModuleElement:
-    """The row unpacked, with its leading term (its first) memoized."""
+def _element(module: FreeModule, pk, row: Row) -> ModuleElement:
+    """The row unpacked."""
     term = pk.term
-    terms = {term(t): c for t, c in row.items()}
-    return ModuleElement._of(module, terms, order, next(iter(terms.items()), None))
+    return ModuleElement._of(module, {term(t): c for t, c in row.items()})
+
+
+def _lead_terms(index: "_Index") -> tuple:
+    """((position, monomial), coefficient) of the leading term of each row
+    of index, its first; None for a zero row."""
+    term = index.packing.term
+    return tuple((term(next(iter(row))), next(iter(row.values()))) if row else None
+                 for row in index.rows)
 
 
 def _limit(pk, module: FreeModule) -> int:
@@ -266,7 +271,7 @@ def divide(f, gens: Sequence[ModuleElement], order,
         mono = pk.mono
         quots = [{mono(v): c for v, c in qk.items()} if qk else qk
                  for qk in quots]
-    return quots, _element(f.module, order, pk, rem), mu
+    return quots, _element(f.module, pk, rem), mu
 
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
@@ -277,8 +282,7 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     if mu == 1:
         return rem
     terms = {t: qdiv(c, mu) for t, c in rem.terms.items()}
-    return ModuleElement._of(f.module, terms, G.order,
-                             next(iter(terms.items()), None))
+    return ModuleElement._of(f.module, terms)
 
 
 # ---------- canonical element order ----------
@@ -291,7 +295,7 @@ def _canonical_key(pk, row: Row):
     return (pos, tuple(-e for e in m))
 
 
-def _reduce_basis(rows: List[Row], order, pk) -> _Index:
+def _reduce_basis(rows: List[Row], pk) -> _Index:
     """Interreduce a Groebner basis of primitive int rows packed under pk:
     minimal (no leading term divides another), tails fully reduced,
     primitive with a positive leading coefficient, canonically sorted.
@@ -322,7 +326,7 @@ def _reduce_basis(rows: List[Row], order, pk) -> _Index:
         items = iter(row.items())
         lt, c = next(items)
         tail = dict(items)
-        _quots, r, mu = divide(tail, rows, order, index=index)
+        _quots, r, mu = divide(tail, rows, None, index=index)
         if r != tail:
             new = Row({lt: mu * c})
             new.update(r)  # every tail key is larger than lt
@@ -396,7 +400,7 @@ def buchberger(gens: Sequence[ModuleElement], order=grevlex,
         ambient = gens[0].module
     index = _complete(gens, order, ambient)
     return GroebnerBasis._of(ambient, order,
-                             _reduce_basis(index.rows, order, index.packing))
+                             _reduce_basis(index.rows, index.packing))
 
 
 def _complete(gens: Sequence[ModuleElement], order,
@@ -530,7 +534,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                 else:
                     terms.pop(t, None)
         sygens.append(_primitive(Row(sorted(terms.items()))))
-    return GroebnerBasis._of(aux, sorder, _reduce_basis(sygens, sorder, spk))
+    return GroebnerBasis._of(aux, sorder, _reduce_basis(sygens, spk))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:
@@ -581,7 +585,7 @@ def kernel(A: GradedMatrix,
     shift = pk.base(split) - pk.base(0)
     rows = [Row({t - shift: c for t, c in row.items()}) for row in index.rows
             if pk.position(next(iter(row))) >= split]
-    return GroebnerBasis._of(source, grevlex, _reduce_basis(rows, grevlex, pk))
+    return GroebnerBasis._of(source, grevlex, _reduce_basis(rows, pk))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,

@@ -160,10 +160,6 @@ def map_rank(A: GradedMatrix, q: int) -> int:
                  for j, mono in _basis(A.source, q))
 
 
-def kernel_dim(A: GradedMatrix, q: int) -> int:
-    return free_dim(A.source, q) - map_rank(A, q)
-
-
 def module_dims(M: ModulePresentation,
                 window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
     """dim_k M_q = dim (F0)_q - rank of the degree-q relation block, for

@@ -78,7 +78,7 @@ def mono_coprime(a, b):
 # ---------- rings ----------
 
 def _is_variable_name(name) -> bool:
-    # the grammar's tokenizer must be able to tell names from numbers and operators
+    # the reader's patterns tell a name from a number, an operator or a gap
     return (isinstance(name, str) and name != "" and not name[0].isdigit()
             and not any(ch.isspace() or ch in "+-*^/" for ch in name))
 
@@ -286,131 +286,64 @@ def schreyer_order(prior, lead_terms):
 
 
 # ---------- text grammar ----------
-# signed sum of terms `coeff*t1^e1*t2^e2*...`; coefficient integer or p/q;
-# `*` and `^1` may be omitted; whitespace insignificant.
+# A signed sum of terms. A term is an optional coefficient n or n/m in ASCII
+# digits followed by factors name or name^e, and has at least one of them.
+# A `*` may stand between two factors, and after the coefficient when a
+# factor follows; whitespace may stand between tokens. Names match longest
+# first, so t1 and t12 coexist.
 
-_NUMBER = re.compile(r"\d+")
-
-
-def _number(text: str, at: int) -> int:
+def _number(digits: str, at: int) -> int:
     try:
-        return int(text)
+        return int(digits)
     except ValueError:  # past the interpreter's integer digit limit
         raise InputError(f"number at position {at} has too many digits")
 
 
-def _tokenize(text: str, ring: RingSpec):
-    # longest-match variable names so names like t1 and t12 coexist
-    names = sorted(ring.names, key=len, reverse=True)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/":
-            yield (ch, ch, i)
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            yield ("num", m.group(), i)
-            i = m.end()
-            continue
-        for name in names:
-            if text.startswith(name, i):
-                yield ("var", name, i)
-                i += len(name)
-                break
-        else:
-            raise InputError(f"unexpected character {ch!r} at position {i}")
-    yield ("end", "", n)
-
-
 def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
-    """Parse the polynomial grammar, e.g. '3*t1^2*t2 - 1/2*t3'."""
-    tokens = list(_tokenize(text, ring))
+    """Parse the polynomial grammar, e.g. '3*t1^2*t2 - 1/2*t3', in time
+    linear in the length of text: one match of the term pattern per term."""
+    # Each gap between tokens is a single \s*, and a name never starts with
+    # whitespace: where a \s* gives whitespace back, (?!\s) refuses a name
+    # at once instead of trying every name, so each run of whitespace costs
+    # time linear in its length. Only optional parts follow a name, and the
+    # term pattern always matches, so a matched name is never given back for
+    # a shorter one.
+    names = sorted(ring.names, key=len, reverse=True)
+    name = r"(?!\s)(?:" + ("|".join(map(re.escape, names)) or "(?!)") + ")"
+    star = rf"(?:\*\s*(?={name}))?"
+    term = re.compile(rf"\s*(?:(?P<sign>[+-])\s*)?"
+                      rf"(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]+)\s*)?{star})?"
+                      rf"(?P<factors>(?:{name}\s*(?:\^\s*[0-9]+\s*)?{star})*)")
+    factor = re.compile(rf"({name})\s*(?:\^\s*([0-9]+))?")
+    index = {v: i for i, v in enumerate(ring.names)}
+    terms: dict = {}
     pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    var_index = {name: i for i, name in enumerate(ring.names)}
-    result = Polynomial.zero(ring)
-
-    def parse_term(sign: int) -> Polynomial:
-        # optional coefficient
-        coeff = sign
-        saw_factor = False
-        kind, val, at = peek()
-        if kind == "num":
-            advance()
-            num = _number(val, at)
-            if peek()[0] == "/":
-                advance()
-                k2, v2, a2 = advance()
-                if k2 != "num":
-                    raise InputError(f"expected denominator at position {a2}")
-                den = _number(v2, a2)
-                if den == 0:
-                    raise InputError(f"zero denominator at position {a2}")
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            saw_factor = True
-            if peek()[0] == "*":
-                advance()
-        exps = [0] * ring.r
-        while True:
-            kind, val, at = peek()
-            if kind != "var":
-                break
-            advance()
-            e = 1
-            if peek()[0] == "^":
-                advance()
-                k2, v2, a2 = advance()
-                if k2 != "num":
-                    raise InputError(f"expected exponent at position {a2}")
-                e = _number(v2, a2)
-            exps[var_index[val]] += e
-            saw_factor = True
-            if peek()[0] == "*":
-                advance()
-                k2 = peek()[0]
-                if k2 not in ("var", "num"):
-                    raise InputError(f"dangling '*' at position {at}")
-        if not saw_factor:
-            kind, val, at = peek()
-            raise InputError(f"expected a term at position {at}")
-        return Polynomial.term(ring, tuple(exps), coeff)
-
-    # leading sign
-    sign = 1
-    kind, val, at = peek()
-    if kind in ("+", "-"):
-        advance()
-        sign = -1 if kind == "-" else 1
-    result = result + parse_term(sign)
     while True:
-        kind, val, at = peek()
-        if kind == "end":
-            break
-        if kind == "+":
-            advance()
-            result = result + parse_term(1)
-        elif kind == "-":
-            advance()
-            result = result + parse_term(-1)
+        m = term.match(text, pos)
+        if pos and not m["sign"]:
+            raise InputError(f"unexpected {text[pos]!r} at position {pos}")
+        if not (m["num"] or m["factors"]):
+            raise InputError(f"expected a term at position {m.end()}")
+        c = _number(m["num"], m.start("num")) if m["num"] else 1
+        if m["den"]:
+            den = _number(m["den"], m.start("den"))
+            if not den:
+                raise InputError(f"zero denominator at position {m.start('den')}")
+            c = qnorm(Fraction(c, den))
+        if m["sign"] == "-":
+            c = -c
+        exps = [0] * ring.r
+        for f in factor.finditer(text, m.start("factors"), m.end("factors")):
+            exps[index[f[1]]] += _number(f[2], f.start(2)) if f[2] else 1
+        mono = tuple(exps)
+        s = terms.get(mono, 0) + c
+        if s:
+            terms[mono] = s
         else:
-            raise InputError(f"expected '+' or '-' at position {at}")
-    return result
+            terms.pop(mono, None)
+        pos = m.end()
+        if pos == len(text):
+            return Polynomial(ring, terms)
 
 
 def _format_coeff(c) -> str:

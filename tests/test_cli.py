@@ -25,8 +25,9 @@ from syzal import (
     zero_module,
 )
 import syzal.cli as cli
+import syzal.modfree as modfree
 import syzal.oracle as oracle
-from syzal.modfree import MAX_DEGREE_SPAN
+from syzal.modfree import MAX_DEGREE_SPAN, MAX_VARIABLES
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -332,6 +333,44 @@ def test_loaded_degree_spread_budget(tmp_path, capsys):
         assert cli.main(["resolve", "--file", _power_presentation(tmp_path, k, d)]) == 2
         assert f"more than {limit} apart" in capsys.readouterr().err
     assert time.perf_counter() - start < 10
+
+
+def _two_relations(tmp_path, r):
+    """The ideal (t1, t2) of Q[t1..tr]."""
+    path = tmp_path / f"r{r}.pres"
+    path.write_text(json.dumps({"ring": {"r": r}, "generators": [0],
+                                "relation_generators": [2, 2],
+                                "matrix": [["t1", "t2"]]}))
+    return str(path)
+
+
+def test_loaded_variable_budget(tmp_path, monkeypatch, capsys):
+    # r = 10**6 used to build a million names, 181 MB, before any work
+    built = []
+    ring_spec = modfree.RingSpec
+
+    def recorded(r, *rest):
+        built.append(r)
+        return ring_spec(r, *rest)
+    monkeypatch.setattr(modfree, "RingSpec", recorded)
+    assert cli.main(["hilbert", "--file", _two_relations(tmp_path, MAX_VARIABLES)]) == 0
+    assert built == [MAX_VARIABLES]
+    del built[:]
+    for r in (MAX_VARIABLES + 1, 10**6):
+        assert cli.main(["hilbert", "--file", _two_relations(tmp_path, r)]) == 2
+        assert f"budget of {MAX_VARIABLES} variables" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("entry, degree", [
+    ("\uff13*t1", 2), ("t1^\uff12", 4), ("\u0663 t2", 2), ("3*", 0), ("1*+2", 0)])
+def test_non_ascii_digits_and_a_star_after_a_bare_coefficient_exit_2(
+        entry, degree, tmp_path, capsys):
+    path = tmp_path / "entry.pres"
+    path.write_text(json.dumps({"ring": {"r": 2}, "generators": [0],
+                                "relation_generators": [degree], "matrix": [[entry]]}))
+    assert cli.main(["hilbert", "--file", str(path)]) == 2
+    assert "at position" in capsys.readouterr().err
 
 
 # ---------- determinism ----------

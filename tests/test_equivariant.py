@@ -24,6 +24,7 @@ from syzal import (
     hypercube_graph,
     is_zero_module,
     kernel,
+    koszul_syzygy,
     maximal_ideal,
     mutant_hht,
     mutant_ht,
@@ -34,12 +35,11 @@ from syzal import (
     shift,
     subquotient_presentation,
     syzygy_order,
-    toric_ext_expected,
     toric_hht,
     toric_ht,
-    toric_ht_expected,
     toric_u,
     toric_v,
+    zero_module,
 )
 from syzal.equivariant import _all_subsets
 
@@ -71,6 +71,32 @@ def toric_v_expanded(ring: RingSpec) -> ModuleElement:
         for mono, c in p.terms.items():
             terms[(index[S], mono)] = c
     return ModuleElement(F, terms)
+
+
+def toric_ht_expected(r: int):
+    """The split decomposition sum_{i<=r-2} R[2i]^C(r,i) + K_{r-1}[2(r-1)]
+    that toric_ht must match in fingerprint."""
+    ring = RingSpec(r, 2)
+    parts = []
+    for i in range(r - 1):
+        parts.extend([shift(ring_module(ring), 2 * i)] * math.comb(r, i))
+    parts.append(shift(koszul_syzygy(ring, r - 1), 2 * (r - 1)))
+    return direct_sum(parts)
+
+
+def toric_ext_expected(r: int, j: int):
+    """Displayed Ext^j(H_T^*, R): the dualized decomposition at j = 0,
+    k[-2r] at j = 1, zero above."""
+    ring = RingSpec(r, 2)
+    if j == 0:
+        parts = []
+        for i in range(r - 1):
+            parts.extend([shift(ring_module(ring), -2 * i)] * math.comb(r, i))
+        parts.append(shift(koszul_syzygy(ring, 2), -2 * (r - 2)))
+        return direct_sum(parts)
+    if j == 1:
+        return shift(residue_field(ring), -2 * r)
+    return zero_module(ring)
 
 
 def test_toric_v_closed_form_matches_expansion():

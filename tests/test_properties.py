@@ -1,6 +1,9 @@
 """Property-based invariants over randomized inputs."""
 
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 from math import gcd, log2
 
@@ -31,7 +34,9 @@ from syzal import (
     minimize_presentation,
     module_dims,
     normal_form,
+    parse_gkm,
     parse_polynomial,
+    presentation_from_json,
     resolve,
     schreyer_basis,
     schreyer_order,
@@ -40,7 +45,7 @@ from syzal import (
     syzygies,
     verify_spairs,
 )
-from syzal import resolution
+from syzal import cli, resolution
 from syzal.resolution import _cancel_units
 from syzal.ring import mono_mul, qdiv
 
@@ -1119,3 +1124,71 @@ def test_columns_keep_rows_transpose_and_products(rel, data):
     assert AB.source == F2 and AB.target == F0
     assert AB.entries == tuple(tuple(row) for row in _dense_product(
         rows, B_rows, F2.rank, F0.ring))
+
+
+# ---------- the input readers ----------
+# Whatever a presentation object or a GKM file holds, reading it ends in a
+# result or an InputError (exit 2): no other exception, traceback or hang.
+
+_ENTRIES = st.sampled_from(["0", "t1", "t2", "x", "t1^2", "t1*t2", "1/2 t1 - t2",
+                            "3", "2*", "t3", "t1^0", "1/0"]) | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | _ENTRIES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["r", "d", "names", "ring", "generators",
+                         "relation_generators", "matrix"]) | st.text(max_size=2),
+        inner, max_size=4),
+    max_leaves=12)
+_DEGREES = st.lists(st.integers(-4, 8), max_size=3) | _JSON_VALUES
+_PRESENTATIONS = st.fixed_dictionaries({
+    "ring": st.fixed_dictionaries({"r": st.integers(-1, 3) | _JSON_VALUES}, optional={
+        "d": st.integers(-1, 4) | _JSON_VALUES,
+        "names": st.lists(st.sampled_from(["x", "y", "t1", "t2", "", "1x", "a b"]),
+                          max_size=3) | _JSON_VALUES}) | _JSON_VALUES,
+    "generators": _DEGREES,
+    "relation_generators": _DEGREES,
+    "matrix": st.lists(st.lists(_ENTRIES, max_size=3), max_size=3) | _JSON_VALUES,
+}) | _JSON_VALUES
+# over Q[t1, t2], so that the commands have something to compute
+_SMALL_PRESENTATIONS = st.lists(st.sampled_from(["t1", "t2", "t1 - t2", "2 t1 + 1/2 t2", "0"]),
+                                min_size=1, max_size=3).map(lambda row: {
+    "ring": {"r": 2}, "generators": [0], "relation_generators": [2] * len(row),
+    "matrix": [row]})
+_GKM_TEXT = st.lists(st.one_of(
+    st.builds("vertex {}".format, st.sampled_from(["a", "b", "c", "a b", ""])),
+    st.builds("edge {} {} {}".format, st.sampled_from("abc"), st.sampled_from("abcd"),
+              _ENTRIES),
+    st.sampled_from(["", "# note", "vertex", "edge a b", "  vertex a  "]),
+    st.text(max_size=8)), max_size=6).map("\n".join)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(_PRESENTATIONS)
+def test_presentation_reader_gives_a_presentation_or_an_input_error(obj):
+    try:
+        presentation_from_json(obj)
+    except InputError:
+        pass
+
+
+@settings(max_examples=200, deadline=1000)
+@given(_GKM_TEXT, st.integers(0, 3))
+def test_gkm_reader_gives_a_graph_or_an_input_error(text, r):
+    try:
+        parse_gkm(text, RingSpec(r))
+    except InputError:
+        pass
+
+
+@settings(max_examples=20, deadline=5000)
+@given(_PRESENTATIONS | _SMALL_PRESENTATIONS, _GKM_TEXT)
+def test_cli_exits_0_or_2_on_fuzzed_files(obj, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        pres, graph = os.path.join(tmp, "m.pres"), os.path.join(tmp, "g.gkm")
+        with open(pres, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with open(graph, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["hilbert", "--file", pres], ["resolve", "--check", "--file", pres],
+                     ["gkm", "--r", "2", "--file", graph]):
+            assert cli.main(argv) in (0, 2), argv

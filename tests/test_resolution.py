@@ -204,7 +204,7 @@ def test_betti_table_known_values():
 
 def test_betti_table_toric2_matches_split_form():
     # H_T of the toric fixture splits as R + m up to the stated shifts
-    from syzal import toric_ht_expected
+    from test_equivariant import toric_ht_expected
     got = minimize(resolve(toric_ht(2), 2)).betti()
     want = minimize(resolve(toric_ht_expected(2), 2)).betti()
     assert got == want
