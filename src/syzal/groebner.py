@@ -16,7 +16,7 @@ import heapq
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
-from syzal.errors import InhomogeneousError, InputError, VerificationError
+from syzal.errors import InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
 from syzal.packed import MAX_DEGREE, Row, Schreyer, packing, too_high
 from syzal.ring import grevlex, mono_coprime, mono_lcm, qdiv, schreyer_order
@@ -29,7 +29,9 @@ class GroebnerBasis:
     basis that breaks either (VerificationError, InputError). The bases
     that buchberger, schreyer_basis and kernel build are reduced: no
     leading term divides any same-position term of another element. The
-    elements are packed, and their lead-term index built, once, here."""
+    elements are packed, and their lead-term index built, once, here:
+    each must be zero or a homogeneous element of ambient of degree at
+    most _limit (see _enter)."""
 
     __slots__ = ("ambient", "elements", "order", "_lts", "_index")
 
@@ -39,17 +41,20 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.order = order
         self._index = _lead_index(self.elements, order, ambient)
-        self._lts = _lead_terms(self._index)
+        term = self._index.packing.term
+        # a packed row leads with its first key; None for a zero row
+        self._lts = tuple((term(next(iter(row))), next(iter(row.values())))
+                          if row else None for row in self._index.rows)
 
     @classmethod
-    def _of(cls, ambient: FreeModule, order, index: "_Index") -> "GroebnerBasis":
+    def _of(cls, order, index: "_Index") -> "GroebnerBasis":
         """The basis of the nonzero homogeneous rows of index."""
         G = cls.__new__(cls)
-        G.ambient, G.order, G._index = ambient, order, index
-        pk = index.packing
-        index.limit = _limit(pk, ambient)
-        G.elements = tuple(_element(ambient, pk, row) for row in index.rows)
-        G._lts = _lead_terms(index)
+        G.ambient, G.order, G._index = index.ambient, order, index
+        G.elements = tuple(_element(G.ambient, index.packing, row)
+                           for row in index.rows)
+        # an unpacked element keeps key order: its first term leads
+        G._lts = tuple(next(iter(e.terms.items())) for e in G.elements)
         return G
 
     def lead_terms(self):
@@ -102,22 +107,15 @@ def _element(module: FreeModule, pk, row: Row) -> ModuleElement:
     return ModuleElement._of(module, {term(t): c for t, c in row.items()})
 
 
-def _lead_terms(index: "_Index") -> tuple:
-    """((position, monomial), coefficient) of the leading term of each row
-    of index, its first; None for a zero row."""
-    term = index.packing.term
-    return tuple((term(next(iter(row))), next(iter(row.values()))) if row else None
-                 for row in index.rows)
-
-
 def _limit(pk, module: FreeModule) -> int:
     """The largest degree of a homogeneous element of module whose every
     term, at any position, packs a monomial of degree at most MAX_DEGREE.
     A term of degree q at position p packs one of degree (q - o_p) / d,
-    with o_p = degree of p - d * lift(p). Division of such an element by
-    homogeneous divisors, and an S-pair of that degree, form only terms of
-    that degree, so one check per element or S-pair keeps the packed
-    layer in bounds."""
+    with o_p = degree of p - d * lift(p). Division of a term of that
+    degree by homogeneous divisors, and an S-pair of that degree, form
+    only terms of that degree. This is the packed layer's only bound: it
+    is checked once per generator and divisor (_enter), per dividend
+    (_dividend) and per S-pair, and packing.row checks nothing."""
     d = module.ring.d
     return min((g - d * pk.lift(p) for p, g in enumerate(module.degrees)),
                default=0) + d * MAX_DEGREE
@@ -126,19 +124,17 @@ def _limit(pk, module: FreeModule) -> int:
 # ---------- division ----------
 
 class _Index:
-    """Divisors as packed rows, their leading terms grouped by position:
-    groups[pos] holds (k, probe, key, coefficient) for each nonzero row k
-    whose leading term, of that key, sits at pos, in list order; probe is
-    the key times packing.sign. For a division by a basis, limit is the
-    _limit of its ambient; slack is None when every divisor is homogeneous,
-    otherwise it bounds how far a division can raise a packed degree, and
-    excess[k] how far row k's terms lie above its leading term."""
+    """Divisors as packed rows of the module ambient, their leading terms
+    grouped by position: groups[pos] holds (k, probe, key) for each
+    nonzero row k whose leading term, of that key, sits at pos, in list
+    order; probe is the key times packing.sign. limit is the _limit of
+    ambient."""
 
-    __slots__ = ("packing", "rows", "groups", "limit", "slack", "excess")
+    __slots__ = ("packing", "ambient", "rows", "groups", "limit")
 
-    def __init__(self, pk, rows: List[Row]):
-        self.packing, self.rows, self.groups = pk, rows, {}
-        self.limit = self.slack = self.excess = None
+    def __init__(self, pk, ambient: FreeModule, rows: List[Row]):
+        self.packing, self.ambient, self.rows, self.groups = pk, ambient, rows, {}
+        self.limit = _limit(pk, ambient)
         for k, row in enumerate(rows):
             self._register(k, row)
 
@@ -150,43 +146,42 @@ class _Index:
         if row:
             pk = self.packing
             t = next(iter(row))
-            self.groups.setdefault(pk.position(t), []).append(
-                (k, pk.sign * t, t, row[t]))
+            self.groups.setdefault(pk.position(t), []).append((k, pk.sign * t, t))
+
+
+def _enter(index: _Index, e: ModuleElement, what: str) -> Row:
+    """e packed for index: the one check of a generator or divisor that
+    enters the packed layer. InputError unless e lies in the ambient of
+    index, InhomogeneousError unless e is homogeneous, and InputError when
+    its degree is above the limit of index."""
+    if e.module != index.ambient:
+        raise InputError(f"{what} does not live in the ambient module")
+    q = e.degree()
+    if q is not None and q > index.limit:
+        raise too_high(what)
+    return index.packing.row(e.terms)
 
 
 def _lead_index(elements: Sequence[ModuleElement], order,
                 ambient: FreeModule) -> _Index:
-    """Pack the elements under order and index their leading terms.
-
-    A division by homogeneous divisors keeps the degree of every term.
-    Otherwise a term moves to a larger position at most rank - 1 times,
-    each time raising its packed degree by at most the largest excess of a
-    divisor, and only then; that bound is the slack."""
-    pk = packing(order, ambient.ring.r)
-    index = _Index(pk, [pk.row(e.terms) for e in elements])
-    index.limit = _limit(pk, ambient)
-    if not all(e.is_homogeneous() for e in elements):
-        index.excess = [
-            max(map(pk.degree, e.terms)) - pk.degree(pk.term(next(iter(row))))
-            if row else 0 for e, row in zip(elements, index.rows)]
-        index.slack = (ambient.rank - 1) * max(0, *index.excess)
+    """The _Index under order of the divisors elements of ambient (_enter)."""
+    index = _Index(packing(order, ambient.ring.r), ambient, [])
+    for e in elements:
+        index.add(_enter(index, e, "divisor"))
     return index
 
 
 def _dividend(f: ModuleElement, index: _Index) -> Row:
-    """f packed for division by index, or InputError when the division
-    could form a monomial of degree above MAX_DEGREE."""
-    pk = index.packing
-    row = pk.row(f.terms)
-    if not row:
-        return row
-    if index.slack is None:
-        degrees, d = f.module.degrees, f.module.ring.d
-        if max(degrees[p] + d * sum(m) for p, m in f.terms) > index.limit:
-            raise too_high("division")
-    elif max(map(pk.degree, f.terms)) + index.slack > MAX_DEGREE:
+    """f packed for division by index: InputError unless f lies in the
+    ambient of index, or when a term of f has degree above its limit. f
+    may be inhomogeneous: a division by homogeneous divisors forms terms
+    of the degrees of f only."""
+    if f.module != index.ambient:
+        raise InputError("element does not live in the basis ambient module")
+    degrees, d = f.module.degrees, f.module.ring.d
+    if f.terms and max(degrees[p] + d * sum(m) for p, m in f.terms) > index.limit:
         raise too_high("division")
-    return row
+    return index.packing.row(f.terms)
 
 
 def divide(f, gens: Sequence[ModuleElement], order,
@@ -194,7 +189,9 @@ def divide(f, gens: Sequence[ModuleElement], order,
     """Deterministic division: scan gens in list order for the first leading
     term dividing the current work leading term. Returns (quotients, rem,
     mu) with mu * f = sum(quotients[k] * gens[k]) + rem, a positive int mu,
-    and no term of rem divisible by any leading term of gens. Quotients are
+    and no term of rem divisible by any leading term of gens. The gens
+    must be zero or homogeneous elements of one module (_enter), and f an
+    element of it, homogeneous or not (_dividend). Quotients are
     ring polynomial term maps. Where the leading coefficient glc of the
     divisor does not divide the int coefficient c it removes, the work is
     multiplied by glc / gcd(glc, c) instead, and mu by the same factor; so
@@ -227,13 +224,15 @@ def divide(f, gens: Sequence[ModuleElement], order,
         if c is None:
             continue
         x = sign * t
-        for hit, probe, lead, glc in groups.get((t >> pshift) & pmask, ()):
+        for hit, probe, lead in groups.get((t >> pshift) & pmask, ()):
             if not (x - probe) & guard:
                 break
         else:
             rem[t] = c
             continue
         q = lead - t  # V(q) for the monomial q with t = q * lead
+        row = rows[hit]
+        glc = row[lead]
         if glc == 1:
             coeff = c
         elif type(c) is int and type(glc) is int:
@@ -248,7 +247,7 @@ def divide(f, gens: Sequence[ModuleElement], order,
                         part[u] *= scale
         else:
             coeff = qdiv(c, glc)
-        for u, c2 in rows[hit].items():
+        for u, c2 in row.items():
             u -= q
             if u == t:
                 continue  # the leading term cancels exactly
@@ -276,8 +275,6 @@ def divide(f, gens: Sequence[ModuleElement], order,
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     """Remainder of f on division by G; f - result lies in the submodule."""
-    if f.module != G.ambient:
-        raise InputError("element does not live in the basis ambient module")
     _quots, rem, mu = divide(f, G.elements, G.order, index=G._index)
     if mu == 1:
         return rem
@@ -295,19 +292,19 @@ def _canonical_key(pk, row: Row):
     return (pos, tuple(-e for e in m))
 
 
-def _reduce_basis(rows: List[Row], pk) -> _Index:
-    """Interreduce a Groebner basis of primitive int rows packed under pk:
-    minimal (no leading term divides another), tails fully reduced,
-    primitive with a positive leading coefficient, canonically sorted.
-    Returns the _Index of the reduced rows."""
+def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
+    """Interreduce a Groebner basis of primitive int rows of ambient packed
+    under pk: minimal (no leading term divides another), tails fully
+    reduced, primitive with a positive leading coefficient, canonically
+    sorted. Returns the _Index of the reduced rows."""
     rows = [row for row in rows if row]
-    index = _Index(pk, rows)
+    index = _Index(pk, ambient, rows)
     sign, guard = pk.sign, pk.guard
     keep = [True] * len(rows)
     for i, row in enumerate(rows):
         t = next(iter(row))
         x = sign * t
-        for k, probe, lead, _c in index.groups[pk.position(t)]:
+        for k, probe, lead in index.groups[pk.position(t)]:
             if (k != i and keep[k] and not (x - probe) & guard
                     and (lead != t or k < i)):
                 keep[i] = False
@@ -319,9 +316,7 @@ def _reduce_basis(rows: List[Row], pk) -> _Index:
     # to the unique reduced basis whatever the order of the pass. A tail
     # term is smaller than its own leading term, which therefore never
     # divides it, so one index serves every row.
-    index = _Index(pk, rows)
-    # A reduced row keeps its leading term but may change its leading
-    # coefficient, which its index entry then follows.
+    index = _Index(pk, ambient, rows)
     for i, row in enumerate(rows):
         items = iter(row.items())
         lt, c = next(items)
@@ -330,10 +325,7 @@ def _reduce_basis(rows: List[Row], pk) -> _Index:
         if r != tail:
             new = Row({lt: mu * c})
             new.update(r)  # every tail key is larger than lt
-            new = rows[i] = _primitive(new)
-            group = index.groups[pk.position(lt)]
-            n = next(n for n, (k, *_e) in enumerate(group) if k == i)
-            group[n] = (i, sign * lt, lt, new[lt])
+            rows[i] = _primitive(new)
     return index
 
 
@@ -366,27 +358,20 @@ def _s_poly(f: Row, g: Row, lcm_key: int):
 
 
 def _s_pairs(G: "GroebnerBasis"):
-    """(i, j, v_i, v_j, b_i, b_j, S-polynomial) for every same-position
-    pair i < j of G, in index order; InputError for a pair whose
-    S-polynomial or its division could form a monomial of degree above
-    MAX_DEGREE."""
+    """(i, j, v_i, v_j, b_i, b_j, S-polynomial) for every pair i < j of G
+    whose leading terms share a position, position by position; InputError
+    for a pair of degree above _limit."""
     index, lts = G._index, G._lts
     pk, rows = index.packing, index.rows
     d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if lts[i] is None or lts[j] is None:
-                continue
-            (p, mi), _ = lts[i]
-            (p2, mj), _ = lts[j]
-            if p != p2:
-                continue
-            lcm = mono_lcm(mi, mj)
-            if (degrees[p] + d * sum(lcm) > limit if index.slack is None
-                    else pk.degree((p, lcm)) + max(index.excess[i], index.excess[j])
-                    + index.slack > MAX_DEGREE):
-                raise too_high("S-pair")
-            yield (i, j) + _s_poly(rows[i], rows[j], pk.key(p, lcm))
+    for p, group in index.groups.items():
+        for a, (i, _probe, _t) in enumerate(group):
+            mi = lts[i][0][1]
+            for j, _probe, _t in group[a + 1:]:
+                lcm = mono_lcm(mi, lts[j][0][1])
+                if degrees[p] + d * sum(lcm) > limit:
+                    raise too_high("S-pair")
+                yield (i, j) + _s_poly(rows[i], rows[j], pk.key(p, lcm))
 
 
 def buchberger(gens: Sequence[ModuleElement], order=grevlex,
@@ -399,8 +384,8 @@ def buchberger(gens: Sequence[ModuleElement], order=grevlex,
             raise InputError("buchberger needs generators or an explicit ambient")
         ambient = gens[0].module
     index = _complete(gens, order, ambient)
-    return GroebnerBasis._of(ambient, order,
-                             _reduce_basis(index.rows, index.packing))
+    return GroebnerBasis._of(order,
+                             _reduce_basis(index.rows, index.packing, ambient))
 
 
 def _complete(gens: Sequence[ModuleElement], order,
@@ -409,7 +394,8 @@ def _complete(gens: Sequence[ModuleElement], order,
     homogeneous gens, as the _Index of its packed rows, primitive int rows
     with positive leading coefficients: the nonzero gens, cleared of
     denominators, then every nonzero S-pair remainder in the order it was
-    found. InputError for a generator or S-pair of degree above _limit.
+    found. Every generator is checked by _enter; InputError for an S-pair
+    of degree above _limit.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. The coprimality criterion is
@@ -421,10 +407,9 @@ def _complete(gens: Sequence[ModuleElement], order,
     """
     d = ambient.ring.d
     pk = packing(order, ambient.ring.r)
-    limit = _limit(pk, ambient)
     sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
-    index = _Index(pk, [])
-    rows, groups = index.rows, index.groups
+    index = _Index(pk, ambient, [])
+    rows, groups, limit = index.rows, index.groups, index.limit
     lts: list = []  # (position, monomial) of each leading term
     pure: List[bool] = []
 
@@ -434,14 +419,9 @@ def _complete(gens: Sequence[ModuleElement], order,
         pure.append(len({(t >> pshift) & pmask for t in row}) == 1)
 
     for g in gens:
-        if g.module != ambient:
-            raise InputError("generators live in different ambient modules")
-        if not g.is_homogeneous():
-            raise InhomogeneousError("buchberger requires homogeneous generators")
-        if not g.is_zero():
-            if g.degree() > limit:
-                raise too_high("generator")
-            add(_integral(pk.row(g.terms)))
+        row = _enter(index, g, "generator")
+        if row:
+            add(_integral(row))
 
     heap: list = []
 
@@ -449,7 +429,7 @@ def _complete(gens: Sequence[ModuleElement], order,
     # the index: the earlier elements at that position, in list order
     def push_pairs(j: int):
         p, mj = lts[j]
-        for i, _probe, _t, _c in groups[p]:
+        for i, _probe, _t in groups[p]:
             if i >= j:
                 break
             lcm = mono_lcm(lts[i][1], mj)
@@ -458,7 +438,7 @@ def _complete(gens: Sequence[ModuleElement], order,
 
     def chain_skips(i: int, j: int, p: int, lcm_key: int) -> bool:
         x = sign * lcm_key
-        for k, probe, _t, _c in groups[p]:
+        for k, probe, _t in groups[p]:
             if (k != i and k != j
                     and ((i, k) if i < k else (k, i)) in done
                     and ((j, k) if j < k else (k, j)) in done
@@ -534,7 +514,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                 else:
                     terms.pop(t, None)
         sygens.append(_primitive(Row(sorted(terms.items()))))
-    return GroebnerBasis._of(aux, sorder, _reduce_basis(sygens, spk))
+    return GroebnerBasis._of(sorder, _reduce_basis(sygens, spk, aux))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:
@@ -585,7 +565,7 @@ def kernel(A: GradedMatrix,
     shift = pk.base(split) - pk.base(0)
     rows = [Row({t - shift: c for t, c in row.items()}) for row in index.rows
             if pk.position(next(iter(row))) >= split]
-    return GroebnerBasis._of(source, grevlex, _reduce_basis(rows, pk))
+    return GroebnerBasis._of(grevlex, _reduce_basis(rows, pk, source))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,
@@ -593,8 +573,6 @@ def lift(G: GroebnerBasis, v: ModuleElement,
     """Coefficients writing v as a combination of G.elements, as an element
     of F (one position per basis element), or None when v is not in the
     submodule: for a Groebner basis, v is a member iff its remainder is 0."""
-    if v.module != G.ambient:
-        raise InputError("element does not live in the basis ambient module")
     quots, rem, mu = divide(v, G.elements, G.order, want_quotients=True,
                             index=G._index)
     if not rem.is_zero():

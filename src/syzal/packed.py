@@ -34,9 +34,10 @@ times 2^s, plus i, with 2^s above every index: its V is the prior V times
 
 The bound. A field holds its value only while the monomial it packs has
 degree at most MAX_DEGREE (so every exponent is at most MAX_DEGREE as
-well); `row` refuses a larger one with InputError, and the Groebner layer
-refuses every division and S-pair that could form one (see its `_limit`).
-Nothing wraps silently.
+well). `row` packs what it is given; the Groebner layer checks each
+element once, where it enters, and each S-pair, against one degree bound
+that keeps every term it can form within MAX_DEGREE (see its `_limit`),
+and refuses the rest with InputError. Nothing wraps silently.
 """
 from __future__ import annotations
 
@@ -96,20 +97,12 @@ class _Packing:
         pos = (key >> self.pshift) & self.pmask
         return pos, self.mono(self.base(pos) - key)
 
-    def degree(self, t) -> int:
-        """The degree of the monomial that the term t = (pos, m) packs."""
-        pos, m = t
-        return sum(m) + self.lift(pos)
-
     def row(self, terms: dict) -> Row:
-        """The Row of the terms {(pos, m): coefficient}; InputError if one
-        packs a monomial of degree above MAX_DEGREE."""
-        key, lift = self.key, self.lift
-        keyed = []
-        for (pos, m), c in terms.items():
-            if sum(m) + lift(pos) > MAX_DEGREE:
-                raise too_high("element")
-            keyed.append((key(pos, m), c))
+        """The Row of the terms {(pos, m): coefficient}, packed as they
+        are: the Groebner layer's entry checks keep every packed monomial
+        within MAX_DEGREE."""
+        key = self.key
+        keyed = [(key(pos, m), c) for (pos, m), c in terms.items()]
         keyed.sort(key=operator.itemgetter(0))
         return Row(keyed)
 
@@ -173,7 +166,7 @@ class Schreyer(_Packing):
         self.pshift, self.pmask = 0, (1 << s) - 1
         self.weights = tuple(w << s for w in prior.weights)
         self._bases = [(prior.key(p, m) << s) + i for i, (p, m) in enumerate(leads)]
-        self._lifts = [prior.degree(t) for t in leads]
+        self._lifts = [sum(m) + prior.lift(p) for p, m in leads]
 
     def base(self, pos: int) -> int:
         return self._bases[pos]

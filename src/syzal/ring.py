@@ -6,6 +6,7 @@ Fraction when it is not. All arithmetic is exact; no floating point anywhere.
 """
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -299,23 +300,30 @@ def _number(digits: str, at: int) -> int:
         raise InputError(f"number at position {at} has too many digits")
 
 
-def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
-    """Parse the polynomial grammar, e.g. '3*t1^2*t2 - 1/2*t3', in time
-    linear in the length of text: one match of the term pattern per term."""
+@functools.lru_cache(maxsize=32)
+def _reader(names: tuple):
+    """(term, factor, index) for the variable names: the term and factor
+    patterns, and each name's variable index; built once per names."""
     # Each gap between tokens is a single \s*, and a name never starts with
     # whitespace: where a \s* gives whitespace back, (?!\s) refuses a name
     # at once instead of trying every name, so each run of whitespace costs
     # time linear in its length. Only optional parts follow a name, and the
     # term pattern always matches, so a matched name is never given back for
     # a shorter one.
-    names = sorted(ring.names, key=len, reverse=True)
-    name = r"(?!\s)(?:" + ("|".join(map(re.escape, names)) or "(?!)") + ")"
+    longest = sorted(names, key=len, reverse=True)
+    name = r"(?!\s)(?:" + ("|".join(map(re.escape, longest)) or "(?!)") + ")"
     star = rf"(?:\*\s*(?={name}))?"
     term = re.compile(rf"\s*(?:(?P<sign>[+-])\s*)?"
                       rf"(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]+)\s*)?{star})?"
                       rf"(?P<factors>(?:{name}\s*(?:\^\s*[0-9]+\s*)?{star})*)")
     factor = re.compile(rf"({name})\s*(?:\^\s*([0-9]+))?")
-    index = {v: i for i, v in enumerate(ring.names)}
+    return term, factor, {v: i for i, v in enumerate(names)}
+
+
+def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
+    """Parse the polynomial grammar, e.g. '3*t1^2*t2 - 1/2*t3', in time
+    linear in the length of text: one match of the term pattern per term."""
+    term, factor, index = _reader(ring.names)
     terms: dict = {}
     pos = 0
     while True:

@@ -7,6 +7,7 @@ from syzal import (
     FreeModule,
     GradedMatrix,
     GroebnerBasis,
+    InhomogeneousError,
     InputError,
     ModuleElement,
     RingSpec,
@@ -171,16 +172,32 @@ def test_the_bound_counts_every_position():
         divide(_power(F, 0, (MAX_DEGREE,)), [g], grevlex)
 
 
-def test_inhomogeneous_division_past_the_bound_is_refused():
-    # e_0 + t1^5 e_1 moves a term from position 0 to 1 five degrees higher
+def test_an_inhomogeneous_divisor_is_refused():
+    # divisors are homogeneous, as completion generators are, at any degree
     ring = RingSpec(1, 2)
     F = FreeModule(ring, (0, 0))
-    g = ModuleElement(F, {(0, (0,)): 1, (1, (5,)): 1})
-    quots, rem, mu = divide(_power(F, 0, (MAX_DEGREE - 5,)), [g], grevlex,
-                            want_quotients=True)
-    assert rem.terms == {(1, (MAX_DEGREE,)): -1}
-    with pytest.raises(InputError):
-        divide(_power(F, 0, (MAX_DEGREE - 4,)), [g], grevlex)
+    g = ModuleElement(F, {(0, (0,)): 1, (1, (1,)): 1})
+    with pytest.raises(InhomogeneousError):
+        GroebnerBasis(F, [g])
+    with pytest.raises(InhomogeneousError):
+        divide(_power(F, 0, (1,)), [g], grevlex)
+
+
+def test_a_foreign_element_is_refused():
+    # every generator, divisor and dividend lies in the one ambient module
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0,))
+    G = buchberger([F.generator(0)], ambient=F)
+    for E in (FreeModule(ring, (0, 0, 0)), FreeModule(ring, (2,))):
+        e = E.generator(0)
+        with pytest.raises(InputError):
+            GroebnerBasis(F, [e])
+        with pytest.raises(InputError):
+            divide(F.generator(0), [e], grevlex)
+        with pytest.raises(InputError):
+            buchberger([e], ambient=F)
+        with pytest.raises(InputError):
+            normal_form(e, G)
 
 
 def test_kernel_at_the_bound():
@@ -225,3 +242,19 @@ def test_the_oracle_keeps_exponent_tuples():
                 todo.append(node.module)
     assert "syzal.packed" not in seen and "syzal.groebner" not in seen
     assert seen == {"syzal.oracle", "syzal.modfree", "syzal.ring", "syzal.errors"}
+
+
+def test_only_the_entry_checks_pack_an_element():
+    # packing.row checks nothing: in the Groebner layer only the entry of a
+    # generator or divisor (_enter) and of a dividend (_dividend) calls it
+    import ast
+    import syzal.groebner
+    tree = ast.parse(open(syzal.groebner.__file__).read())
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    callers = [owner.get(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "row"]
+    assert sorted(callers) == ["_dividend", "_enter"]

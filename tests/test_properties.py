@@ -272,7 +272,8 @@ def _ref_divide(f: dict, gens, cmp):
 def division_cases(draw):
     """(f, gens, order, reference comparator) under position-over-term
     grevlex or grlex, or a Schreyer order over position-over-term grevlex,
-    with int or Fraction coefficients and a zero generator somewhere."""
+    with int or Fraction coefficients and a zero generator somewhere. The
+    gens are homogeneous, as the Groebner layer requires; f need not be."""
     r = draw(st.integers(1, 3))
     ring = RingSpec(r, 2)
     rank = draw(st.integers(1, 3))
@@ -291,7 +292,15 @@ def division_cases(draw):
         st.integers(-4, 4).filter(bool), coeffs]))
     terms = st.dictionaries(st.tuples(st.integers(0, rank - 1), monomials(r, 2)),
                             values, max_size=5)
-    gens = [ModuleElement(F, draw(terms)) for _ in range(draw(st.integers(1, 4)))]
+
+    def homogeneous(k):
+        """Terms of monomial degree k at any position."""
+        basis = [(p, m) for p in range(rank)
+                 for m in ring.monomials_of_degree(ring.d * k)]
+        return st.dictionaries(st.sampled_from(basis), values, max_size=5)
+
+    gens = [ModuleElement(F, draw(homogeneous(draw(st.integers(0, 3)))))
+            for _ in range(draw(st.integers(1, 4)))]
     gens.insert(draw(st.integers(0, len(gens))), F.zero())
     f = ModuleElement(F, draw(terms.filter(bool)))
     return f, gens, order, cmp
@@ -672,20 +681,27 @@ def test_buchberger_and_schreyer_match_the_monic_route(data):
 
 
 def test_interreduction_follows_a_changed_leading_coefficient():
-    # Reducing the tail of one element of this basis changes its primitive
-    # leading coefficient, and the element then reduces a later tail: the
-    # lead-term index must carry the new coefficient.
+    # Reducing the tail of one element of a basis can change its primitive
+    # leading coefficient, and the element can then reduce a later tail:
+    # division must read the new coefficient. The ideal
+    # (2 t2 t3 - t3^2, t1 t3 + 7 t2 t3, t2^2 + t1 t3 - t2 t3) does both.
     ring = RingSpec(3, 2)
-    F = FreeModule(ring, (0, 0))
     t1, t2, t3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    gens = [{(0, t3): 1, (1, t1): Fraction(1, 4)},
-            {(0, t3): Fraction(-5, 4), (0, t2): Fraction(2, 3),
-             (1, t2): Fraction(-1, 4), (1, t3): -1},
-            {(1, t3): 2, (0, t2): -2, (0, t1): Fraction(5, 2)}]
-    G = buchberger([ModuleElement(F, g) for g in gens], ambient=F)
-    assert _monic_of(G) == _ref_reduce(_ref_complete(gens, _POT_GREVLEX),
-                                       _POT_GREVLEX)
-    _assert_schreyer_matches_the_monic_route(G)
+    t1t3, t2t3, t2t2, t3t3 = (1, 0, 1), (0, 1, 1), (0, 2, 0), (0, 0, 2)
+    cases = [
+        ((0, 0), [{(0, t3): 1, (1, t1): Fraction(1, 4)},
+                  {(0, t3): Fraction(-5, 4), (0, t2): Fraction(2, 3),
+                   (1, t2): Fraction(-1, 4), (1, t3): -1},
+                  {(1, t3): 2, (0, t2): -2, (0, t1): Fraction(5, 2)}]),
+        ((0,), [{(0, t2t3): 2, (0, t3t3): -1},
+                {(0, t1t3): 1, (0, t2t3): 7},
+                {(0, t2t2): 1, (0, t1t3): 1, (0, t2t3): -1}])]
+    for degrees, gens in cases:
+        F = FreeModule(ring, degrees)
+        G = buchberger([ModuleElement(F, g) for g in gens], ambient=F)
+        assert _monic_of(G) == _ref_reduce(_ref_complete(gens, _POT_GREVLEX),
+                                           _POT_GREVLEX)
+        _assert_schreyer_matches_the_monic_route(G)
 
 
 @given(graded_maps())

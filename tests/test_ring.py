@@ -461,6 +461,19 @@ def test_reader_messages_name_the_position():
             parse_polynomial(text, ring)
 
 
+def test_a_second_parse_over_the_same_ring_builds_no_pattern(monkeypatch):
+    # the reader's patterns are built once per ring, not once per string
+    ring = RingSpec(3, names=("x", "y", "x2"))
+    assert parse_polynomial("x + x2", ring) == Polynomial(ring, {(1, 0, 0): 1,
+                                                                 (0, 0, 1): 1})
+    built = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a: built.append(a) or compile_(*a))
+    assert parse_polynomial("2*y^3 - x2", ring) == Polynomial(ring, {(0, 3, 0): 2,
+                                                                     (0, 0, 1): -1})
+    assert built == []
+
+
 # ---------- the reader in linear time ----------
 
 def test_a_10000_term_entry_loads_in_linear_time(tmp_path):
