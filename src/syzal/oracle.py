@@ -1,29 +1,32 @@
 """Degreewise brute-force dimension oracle.
 
 Ground truth for Hilbert functions, kernels, and Ext dimensions by exact
-fraction-free sparse row echelon on monomial-basis coefficient matrices,
+fraction-free sparse row echelon, in place, on rows read off tables of the
+ring alone (_monomials, _shift: bounded memos keyed by (r, n, m) only),
 with no Groebner machinery involved. Everything here depends only on ring
 and modfree, so it can contradict the engine without sharing its bugs.
 
 The oracle works within a fixed budget: a window spans at most MAX_WINDOW
 degrees, and a degree piece it eliminates has at most MAX_BASIS basis
-elements, both checked before anything is allocated; one elimination makes
-at most MAX_WORK cell updates, counted as it goes. Past any of them it
-raises InputError.
+elements, both checked before any row or table is built; one elimination
+makes at most MAX_WORK cell updates, counted as it goes. Past any of them
+it raises InputError.
 """
 from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from syzal.errors import InputError
 from syzal.modfree import FreeModule, GradedMatrix, ModulePresentation
-from syzal.ring import mono_mul
+from syzal.ring import RingSpec, mono_mul
 
-# Ten times and more the largest window (13 degrees) and degree piece (84
-# basis elements) that the test suite and the benchmark use.
+# More than ten times the largest window (17 degrees) and degree piece (117
+# basis elements) that the test suite's modules use; cli-check uses 13 and 77.
 MAX_WINDOW = 200
 MAX_BASIS = 2000
 # Cell updates (row plus pivot length, summed over the reductions) one
@@ -83,32 +86,38 @@ def _checked_dim(module: FreeModule, q: int) -> int:
     return n
 
 
-def _basis(module: FreeModule, q: int) -> List[tuple]:
-    """Monomial basis of the degree-q piece: pairs (position, exponent)."""
-    ring = module.ring
-    out = []
-    for i, g in enumerate(module.degrees):
-        out.extend((i, m) for m in ring.monomials_of_degree(q - g))
-    return out
+def _sizes(module: FreeModule, q: int) -> List[int]:
+    """dim_k of each generator's degree-q piece, in closed form: C(n + r -
+    1, n) monomials of degree n = (q - g)/d for a generator of degree g."""
+    r, d = module.ring.r, module.ring.d
+    return [0 if n < 0 or rest else comb(n + r - 1, n) if r else int(n == 0)
+            for n, rest in (divmod(q - g, d) for g in module.degrees)]
 
 
 def free_dim(module: FreeModule, q: int) -> int:
-    """dim_k of the degree-q piece, counted in closed form: C(n + r - 1, n)
-    monomials of degree n = (q - g)/d per generator of degree g."""
-    r, d = module.ring.r, module.ring.d
-    total = 0
-    for g in module.degrees:
-        n, rest = divmod(q - g, d)
-        if n >= 0 and not rest:
-            total += comb(n + r - 1, n) if r else int(n == 0)
-    return total
+    """dim_k of the degree-q piece."""
+    return sum(_sizes(module, q))
+
+
+@lru_cache(maxsize=32)
+def _monomials(r: int, n: int) -> Dict[tuple, int]:
+    """The degree-n monomials in r variables, by monomials_of_degree index."""
+    return {m: k for k, m in enumerate(RingSpec(r, 1).monomials_of_degree(n))}
+
+
+@lru_cache(maxsize=512)
+def _shift(r: int, n: int, m: tuple) -> Tuple[int, ...]:
+    """The index of m * mono in _monomials(r, n + |m|), for each mono in order."""
+    index = _monomials(r, n + sum(m))
+    return tuple([index[mono_mul(m, mono)] for mono in _monomials(r, n)])
 
 
 def _rank(rows: Iterable[Dict[int, int]]) -> int:
     """Rank of sparse integer rows {column: nonzero int} by fraction-free
     forward elimination: each pivot row is kept under its leading column,
     and an incoming row is reduced by a*row - b*pivot (a, b coprime) and
-    divided by its content until it is zero or leads in a new column."""
+    divided by its content until it is zero or leads in a new column. The
+    rows are consumed: each is reduced in place, and may become a pivot."""
     pivots: Dict[int, Dict[int, int]] = {}
     work = 0
     for row in rows:
@@ -124,18 +133,21 @@ def _rank(rows: Iterable[Dict[int, int]]) -> int:
                                  f"{MAX_WORK} cell updates")
             a, b = pivot[lead], row[lead]
             g = gcd(a, b)
-            a, b = a // g, b // g
-            new = {k: a * v for k, v in row.items()}
+            if g != 1:
+                a, b = a // g, b // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in pivot.items():
-                x = new.get(k, 0) - b * v
+                x = row.get(k, 0) - b * v
                 if x:
-                    new[k] = x
+                    row[k] = x
                 else:
-                    del new[k]
-            content = gcd(*new.values())
+                    del row[k]
+            content = gcd(*row.values())
             if content > 1:
-                new = {k: v // content for k, v in new.items()}
-            row = new
+                for k in row:
+                    row[k] //= content
     return len(pivots)
 
 
@@ -153,11 +165,24 @@ def map_rank(A: GradedMatrix, q: int) -> int:
     source basis element."""
     if not _checked_dim(A.source, q) or not _checked_dim(A.target, q):
         return 0
-    tindex = {bm: k for k, bm in enumerate(_basis(A.target, q))}
-    columns = [_integer_column(A, j) for j in range(A.source.rank)]
-    # distinct (i, m) land on distinct target basis elements (i, m * mono)
-    return _rank({tindex[(i, mono_mul(m, mono))]: c for i, m, c in columns[j]}
-                 for j, mono in _basis(A.source, q))
+    return _rank(_rows(A, q))
+
+
+def _rows(A: GradedMatrix, q: int) -> Iterator[Dict[int, int]]:
+    """map_rank's rows, one per source element e_j * mono (generator by
+    generator, mono of degree n in _monomials order): target element
+    e_i * m * mono is offset[i] + _shift(r, n, m)[index of mono]."""
+    r, d = A.source.ring.r, A.source.ring.d
+    offset = list(accumulate(_sizes(A.target, q), initial=0))
+    for j, size in enumerate(_sizes(A.source, q)):
+        if not size:
+            continue
+        n = (q - A.source.degrees[j]) // d
+        terms = _integer_column(A, j)
+        coeffs = [c for _i, _m, c in terms]
+        keys = [[offset[i] + k for k in _shift(r, n, m)] for i, m, _c in terms]
+        for row_keys in zip(*keys) if keys else repeat((), size):
+            yield dict(zip(row_keys, coeffs))
 
 
 def module_dims(M: ModulePresentation,

@@ -155,7 +155,8 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     matrix, also for rational input.
 
     The search takes the maps in turn. When it reaches maps[s], the map is
-    divided by its content (see _divide_content): a scalar on a whole map
+    divided by its content (see _divide_content), unless it holds only ints
+    and no non-unit pivot of maps[s - 1] scaled it: a scalar on a whole map
     is an isomorphism of complexes (scale F_{s+1}, F_{s+2}, ... by it), and
     on maps[0] it keeps the image, so the cokernel is unchanged. The pivot
     is then the first constant entry, in row-major order, of maps[s], until
@@ -181,8 +182,11 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     """
     degs = [list(F.degrees) for F in modules]
     mats = [[_by_row(v) for v in A.columns()] for A in maps]
+    divide = [any(type(c) is not int for v in A.columns() for c in v.terms.values())
+              for A in maps]
     for s, cols in enumerate(mats):
-        _divide_content(e for col in cols for e in col.values())
+        if divide[s]:
+            _divide_content(e for col in cols for e in col.values())
         while True:
             # an entry of a homogeneous map between generators of equal
             # degree is constant, so only those columns can hold a pivot
@@ -227,6 +231,7 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
                 if not unit:
                     scale[y] = _divide_content(col.values())
             if s + 1 < len(mats):
+                divide[s + 1] |= not unit
                 for col in mats[s + 1]:
                     if col is None:
                         continue

@@ -248,45 +248,58 @@ def _one_variable_presentation(tmp_path, gens):
     return str(path)
 
 
+def _clear_oracle_tables(pieces):
+    del pieces[:]
+    oracle._monomials.cache_clear()
+    oracle._shift.cache_clear()
+
+
+def _oracle_built_nothing(pieces):
+    return (pieces == [] and oracle._monomials.cache_info().currsize == 0
+            and oracle._shift.cache_info().currsize == 0)
+
+
 @pytest.fixture
-def basis_calls(monkeypatch):
-    """Every monomial basis the oracle builds, as (rank, q)."""
+def pieces(monkeypatch):
+    """Every degree piece the oracle builds rows for, as (q, dimension of
+    the target piece), from empty table memos."""
     monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
     calls = []
-    build = oracle._basis
+    _clear_oracle_tables(calls)
+    build = oracle._rows
 
-    def recorded(module, q):
-        calls.append((module.rank, q))
-        return build(module, q)
-    monkeypatch.setattr(oracle, "_basis", recorded)
+    def recorded(A, q):
+        calls.append((q, oracle.free_dim(A.target, q)))
+        return build(A, q)
+    monkeypatch.setattr(oracle, "_rows", recorded)
     return calls
 
 
-def test_oracle_window_budget(tmp_path, basis_calls, capsys):
+def test_oracle_window_budget(tmp_path, pieces, capsys):
     path = _one_variable_presentation(tmp_path, 1)
     top = oracle.MAX_WINDOW - 1
     assert cli.main(["oracle", "--file", path, "--window", f"0:{top}",
                      "--json"]) == 0
     dims = json.loads(capsys.readouterr().out)["dims"]
     assert dims[0] == [0, 1] and dims[-1] == [top, 0]
-    del basis_calls[:]
+    _clear_oracle_tables(pieces)
     assert cli.main(["oracle", "--file", path,
                      "--window", f"0:{top + 1}"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert basis_calls == []
+    assert _oracle_built_nothing(pieces)
 
 
-def test_oracle_basis_budget(tmp_path, basis_calls, capsys):
+def test_oracle_basis_budget(tmp_path, pieces, capsys):
     path = _one_variable_presentation(tmp_path, oracle.MAX_BASIS)
     assert cli.main(["oracle", "--file", path, "--json"]) == 0
     dims = json.loads(capsys.readouterr().out)["dims"]
     assert dims[2] == [2, oracle.MAX_BASIS - 1]
-    assert (oracle.MAX_BASIS, 2) in basis_calls
-    del basis_calls[:]
+    assert (2, oracle.MAX_BASIS) in pieces
+    _clear_oracle_tables(pieces)
     path = _one_variable_presentation(tmp_path, oracle.MAX_BASIS + 1)
     assert cli.main(["oracle", "--file", path, "--json"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert basis_calls == []
+    assert _oracle_built_nothing(pieces)
 
 
 def test_oracle_work_budget_refuses_a_dense_piece(tmp_path, capsys):

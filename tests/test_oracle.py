@@ -1,7 +1,7 @@
 """Brute-force dimension oracle: the independent cross-check layer."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ from syzal import (
     FreeModule,
     GradedMatrix,
     InputError,
+    ModuleElement,
     RingSpec,
     default_window,
     ext,
@@ -30,6 +31,8 @@ from syzal import (
     resolve,
     toric_ht,
 )
+from syzal.modfree import presentation_from_json
+from syzal.ring import mono_mul
 
 
 R2 = RingSpec(2, 2)
@@ -264,7 +267,7 @@ def test_map_rank_over_r0():
 def test_free_dim_closed_form_counts_the_basis(r, d):
     F = FreeModule(RingSpec(r, d), (-2, 0, 1, 3))
     for q in range(-4, 16):
-        assert free_dim(F, q) == len(oracle._basis(F, q))
+        assert free_dim(F, q) == len(_basis(F, q))
 
 
 def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
@@ -278,3 +281,126 @@ def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
     kos = koszul_complex(RingSpec(3, 2))
     assert resolution_is_exact(kos.modules, kos.maps, {0: 1}, 0, 10)
     assert len(calls) == len(kos.maps) * 11
+
+
+# ---------- rows from the ring-level tables ----------
+
+def _basis(module, q):
+    """Reference: the degree-q basis of module as (position, monomial)
+    pairs, generator by generator."""
+    return [(i, m) for i, g in enumerate(module.degrees)
+            for m in module.ring.monomials_of_degree(q - g)]
+
+
+def _reference_rows(A, q):
+    """Reference: map_rank's rows built on tuple bases, with mono_mul and
+    a dict from target basis element to column."""
+    tindex = {bm: k for k, bm in enumerate(_basis(A.target, q))}
+    columns = [oracle._integer_column(A, j) for j in range(A.source.rank)]
+    return [{tindex[(i, mono_mul(m, mono))]: c for i, m, c in columns[j]}
+            for j, mono in _basis(A.source, q)]
+
+
+def _reference_rank(rows):
+    """Reference: the elimination of _rank on copies of the rows, as
+    (rank, cell updates)."""
+    pivots, work = {}, 0
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            work += len(row) + len(pivot)
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            new = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                new[k] = new.get(k, 0) - b * v
+            new = {k: v for k, v in new.items() if v}
+            content = gcd(*new.values())
+            row = {k: v // content for k, v in new.items()}
+    return len(pivots), work
+
+
+@st.composite
+def _maps_and_degrees(draw):
+    """A map over Q[t1..tr], r = 0..4, with Fraction entries, and a degree
+    q: generators below q, off the degree lattice of q, zero columns and
+    constant entries (a non-minimal presentation) all occur."""
+    ring = RingSpec(draw(st.integers(0, 4)), draw(st.integers(1, 2)))
+    target = FreeModule(ring, draw(st.lists(st.integers(-1, 1), min_size=1,
+                                            max_size=3)))
+    source_degrees = draw(st.lists(st.integers(0, 5), min_size=1,
+                                   max_size=5))
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                        st.integers(1, 6))
+    columns = []
+    for g in source_degrees:
+        terms = {}
+        for i, h in enumerate(target.degrees):
+            monos = list(ring.monomials_of_degree(g - h))
+            if monos and draw(st.integers(0, 3)):  # else a zero entry
+                for k in draw(st.lists(st.integers(0, len(monos) - 1),
+                                       max_size=4)):
+                    terms[(i, monos[k])] = draw(nonzero)
+        columns.append(ModuleElement(target, terms))
+    # multiples of earlier columns, so that rows meet on a lead column
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(columns) - 1))
+        x = draw(st.sampled_from([ring.one_monomial()] + [
+            next(iter(t.terms)) for t in ring.variables()]))
+        c = draw(nonzero)
+        columns.append(ModuleElement(target, {
+            (i, mono_mul(m, x)): c * v for (i, m), v in columns[j].terms.items()}))
+        source_degrees.append(source_degrees[j] + ring.d * sum(x))
+    A = GradedMatrix.from_columns(target, columns, source_degrees)
+    # mostly a degree where some source generator has a piece
+    q = draw(st.one_of(st.integers(-3, 8), st.builds(
+        lambda g, k: g + k * ring.d, st.sampled_from(source_degrees),
+        st.integers(0, 2))))
+    return A, q
+
+
+@given(_maps_and_degrees())
+@settings(max_examples=300, deadline=None)
+def test_rows_match_the_reference_builder(map_and_degree):
+    A, q = map_and_degree
+    rows = _reference_rows(A, q)
+    new = list(oracle._rows(A, q))
+    assert [list(row.items()) for row in new] == [list(row.items())
+                                                 for row in rows]
+    # the same rows make the same elimination: the budget falls on the
+    # reference's cell count
+    rank, work = _reference_rank(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "MAX_WORK", work)
+        assert map_rank(A, q) == rank
+        if work:
+            patch.setattr(oracle, "MAX_WORK", work - 1)
+            with pytest.raises(InputError, match="cell updates"):
+                map_rank(A, q)
+
+
+def test_a_second_map_rank_over_the_same_ring_builds_no_table():
+    text = {"ring": {"r": 3, "d": 2}, "generators": [0, 2],
+            "relation_generators": [2, 4, 4],
+            "matrix": [["t1", "t2^2", "0"], ["0", "t3", "t1 - 1/2*t2"]]}
+    oracle._monomials.cache_clear()
+    oracle._shift.cache_clear()
+    first = module_dims(presentation_from_json(text))
+    built = (oracle._monomials.cache_info().misses,
+             oracle._shift.cache_info().misses)
+    assert all(built)
+    assert module_dims(presentation_from_json(text)) == first
+    assert (oracle._monomials.cache_info().misses,
+            oracle._shift.cache_info().misses) == built
+
+
+def test_the_tables_are_bounded_memos():
+    # a cli-check pass uses 23 monomial and 329 shift tables; each holds
+    # at most MAX_BASIS entries
+    for table, used in ((oracle._monomials, 23), (oracle._shift, 329)):
+        size = table.cache_info().maxsize
+        assert size is not None and size >= used
