@@ -1,8 +1,9 @@
 """Groebner bases for submodules of graded free modules.
 
 Division with remainder, Buchberger completion (homogeneous input only,
-normal selection strategy), Schreyer syzygies, kernels and preimages of
-graded maps by elimination on a graph submodule, and lifts by division.
+normal selection strategy, Gebauer-Moeller pair update), Schreyer
+syzygies, kernels and preimages of graded maps by elimination on a graph
+submodule, and lifts by division.
 
 Inside this layer every term is one packed int (syzal.packed): an element
 is a Row {key: coefficient}. Elements are packed once, where they enter
@@ -13,8 +14,11 @@ remainders, quotients and basis elements handed back.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
+from itertools import groupby
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
@@ -357,12 +361,28 @@ def _s_poly(f: Row, g: Row, lcm_key: int):
     return vf, vg, bf, bg, terms
 
 
+def _undivided(cands, pk):
+    """The candidates (lcm key, ...), given lowest lcm first, whose lcm no
+    lcm kept before it divides (criteria M and F): the first of each lcm,
+    and none whose lcm has a proper divisor among the candidates."""
+    sign, guard = pk.sign, pk.guard
+    kept: List[int] = []
+    for cand in cands:
+        x = sign * cand[0]
+        for y in kept:
+            if not (x - y) & guard:
+                break
+        else:
+            kept.append(x)
+            yield cand
+
+
 def _s_pairs(G: "GroebnerBasis"):
-    """(i, j, v_i, v_j, b_i, b_j, S-polynomial) for every pair i < j of G
-    whose leading terms share a position, position by position; InputError
-    for a pair of degree above _limit."""
+    """(lcm key, i, j) for every pair i < j of G whose leading terms share
+    a position, position by position, and by i then j within one;
+    InputError for a pair of degree above _limit."""
     index, lts = G._index, G._lts
-    pk, rows = index.packing, index.rows
+    pk = index.packing
     d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
     for p, group in index.groups.items():
         for a, (i, _probe, _t) in enumerate(group):
@@ -371,7 +391,7 @@ def _s_pairs(G: "GroebnerBasis"):
                 lcm = mono_lcm(mi, lts[j][0][1])
                 if degrees[p] + d * sum(lcm) > limit:
                     raise too_high("S-pair")
-                yield (i, j) + _s_poly(rows[i], rows[j], pk.key(p, lcm))
+                yield pk.key(p, lcm), i, j
 
 
 def buchberger(gens: Sequence[ModuleElement], order=grevlex,
@@ -394,18 +414,25 @@ def _complete(gens: Sequence[ModuleElement], order,
     homogeneous gens, as the _Index of its packed rows, primitive int rows
     with positive leading coefficients: the nonzero gens, cleared of
     denominators, then every nonzero S-pair remainder in the order it was
-    found. Every generator is checked by _enter; InputError for an S-pair
-    of degree above _limit.
+    found. Every generator is checked by _enter. InputError for an S-pair
+    of degree above _limit: every pair is checked when it is formed, before
+    criteria B, M and F, except a product pair, which is never reduced.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
-    only between same-position leading terms. The coprimality criterion is
-    applied only when both elements are position-pure, where it is sound.
-    The chain criterion (Buchberger's second criterion in its sequential
-    form, Gebauer-Moeller 1988) skips the pair (i, j) when some k has a
-    same-position leading term dividing lcm(LT_i, LT_j) and both pairs
-    (i, k) and (j, k) have already left the queue.
+    only between same-position leading terms. Useless pairs are dropped when
+    an element k is added (the pair update of Gebauer-Moeller 1988; Becker-
+    Weispfenning 1993, 5.5), so every pair still queued when it is popped
+    is reduced:
+    - criterion B drops a queued pair (i, j) at the position of k when LT_k
+      divides L = lcm(LT_i, LT_j) and both lcm(LT_i, LT_k) and
+      lcm(LT_j, LT_k) differ from L;
+    - criterion M drops a new pair (i, k) whose lcm another new pair's lcm
+      divides properly, and criterion F keeps one new pair of each lcm: the
+      product pair if there is one, else the newest (largest i);
+    - the product criterion then drops a new pair whose leading terms are
+      coprime, only when both elements are position-pure, where it is sound.
     """
-    d = ambient.ring.d
+    d, degrees = ambient.ring.d, ambient.degrees
     pk = packing(order, ambient.ring.r)
     sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
     index = _Index(pk, ambient, [])
@@ -424,69 +451,94 @@ def _complete(gens: Sequence[ModuleElement], order,
             add(_integral(row))
 
     heap: list = []
+    # the queued pairs of each position, {(i, j): lcm key}; a popped pair
+    # that criterion B has dropped since is no longer here
+    queued: Dict[int, dict] = defaultdict(dict)
 
-    # S-pairs and chain-criterion witnesses share a position, so both read
-    # the index: the earlier elements at that position, in list order
-    def push_pairs(j: int):
-        p, mj = lts[j]
-        for i, _probe, _t in groups[p]:
-            if i >= j:
+    def update(k: int):
+        p, mk = lts[k]
+        group = groups[p]
+        if group[0][0] == k:
+            return  # no earlier element shares the position
+        pure_k = pure[k]
+        new = []
+        for i, _probe, _t in group:
+            if i == k:
                 break
-            lcm = mono_lcm(lts[i][1], mj)
-            heapq.heappush(heap, (ambient.degrees[p] + d * sum(lcm), i, j,
-                                  pk.key(p, lcm)))
+            mi = lts[i][1]
+            lcm = mono_lcm(mi, mk)
+            coprime = pure_k and pure[i] and mono_coprime(mi, mk)
+            sdeg = degrees[p] + d * sum(lcm)
+            if sdeg > limit and not coprime:
+                raise too_high("S-pair")
+            new.append((pk.key(p, lcm), coprime, i, sdeg))
+        pairs = queued[p]
+        if pairs:
+            tk = next(iter(rows[k]))
+            lcms = {i: key for key, _c, i, _s in new}
+            for (i, j), key in list(pairs.items()):
+                if (not sign * (key - tk) & guard and lcms[i] != key
+                        and lcms[j] != key):
+                    del pairs[i, j]
+        if len(new) > 1:
+            # lowest lcm first; within one lcm the product pair, then the
+            # newest
+            new = _undivided(sorted(new, reverse=True), pk)
+        for key, coprime, i, sdeg in new:
+            if not coprime:
+                pairs[i, k] = key
+                heapq.heappush(heap, (sdeg, i, k, key))
 
-    def chain_skips(i: int, j: int, p: int, lcm_key: int) -> bool:
-        x = sign * lcm_key
-        for k, probe, _t in groups[p]:
-            if (k != i and k != j
-                    and ((i, k) if i < k else (k, i)) in done
-                    and ((j, k) if j < k else (k, j)) in done
-                    and not (x - probe) & guard):
-                return True
-        return False
+    for k in range(len(rows)):
+        update(k)
 
-    for j in range(len(rows)):
-        push_pairs(j)
-
-    done = set()
     while heap:
-        sdeg, i, j, lcm_key = heapq.heappop(heap)
-        done.add((i, j))
-        p, mi = lts[i]
-        mj = lts[j][1]
-        if pure[i] and pure[j] and mono_coprime(mi, mj):
-            continue
-        if sdeg > limit:
-            raise too_high("S-pair")
-        if chain_skips(i, j, p, lcm_key):
-            continue
+        _sdeg, i, j, lcm_key = heapq.heappop(heap)
+        if queued[lts[i][0]].pop((i, j), None) is None:
+            continue  # dropped by criterion B
         r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows, order,
                    index=index)[1]
         if r:
             add(_primitive(r))
-            push_pairs(len(rows) - 1)
+            update(len(rows) - 1)
 
     return index
 
 
 def verify_spairs(G: GroebnerBasis) -> bool:
     """Certificate check: every same-position S-pair reduces to zero."""
-    return all(divide(s, G.elements, G.order, index=G._index)[1].is_zero()
-               for *_ij, s in _s_pairs(G))
+    rows = G._index.rows
+    return all(divide(_s_poly(rows[i], rows[j], lcm_key)[4], G.elements,
+                      G.order, index=G._index)[1].is_zero()
+               for lcm_key, i, j in _s_pairs(G))
 
 
 # ---------- Schreyer syzygies ----------
 
+def _minimal_pairs(pairs, pk):
+    """The pairs (lcm key, i, j) of _s_pairs whose lcm the lcm of no other
+    pair of the same i divides properly, and of pairs of equal lcm the
+    first; by i, and by lcm, lowest first, within one i."""
+    for _i, block in groupby(pairs, itemgetter(1)):
+        # a stable sort: pairs of equal lcm keep their order
+        yield from _undivided(sorted(block, key=lambda pair: -pair[0]), pk)
+
+
 def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     """Syzygies of G.elements as a Groebner basis under the Schreyer order
-    induced by G. Every same-position pair (i, j) contributes the generator
+    induced by G. A same-position pair (i, j), i < j, gives the syzygy
     mu b_i a_i e_i - mu b_j a_j e_j - sum_k q_k e_k, made primitive, from
     the division mu S = sum_k q_k g_k of its S-polynomial
-    S = b_i a_i g_i - b_j a_j g_j (see _s_poly). The elements of G must be
-    primitive int rows with positive leading coefficients (else
-    InputError), and every S-polynomial must reduce to zero (else
-    VerificationError: G is not a Groebner basis)."""
+    S = b_i a_i g_i - b_j a_j g_j (see _s_poly). Its leading term is
+    a_i e_i, a_i = lcm(LT_i, LT_j)/LT_i, so interreduction keeps exactly
+    the pairs that _minimal_pairs selects: only those are divided, and the
+    reduced basis is the one that all pairs give. Their syzygies generate
+    those of the leading terms, so G is a Groebner basis iff each of their
+    S-polynomials reduces to zero. The elements of G must be primitive int
+    rows with positive leading coefficients (else InputError), every pair
+    must lie within _limit, selected or not (else InputError), and every
+    divided S-polynomial must reduce to zero (else VerificationError: G is
+    not a Groebner basis)."""
     index = G._index
     if any(not row or _integral(row) is not row for row in index.rows):
         raise InputError("basis element is zero or not a primitive int row "
@@ -498,8 +550,10 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     sorder = schreyer_order(G.order, leads)
     spk = Schreyer(index.packing, leads)
     key = spk.key_of_value
+    rows = index.rows
     sygens: List[Row] = []
-    for i, j, vi, vj, bi, bj, s in _s_pairs(G):
+    for lcm_key, i, j in _minimal_pairs(list(_s_pairs(G)), index.packing):
+        vi, vj, bi, bj, s = _s_poly(rows[i], rows[j], lcm_key)
         quots, rem, mu = divide(s, G.elements, G.order, want_quotients=True,
                                 index=index)
         if rem:

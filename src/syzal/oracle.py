@@ -76,14 +76,15 @@ def _window(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _checked_dim(module: FreeModule, q: int) -> int:
-    """free_dim of a piece the oracle will eliminate, within its basis
+def _checked_sizes(module: FreeModule, q: int) -> List[int]:
+    """_sizes of a piece the oracle will eliminate, within its basis
     budget."""
-    n = free_dim(module, q)
+    sizes = _sizes(module, q)
+    n = sum(sizes)
     if n > MAX_BASIS:
         raise InputError(f"oracle degree-{q} piece has {n} basis elements, "
                          f"more than {MAX_BASIS}")
-    return n
+    return sizes
 
 
 def _sizes(module: FreeModule, q: int) -> List[int]:
@@ -163,18 +164,24 @@ def map_rank(A: GradedMatrix, q: int) -> int:
     """Rank of the degree-q piece of A: images of the degree-q source
     basis written on the degree-q target basis, one sparse integer row per
     source basis element."""
-    if not _checked_dim(A.source, q) or not _checked_dim(A.target, q):
+    source = _checked_sizes(A.source, q)
+    if not any(source):
         return 0
-    return _rank(_rows(A, q))
+    target = _checked_sizes(A.target, q)
+    if not any(target):
+        return 0
+    return _rank(_rows(A, q, source, target))
 
 
-def _rows(A: GradedMatrix, q: int) -> Iterator[Dict[int, int]]:
-    """map_rank's rows, one per source element e_j * mono (generator by
-    generator, mono of degree n in _monomials order): target element
-    e_i * m * mono is offset[i] + _shift(r, n, m)[index of mono]."""
+def _rows(A: GradedMatrix, q: int, source: List[int],
+          target: List[int]) -> Iterator[Dict[int, int]]:
+    """map_rank's rows, given the _sizes source and target of the degree-q
+    pieces of A.source and A.target: one per source element e_j * mono
+    (generator by generator, mono of degree n in _monomials order); target
+    element e_i * m * mono is offset[i] + _shift(r, n, m)[index of mono]."""
     r, d = A.source.ring.r, A.source.ring.d
-    offset = list(accumulate(_sizes(A.target, q), initial=0))
-    for j, size in enumerate(_sizes(A.source, q)):
+    offset = list(accumulate(target, initial=0))
+    for j, size in enumerate(source):
         if not size:
             continue
         n = (q - A.source.degrees[j]) // d

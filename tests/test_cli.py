@@ -268,9 +268,9 @@ def pieces(monkeypatch):
     _clear_oracle_tables(calls)
     build = oracle._rows
 
-    def recorded(A, q):
-        calls.append((q, oracle.free_dim(A.target, q)))
-        return build(A, q)
+    def recorded(A, q, source, target):
+        calls.append((q, sum(target)))
+        return build(A, q, source, target)
     monkeypatch.setattr(oracle, "_rows", recorded)
     return calls
 

@@ -27,6 +27,7 @@ from syzal import (
     verify_spairs,
 )
 from syzal.oracle import free_dim
+from syzal.packed import packing
 
 
 def mono_divides(a, b):
@@ -112,6 +113,77 @@ def test_product_criterion_position_safety():
     target = F.generator(1).poly_mul(t2 * t2)
     assert normal_form(target, G).is_zero()
     assert verify_spairs(G)
+
+
+# ---------- the pair update ----------
+
+@pytest.fixture
+def pairs_formed(monkeypatch):
+    """The leading-term keys of the two rows of every S-polynomial the
+    Groebner layer forms, in order."""
+    import syzal.groebner as groebner
+    formed = []
+    s_poly = groebner._s_poly
+
+    def recorded(f, g, lcm_key):
+        formed.append((next(iter(f)), next(iter(g))))
+        return s_poly(f, g, lcm_key)
+    monkeypatch.setattr(groebner, "_s_poly", recorded)
+    return formed
+
+
+def _monomial_gens(F, exponents):
+    return [ModuleElement(F, {(0, m): 1}) for m in exponents]
+
+
+def _formed_monomials(formed, r):
+    pk = packing(grevlex, r)
+    return [(pk.term(f)[1], pk.term(g)[1]) for f, g in formed]
+
+
+def test_an_equal_lcm_class_keeps_its_newest_pair(pairs_formed):
+    # xy, yz, xz: the new pairs (xy, xz) and (yz, xz) share the lcm xyz,
+    # and only the newer, (yz, xz), is reduced; criterion B keeps the
+    # queued (xy, yz), whose lcm is that of a new pair
+    F = FreeModule(RingSpec(3, 2), (0,))
+    xy, yz, xz = (1, 1, 0), (0, 1, 1), (1, 0, 1)
+    G = buchberger(_monomial_gens(F, [xy, yz, xz]), ambient=F)
+    assert len(G) == 3
+    assert _formed_monomials(pairs_formed, 3) == [(xy, yz), (yz, xz)]
+
+
+def test_an_equal_lcm_class_with_a_product_pair_is_dropped(pairs_formed):
+    # z, yz, xy: the new pairs (z, xy), coprime, and (yz, xy) share the lcm
+    # xyz; the product pair represents the class, and is dropped in turn
+    F = FreeModule(RingSpec(3, 2), (0,))
+    z, yz, xy = (0, 0, 1), (0, 1, 1), (1, 1, 0)
+    buchberger(_monomial_gens(F, [z, yz, xy]), ambient=F)
+    assert _formed_monomials(pairs_formed, 3) == [(z, yz)]
+
+
+def test_criterion_b_drops_a_queued_pair(pairs_formed):
+    # xyz divides lcm(x^2 z, y^2 z) = x^2 y^2 z, and neither new lcm equals
+    # it, so the queued pair (x^2 z, y^2 z) is never reduced
+    F = FreeModule(RingSpec(3, 2), (0,))
+    xxz, yyz, xyz = (2, 0, 1), (0, 2, 1), (1, 1, 1)
+    G = buchberger(_monomial_gens(F, [xxz, yyz, xyz]), ambient=F)
+    assert len(G) == 3
+    assert _formed_monomials(pairs_formed, 3) == [(xxz, xyz), (yyz, xyz)]
+
+
+def test_schreyer_basis_divides_only_minimal_pairs(pairs_formed):
+    # x^2, xy, y^2: the lcm x^2 y of (x^2, xy) divides the lcm x^2 y^2 of
+    # (x^2, y^2), whose syzygy interreduction would drop
+    F = FreeModule(RingSpec(2, 2), (0,))
+    G = buchberger(_monomial_gens(F, [(2, 0), (1, 1), (0, 2)]), ambient=F)
+    pairs_formed.clear()
+    S = schreyer_basis(G)
+    assert len(S) == 2
+    assert sorted(_formed_monomials(pairs_formed, 2)) == [
+        ((1, 1), (0, 2)), ((2, 0), (1, 1))]
+    # the certificate still checks every pair
+    pairs_formed.clear()
+    assert verify_spairs(G) and len(pairs_formed) == 3
 
 
 def test_single_generator_has_no_syzygies():

@@ -228,7 +228,8 @@ def _rows_with_work(work):
     zeros = -work % 3
     leads = (work - 2 * zeros) // 3
     rows = [{0: 1}] + [{0: 1, k: 1} for k in range(1, leads + 1)]
-    return rows + [{0: 2}] * zeros, 1 + leads
+    # one dict per row: _rank reduces each row in place
+    return rows + [{0: 2} for _ in range(zeros)], 1 + leads
 
 
 def test_rank_work_budget(monkeypatch):
@@ -368,7 +369,8 @@ def _maps_and_degrees(draw):
 def test_rows_match_the_reference_builder(map_and_degree):
     A, q = map_and_degree
     rows = _reference_rows(A, q)
-    new = list(oracle._rows(A, q))
+    new = list(oracle._rows(A, q, oracle._sizes(A.source, q),
+                           oracle._sizes(A.target, q)))
     assert [list(row.items()) for row in new] == [list(row.items())
                                                  for row in rows]
     # the same rows make the same elimination: the budget falls on the

@@ -19,6 +19,7 @@ from syzal import (
     normal_form,
     schreyer_basis,
     schreyer_order,
+    verify_spairs,
 )
 from syzal.packed import MAX_DEGREE, packing
 from syzal.ring import mono_mul
@@ -152,6 +153,37 @@ def test_an_s_pair_past_the_bound_is_refused():
     assert len(buchberger(gens[:1], order, ambient=aux)) == 1
     with pytest.raises(InputError):
         buchberger(gens, order, ambient=aux)
+
+
+def test_a_pair_the_criteria_drop_is_still_refused():
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0,))
+    top = MAX_DEGREE
+    # completion: lcm(t2, t1^(k-1) t2) properly divides lcm(t1^k,
+    # t1^(k-1) t2), so criterion M drops the second pair; its degree k + 1
+    # is still checked when the pair is formed
+    for k, fits in ((top - 1, True), (top, False)):
+        gens = [_power(F, 0, (k, 0)), _power(F, 0, (0, 1)),
+                _power(F, 0, (k - 1, 1))]
+        if fits:
+            assert len(buchberger(gens, ambient=F)) == 2
+        else:
+            with pytest.raises(InputError):
+                buchberger(gens, ambient=F)
+    # Schreyer syzygies: the coprime pair (t1^k, t2^5) is not minimal, as
+    # lcm(t1^k, t1^(k-2) t2) divides its lcm, and is not divided; its degree
+    # k + 5 is still checked, as is the certificate's
+    for k, fits in ((top - 5, True), (top - 4, False)):
+        G = buchberger([_power(F, 0, (k, 0)), _power(F, 0, (k - 2, 1)),
+                        _power(F, 0, (0, 5))], ambient=F)
+        assert len(G) == 3
+        if fits:
+            assert len(schreyer_basis(G)) == 2 and verify_spairs(G)
+        else:
+            with pytest.raises(InputError):
+                schreyer_basis(G)
+            with pytest.raises(InputError):
+                verify_spairs(G)
 
 
 def test_the_bound_counts_every_position():

@@ -680,6 +680,42 @@ def test_buchberger_and_schreyer_match_the_monic_route(data):
     _assert_schreyer_matches_the_monic_route(G)
 
 
+def _ref_minimal_pairs(G):
+    """The same-position pairs (i, j), i < j, of G whose lcm the lcm of no
+    other pair (i, k) divides properly or equals with k < j: the pairs
+    whose syzygies the reduced Schreyer basis keeps."""
+    leads = [lt for lt, _c in G.lead_terms()]
+    out = []
+    for i, (p, mi) in enumerate(leads):
+        lcms = [(j, tuple(map(max, mi, mj)))
+                for j, (q, mj) in enumerate(leads) if j > i and q == p]
+        out += [(i, j) for j, m in lcms
+                if not any(k != j and all(a <= b for a, b in zip(mk, m))
+                           and (mk != m or k < j) for k, mk in lcms)]
+    return out
+
+
+@given(submodule_generators())
+@settings(max_examples=30)
+def test_schreyer_basis_divides_the_minimal_pairs_only(data):
+    import syzal.groebner as groebner
+    F, gens = data
+    G = buchberger(gens, ambient=F)
+    divided = []
+    original = groebner.divide
+
+    def counted(*args, **kwargs):
+        if kwargs.get("want_quotients"):  # an S-polynomial, not a tail
+            divided.append(args[0])
+        return original(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "divide", counted)
+        S = schreyer_basis(G)
+    assert len(divided) == len(_ref_minimal_pairs(G)) == len(S)
+    # the all-pairs reference gives the same reduced basis
+    _assert_schreyer_matches_the_monic_route(G)
+
+
 def test_interreduction_follows_a_changed_leading_coefficient():
     # Reducing the tail of one element of a basis can change its primitive
     # leading coefficient, and the element can then reduce a later tail:
