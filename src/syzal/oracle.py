@@ -9,8 +9,8 @@ and modfree, so it can contradict the engine without sharing its bugs.
 The oracle works within a fixed budget: a window spans at most MAX_WINDOW
 degrees, and a degree piece it eliminates has at most MAX_BASIS basis
 elements, both checked before any row or table is built; one elimination
-makes at most MAX_WORK cell updates, counted as it goes. Past any of them
-it raises InputError.
+makes at most MAX_WORK cell updates, counted as it goes, and stops at full
+column rank. Past any of them it raises InputError.
 """
 from __future__ import annotations
 
@@ -30,10 +30,12 @@ from syzal.ring import RingSpec, mono_mul
 MAX_WINDOW = 200
 MAX_BASIS = 2000
 # Cell updates (row plus pivot length, summed over the reductions) one
-# elimination may make: time grows with the cube of a dense piece, and a
-# dense 200 x 336 piece took 7.8 M updates and 25.8 s. Real eliminations
-# make at most 786 (test suite), 5,713 (cli-check benchmark) and 7,840
-# (`koszul --r 6 --check`); at about 1 us an update this is 0.1 s a rank.
+# elimination may make, up to full column rank: time grows with the cube of
+# a dense piece, and a dense 200 x 336 piece took 7.8 M updates and 25.8 s.
+# Real eliminations make at most 6,383 and 5,713 (cli-check benchmark,
+# seeds 0 and 7), 4,960 (`koszul --r 5 --check`; r = 6 is past MAX_BASIS)
+# and 120 (the test suite's fixed inputs, besides the dense pieces of its
+# budget tests); at about 1 us an update this is 0.1 s a rank.
 MAX_WORK = 100_000
 
 
@@ -113,33 +115,39 @@ def _shift(r: int, n: int, m: tuple) -> Tuple[int, ...]:
     return tuple([index[mono_mul(m, mono)] for mono in _monomials(r, n)])
 
 
-def _rank(rows: Iterable[Dict[int, int]]) -> int:
-    """Rank of sparse integer rows {column: nonzero int} by fraction-free
-    forward elimination: each pivot row is kept under its leading column,
-    and an incoming row is reduced by a*row - b*pivot (a, b coprime) and
-    divided by its content until it is zero or leads in a new column. The
-    rows are consumed: each is reduced in place, and may become a pivot."""
-    pivots: Dict[int, Dict[int, int]] = {}
+def _rank(rows: Iterable[Dict[int, int]], width: int) -> int:
+    """Rank of sparse integer rows {column: nonzero int}, whose columns are
+    among width columns, by fraction-free forward elimination: each pivot
+    is kept under its leading column as (lead coefficient, tail), and an
+    incoming row is reduced by a*row - b*pivot (a, b coprime) and divided
+    by its content until it is zero or leads in a new column. The rank
+    cannot exceed width, so no row is pulled once width columns hold a
+    pivot. The rows are consumed: each is reduced in place, and its tail
+    may become a pivot."""
+    pivots: Dict[int, Tuple[int, Dict[int, int]]] = {}
     work = 0
     for row in rows:
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = row
+                pivots[lead] = (row.pop(lead), row)
+                if len(pivots) == width:
+                    return width
                 break
-            work += len(row) + len(pivot)
+            a, tail = pivot
+            work += len(row) + len(tail) + 1
             if work > MAX_WORK:
                 raise InputError(f"oracle elimination needs more than "
                                  f"{MAX_WORK} cell updates")
-            a, b = pivot[lead], row[lead]
+            b = row.pop(lead)
             g = gcd(a, b)
             if g != 1:
                 a, b = a // g, b // g
             if a != 1:
                 for k in row:
                     row[k] *= a
-            for k, v in pivot.items():
+            for k, v in tail.items():
                 x = row.get(k, 0) - b * v
                 if x:
                     row[k] = x
@@ -152,40 +160,50 @@ def _rank(rows: Iterable[Dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _integer_column(A: GradedMatrix, j: int) -> List[Tuple[int, tuple, int]]:
-    """Column j of A as (row, monomial, int) triples, scaled by the lcm of
-    its denominators; scaling a column does not change the rank."""
-    terms = [(i, m, c) for (i, m), c in A.column_element(j).terms.items()]
-    scale = lcm(*(c.denominator for _i, _m, c in terms))
-    return [(i, m, c.numerator * (scale // c.denominator)) for i, m, c in terms]
+def _integer_columns(A: GradedMatrix) -> List[List[Tuple[int, tuple, int]]]:
+    """Each column of A as (row, monomial, int) triples, scaled by the lcm
+    of its denominators; scaling a column does not change the rank. Read
+    once per map, for all the degrees of a window."""
+    out = []
+    for j in range(A.source.rank):
+        terms = [(i, m, c) for (i, m), c in A.column_element(j).terms.items()]
+        scale = lcm(*(c.denominator for _i, _m, c in terms))
+        out.append([(i, m, c.numerator * (scale // c.denominator))
+                    for i, m, c in terms])
+    return out
 
 
-def map_rank(A: GradedMatrix, q: int) -> int:
+def map_rank(A: GradedMatrix, q: int,
+             columns: Optional[Sequence[list]] = None) -> int:
     """Rank of the degree-q piece of A: images of the degree-q source
     basis written on the degree-q target basis, one sparse integer row per
-    source basis element."""
+    source basis element. columns is _integer_columns(A), read here if not
+    given."""
     source = _checked_sizes(A.source, q)
     if not any(source):
         return 0
     target = _checked_sizes(A.target, q)
     if not any(target):
         return 0
-    return _rank(_rows(A, q, source, target))
+    if columns is None:
+        columns = _integer_columns(A)
+    return _rank(_rows(A, q, source, target, columns), sum(target))
 
 
-def _rows(A: GradedMatrix, q: int, source: List[int],
-          target: List[int]) -> Iterator[Dict[int, int]]:
+def _rows(A: GradedMatrix, q: int, source: List[int], target: List[int],
+          columns: Sequence[list]) -> Iterator[Dict[int, int]]:
     """map_rank's rows, given the _sizes source and target of the degree-q
-    pieces of A.source and A.target: one per source element e_j * mono
-    (generator by generator, mono of degree n in _monomials order); target
-    element e_i * m * mono is offset[i] + _shift(r, n, m)[index of mono]."""
+    pieces of A.source and A.target and the _integer_columns of A: one per
+    source element e_j * mono (generator by generator, mono of degree n in
+    _monomials order); target element e_i * m * mono is offset[i] +
+    _shift(r, n, m)[index of mono]."""
     r, d = A.source.ring.r, A.source.ring.d
     offset = list(accumulate(target, initial=0))
     for j, size in enumerate(source):
         if not size:
             continue
         n = (q - A.source.degrees[j]) // d
-        terms = _integer_column(A, j)
+        terms = columns[j]
         coeffs = [c for _i, _m, c in terms]
         keys = [[offset[i] + k for k in _shift(r, n, m)] for i, m, _c in terms]
         for row_keys in zip(*keys) if keys else repeat((), size):
@@ -195,10 +213,16 @@ def _rows(A: GradedMatrix, q: int, source: List[int],
 def module_dims(M: ModulePresentation,
                 window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
     """dim_k M_q = dim (F0)_q - rank of the degree-q relation block, for
-    each q in the window (lo, hi), by default default_window(M)."""
+    each q in the window (lo, hi), by default default_window(M); computed
+    once per presentation and window."""
     lo, hi = default_window(M) if window is None else window
-    return {q: free_dim(M.F0, q) - map_rank(M.relations, q)
-            for q in _window(lo, hi)}
+    degrees = _window(lo, hi)
+
+    def dims() -> Dict[int, int]:
+        columns = _integer_columns(M.relations)
+        return {q: free_dim(M.F0, q) - map_rank(M.relations, q, columns)
+                for q in degrees}
+    return dict(M.cached(("oracle", lo, hi), dims))
 
 
 def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
@@ -209,17 +233,12 @@ def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
     if j < 0 or j >= len(modules):
         raise InputError(f"ext_dims index {j} outside the resolution")
     Fdual = modules[j].dual()
-    At_next = maps[j].transpose() if j < len(maps) else None
-    At_prev = maps[j - 1].transpose() if j >= 1 else None
-    out = {}
-    for q in _window(lo, hi):
-        dim = free_dim(Fdual, q)
-        if At_next is not None:
-            dim -= map_rank(At_next, q)
-        if At_prev is not None:
-            dim -= map_rank(At_prev, q)
-        out[q] = dim
-    return out
+    transposes = [maps[i].transpose() for i in (j, j - 1)
+                  if 0 <= i < len(maps)]
+    columns = [_integer_columns(At) for At in transposes]
+    return {q: free_dim(Fdual, q) - sum(map_rank(At, q, c)
+                                        for At, c in zip(transposes, columns))
+            for q in _window(lo, hi)}
 
 
 def resolution_is_exact(modules: Sequence[FreeModule],
@@ -229,9 +248,10 @@ def resolution_is_exact(modules: Sequence[FreeModule],
     """Degreewise exactness of F_p -> ... -> F_0 against prescribed
     cokernel dimensions: homology vanishes at every inner position and the
     end kernel is zero, coker(delta_1) matches target_dims. Each map's
-    rank is computed once per degree."""
+    columns are read once, and its rank is computed once per degree."""
+    columns = [_integer_columns(A) for A in maps]
     for q in _window(lo, hi):
-        ranks = [map_rank(A, q) for A in maps] + [0]
+        ranks = [map_rank(A, q, c) for A, c in zip(maps, columns)] + [0]
         if free_dim(modules[0], q) - ranks[0] != target_dims.get(q, 0):
             return False
         for j in range(1, len(maps) + 1):

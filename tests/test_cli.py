@@ -268,9 +268,9 @@ def pieces(monkeypatch):
     _clear_oracle_tables(calls)
     build = oracle._rows
 
-    def recorded(A, q, source, target):
+    def recorded(A, q, source, target, *columns):
         calls.append((q, sum(target)))
-        return build(A, q, source, target)
+        return build(A, q, source, target, *columns)
     monkeypatch.setattr(oracle, "_rows", recorded)
     return calls
 
@@ -302,10 +302,28 @@ def test_oracle_basis_budget(tmp_path, pieces, capsys):
     assert _oracle_built_nothing(pieces)
 
 
-def test_oracle_work_budget_refuses_a_dense_piece(tmp_path, capsys):
-    # 4 generators and 14 dense rational linear relations over Q[t1..t4]:
-    # the degree-6 piece is 80 x 140, and its elimination, 0.5 s and
-    # 491,461 cell updates without the budget, stops at oracle.MAX_WORK
+def test_oracle_check_ranks_each_piece_once(m_pres, monkeypatch, capsys):
+    # --check compares the engine with the same (presentation, window)
+    # table that the command prints, so it eliminates no piece again
+    calls = []
+    rank = oracle.map_rank
+
+    def counted(A, q, *columns):
+        calls.append(q)
+        return rank(A, q, *columns)
+    monkeypatch.setattr(oracle, "map_rank", counted)
+    assert cli.main(["oracle", "--file", m_pres]) == 0
+    plain = list(calls)
+    assert plain
+    calls.clear()
+    assert cli.main(["oracle", "--file", m_pres, "--check"]) == 0
+    assert calls == plain
+    assert capsys.readouterr().out.count("dim_") == 2 * len(plain)
+
+
+def _dense_linear_presentation(tmp_path, gens, rels):
+    """gens generators of degree 0 and rels dense rational linear relations
+    over Q[t1..t4], seeded."""
     import random
     rng = random.Random(5)
     names = ["t1", "t2", "t3", "t4"]
@@ -313,17 +331,36 @@ def test_oracle_work_budget_refuses_a_dense_piece(tmp_path, capsys):
     def form():
         return " + ".join(f"{rng.randint(1, 9)}/{rng.randint(1, 9)}*{v}"
                           for v in names)
-    path = tmp_path / "dense.pres"
+    path = tmp_path / f"dense{gens}x{rels}.pres"
     path.write_text(json.dumps({
-        "ring": {"r": 4, "d": 2}, "generators": [0] * 4,
-        "relation_generators": [2] * 14,
-        "matrix": [[form() for _ in range(14)] for _ in range(4)]}))
+        "ring": {"r": 4, "d": 2}, "generators": [0] * gens,
+        "relation_generators": [2] * rels,
+        "matrix": [[form() for _ in range(rels)] for _ in range(gens)]}))
+    return str(path)
+
+
+def test_oracle_work_budget_refuses_a_dense_piece(tmp_path, capsys):
+    # 4 generators and 14 relations: the degree-6 piece has 140 rows on 80
+    # columns, and its elimination, 190,989 cell updates to full column
+    # rank without the budget, stops at oracle.MAX_WORK
+    path = _dense_linear_presentation(tmp_path, 4, 14)
     start = time.perf_counter()
-    assert cli.main(["oracle", "--file", str(path)]) == 2
+    assert cli.main(["oracle", "--file", path]) == 2
     assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"more than {oracle.MAX_WORK} cell updates" in captured.err
+
+
+def test_oracle_work_budget_counts_no_row_past_full_column_rank(tmp_path,
+                                                                capsys):
+    # 3 generators and 8 relations: the degree-6 piece has 80 rows on 60
+    # columns and full rank after 65,281 cell updates; reducing its other
+    # rows to zero would take 109,767, past oracle.MAX_WORK
+    path = _dense_linear_presentation(tmp_path, 3, 8)
+    assert cli.main(["oracle", "--file", path, "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert dims == [[0, 3], [1, 0], [2, 4]] + [[q, 0] for q in range(3, 7)]
 
 
 def _power_presentation(tmp_path, k, d=1):

@@ -199,9 +199,14 @@ _entries = st.one_of(
 
 @st.composite
 def _rational_matrices(draw):
+    """Rows of a rational matrix, and a width of at least its number of
+    columns. Tall matrices (more rows than columns) occur, with zero,
+    repeated and scaled rows inserted anywhere or appended after rows
+    that may already have full rank."""
     width = draw(st.integers(1, 6))
     row = st.lists(_entries, min_size=width, max_size=width)
-    rows = draw(st.lists(row, max_size=6))
+    rows = draw(st.lists(row, max_size=width + 3))
+    append = draw(st.booleans())
     # zero rows, repeated rows and scaled copies of earlier rows
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["zero", "copy", "scaled"]))
@@ -211,20 +216,62 @@ def _rational_matrices(draw):
             src = rows[draw(st.integers(0, len(rows) - 1))]
             c = Fraction(1) if kind == "copy" else draw(st.builds(
                 Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 5)))
-            rows.insert(draw(st.integers(0, len(rows))), [c * x for x in src])
-    return rows
+            at = len(rows) if append else draw(st.integers(0, len(rows)))
+            rows.insert(at, [c * x for x in src])
+    return rows, width + draw(st.integers(0, 2))
 
 
 @given(_rational_matrices())
 @settings(max_examples=300, deadline=None)
-def test_sparse_rank_matches_dense_fraction_elimination(rows):
-    assert oracle._rank(_integer_row(r) for r in rows) == _dense_rank(rows)
+def test_sparse_rank_matches_dense_fraction_elimination(matrix):
+    rows, width = matrix
+    assert (oracle._rank((_integer_row(r) for r in rows), width)
+            == _dense_rank(rows))
+
+
+def test_rank_pulls_no_row_once_every_column_holds_a_pivot():
+    pulled = []
+
+    def rows():
+        for row in ({0: 2, 1: 1}, {}, {0: 1, 2: 3}, {1: 1, 2: 1}, {0: 1},
+                    {2: 5}):
+            pulled.append(row)
+            yield row
+    assert oracle._rank(rows(), 3) == 3
+    assert len(pulled) == 4
+    # a width with a column no row reaches pulls every row
+    pulled.clear()
+    assert oracle._rank(rows(), 4) == 3
+    assert len(pulled) == 6
+
+
+def test_map_rank_stops_building_rows_at_full_column_rank(monkeypatch):
+    # t1, t2, t1 + t2 into a rank-1 target: the degree-2 piece has two
+    # columns, filled by the first two rows, so the third is never built
+    A = _matrix(R2, (0,), (2, 2, 2), [["t1", "t2", "t1 + t2"]])
+    built = []
+    rows = oracle._rows
+
+    def counted(*args):
+        for row in rows(*args):
+            built.append(dict(row))
+            yield row
+    monkeypatch.setattr(oracle, "_rows", counted)
+    assert map_rank(A, 2) == 2
+    assert built == [{0: 1}, {1: 1}]
+    # degree 4: t1 * (t1, t2), then t2 * (t1, t2) fill the 3 columns, and
+    # the 2 rows of t1 + t2 are never built
+    built.clear()
+    assert map_rank(A, 4) == 3
+    assert built == [{0: 1}, {1: 1}, {1: 1}, {2: 1}]
 
 
 def _rows_with_work(work):
-    """Rows whose elimination makes exactly `work` cell updates: a pivot
-    {0: 1}, then rows {0: 1, k: 1} (3 updates each, each a new pivot) and
-    rows {0: 2} (2 updates each, reduced to zero)."""
+    """Rows whose elimination makes exactly `work` cell updates, and their
+    rank: a pivot {0: 1}, then rows {0: 1, k: 1} (3 updates each, each a
+    new pivot) and rows {0: 2} (2 updates each, reduced to zero). Ranked
+    with a width of rank + 1, a column no pivot takes, every row is
+    pulled."""
     zeros = -work % 3
     leads = (work - 2 * zeros) // 3
     rows = [{0: 1}] + [{0: 1, k: 1} for k in range(1, leads + 1)]
@@ -234,15 +281,17 @@ def _rows_with_work(work):
 
 def test_rank_work_budget(monkeypatch):
     rows, rank = _rows_with_work(oracle.MAX_WORK)
-    assert oracle._rank(rows) == rank
+    assert oracle._rank(rows, rank + 1) == rank
+    rows, rank = _rows_with_work(oracle.MAX_WORK + 1)
     with pytest.raises(InputError, match="cell updates"):
-        oracle._rank(_rows_with_work(oracle.MAX_WORK + 1)[0])
+        oracle._rank(rows, rank + 1)
     # the budget is read when the elimination runs
     monkeypatch.setattr(oracle, "MAX_WORK", 7)
     rows, rank = _rows_with_work(7)
-    assert oracle._rank(rows) == rank
+    assert oracle._rank(rows, rank + 1) == rank
+    rows, rank = _rows_with_work(8)
     with pytest.raises(InputError):
-        oracle._rank(_rows_with_work(8)[0])
+        oracle._rank(rows, rank + 1)
 
 
 def test_map_rank_with_different_column_denominators():
@@ -275,9 +324,9 @@ def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
     from syzal import resolution_is_exact
     calls = []
 
-    def counted(A, q):
+    def counted(A, q, *columns):
         calls.append(q)
-        return map_rank(A, q)
+        return map_rank(A, q, *columns)
     monkeypatch.setattr(oracle, "map_rank", counted)
     kos = koszul_complex(RingSpec(3, 2))
     assert resolution_is_exact(kos.modules, kos.maps, {0: 1}, 0, 10)
@@ -297,14 +346,14 @@ def _reference_rows(A, q):
     """Reference: map_rank's rows built on tuple bases, with mono_mul and
     a dict from target basis element to column."""
     tindex = {bm: k for k, bm in enumerate(_basis(A.target, q))}
-    columns = [oracle._integer_column(A, j) for j in range(A.source.rank)]
+    columns = oracle._integer_columns(A)
     return [{tindex[(i, mono_mul(m, mono))]: c for i, m, c in columns[j]}
             for j, mono in _basis(A.source, q)]
 
 
-def _reference_rank(rows):
-    """Reference: the elimination of _rank on copies of the rows, as
-    (rank, cell updates)."""
+def _reference_rank(rows, width):
+    """Reference: the elimination of _rank on copies of the rows, which
+    stops at full column rank, as (rank, cell updates)."""
     pivots, work = {}, 0
     for row in rows:
         while row:
@@ -312,6 +361,8 @@ def _reference_rank(rows):
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
+                if len(pivots) == width:
+                    return width, work
                 break
             work += len(row) + len(pivot)
             g = gcd(pivot[lead], row[lead])
@@ -369,13 +420,14 @@ def _maps_and_degrees(draw):
 def test_rows_match_the_reference_builder(map_and_degree):
     A, q = map_and_degree
     rows = _reference_rows(A, q)
-    new = list(oracle._rows(A, q, oracle._sizes(A.source, q),
-                           oracle._sizes(A.target, q)))
+    target = oracle._sizes(A.target, q)
+    new = list(oracle._rows(A, q, oracle._sizes(A.source, q), target,
+                            oracle._integer_columns(A)))
     assert [list(row.items()) for row in new] == [list(row.items())
                                                  for row in rows]
     # the same rows make the same elimination: the budget falls on the
     # reference's cell count
-    rank, work = _reference_rank(rows)
+    rank, work = _reference_rank(rows, sum(target))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "MAX_WORK", work)
         assert map_rank(A, q) == rank
@@ -401,8 +453,8 @@ def test_a_second_map_rank_over_the_same_ring_builds_no_table():
 
 
 def test_the_tables_are_bounded_memos():
-    # a cli-check pass uses 23 monomial and 329 shift tables; each holds
-    # at most MAX_BASIS entries
+    # a cli-check pass (seeds 0 and 7) uses 23 monomial and 329 shift
+    # tables; each holds at most MAX_BASIS entries
     for table, used in ((oracle._monomials, 23), (oracle._shift, 329)):
         size = table.cache_info().maxsize
         assert size is not None and size >= used
