@@ -32,7 +32,9 @@ from syzal.equivariant import (
 from syzal.errors import InputError, VerificationError, ZeroModuleError
 from syzal.groebner import verify_spairs
 from syzal.homalg import (
+    biduality,
     depth_dim,
+    dual,
     euler_series,
     ext,
     fingerprint,
@@ -236,12 +238,35 @@ def run_cm(args, M: ModulePresentation) -> Output:
             lambda: f"cohen_macaulay: {'true' if cm else 'false'}")
 
 
+def _biduality_order(M: ModulePresentation) -> int:
+    """The syzygy order by a route independent of syzygy_order's: 0 unless
+    M -> M** is injective (torsion-free), 1 unless it is an isomorphism
+    (reflexive), and j >= 2 while Ext^i(Hom(M, R), R) = 0 for
+    1 <= i <= j - 2; at most r, and r for the zero module."""
+    r = M.ring.r
+    if is_zero_module(M):
+        return r
+    B = biduality(M)
+    if not B.is_injective:
+        return 0
+    if not B.is_isomorphism:
+        return 1
+    D = dual(M)
+    s = 2
+    while s < r and is_zero_module(ext(D, s - 1)):
+        s += 1
+    return min(s, r)
+
+
 def run_syzygy_order(args, M: ModulePresentation) -> Output:
     order = syzygy_order(M)
     if args.check:
         free = minimal_resolution(M).length == 0
         if (order == M.ring.r) != free:
             raise VerificationError("syzygy order inconsistent with freeness")
+        if _biduality_order(M) != order:
+            raise VerificationError(
+                "syzygy order disagrees with the biduality route")
     return (lambda: {"order": order, "r": M.ring.r},
             lambda: f"syzygy order: {order} (of r = {M.ring.r})")
 

@@ -506,11 +506,16 @@ def _complete(gens: Sequence[ModuleElement], order,
 
 
 def verify_spairs(G: GroebnerBasis) -> bool:
-    """Certificate check: every same-position S-pair reduces to zero."""
-    rows = G._index.rows
+    """Certificate check: the S-pair of each of _minimal_pairs reduces to
+    zero. Their syzygies generate those of the leading terms (Moller, J.
+    Symbolic Comput. 6, 1988; see schreyer_basis), so this holds iff G is a
+    Groebner basis."""
+    index = G._index
+    rows = index.rows
     return all(divide(_s_poly(rows[i], rows[j], lcm_key)[4], G.elements,
-                      G.order, index=G._index)[1].is_zero()
-               for lcm_key, i, j in _s_pairs(G))
+                      G.order, index=index)[1].is_zero()
+               for lcm_key, i, j in _minimal_pairs(list(_s_pairs(G)),
+                                                   index.packing))
 
 
 # ---------- Schreyer syzygies ----------

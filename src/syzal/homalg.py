@@ -2,8 +2,9 @@
 
 Hilbert series, Hom(M, R) with stored embedding, Ext^j(M, R) as subquotients
 of the dualized minimal resolution, depth and Krull dimension via Ext
-vanishing, the biduality map with its torsion kernel, syzygy order, and the
-(Hilbert series, Betti table) fingerprint used to verify isomorphism claims.
+vanishing, the biduality map with its torsion kernel, syzygy order from the
+Auslander transpose, and the (Hilbert series, Betti table) fingerprint used
+to verify isomorphism claims.
 """
 from __future__ import annotations
 
@@ -322,28 +323,25 @@ def biduality(M: ModulePresentation) -> BidualityResult:
 
 
 def syzygy_order(M: ModulePresentation) -> int:
-    """Largest j in 0..r such that M is a j-th syzygy: j >= 1 iff torsion
-    free, j >= 2 iff reflexive, higher j via Ext^i(Hom(M,R),R) = 0 for
-    1 <= i <= j-2; equals r iff M is free. Zero module: r by convention."""
+    """Largest j in 0..r such that M is a j-th syzygy; r iff M is free, and
+    r for the zero module by convention. A nonzero module of rank 0 is
+    torsion, so its order is 0. Otherwise M is a j-th syzygy iff
+    Ext^i(Tr M, R) = 0 for 1 <= i <= j (Auslander-Bridger, Stable module
+    theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
+    j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), where the
+    transpose Tr M = coker(relations^T) is read off the presentation: a
+    non-minimal one changes Tr M only by free summands, which Ext^{>=1}
+    ignores. All these Ext come from one minimal resolution of Tr M."""
     r = M.ring.r
-    if is_zero_module(M):
+    res = minimal_resolution(M)
+    if res.length == 0:
         return r
-    B = biduality(M)
-    if not B.is_injective:
-        s = 0
-    elif not B.is_isomorphism:
-        s = 1
-    else:
-        s = 2
-        D = dual(M)
-        for i in range(1, r - 1):
-            if is_zero_module(ext(D, i)):
-                s = i + 2
-            else:
-                break
-        s = min(s, r)
-    free = minimal_resolution(M).length == 0
-    if (s == r) != free:
-        raise VerificationError(
-            "syzygy order and projective dimension disagree on freeness")
-    return s
+    if sum((-1) ** i * F.rank for i, F in enumerate(res.modules)) == 0:
+        return 0
+    A = M.relations.transpose()
+    res_t = minimal_resolution(ModulePresentation(M.ring, A.target, A.source, A))
+    for i in range(1, r + 1):
+        if not is_zero_module(ext_from_resolution(res_t, i)):
+            return i - 1
+    raise VerificationError(
+        "syzygy order and projective dimension disagree on freeness")

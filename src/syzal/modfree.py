@@ -99,9 +99,6 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len(self._term_degrees()) <= 1
-
     def _term_degrees(self):
         ring = self.module.ring
         degs = self.module.degrees
@@ -153,14 +150,6 @@ class ModuleElement:
         for m, c in p.terms.items():
             out = out + self.term_mul(m, c)
         return out
-
-    def leading_term(self, order):
-        """((position, monomial), coefficient) of the order-largest term;
-        None for zero."""
-        if not self.terms:
-            return None
-        best = min(self.terms, key=order)
-        return best, self.terms[best]
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)

@@ -78,10 +78,9 @@ def _window(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _checked_sizes(module: FreeModule, q: int) -> List[int]:
-    """_sizes of a piece the oracle will eliminate, within its basis
-    budget."""
-    sizes = _sizes(module, q)
+def _checked(sizes: List[int], q: int) -> List[int]:
+    """The _sizes of a degree-q piece the oracle will eliminate, within its
+    basis budget."""
     n = sum(sizes)
     if n > MAX_BASIS:
         raise InputError(f"oracle degree-{q} piece has {n} basis elements, "
@@ -174,15 +173,18 @@ def _integer_columns(A: GradedMatrix) -> List[List[Tuple[int, tuple, int]]]:
 
 
 def map_rank(A: GradedMatrix, q: int,
-             columns: Optional[Sequence[list]] = None) -> int:
+             columns: Optional[Sequence[list]] = None,
+             source: Optional[List[int]] = None,
+             target: Optional[List[int]] = None) -> int:
     """Rank of the degree-q piece of A: images of the degree-q source
     basis written on the degree-q target basis, one sparse integer row per
-    source basis element. columns is _integer_columns(A), read here if not
-    given."""
-    source = _checked_sizes(A.source, q)
+    source basis element. columns is _integer_columns(A), and source and
+    target are the _sizes of A.source and A.target in degree q; each is
+    computed here if not given."""
+    source = _checked(_sizes(A.source, q) if source is None else source, q)
     if not any(source):
         return 0
-    target = _checked_sizes(A.target, q)
+    target = _checked(_sizes(A.target, q) if target is None else target, q)
     if not any(target):
         return 0
     if columns is None:
@@ -220,8 +222,12 @@ def module_dims(M: ModulePresentation,
 
     def dims() -> Dict[int, int]:
         columns = _integer_columns(M.relations)
-        return {q: free_dim(M.F0, q) - map_rank(M.relations, q, columns)
-                for q in degrees}
+        out = {}
+        for q in degrees:
+            target = _sizes(M.F0, q)
+            out[q] = sum(target) - map_rank(M.relations, q, columns,
+                                            _sizes(M.F1, q), target)
+        return out
     return dict(M.cached(("oracle", lo, hi), dims))
 
 
@@ -233,12 +239,21 @@ def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
     if j < 0 or j >= len(modules):
         raise InputError(f"ext_dims index {j} outside the resolution")
     Fdual = modules[j].dual()
-    transposes = [maps[i].transpose() for i in (j, j - 1)
-                  if 0 <= i < len(maps)]
-    columns = [_integer_columns(At) for At in transposes]
-    return {q: free_dim(Fdual, q) - sum(map_rank(At, q, c)
-                                        for At, c in zip(transposes, columns))
-            for q in _window(lo, hi)}
+    # delta_{j+1}^T leaves the dual of F_j, and delta_j^T enters it
+    leaving = maps[j].transpose() if j < len(maps) else None
+    entering = maps[j - 1].transpose() if j >= 1 else None
+    leaving_cols = leaving and _integer_columns(leaving)
+    entering_cols = entering and _integer_columns(entering)
+    dims = {}
+    for q in _window(lo, hi):
+        sizes = _sizes(Fdual, q)
+        dims[q] = sum(sizes)
+        if leaving is not None:
+            dims[q] -= map_rank(leaving, q, leaving_cols, sizes)
+        if entering is not None:
+            dims[q] -= map_rank(entering, q, entering_cols,
+                                _sizes(entering.source, q), sizes)
+    return dims
 
 
 def resolution_is_exact(modules: Sequence[FreeModule],
@@ -251,10 +266,12 @@ def resolution_is_exact(modules: Sequence[FreeModule],
     columns are read once, and its rank is computed once per degree."""
     columns = [_integer_columns(A) for A in maps]
     for q in _window(lo, hi):
-        ranks = [map_rank(A, q, c) for A, c in zip(maps, columns)] + [0]
-        if free_dim(modules[0], q) - ranks[0] != target_dims.get(q, 0):
+        sizes = [_sizes(F, q) for F in modules]
+        ranks = [map_rank(A, q, c, sizes[j + 1], sizes[j])
+                 for j, (A, c) in enumerate(zip(maps, columns))] + [0]
+        if sum(sizes[0]) - ranks[0] != target_dims.get(q, 0):
             return False
         for j in range(1, len(maps) + 1):
-            if free_dim(modules[j], q) - ranks[j - 1] != ranks[j]:
+            if sum(sizes[j]) - ranks[j - 1] != ranks[j]:
                 return False
     return True

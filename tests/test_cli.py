@@ -608,6 +608,18 @@ def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["syzygy_order", "_biduality_order"])
+def test_syzygy_order_check_fails_when_the_routes_disagree(m_pres, route,
+                                                          monkeypatch, capsys):
+    # The maximal ideal of Q[t1, t2] has order 1. Order 0 is still
+    # consistent with freeness, so only the second route can catch it.
+    assert cli.main(["syzygy-order", "--file", m_pres, "--check"]) == 0
+    monkeypatch.setattr(cli, route, lambda M: 0)
+    capsys.readouterr()
+    assert cli.main(["syzygy-order", "--file", m_pres, "--check"]) == 1
+    assert "biduality route" in capsys.readouterr().err
+
+
 def test_hilbert_check_of_unit_relation_over_r0(tmp_path):
     path = tmp_path / "unit.pres"
     path.write_text(json.dumps({

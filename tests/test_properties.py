@@ -24,12 +24,15 @@ from syzal import (
     depth_dim,
     euler_series,
     fingerprint,
+    free_presentation,
     grevlex,
     grlex,
     hilbert_series,
     is_zero_module,
     kernel,
+    koszul_syzygy,
     map_rank,
+    maximal_ideal,
     minimal_resolution,
     minimize_presentation,
     module_dims,
@@ -37,13 +40,16 @@ from syzal import (
     parse_gkm,
     parse_polynomial,
     presentation_from_json,
+    residue_field,
     resolve,
     schreyer_basis,
     schreyer_order,
     shift,
     subquotient_presentation,
     syzygies,
+    syzygy_order,
     verify_spairs,
+    zero_module,
 )
 from syzal import cli, resolution
 from syzal.resolution import _cancel_units
@@ -183,9 +189,9 @@ def test_divide_invariant(data):
         for mono, c in q.items():
             rebuilt = rebuilt + g.term_mul(mono, c)
     assert rebuilt.terms == f.scale(mu).terms
-    lts = [g.leading_term(grevlex) for g in gens]
+    lts = [min(g.terms, key=grevlex) for g in gens]
     for (pos, mono) in rem.terms:
-        for (lpos, lmono), _c in lts:
+        for lpos, lmono in lts:
             if lpos == pos:
                 assert any(m < l for m, l in zip(mono, lmono)), \
                     "remainder term divisible by a leading term"
@@ -315,7 +321,7 @@ def test_divide_matches_the_reference(case):
     assert [{q: Fraction(c) / mu for q, c in qk.items()} for qk in quots] == ref_quots
     assert {t: Fraction(c) / mu for t, c in rem.terms.items()} == ref_rem
     for g, lt in zip(gens + [f], leads + [_ref_largest(f.terms, cmp)]):
-        assert g.leading_term(order) == (None if lt is None else (lt, g.terms[lt]))
+        assert min(g.terms, key=order, default=None) == lt
 
 
 @given(st.data())
@@ -802,6 +808,46 @@ def test_biduality_kernel_is_torsion(M):
     b = biduality(M)
     if not is_zero_module(b.kernel):
         assert is_zero_module(dual(b.kernel))
+
+
+@st.composite
+def order_cases(draw):
+    """Presentations over Q[t1..tr], r = 0..4, of every kind syzygy_order
+    tells apart: the zero module (no generators), free modules (no
+    relations), rank 0 (as many relations as generators, mostly) and rank
+    > 0, and non-minimal presentations (a relation of a generator's own
+    degree has constant entries)."""
+    ring = RingSpec(draw(st.integers(0, 4)), 2)
+    gens = draw(st.lists(st.sampled_from([0, 2]), max_size=3))
+    F0 = FreeModule(ring, gens)
+    degrees = [max(gens) + draw(st.sampled_from([0, 2, 4]))
+               for _ in range(draw(st.integers(0, 3)) if gens else 0)]
+    cols = []
+    for D in degrees:
+        terms = {}
+        for pos, g in enumerate(gens):
+            basis = list(ring.monomials_of_degree(D - g))
+            if not basis:  # r = 0 has constants only
+                continue
+            for mono in draw(st.lists(st.sampled_from(basis), max_size=3,
+                                      unique=True)):
+                terms[(pos, mono)] = Fraction(draw(st.sampled_from([1, -1, 2, 3])))
+        cols.append(ModuleElement(F0, terms))
+    A = GradedMatrix.from_columns(F0, cols, degrees)
+    return ModulePresentation(ring, F0, A.source, A)
+
+
+@given(order_cases())
+@example(residue_field(RingSpec(2, 2)))
+@example(maximal_ideal(RingSpec(3, 2)))
+@example(koszul_syzygy(RingSpec(4, 2), 3))
+@example(free_presentation(RingSpec(4, 2), (0, 2)))
+@example(zero_module(RingSpec(0, 2)))
+@settings(max_examples=60, deadline=2000)
+def test_syzygy_order_matches_the_biduality_route(M):
+    # the Auslander transpose (with its rank-0 shortcut) against torsion
+    # kernel, reflexivity and Ext^i(Hom(M, R), R)
+    assert syzygy_order(M) == cli._biduality_order(M)
 
 
 # ---------- exact coefficients ----------
