@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from syzal.equivariant import (
     ab_report,
@@ -32,6 +32,7 @@ from syzal.equivariant import (
 from syzal.errors import InputError, VerificationError, ZeroModuleError
 from syzal.groebner import verify_spairs
 from syzal.homalg import (
+    HilbertSeries,
     biduality,
     depth_dim,
     dual,
@@ -92,14 +93,19 @@ def _run_checks(M: ModulePresentation) -> None:
     if M.embedding is not None and not check_homogeneous(M.embedding):
         raise VerificationError("embedding matrix is inhomogeneous")
     _check_spairs(M, grevlex)
-    res = minimal_resolution(M)
-    res.check()
-    hs = hilbert_series(M)
-    for q, dim in module_dims(M).items():
-        if hs.coefficient(q) != dim:
+    minimal_resolution(M).check()
+    _check_dims(hilbert_series(M), module_dims(M), "Hilbert series")
+
+
+def _check_dims(series: HilbertSeries, dims: Dict[int, int],
+                what: str) -> None:
+    """series against the oracle's dimensions dims; what names the series
+    in the message of the first degree where they differ."""
+    for q, dim in dims.items():
+        if series.coefficient(q) != dim:
             raise VerificationError(
-                f"Hilbert series disagrees with the oracle in degree {q}: "
-                f"{hs.coefficient(q)} vs {dim}")
+                f"{what} disagrees with the oracle in degree {q}: "
+                f"{series.coefficient(q)} vs {dim}")
 
 
 def _variables(text: str) -> int:
@@ -124,7 +130,7 @@ Output = Tuple[Callable[[], dict], Callable[[], str]]
 def _files(args) -> List[ModulePresentation]:
     """The presentation of --file and, for ab, that of --ht if given."""
     paths = [args.file, getattr(args, "ht", None)]
-    return [load_presentation(path) for path in paths if path]
+    return [load_presentation(path) for path in paths if path is not None]
 
 
 def _fixture(build: Callable) -> Callable:
@@ -140,7 +146,7 @@ def _gkm_inputs(args) -> list:
     """The congruence module of the --file graph (or of the hypercube),
     followed by the graph itself."""
     ring = RingSpec(args.r, 2)
-    if args.graph:
+    if args.graph is not None:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -194,11 +200,8 @@ def run_ext(args, M: ModulePresentation) -> Output:
     fp = fingerprint(E)
     if args.check and args.j <= minimal_resolution(M).length:
         res = minimal_resolution(M)
-        lo, hi = default_window(E)
-        for q, dim in ext_dims(res.modules, res.maps, args.j, lo, hi).items():
-            if fp.hilbert.coefficient(q) != dim:
-                raise VerificationError(
-                    f"ext^{args.j} disagrees with the oracle in degree {q}")
+        dims = ext_dims(res.modules, res.maps, args.j, *default_window(E))
+        _check_dims(fp.hilbert, dims, f"ext^{args.j}")
     zero = is_zero_module(E)
     return (lambda: {"j": args.j, "zero": zero, "fingerprint": fp.to_json()},
             lambda: (f"ext^{args.j} = 0" if zero else
@@ -313,18 +316,14 @@ def run_gkm(args, M: ModulePresentation, graph) -> Output:
 
 
 def run_oracle(args, M: ModulePresentation) -> Output:
-    window = (parse_window(args.window, "--window") if args.window
-              else default_window(M))
-    dims = sorted(module_dims(M, window).items())
+    window = (default_window(M) if args.window is None
+              else parse_window(args.window, "--window"))
+    dims = module_dims(M, window)
     if args.check:
-        hs = hilbert_series(M)
-        for q, dim in dims:
-            if hs.coefficient(q) != dim:
-                raise VerificationError(
-                    f"oracle and resolution disagree in degree {q}")
+        _check_dims(hilbert_series(M), dims, "Hilbert series")
     return (lambda: {"window": list(window),
-                     "dims": [[q, dim] for q, dim in dims]},
-            lambda: "\n".join(f"dim_{q} = {dim}" for q, dim in dims))
+                     "dims": [[q, dim] for q, dim in dims.items()]},
+            lambda: "\n".join(f"dim_{q} = {dim}" for q, dim in dims.items()))
 
 
 # ---------- the command table ----------

@@ -254,24 +254,32 @@ class AbReport:
     H_T^* -> Hom(hht, R) is known injective (syzygy order >= 1), and the
     guaranteed-exact range derived from the syzygy order."""
 
-    __slots__ = ("ring", "positions", "syzygy_order_ht", "aug_minus1",
-                 "aug_zero", "exact_through")
+    __slots__ = ("ring", "positions", "syzygy_order_ht", "aug_zero")
 
     def __init__(self, ring: RingSpec, positions: List[ModuleFingerprint],
                  syzygy_order_ht: Optional[int],
-                 aug_minus1: Optional[HilbertSeries],
-                 aug_zero: Optional[HilbertSeries],
-                 exact_through: Optional[int]):
+                 aug_zero: Optional[HilbertSeries]):
         self.ring = ring
         self.positions = list(positions)
         self.syzygy_order_ht = syzygy_order_ht
-        self.aug_minus1 = aug_minus1
         self.aug_zero = aug_zero
-        self.exact_through = exact_through
 
     @property
     def augmented(self) -> bool:
         return self.aug_zero is not None
+
+    @property
+    def aug_minus1(self) -> Optional[HilbertSeries]:
+        """Zero when the canonical map is injective (syzygy order >= 1)."""
+        if (self.syzygy_order_ht or 0) >= 1:
+            return HilbertSeries.zero(self.ring)
+        return None
+
+    @property
+    def exact_through(self) -> Optional[int]:
+        """The last position the syzygy order guarantees exact."""
+        order = self.syzygy_order_ht
+        return None if order is None else order - 2
 
     def nonzero_positions(self) -> Optional[List[int]]:
         """Positions with nonzero cohomology in the augmented sense, or
@@ -302,7 +310,8 @@ class AbReport:
             ],
             "syzygy_order": self.syzygy_order_ht,
             "augmented": self.augmented,
-            "aug_minus1": self.aug_minus1.to_json() if self.aug_minus1 else None,
+            "aug_minus1": (self.aug_minus1.to_json()
+                           if self.aug_minus1 is not None else None),
             "aug_zero": self.aug_zero.to_json() if self.aug_zero is not None else None,
             "exact_through": self.exact_through,
             "nonzero_positions": self.nonzero_positions(),
@@ -331,13 +340,12 @@ def ab_report(hht: ModulePresentation,
     r = ring.r
     positions = [fingerprint(ext(hht, j)) for j in range(r + 1)]
     if ht is None:
-        return AbReport(ring, positions, None, None, None, None)
+        return AbReport(ring, positions, None, None)
     if ht.ring != ring:
         raise InputError("hht and ht live over different rings")
     order = syzygy_order(ht)
-    aug_minus1 = aug_zero = None
+    aug_zero = None
     if order >= 1:
-        aug_minus1 = HilbertSeries.zero(ring)
         diff = hilbert_series(ext(hht, 0)) - hilbert_series(ht)
         exps = (set(diff.numerator) | set(hilbert_series(ht).numerator)
                 | {0})
@@ -347,4 +355,4 @@ def ab_report(hht: ModulePresentation,
                 "H_T does not embed in Ext^0(hht): Hilbert-level "
                 "difference has negative coefficients")
         aug_zero = diff
-    return AbReport(ring, positions, order, aug_minus1, aug_zero, order - 2)
+    return AbReport(ring, positions, order, aug_zero)

@@ -95,9 +95,6 @@ class HilbertSeries:
             total += c * math.comb(k // d + r - 1, r - 1)
         return total
 
-    def coefficients(self, lo: int, hi: int) -> List[int]:
-        return [self.coefficient(q) for q in range(lo, hi + 1)]
-
     def nonnegative_on(self, lo: int, hi: int) -> bool:
         return all(self.coefficient(q) >= 0 for q in range(lo, hi + 1))
 

@@ -14,7 +14,6 @@ column rank. Past any of them it raises InputError.
 """
 from __future__ import annotations
 
-import os
 import re
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -53,17 +52,11 @@ def parse_window(text: str, source: str) -> Tuple[int, int]:
 
 
 def default_window(M: ModulePresentation) -> Tuple[int, int]:
-    """Window from SYZAL_ORACLE_WINDOW=lo:hi if set, else from the
-    presentation: starts at the lowest generator, reaches past every
-    relation degree. Either way within the window budget."""
-    env = os.environ.get("SYZAL_ORACLE_WINDOW")
-    if env:
-        lo, hi = parse_window(env, "SYZAL_ORACLE_WINDOW")
-    else:
-        d = M.ring.d
-        lo = min(M.F0.degrees, default=0)
-        max_rel = max(M.F1.degrees, default=lo)
-        hi = max(lo + 3 * d, max_rel + 2 * d)
+    """The window of a presentation: starts at the lowest generator,
+    reaches past every relation degree; within the window budget."""
+    d = M.ring.d
+    lo = min(M.F0.degrees, default=0)
+    hi = max(lo + 3 * d, max(M.F1.degrees, default=lo) + 2 * d)
     _window(lo, hi)
     return lo, hi
 
@@ -212,48 +205,45 @@ def _rows(A: GradedMatrix, q: int, source: List[int], target: List[int],
             yield dict(zip(row_keys, coeffs))
 
 
+def _homology(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
+              lo: int, hi: int) -> Iterator[Tuple[int, List[int]]]:
+    """(q, dims) for each degree q in the window lo..hi, where dims[i] is
+    dim_k of the degree-q homology at modules[i] of the chain modules[0]
+    <- modules[1] <- ..., maps[i]: modules[i + 1] -> modules[i]: dim F_i
+    minus the ranks of the maps leaving and entering it. Each map's columns
+    are read once, and its rank is computed once per degree."""
+    degrees = _window(lo, hi)
+    columns = [_integer_columns(A) for A in maps]
+    for q in degrees:
+        sizes = [_sizes(F, q) for F in modules]
+        ranks = [0] + [map_rank(A, q, c, sizes[i + 1], sizes[i])
+                       for i, (A, c) in enumerate(zip(maps, columns))] + [0]
+        yield q, [sum(s) - ranks[i] - ranks[i + 1]
+                  for i, s in enumerate(sizes)]
+
+
 def module_dims(M: ModulePresentation,
                 window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
     """dim_k M_q = dim (F0)_q - rank of the degree-q relation block, for
     each q in the window (lo, hi), by default default_window(M); computed
     once per presentation and window."""
     lo, hi = default_window(M) if window is None else window
-    degrees = _window(lo, hi)
-
-    def dims() -> Dict[int, int]:
-        columns = _integer_columns(M.relations)
-        out = {}
-        for q in degrees:
-            target = _sizes(M.F0, q)
-            out[q] = sum(target) - map_rank(M.relations, q, columns,
-                                            _sizes(M.F1, q), target)
-        return out
-    return dict(M.cached(("oracle", lo, hi), dims))
+    return dict(M.cached(("oracle", lo, hi), lambda: {
+        q: h[0] for q, h in _homology([M.F0, M.F1], [M.relations], lo, hi)}))
 
 
 def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
              j: int, lo: int, hi: int) -> Dict[int, int]:
     """dim_k Ext^j_q from a resolution given as plain module/matrix lists:
-    dim of the dualized j-th module minus the two adjacent transpose
-    ranks."""
+    the homology at F_j* of the dual chain F_{j+1}* <- F_j* <- F_{j-1}*,
+    without whichever end the resolution does not have."""
     if j < 0 or j >= len(modules):
         raise InputError(f"ext_dims index {j} outside the resolution")
-    Fdual = modules[j].dual()
-    # delta_{j+1}^T leaves the dual of F_j, and delta_j^T enters it
-    leaving = maps[j].transpose() if j < len(maps) else None
-    entering = maps[j - 1].transpose() if j >= 1 else None
-    leaving_cols = leaving and _integer_columns(leaving)
-    entering_cols = entering and _integer_columns(entering)
-    dims = {}
-    for q in _window(lo, hi):
-        sizes = _sizes(Fdual, q)
-        dims[q] = sum(sizes)
-        if leaving is not None:
-            dims[q] -= map_rank(leaving, q, leaving_cols, sizes)
-        if entering is not None:
-            dims[q] -= map_rank(entering, q, entering_cols,
-                                _sizes(entering.source, q), sizes)
-    return dims
+    first = max(j - 1, 0)
+    duals = [F.dual() for F in modules[first:j + 2]][::-1]
+    transposes = [A.transpose() for A in maps[first:j + 1]][::-1]
+    at = int(j < len(maps))
+    return {q: h[at] for q, h in _homology(duals, transposes, lo, hi)}
 
 
 def resolution_is_exact(modules: Sequence[FreeModule],
@@ -262,16 +252,6 @@ def resolution_is_exact(modules: Sequence[FreeModule],
                         lo: int, hi: int) -> bool:
     """Degreewise exactness of F_p -> ... -> F_0 against prescribed
     cokernel dimensions: homology vanishes at every inner position and the
-    end kernel is zero, coker(delta_1) matches target_dims. Each map's
-    columns are read once, and its rank is computed once per degree."""
-    columns = [_integer_columns(A) for A in maps]
-    for q in _window(lo, hi):
-        sizes = [_sizes(F, q) for F in modules]
-        ranks = [map_rank(A, q, c, sizes[j + 1], sizes[j])
-                 for j, (A, c) in enumerate(zip(maps, columns))] + [0]
-        if sum(sizes[0]) - ranks[0] != target_dims.get(q, 0):
-            return False
-        for j in range(1, len(maps) + 1):
-            if sum(sizes[j]) - ranks[j - 1] != ranks[j]:
-                return False
-    return True
+    end kernel is zero, coker(delta_1) matches target_dims."""
+    return all(h[0] == target_dims.get(q, 0) and not any(h[1:])
+               for q, h in _homology(modules, maps, lo, hi))

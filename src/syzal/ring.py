@@ -227,10 +227,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_deg(m) for m in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_degree(self) -> Optional[int]:
         """Ring degree shared by all terms; None for the zero polynomial."""
         degs = {mono_deg(m) for m in self.terms}

@@ -36,9 +36,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def child_env(env_extra=None) -> dict:
     """The environment of a `python -m syzal.cli` child: this checkout's
-    src first on PYTHONPATH, and no oracle window override."""
+    src first on PYTHONPATH."""
     env = dict(os.environ)
-    env.pop("SYZAL_ORACLE_WINDOW", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
@@ -213,26 +212,24 @@ def test_oracle_command(m_pres):
     assert "dim_2 = 2" in out
 
 
-def test_oracle_env_window(m_pres):
-    code, out, _ = run_cli("oracle", "--file", m_pres, "--json",
-                           env_extra={"SYZAL_ORACLE_WINDOW": "0:2"})
-    assert code == 0
-    assert json.loads(out)["window"] == [0, 2]
+@pytest.mark.parametrize("value", ["0:2", "nonsense"])
+def test_the_environment_does_not_choose_the_window(m_pres, value):
+    # --window is the only way to choose a window: a variable in the
+    # environment changes neither the bytes nor the exit code
+    for argv in (["hilbert", "--json"], ["resolve", "--check", "--json"]):
+        argv = [*argv, "--file", m_pres]
+        assert (run_cli(*argv, env_extra={"SYZAL_ORACLE_WINDOW": value})
+                == run_cli(*argv))
 
 
 @pytest.mark.parametrize("window, message", [
     ("0-6", "must be lo:hi"), ("0:x", "must be lo:hi"),
     ("0:2:4", "must be lo:hi"), ("9:1", "is inverted"),
     ("0:1_0", "must be lo:hi"), (" 0 : 6 ", "must be lo:hi"),
-    ("\uff10:\uff16", "must be lo:hi"), ("+0:6", "must be lo:hi")])
-def test_oracle_malformed_window(m_pres, monkeypatch, capsys, window, message):
-    # one parser reads --window and SYZAL_ORACLE_WINDOW: both exit 2
-    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
+    ("\uff10:\uff16", "must be lo:hi"), ("+0:6", "must be lo:hi"),
+    pytest.param("0:" + "9" * 5000, "must be lo:hi", id="huge-hi")])
+def test_oracle_malformed_window(m_pres, capsys, window, message):
     assert cli.main(["oracle", "--file", m_pres, "--window", window]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and message in err
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", window)
-    assert cli.main(["oracle", "--file", m_pres]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
 
@@ -263,7 +260,6 @@ def _oracle_built_nothing(pieces):
 def pieces(monkeypatch):
     """Every degree piece the oracle builds rows for, as (q, dimension of
     the target piece), from empty table memos."""
-    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
     calls = []
     _clear_oracle_tables(calls)
     build = oracle._rows
@@ -465,6 +461,18 @@ def test_exit_code_2_on_bad_inputs(tmp_path, m_pres):
     bad.write_text("{not json")
     code, _, err = run_cli("hilbert", "--file", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "resolve --file ''", "ab --file {m} --ht ''", "gkm --r 2 --file ''",
+    "oracle --file {m} --window ''"])
+def test_an_empty_argument_is_input_not_absence(m_pres, capsys, argv):
+    # '' names no file and spells no window: exit 2, not a default or a
+    # traceback
+    argv = [arg.replace("''", "") for arg in argv.format(m=m_pres).split()]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_exit_code_2_on_inhomogeneous_file(tmp_path, m_pres):
@@ -699,10 +707,9 @@ def _spread_presentation(tmp_path, gens, k):
     return str(path)
 
 
-def test_hilbert_window_budget(tmp_path, monkeypatch, capsys):
+def test_hilbert_window_budget(tmp_path, capsys):
     # the derived window runs from the lowest generator to 2d past the top
     # relation: 0..199 (200 degrees) and 0..200 (201 degrees)
-    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
     fits = _spread_presentation(tmp_path, [0, 1], 97)
     over = _spread_presentation(tmp_path, [0], 98)
     assert cli.main(["hilbert", "--file", fits, "--json"]) == 0
@@ -710,12 +717,10 @@ def test_hilbert_window_budget(tmp_path, monkeypatch, capsys):
     assert cli.main(["hilbert", "--file", over]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
-    # the environment variable has the same budget
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "0:199")
-    assert cli.main(["hilbert", "--file", over]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 200
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "0:200")
-    assert cli.main(["hilbert", "--file", over]) == 2
+    # a window chosen with --window has the same budget
+    assert cli.main(["oracle", "--file", over, "--window", "0:199"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 200
+    assert cli.main(["oracle", "--file", over, "--window", "0:200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
 
@@ -984,8 +989,7 @@ def golden_files(tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_output(case, golden_files, monkeypatch, capsys):
-    monkeypatch.delenv("SYZAL_ORACLE_WINDOW", raising=False)
+def test_golden_output(case, golden_files, capsys):
     try:
         code = cli.main(case.format(**golden_files).split())
     except SystemExit as e:

@@ -97,21 +97,6 @@ def test_default_window_from_presentation():
     assert (lo, hi) == (0, 6)
 
 
-def test_default_window_env_override(monkeypatch):
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "1:5")
-    assert default_window(maximal_ideal(R2)) == (1, 5)
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "nonsense")
-    with pytest.raises(InputError):
-        default_window(maximal_ideal(R2))
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "5:1")
-    with pytest.raises(InputError):
-        default_window(maximal_ideal(R2))
-    # more digits than int() converts
-    monkeypatch.setenv("SYZAL_ORACLE_WINDOW", "0:" + "9" * 5000)
-    with pytest.raises(InputError, match="must be lo:hi"):
-        default_window(maximal_ideal(R2))
-
-
 def test_every_entry_point_refuses_an_inverted_window():
     # an inverted window holds no degree: a check run on it checks nothing
     kos = koszul_complex(RingSpec(2, 2))
@@ -320,8 +305,22 @@ def test_free_dim_closed_form_counts_the_basis(r, d):
         assert free_dim(F, q) == len(_basis(F, q))
 
 
-def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
-    from syzal import resolution_is_exact
+@pytest.mark.parametrize("walk, per_degree", [
+    pytest.param(lambda kos: resolution_is_exact(kos.modules, kos.maps,
+                                                 {0: 1}, 0, 10),
+                 3, id="resolution_is_exact"),
+    pytest.param(lambda kos: module_dims(residue_field(kos.ring), (0, 10)),
+                 1, id="module_dims"),
+    # Ext^j reads only the maps next to F_j: one at either end, two inside
+    pytest.param(lambda kos: ext_dims(kos.modules, kos.maps, 0, 0, 10),
+                 1, id="ext_dims-j=0"),
+    pytest.param(lambda kos: ext_dims(kos.modules, kos.maps, 1, 0, 10),
+                 2, id="ext_dims-inner-j"),
+    pytest.param(lambda kos: ext_dims(kos.modules, kos.maps, 3, 0, 10),
+                 1, id="ext_dims-j=p"),
+])
+def test_the_homology_walk_ranks_each_map_once_per_degree(monkeypatch, walk,
+                                                          per_degree):
     calls = []
 
     def counted(A, q, *columns):
@@ -329,8 +328,8 @@ def test_resolution_is_exact_ranks_each_map_once_per_degree(monkeypatch):
         return map_rank(A, q, *columns)
     monkeypatch.setattr(oracle, "map_rank", counted)
     kos = koszul_complex(RingSpec(3, 2))
-    assert resolution_is_exact(kos.modules, kos.maps, {0: 1}, 0, 10)
-    assert len(calls) == len(kos.maps) * 11
+    assert walk(kos)
+    assert sorted(calls) == [q for q in range(11) for _ in range(per_degree)]
 
 
 # ---------- rows from the ring-level tables ----------
