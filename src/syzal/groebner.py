@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from syzal.errors import InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
 from syzal.packed import MAX_DEGREE, Row, Schreyer, packing, too_high
-from syzal.ring import grevlex, mono_coprime, mono_lcm, qdiv, schreyer_order
+from syzal.ring import grevlex, qdiv, schreyer_order
 
 
 class GroebnerBasis:
@@ -381,17 +381,16 @@ def _s_pairs(G: "GroebnerBasis"):
     """(lcm key, i, j) for every pair i < j of G whose leading terms share
     a position, position by position, and by i then j within one;
     InputError for a pair of degree above _limit."""
-    index, lts = G._index, G._lts
-    pk = index.packing
+    index = G._index
+    lcm = index.packing.lcm
     d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
     for p, group in index.groups.items():
-        for a, (i, _probe, _t) in enumerate(group):
-            mi = lts[i][0][1]
-            for j, _probe, _t in group[a + 1:]:
-                lcm = mono_lcm(mi, lts[j][0][1])
-                if degrees[p] + d * sum(lcm) > limit:
+        for a, (i, _probe, ti) in enumerate(group):
+            for j, _probe, tj in group[a + 1:]:
+                key, deg = lcm(ti, tj)
+                if degrees[p] + d * deg > limit:
                     raise too_high("S-pair")
-                yield pk.key(p, lcm), i, j
+                yield key, i, j
 
 
 def buchberger(gens: Sequence[ModuleElement], order=grevlex,
@@ -435,14 +434,13 @@ def _complete(gens: Sequence[ModuleElement], order,
     d, degrees = ambient.ring.d, ambient.degrees
     pk = packing(order, ambient.ring.r)
     sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
+    position, lcm = pk.position, pk.lcm
     index = _Index(pk, ambient, [])
     rows, groups, limit = index.rows, index.groups, index.limit
-    lts: list = []  # (position, monomial) of each leading term
     pure: List[bool] = []
 
     def add(row: Row):
         index.add(row)
-        lts.append(pk.term(next(iter(row))))
         pure.append(len({(t >> pshift) & pmask for t in row}) == 1)
 
     for g in gens:
@@ -456,25 +454,26 @@ def _complete(gens: Sequence[ModuleElement], order,
     queued: Dict[int, dict] = defaultdict(dict)
 
     def update(k: int):
-        p, mk = lts[k]
+        tk = next(iter(rows[k]))
+        p = position(tk)
         group = groups[p]
         if group[0][0] == k:
             return  # no earlier element shares the position
         pure_k = pure[k]
+        # the key of the product of LT_i and LT_k is t_i + prod
+        prod = tk - pk.base(p)
         new = []
-        for i, _probe, _t in group:
+        for i, _probe, ti in group:
             if i == k:
                 break
-            mi = lts[i][1]
-            lcm = mono_lcm(mi, mk)
-            coprime = pure_k and pure[i] and mono_coprime(mi, mk)
-            sdeg = degrees[p] + d * sum(lcm)
+            key, deg = lcm(ti, tk)
+            coprime = pure_k and pure[i] and key == ti + prod
+            sdeg = degrees[p] + d * deg
             if sdeg > limit and not coprime:
                 raise too_high("S-pair")
-            new.append((pk.key(p, lcm), coprime, i, sdeg))
+            new.append((key, coprime, i, sdeg))
         pairs = queued[p]
         if pairs:
-            tk = next(iter(rows[k]))
             lcms = {i: key for key, _c, i, _s in new}
             for (i, j), key in list(pairs.items()):
                 if (not sign * (key - tk) & guard and lcms[i] != key
@@ -494,7 +493,7 @@ def _complete(gens: Sequence[ModuleElement], order,
 
     while heap:
         _sdeg, i, j, lcm_key = heapq.heappop(heap)
-        if queued[lts[i][0]].pop((i, j), None) is None:
+        if queued[position(lcm_key)].pop((i, j), None) is None:
             continue  # dropped by criterion B
         r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows, order,
                    index=index)[1]

@@ -4,9 +4,11 @@ A term (position, monomial) of a free module is packed into one int, its
 key, laid out so that the product of a term by a monomial is an int
 subtraction, the term order is int order, and a divisibility test is one
 subtraction and one mask (Bachmann and Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998). The
-Groebner layer packs its input once and unpacks only the remainders,
-quotients and bases it hands back; everything else keeps exponent tuples.
+representations for Groebner bases computations", ISSAC 1998). The lcm
+of two terms at one position, its degree and the coprime test of an S-pair
+are key arithmetic as well (see lcm). The Groebner layer packs its input
+once and unpacks only the remainders, quotients and bases it hands back;
+everything outside it keeps exponent tuples.
 
 Layout. Every field is FIELD bits wide; B = 2^FIELD. Over r variables a
 monomial m has the value
@@ -25,7 +27,10 @@ Hence
 - a leading term with key a divides the term with key b at the same
   position iff sign * (b - a) borrows from no exponent field, where sign
   is 1 under grevlex and -1 under grlex. The top bit of each field is a
-  guard bit that such a borrow sets, so the test is one mask.
+  guard bit that such a borrow sets, so the test is one mask;
+- the exponents of the lcm of two terms at one position are the fieldwise
+  max, chosen through the same guard bits, and its degree is the sum of
+  its fields; the terms are coprime iff the lcm is their product.
 
 A Schreyer order induced by a basis with leading terms (p_i, m_i) under a
 packed prior order keys the term (i, m) as the prior key of (p_i, m m_i)
@@ -37,7 +42,11 @@ degree at most MAX_DEGREE (so every exponent is at most MAX_DEGREE as
 well). `row` packs what it is given; the Groebner layer checks each
 element once, where it enters, and each S-pair, against one degree bound
 that keeps every term it can form within MAX_DEGREE (see its `_limit`),
-and refuses the rest with InputError. Nothing wraps silently.
+and refuses the rest with InputError. Nothing wraps silently. An S-pair's
+lcm is formed before that check, so it is exact further: two packable
+monomials have an lcm of degree at most 2 MAX_DEGREE < 2^FIELD, so its
+fields sum without a carry, and its key, base(pos) - V(lcm), is the exact
+int even where it no longer packs.
 """
 from __future__ import annotations
 
@@ -110,23 +119,27 @@ class _Packing:
 class Graded(_Packing):
     """Position over grevlex (reverse=True) or grlex over r variables."""
 
-    __slots__ = ("_const", "_low", "_shifts")
+    __slots__ = ("_const", "_low", "_shifts", "_top", "_flip", "_ones", "_sumshift")
 
     def __init__(self, r: int, reverse: bool):
-        top = FIELD * r
+        top = self._top = FIELD * r
         if reverse:
             self._shifts = tuple(FIELD * i for i in range(r))
             self.weights = tuple((1 << top) - (1 << s) for s in self._shifts)
-            self._const = MAX_DEGREE << top
+            self._flip = 0
         else:
             self._shifts = tuple(FIELD * (r - 1 - i) for i in range(r))
             self.weights = tuple((1 << top) + (1 << s) for s in self._shifts)
-            self._const = (MAX_DEGREE << top) + sum(MAX_DEGREE << s
-                                                    for s in self._shifts)
+            self._flip = sum(MAX_DEGREE << s for s in self._shifts)
+        # the exponent fields of a key are its low bits xor _flip
+        self._const = (MAX_DEGREE << top) + self._flip
         self.sign = 1 if reverse else -1
         self.guard = sum(1 << (s + FIELD - 1) for s in self._shifts)
         self.pshift, self.pmask = top + FIELD, -1
         self._low = (1 << top) - 1
+        # field r - 1 of e * _ones is the sum of the r fields of e
+        self._ones = sum(1 << s for s in self._shifts)
+        self._sumshift = max(top - FIELD, 0)
 
     def base(self, pos: int) -> int:
         return (pos << self.pshift) + self._const
@@ -151,12 +164,29 @@ class Graded(_Packing):
         low = (-self.sign * v) & self._low
         return tuple([(low >> s) & _FMASK for s in self._shifts])
 
+    def lcm(self, a: int, b: int):
+        """(key, degree) of the lcm of the terms of keys a and b at one
+        position. The exponent fields of the lcm are the fieldwise max:
+        the guard bit of a field of (x | guard) - y survives iff x_i >= y_i.
+        Their sum is read off one product, and cannot carry: a and b pack
+        monomials of degree at most MAX_DEGREE, so every partial sum is at
+        most 2 MAX_DEGREE < 2^FIELD. The key is exact, base(pos) - V(lcm),
+        also past MAX_DEGREE, so the terms are coprime iff it equals the
+        key of their product, a + b - base(pos)."""
+        low, flip, guard = self._low, self._flip, self.guard
+        x, y = (a & low) ^ flip, (b & low) ^ flip
+        ge = ((x | guard) - y) & guard
+        e = y ^ ((x ^ y) & (ge - (ge >> (FIELD - 1))))
+        deg = (e * self._ones >> self._sumshift) & _FMASK
+        return ((a >> self.pshift << self.pshift)
+                + ((MAX_DEGREE - deg) << self._top) + (e ^ flip), deg)
+
 
 class Schreyer(_Packing):
     """The Schreyer order induced by leading terms [(p_i, m_i)] under the
     packed order prior."""
 
-    __slots__ = ("prior", "_bases", "_lifts", "_s")
+    __slots__ = ("prior", "_bases", "_lifts", "_degrees", "_s")
 
     def __init__(self, prior: _Packing, leads):
         leads = list(leads)
@@ -167,6 +197,7 @@ class Schreyer(_Packing):
         self.weights = tuple(w << s for w in prior.weights)
         self._bases = [(prior.key(p, m) << s) + i for i, (p, m) in enumerate(leads)]
         self._lifts = [sum(m) + prior.lift(p) for p, m in leads]
+        self._degrees = [sum(m) for _p, m in leads]
 
     def base(self, pos: int) -> int:
         return self._bases[pos]
@@ -176,6 +207,14 @@ class Schreyer(_Packing):
 
     def mono(self, v: int):
         return self.prior.mono(v >> self._s)
+
+    def lcm(self, a: int, b: int):
+        """(key, degree) of the lcm of the terms of keys a and b at one
+        position i: the prior lcm of a >> s and b >> s packs lcm * m_i."""
+        s = self._s
+        key, deg = self.prior.lcm(a >> s, b >> s)
+        i = a & self.pmask
+        return (key << s) + i, deg - self._degrees[i]
 
     def key_of_value(self, pos: int, v: int) -> int:
         """The key of (pos, q) for the monomial q of prior value v."""

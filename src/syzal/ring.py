@@ -52,7 +52,9 @@ def qdiv(a, b):
 
 # ---------- monomials ----------
 # Exponent-tuple arithmetic. The Groebner layer packs each term into one
-# int instead (syzal.packed) and uses tuples only at its edges.
+# int instead (syzal.packed) and uses tuples only at its edges: products,
+# divisibility, and the lcm, degree and coprime test of each S-pair are
+# key arithmetic there, exact because no field sum can carry.
 
 def mono_deg(a):
     """Total exponent sum (ring degree is d times this)."""
@@ -61,19 +63,6 @@ def mono_deg(a):
 
 def mono_mul(a, b):
     return tuple(map(operator.add, a, b))
-
-
-def mono_lcm(a, b):
-    # a list is built faster than a generator feeds tuple(), and faster
-    # than map(max, a, b)
-    return tuple([x if x > y else y for x, y in zip(a, b)])
-
-
-def mono_coprime(a, b):
-    for x, y in zip(a, b):
-        if x and y:
-            return False
-    return True
 
 
 # ---------- rings ----------

@@ -33,6 +33,15 @@ def _divides(pk, a, b):
     return not (pk.sign * (b - a)) & pk.guard
 
 
+def _packed_lcm(pk, p, a, b):
+    """(key, degree, coprime) of the lcm of the terms (p, a) and (p, b) by
+    pk.lcm; coprime is the test the pair update makes: the lcm is the
+    product, whose key is key(p, a) + key(p, b) - base(p)."""
+    ka, kb = pk.key(p, a), pk.key(p, b)
+    key, deg = pk.lcm(ka, kb)
+    return key, deg, key == ka + kb - pk.base(p)
+
+
 # ---------- the layout against the tuple orders ----------
 
 @st.composite
@@ -83,6 +92,13 @@ def test_packing_matches_the_tuple_order(data):
     b = data.draw(st.one_of(monomials(r, top), st.just(mono_mul(a, q))))
     assert (_divides(pk, ka, pk.key(p, b))
             == all(x <= y for x, y in zip(a, b)))
+    # an S-pair's lcm, its degree and the coprime test are key arithmetic,
+    # exact up to the largest lcm, of degree 2 MAX_DEGREE (a permutation of
+    # a monomial near the bound reaches it)
+    c = data.draw(st.one_of(monomials(r, top), st.permutations(a).map(tuple)))
+    lcm = tuple([max(x, y) for x, y in zip(a, c)])
+    assert _packed_lcm(pk, p, a, c) == (pk.key(p, lcm), sum(lcm),
+                                        not any(x and y for x, y in zip(a, c)))
 
 
 def test_packed_divisibility_and_quotient():
@@ -92,6 +108,10 @@ def test_packed_divisibility_and_quotient():
     assert not _divides(pk, pk.key(0, (3, 0)), pk.key(0, (2, 1)))
     assert pk.mono(pk.key(0, (1, 0)) - pk.key(0, (2, 1))) == (1, 1)
     assert not _divides(pk, pk.key(0, (2, 0)), pk.key(0, (1, 0)))
+    # and the helpers mono_lcm and mono_coprime
+    assert _packed_lcm(pk, 0, (2, 0), (1, 3)) == (pk.key(0, (2, 3)), 5, False)
+    assert _packed_lcm(pk, 0, (1, 0), (0, 2))[2]
+    assert not _packed_lcm(pk, 0, (1, 1), (0, 2))[2]
 
 
 def test_unknown_order_is_refused():
@@ -153,6 +173,19 @@ def test_an_s_pair_past_the_bound_is_refused():
     assert len(buchberger(gens[:1], order, ambient=aux)) == 1
     with pytest.raises(InputError):
         buchberger(gens, order, ambient=aux)
+    # the largest lcm of any pair: t1^top and t2^top, of degree 2 top, whose
+    # exponent fields sum without a carry. Completion keeps both by the
+    # product criterion; the Schreyer syzygies and the certificate refuse
+    # the pair before its key is used
+    gens = [_power(F, 0, (top, 0)), _power(F, 0, (0, top))]
+    for order in (grevlex, grlex, schreyer_order(grevlex, [(0, (0, 0))]),
+                  schreyer_order(grlex, [(0, (0, 0))])):
+        G = buchberger(gens, order, ambient=F)
+        assert [lt for lt, _c in G.lead_terms()] == [(0, (top, 0)), (0, (0, top))]
+        with pytest.raises(InputError):
+            schreyer_basis(G)
+        with pytest.raises(InputError):
+            verify_spairs(G)
 
 
 def test_a_pair_the_criteria_drop_is_still_refused():

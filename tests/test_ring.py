@@ -23,9 +23,7 @@ from syzal import (
 )
 from syzal.modfree import MAX_VARIABLES
 from syzal.ring import (
-    mono_coprime,
     mono_deg,
-    mono_lcm,
     mono_mul,
     qdiv,
     qnorm,
@@ -39,10 +37,8 @@ def random_monos(rng, n, r, maxexp=4):
 def test_mono_ops_basic():
     assert mono_deg((2, 0, 1)) == 3
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    # divisibility and quotients are packed now: tests/test_packed.py
-    assert mono_lcm((2, 0), (1, 3)) == (2, 3)
-    assert mono_coprime((1, 0), (0, 2))
-    assert not mono_coprime((1, 1), (0, 2))
+    # divisibility, quotients, lcms and the coprime test are packed now:
+    # tests/test_packed.py
 
 
 # An order is a sort key on terms (position, monomial): the larger term has
