@@ -30,7 +30,6 @@ from syzal.modfree import (
     GradedMatrix,
     ModuleElement,
     ModulePresentation,
-    check_homogeneous,
     direct_sum,
     free_presentation,
     load_presentation,
@@ -51,7 +50,6 @@ from syzal.groebner import (
     normal_form,
     schreyer_basis,
     syzygies,
-    verify_spairs,
 )
 from syzal.resolution import (
     BettiTable,

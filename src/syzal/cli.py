@@ -30,7 +30,7 @@ from syzal.equivariant import (
     toric_hht,
 )
 from syzal.errors import InputError, VerificationError, ZeroModuleError
-from syzal.groebner import verify_spairs
+from syzal.groebner import schreyer_basis
 from syzal.homalg import (
     HilbertSeries,
     biduality,
@@ -47,7 +47,6 @@ from syzal.homalg import (
 )
 from syzal.modfree import (
     ModulePresentation,
-    check_homogeneous,
     load_presentation,
     residue_field,
 )
@@ -79,20 +78,20 @@ def _json_document(command: str, payload: dict) -> str:
 
 
 def _check_spairs(M: ModulePresentation, order) -> None:
-    """The S-pair certificate of M's relation basis under order."""
+    """The S-pair certificate of M's relation basis under order: its
+    Schreyer step (VerificationError when an S-pair leaves a remainder)."""
     G = relation_basis(M, order)
-    if G is not None and not verify_spairs(G):
-        raise VerificationError("an S-pair of the Groebner basis does not reduce to zero")
+    if G is not None:
+        schreyer_basis(G)
 
 
 def _run_checks(M: ModulePresentation) -> None:
-    """Re-verify invariants: homogeneity, S-pair reduction, delta.delta = 0,
-    and the Hilbert function against the degreewise oracle."""
-    if not check_homogeneous(M.relations):
-        raise VerificationError("relation matrix is inhomogeneous")
-    if M.embedding is not None and not check_homogeneous(M.embedding):
-        raise VerificationError("embedding matrix is inhomogeneous")
-    _check_spairs(M, grevlex)
+    """Re-verify invariants: delta.delta = 0 of the minimal resolution, and
+    the Hilbert function against the degreewise oracle. Building the
+    resolution certifies the relation basis: its Schreyer step divides
+    every minimal S-pair whenever two leading terms share a position, the
+    only case in which an S-pair exists. Every GradedMatrix is checked
+    homogeneous when it is built."""
     minimal_resolution(M).check()
     _check_dims(hilbert_series(M), module_dims(M), "Hilbert series")
 

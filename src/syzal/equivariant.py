@@ -223,14 +223,11 @@ def hypercube_graph(r: int) -> GkmGraph:
     return GkmGraph(ring, [name[S] for S in subsets], edges)
 
 
-def gkm_module(g: GkmGraph, ring: Optional[RingSpec] = None) -> ModulePresentation:
+def gkm_module(g: GkmGraph) -> ModulePresentation:
     """Congruence kernel {(f_v) : f_u = f_v mod (alpha_e) for all edges}:
     {f : D f in im W} for the difference map D f = (f_u - f_v)_e and the
-    weight map W h = (alpha_e h_e)_e."""
-    if ring is None:
-        ring = g.ring
-    elif ring != g.ring:
-        raise InputError("GKM graph was parsed over a different ring")
+    weight map W h = (alpha_e h_e)_e, over the ring of g."""
+    ring = g.ring
     nv, ne = len(g.vertices), len(g.edges)
     FE = FreeModule(ring, (0,) * ne)
     one = ring.one_monomial()

@@ -30,12 +30,12 @@ class GroebnerBasis:
     """A completed basis: every S-pair reduces to zero, and every element
     is a primitive int row (coefficients of gcd 1) with a positive leading
     coefficient. The constructor checks neither; schreyer_basis refuses a
-    basis that breaks either (VerificationError, InputError). The bases
-    that buchberger, schreyer_basis and kernel build are reduced: no
-    leading term divides any same-position term of another element. The
-    elements are packed, and their lead-term index built, once, here:
-    each must be zero or a homogeneous element of ambient of degree at
-    most _limit (see _enter)."""
+    basis that breaks either (VerificationError, InputError). Only
+    buchberger and kernel return reduced bases: no leading term divides
+    any same-position term of another element. schreyer_basis returns a
+    minimal one, whose tails are not reduced. The elements are packed, and
+    their lead-term index built, once, here: each must be zero or a
+    homogeneous element of ambient of degree at most _limit (see _enter)."""
 
     __slots__ = ("ambient", "elements", "order", "_lts", "_index")
 
@@ -177,13 +177,14 @@ def _lead_index(elements: Sequence[ModuleElement], order,
 
 def _dividend(f: ModuleElement, index: _Index) -> Row:
     """f packed for division by index: InputError unless f lies in the
-    ambient of index, or when a term of f has degree above its limit. f
-    may be inhomogeneous: a division by homogeneous divisors forms terms
-    of the degrees of f only."""
+    ambient of index, when a term of f sits at no position of it, or when
+    a term of f has degree above its limit. f may be inhomogeneous: a
+    division by homogeneous divisors forms terms of the degrees of f
+    only."""
     if f.module != index.ambient:
         raise InputError("element does not live in the basis ambient module")
-    degrees, d = f.module.degrees, f.module.ring.d
-    if f.terms and max(degrees[p] + d * sum(m) for p, m in f.terms) > index.limit:
+    degs = f._term_degrees()
+    if degs and max(degs) > index.limit:
         raise too_high("division")
     return index.packing.row(f.terms)
 
@@ -504,19 +505,6 @@ def _complete(gens: Sequence[ModuleElement], order,
     return index
 
 
-def verify_spairs(G: GroebnerBasis) -> bool:
-    """Certificate check: the S-pair of each of _minimal_pairs reduces to
-    zero. Their syzygies generate those of the leading terms (Moller, J.
-    Symbolic Comput. 6, 1988; see schreyer_basis), so this holds iff G is a
-    Groebner basis."""
-    index = G._index
-    rows = index.rows
-    return all(divide(_s_poly(rows[i], rows[j], lcm_key)[4], G.elements,
-                      G.order, index=index)[1].is_zero()
-               for lcm_key, i, j in _minimal_pairs(list(_s_pairs(G)),
-                                                   index.packing))
-
-
 # ---------- Schreyer syzygies ----------
 
 def _minimal_pairs(pairs, pk):
@@ -534,15 +522,19 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     mu b_i a_i e_i - mu b_j a_j e_j - sum_k q_k e_k, made primitive, from
     the division mu S = sum_k q_k g_k of its S-polynomial
     S = b_i a_i g_i - b_j a_j g_j (see _s_poly). Its leading term is
-    a_i e_i, a_i = lcm(LT_i, LT_j)/LT_i, so interreduction keeps exactly
-    the pairs that _minimal_pairs selects: only those are divided, and the
-    reduced basis is the one that all pairs give. Their syzygies generate
-    those of the leading terms, so G is a Groebner basis iff each of their
-    S-polynomials reduces to zero. The elements of G must be primitive int
-    rows with positive leading coefficients (else InputError), every pair
-    must lie within _limit, selected or not (else InputError), and every
-    divided S-polynomial must reduce to zero (else VerificationError: G is
-    not a Groebner basis)."""
+    a_i e_i, a_i = lcm(LT_i, LT_j)/LT_i. Only the pairs that _minimal_pairs
+    selects are divided: their syzygies generate those of the leading terms
+    (Moller, J. Symbolic Comput. 6, 1988), so G is a Groebner basis iff
+    each of their S-polynomials reduces to zero, and their syzygies are
+    then a Groebner basis of all syzygies (Schreyer; Eisenbud, Commutative
+    Algebra, 15.10). This is the engine's one certificate of a Groebner
+    basis. The basis is minimal, since no two selected pairs of one i share
+    an lcm or divide each other's, and canonically sorted, but its tails
+    are not reduced. The elements of G must be primitive int rows with
+    positive leading coefficients (else InputError), every pair must lie
+    within _limit, selected or not (else InputError), and every divided
+    S-polynomial must reduce to zero (else VerificationError: G is not a
+    Groebner basis)."""
     index = G._index
     if any(not row or _integral(row) is not row for row in index.rows):
         raise InputError("basis element is zero or not a primitive int row "
@@ -561,7 +553,8 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
         quots, rem, mu = divide(s, G.elements, G.order, want_quotients=True,
                                 index=index)
         if rem:
-            raise VerificationError("input basis is not a Groebner basis")
+            raise VerificationError(
+                "an S-pair of the Groebner basis does not reduce to zero")
         terms: dict = {key(i, vi): mu * bi, key(j, vj): -mu * bj}
         for k, q in enumerate(quots):
             for v, qc in q.items():
@@ -572,7 +565,8 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                 else:
                     terms.pop(t, None)
         sygens.append(_primitive(Row(sorted(terms.items()))))
-    return GroebnerBasis._of(sorder, _reduce_basis(sygens, spk, aux))
+    sygens.sort(key=lambda row: _canonical_key(spk, row))
+    return GroebnerBasis._of(sorder, _Index(spk, aux, sygens))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:

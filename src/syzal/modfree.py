@@ -99,13 +99,22 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _term_degrees(self):
-        ring = self.module.ring
-        degs = self.module.degrees
-        return {degs[pos] + ring.d * mono_deg(m) for (pos, m) in self.terms}
+    def _term_degrees(self) -> set:
+        """The degrees of the terms; InputError for a term at no position of
+        the module."""
+        degrees, d = self.module.degrees, self.module.ring.d
+        rank = len(degrees)
+        degs = set()
+        for pos, m in self.terms:
+            if not 0 <= pos < rank:
+                raise InputError(f"module element has a term at position {pos}, "
+                                 f"but the module has rank {rank}")
+            degs.add(degrees[pos] + d * mono_deg(m))
+        return degs
 
     def degree(self) -> Optional[int]:
-        """Degree of a homogeneous element; None for zero."""
+        """Degree of a homogeneous element; None for zero. InputError for a
+        term at no position of the module."""
         degs = self._term_degrees()
         if not degs:
             return None
@@ -283,18 +292,6 @@ class GradedMatrix:
         rows = ["[" + ", ".join(format_polynomial(p) for p in row) + "]"
                 for row in self.entries]
         return "GradedMatrix(\n  " + "\n  ".join(rows) + "\n)"
-
-
-def check_homogeneous(A: GradedMatrix) -> bool:
-    """True iff every column of A is zero or homogeneous of its source
-    degree."""
-    d = A.target.ring.d
-    tdeg = A.target.degrees
-    for g, v in zip(A.source.degrees, A._columns):
-        for i, m in v.terms:
-            if tdeg[i] + d * mono_deg(m) != g:
-                return False
-    return True
 
 
 class ModulePresentation:

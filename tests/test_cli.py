@@ -13,6 +13,7 @@ from syzal import (
     GroebnerBasis,
     InputError,
     ORDERS,
+    VerificationError,
     RingSpec,
     ZeroModuleError,
     buchberger,
@@ -20,8 +21,8 @@ from syzal import (
     maximal_ideal,
     residue_field,
     save_presentation,
+    schreyer_basis,
     shift,
-    verify_spairs,
     zero_module,
 )
 import syzal.cli as cli
@@ -572,7 +573,8 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
     def truncated_basis(*args, **kwargs):
         G = buchberger(*args, **kwargs)
         short = GroebnerBasis(G.ambient, G.elements[:-1], G.order)
-        assert not verify_spairs(short)
+        with pytest.raises(VerificationError):
+            schreyer_basis(short)
         return short
     monkeypatch.setattr(resolution, "buchberger", truncated_basis)
     capsys.readouterr()
@@ -614,6 +616,29 @@ def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
         capsys.readouterr()
         assert cli.main(["resolve", *argv]) == 1, argv
         assert message in capsys.readouterr().err
+
+
+def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
+    # the Schreyer step of the resolution is the S-pair certificate of the
+    # relation basis, so --check adds no division to resolve
+    import syzal.groebner as groebner
+    path = tmp_path / "quotient.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 2, "d": 2}, "generators": [0],
+        "relation_generators": [4, 4], "matrix": [["t1^2", "t1*t2 + t2^2"]]}))
+    calls = []
+    divide = groebner.divide
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return divide(*args, **kwargs)
+    monkeypatch.setattr(groebner, "divide", counted)
+    counts = []
+    for check in ([], ["--check"]):
+        del calls[:]
+        assert cli.main(["resolve", "--file", str(path), *check]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("route", ["syzygy_order", "_biduality_order"])

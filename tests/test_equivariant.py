@@ -403,12 +403,6 @@ def test_gkm_module_matches_the_stacked_route(case):
             == [c.terms for c in ref.relations.columns()])
 
 
-def test_gkm_module_ring_mismatch():
-    g = hypercube_graph(2)
-    with pytest.raises(InputError):
-        gkm_module(g, RingSpec(3, 2))
-
-
 # ---------- Atiyah-Bredon report semantics ----------
 
 def test_ab_report_without_ht_is_raw():
@@ -498,7 +492,7 @@ def buchberger_runs(monkeypatch):
 
 def test_ab_report_buchberger_runs(buchberger_runs):
     ab_report(toric_hht(4), toric_ht(4))
-    assert buchberger_runs == {"completions": 13, "divide": 299}
+    assert buchberger_runs == {"completions": 13, "divide": 239}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
@@ -508,7 +502,7 @@ def test_gkm_module_buchberger_runs(buchberger_runs):
 
 def test_ab_report_buchberger_runs_r6(buchberger_runs):
     ab_report(toric_hht(6), toric_ht(6))
-    assert buchberger_runs == {"completions": 17, "divide": 1636}
+    assert buchberger_runs == {"completions": 17, "divide": 1260}
 
 
 def test_gkm_module_buchberger_runs_r6(buchberger_runs):

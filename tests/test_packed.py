@@ -19,7 +19,6 @@ from syzal import (
     normal_form,
     schreyer_basis,
     schreyer_order,
-    verify_spairs,
 )
 from syzal.packed import MAX_DEGREE, packing
 from syzal.ring import mono_mul
@@ -175,8 +174,8 @@ def test_an_s_pair_past_the_bound_is_refused():
         buchberger(gens, order, ambient=aux)
     # the largest lcm of any pair: t1^top and t2^top, of degree 2 top, whose
     # exponent fields sum without a carry. Completion keeps both by the
-    # product criterion; the Schreyer syzygies and the certificate refuse
-    # the pair before its key is used
+    # product criterion; the Schreyer syzygies (the certificate) refuse the
+    # pair before its key is used
     gens = [_power(F, 0, (top, 0)), _power(F, 0, (0, top))]
     for order in (grevlex, grlex, schreyer_order(grevlex, [(0, (0, 0))]),
                   schreyer_order(grlex, [(0, (0, 0))])):
@@ -184,8 +183,6 @@ def test_an_s_pair_past_the_bound_is_refused():
         assert [lt for lt, _c in G.lead_terms()] == [(0, (top, 0)), (0, (0, top))]
         with pytest.raises(InputError):
             schreyer_basis(G)
-        with pytest.raises(InputError):
-            verify_spairs(G)
 
 
 def test_a_pair_the_criteria_drop_is_still_refused():
@@ -205,18 +202,16 @@ def test_a_pair_the_criteria_drop_is_still_refused():
                 buchberger(gens, ambient=F)
     # Schreyer syzygies: the coprime pair (t1^k, t2^5) is not minimal, as
     # lcm(t1^k, t1^(k-2) t2) divides its lcm, and is not divided; its degree
-    # k + 5 is still checked, as is the certificate's
+    # k + 5 is still checked
     for k, fits in ((top - 5, True), (top - 4, False)):
         G = buchberger([_power(F, 0, (k, 0)), _power(F, 0, (k - 2, 1)),
                         _power(F, 0, (0, 5))], ambient=F)
         assert len(G) == 3
         if fits:
-            assert len(schreyer_basis(G)) == 2 and verify_spairs(G)
+            assert len(schreyer_basis(G)) == 2
         else:
             with pytest.raises(InputError):
                 schreyer_basis(G)
-            with pytest.raises(InputError):
-                verify_spairs(G)
 
 
 def test_the_bound_counts_every_position():
