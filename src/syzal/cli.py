@@ -172,8 +172,9 @@ def _module_output(M: ModulePresentation, extra: dict) -> Output:
 def run_resolve(args, M: ModulePresentation) -> Output:
     order = ORDERS[args.order]
     # the shared checks have verified the default order's relation basis and
-    # minimal resolution, and the Hilbert series against the oracle
-    if args.check and order is not grevlex:
+    # minimal resolution, and the Hilbert series against the oracle; a longer
+    # resolution under another order runs its basis's Schreyer step itself
+    if args.check and order is not grevlex and args.max_len in (0, 1):
         _check_spairs(M, order)
     if args.max_len is None:
         res = minimal_resolution(M, order)

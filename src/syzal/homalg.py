@@ -319,24 +319,48 @@ def biduality(M: ModulePresentation) -> BidualityResult:
     return M.cached("biduality", build)
 
 
+def _root_multiplicity_at_one(numerator: dict) -> int:
+    """Multiplicity of x = 1 as a root of the nonzero Laurent polynomial
+    sum c_e x^e: the least a with sum c_e C(e - m, a) != 0, m = min e,
+    that is the first nonzero Taylor coefficient at 1 of x^-m times it. At
+    a = max e - m the sum is the top coefficient, so the search ends."""
+    m = min(numerator)
+    span = max(numerator) - m
+    for a in range(span):
+        if sum(c * math.comb(e - m, a) for e, c in numerator.items()):
+            return a
+    return span
+
+
 def syzygy_order(M: ModulePresentation) -> int:
     """Largest j in 0..r such that M is a j-th syzygy; r iff M is free, and
     r for the zero module by convention. A nonzero module of rank 0 is
     torsion, so its order is 0. Otherwise M is a j-th syzygy iff
     Ext^i(Tr M, R) = 0 for 1 <= i <= j (Auslander-Bridger, Stable module
     theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
-    j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), where the
-    transpose Tr M = coker(relations^T) is read off the presentation: a
-    non-minimal one changes Tr M only by free summands, which Ext^{>=1}
-    ignores. All these Ext come from one minimal resolution of Tr M."""
+    j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), so the order
+    is grade(Tr M) - 1, with the transpose Tr M = coker(delta1^T) of the
+    minimal resolution.
+
+    For projective dimension 1, delta1 is injective, so Tr M has rank 0,
+    and it is nonzero because the minimal delta1 has no unit entry. Over
+    the Cohen-Macaulay ring R, grade(Tr M) = r - dim(Tr M) (Bruns-Herzog,
+    Cohen-Macaulay Rings, Cor. 2.1.4), and by Hilbert-Serre r - dim(Tr M)
+    is the multiplicity of x = 1 as a root of the numerator of its Hilbert
+    series. A non-minimal delta1 would add free summands to Tr M and make
+    its grade 0. For larger projective dimension the Ext^i(Tr M, R) are
+    built in turn from one minimal resolution of Tr M."""
     r = M.ring.r
     res = minimal_resolution(M)
     if res.length == 0:
         return r
     if sum((-1) ** i * F.rank for i, F in enumerate(res.modules)) == 0:
         return 0
-    A = M.relations.transpose()
-    res_t = minimal_resolution(ModulePresentation(M.ring, A.target, A.source, A))
+    A = res.maps[0].transpose()
+    Tr = ModulePresentation(M.ring, A.target, A.source, A)
+    if res.length == 1:
+        return _root_multiplicity_at_one(hilbert_series(Tr).numerator) - 1
+    res_t = minimal_resolution(Tr)
     for i in range(1, r + 1):
         if not is_zero_module(ext_from_resolution(res_t, i)):
             return i - 1

@@ -620,7 +620,8 @@ def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
 
 def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
     # the Schreyer step of the resolution is the S-pair certificate of the
-    # relation basis, so --check adds no division to resolve
+    # relation basis, so --check adds no division to resolve; under grlex
+    # it adds the 7 of the shared grevlex resolution and nothing more
     import syzal.groebner as groebner
     path = tmp_path / "quotient.pres"
     path.write_text(json.dumps({
@@ -634,11 +635,11 @@ def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
         return divide(*args, **kwargs)
     monkeypatch.setattr(groebner, "divide", counted)
     counts = []
-    for check in ([], ["--check"]):
+    for argv in ([], ["--check"], ["--order", "grlex", "--check"]):
         del calls[:]
-        assert cli.main(["resolve", "--file", str(path), *check]) == 0
+        assert cli.main(["resolve", "--file", str(path), *argv]) == 0
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [7, 7, 14]
 
 
 @pytest.mark.parametrize("route", ["syzygy_order", "_biduality_order"])

@@ -492,7 +492,7 @@ def buchberger_runs(monkeypatch):
 
 def test_ab_report_buchberger_runs(buchberger_runs):
     ab_report(toric_hht(4), toric_ht(4))
-    assert buchberger_runs == {"completions": 13, "divide": 239}
+    assert buchberger_runs == {"completions": 10, "divide": 191}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
@@ -502,7 +502,7 @@ def test_gkm_module_buchberger_runs(buchberger_runs):
 
 def test_ab_report_buchberger_runs_r6(buchberger_runs):
     ab_report(toric_hht(6), toric_ht(6))
-    assert buchberger_runs == {"completions": 17, "divide": 1260}
+    assert buchberger_runs == {"completions": 12, "divide": 998}
 
 
 def test_gkm_module_buchberger_runs_r6(buchberger_runs):

@@ -23,9 +23,11 @@ from syzal import (
     free_presentation,
     grevlex,
     hilbert_series,
+    homogeneous_space,
     is_cohen_macaulay,
     is_zero_module,
     koszul_complex,
+    koszul_syzygy,
     maximal_ideal,
     minimal_resolution,
     module_dims,
@@ -36,8 +38,11 @@ from syzal import (
     shift,
     subquotient_presentation,
     syzygy_order,
+    toric_ht,
     zero_module,
 )
+from syzal import cli
+from syzal.homalg import _root_multiplicity_at_one
 
 
 R2 = RingSpec(2, 2)
@@ -334,6 +339,45 @@ def test_syzygy_order_free_matches_rank_r():
 def test_syzygy_order_first_syzygy_of_k():
     # the first syzygy module of k over r=3 is a second syzygy exactly
     ring = RingSpec(3, 2)
-    from syzal import koszul_syzygy
     K2 = koszul_syzygy(ring, 2)
     assert syzygy_order(K2) == 2
+
+
+def test_root_multiplicity_at_one():
+    mult = _root_multiplicity_at_one
+    assert mult({0: 1}) == 0                      # k[t]: 1
+    assert mult({-3: 2, 5: 1}) == 0               # 3 at x = 1
+    assert mult({0: 1, 1: -1}) == 1               # 1 - x
+    assert mult({-4: 1, -2: -1}) == 1             # x^-4 (1 - x^2), d = 2
+    assert mult({-2: 1, -1: -2, 0: 1}) == 2       # x^-2 (1 - x)^2
+    assert mult({-6: 1, -4: -2, -2: 1}) == 2      # x^-6 (1 - x^2)^2, d = 2
+    assert mult({0: 1, 3: -3, 6: 3, 9: -1}) == 3  # (1 - x^3)^3
+
+
+def test_syzygy_order_of_projective_dimension_1_matches_biduality():
+    cases = [toric_ht(r) for r in range(1, 8)]
+    cases += [koszul_syzygy(RingSpec(r, 2), r - 1) for r in range(2, 5)]
+    cases += [M for r in range(2, 5) for M in homogeneous_space(r, 1)]
+    for M in cases:
+        assert minimal_resolution(M).length == 1
+        assert syzygy_order(M) == cli._biduality_order(M)
+
+
+def test_syzygy_order_of_projective_dimension_1_builds_no_ext(monkeypatch):
+    import syzal.homalg as homalg
+
+    def refuse(*args):
+        raise AssertionError("an Ext module was built")
+    monkeypatch.setattr(homalg, "ext_from_resolution", refuse)
+    assert syzygy_order(toric_ht(4)) == 3
+
+
+def test_syzygy_order_reads_the_minimal_transpose():
+    # every relation column also as 2c: Tr M of this presentation has a free
+    # summand of grade 0, the transpose of the minimal delta1 has grade 3
+    M = toric_ht(3)
+    cols = M.relations.columns()
+    cols = cols + [c.scale(2) for c in cols]
+    A = GradedMatrix.from_columns(M.F0, cols)
+    doubled = ModulePresentation(M.ring, M.F0, A.source, A)
+    assert syzygy_order(doubled) == 2

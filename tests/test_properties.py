@@ -840,17 +840,17 @@ def test_biduality_kernel_is_torsion(M):
 
 
 @st.composite
-def order_cases(draw):
-    """Presentations over Q[t1..tr], r = 0..4, of every kind syzygy_order
-    tells apart: the zero module (no generators), free modules (no
-    relations), rank 0 (as many relations as generators, mostly) and rank
-    > 0, and non-minimal presentations (a relation of a generator's own
-    degree has constant entries)."""
-    ring = RingSpec(draw(st.integers(0, 4)), 2)
+def order_cases(draw, r=st.integers(0, 4), relations=st.integers(0, 3)):
+    """Presentations over Q[t1..tr], r = 0..4 by default, of every kind
+    syzygy_order tells apart: the zero module (no generators), free modules
+    (no relations), rank 0 (as many relations as generators, mostly) and
+    rank > 0, and non-minimal presentations (a relation of a generator's
+    own degree has constant entries)."""
+    ring = RingSpec(draw(r), 2)
     gens = draw(st.lists(st.sampled_from([0, 2]), max_size=3))
     F0 = FreeModule(ring, gens)
     degrees = [max(gens) + draw(st.sampled_from([0, 2, 4]))
-               for _ in range(draw(st.integers(0, 3)) if gens else 0)]
+               for _ in range(draw(relations) if gens else 0)]
     cols = []
     for D in degrees:
         terms = {}
@@ -876,6 +876,16 @@ def order_cases(draw):
 def test_syzygy_order_matches_the_biduality_route(M):
     # the Auslander transpose (with its rank-0 shortcut) against torsion
     # kernel, reflexivity and Ext^i(Hom(M, R), R)
+    assert syzygy_order(M) == cli._biduality_order(M)
+
+
+@given(order_cases(r=st.integers(1, 3), relations=st.just(1)))
+@settings(max_examples=60, deadline=2000)
+def test_syzygy_order_of_one_relation_matches_the_biduality_route(M):
+    # one nonzero relation column is injective, so the projective dimension
+    # is at most 1 and the order is read off the Hilbert series of Tr M
+    assume(not M.relations.is_zero())
+    assert minimal_resolution(M).length <= 1
     assert syzygy_order(M) == cli._biduality_order(M)
 
 
