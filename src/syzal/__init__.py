@@ -15,13 +15,11 @@ from syzal.errors import (
     ZeroModuleError,
 )
 from syzal.ring import (
-    ORDERS,
     Polynomial,
     Rational,
     RingSpec,
     format_polynomial,
     grevlex,
-    grlex,
     parse_polynomial,
     schreyer_order,
 )

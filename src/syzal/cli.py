@@ -5,9 +5,9 @@ the presentations it loads or builds, and a handler that only computes.
 `main` does the shared work once for all of them: it loads the inputs,
 re-verifies every input presentation under --check, runs the handler
 (which adds the checks of its own command), prints the handler's JSON
-payload under --json or its text report otherwise, and maps errors to
-exit codes: 0 success, 1 verification failure, 2 input error, and
-EXIT_BROKEN_PIPE when the reader closed standard output.
+payload under --json or its text report otherwise, and returns the exit
+code: 0 success (also after --help), 1 verification failure, 2 input or
+usage error, and EXIT_BROKEN_PIPE when the reader closed standard output.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
@@ -30,7 +31,6 @@ from syzal.equivariant import (
     toric_hht,
 )
 from syzal.errors import InputError, VerificationError, ZeroModuleError
-from syzal.groebner import schreyer_basis
 from syzal.homalg import (
     HilbertSeries,
     biduality,
@@ -51,14 +51,15 @@ from syzal.modfree import (
     residue_field,
 )
 from syzal.oracle import (
+    INTEGER,
     default_window,
     ext_dims,
     module_dims,
     parse_window,
     resolution_is_exact,
 )
-from syzal.resolution import koszul_complex, minimize, relation_basis, resolve
-from syzal.ring import ORDERS, RingSpec, grevlex
+from syzal.resolution import koszul_complex, minimize, resolve
+from syzal.ring import RingSpec
 
 # The largest --r accepted. toric, homogeneous, gkm and koszul build 2^r
 # subsets; at r = 12 the toric and Koszul builds take about one second and
@@ -75,14 +76,6 @@ def _json_document(command: str, payload: dict) -> str:
     doc = {"format": 1, "command": command}
     doc.update(payload)
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _check_spairs(M: ModulePresentation, order) -> None:
-    """The S-pair certificate of M's relation basis under order: its
-    Schreyer step (VerificationError when an S-pair leaves a remainder)."""
-    G = relation_basis(M, order)
-    if G is not None:
-        schreyer_basis(G)
 
 
 def _run_checks(M: ModulePresentation) -> None:
@@ -107,13 +100,21 @@ def _check_dims(series: HilbertSeries, dims: Dict[int, int],
                 f"{series.coefficient(q)} vs {dim}")
 
 
+def _integer(text: str) -> int:
+    """The value of an int argument, spelled as an oracle.INTEGER: no
+    space, underscore, sign other than '-' or non-ASCII digit is coerced."""
+    if re.fullmatch(INTEGER, text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _variables(text: str) -> int:
     """The value of --r, within MAX_R: checked while parsing, so nothing
     is built past the budget."""
-    try:
-        r = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    r = _integer(text)
     if r > MAX_R:
         raise InputError(f"--r {r} is more than the budget of {MAX_R} variables")
     return r
@@ -170,16 +171,13 @@ def _module_output(M: ModulePresentation, extra: dict) -> Output:
 
 
 def run_resolve(args, M: ModulePresentation) -> Output:
-    order = ORDERS[args.order]
-    # the shared checks have verified the default order's relation basis and
-    # minimal resolution, and the Hilbert series against the oracle; a longer
-    # resolution under another order runs its basis's Schreyer step itself
-    if args.check and order is not grevlex and args.max_len in (0, 1):
-        _check_spairs(M, order)
+    # the shared checks have verified the relation basis, the minimal
+    # resolution and the Hilbert series; a --max-len resolution is another
+    # resolution and gets a check of its own
     if args.max_len is None:
-        res = minimal_resolution(M, order)
+        res = minimal_resolution(M)
     else:
-        res = minimize(resolve(M, args.max_len, order))
+        res = minimize(resolve(M, args.max_len))
     if args.check and res is not minimal_resolution(M):
         res.check()
         if not res.truncated and euler_series(res) != hilbert_series(M):
@@ -337,10 +335,9 @@ ARGS = {
     "what": ("what", {"choices": ["ht", "hht", "ab"]}),
     "r": ("--r", {"type": _variables, "required": True,
                   "help": f"number of variables, at most {MAX_R}"}),
-    "i": ("--i", {"type": int, "required": True}),
-    "j": ("--j", {"type": int, "required": True}),
-    "max_len": ("--max-len", {"type": int, "default": None}),
-    "order": ("--order", {"choices": sorted(ORDERS), "default": "grevlex"}),
+    "i": ("--i", {"type": _integer, "required": True}),
+    "j": ("--j", {"type": _integer, "required": True}),
+    "max_len": ("--max-len", {"type": _integer, "default": None}),
     "window": ("--window", {"default": None, "help": "lo:hi degree window"}),
 }
 
@@ -358,7 +355,7 @@ class Command(NamedTuple):
 
 COMMANDS = {c.name: c for c in (
     Command("resolve", "minimal free resolution of a presentation",
-            ("file", "max_len", "order"), _files, run_resolve),
+            ("file", "max_len"), _files, run_resolve),
     Command("ext", "Ext^j against the ring", ("file", "j"), _files, run_ext),
     Command("hilbert", "Hilbert series and dimensions", ("file",), _files,
             run_hilbert),
@@ -409,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            # argparse's own exit: 0 after --help, 2 for a usage error
+            return e.code
         command = COMMANDS[args.command]
         inputs = command.inputs(args)
         if args.check:

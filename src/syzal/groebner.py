@@ -129,10 +129,9 @@ def _limit(pk, module: FreeModule) -> int:
 
 class _Index:
     """Divisors as packed rows of the module ambient, their leading terms
-    grouped by position: groups[pos] holds (k, probe, key) for each
-    nonzero row k whose leading term, of that key, sits at pos, in list
-    order; probe is the key times packing.sign. limit is the _limit of
-    ambient."""
+    grouped by position: groups[pos] holds (k, key) for each nonzero row k
+    whose leading term, of that key, sits at pos, in list order. limit is
+    the _limit of ambient."""
 
     __slots__ = ("packing", "ambient", "rows", "groups", "limit")
 
@@ -148,9 +147,8 @@ class _Index:
 
     def _register(self, k: int, row: Row) -> None:
         if row:
-            pk = self.packing
             t = next(iter(row))
-            self.groups.setdefault(pk.position(t), []).append((k, pk.sign * t, t))
+            self.groups.setdefault(self.packing.position(t), []).append((k, t))
 
 
 def _enter(index: _Index, e: ModuleElement, what: str) -> Row:
@@ -219,7 +217,7 @@ def divide(f, gens: Sequence[ModuleElement], order,
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     rows, groups = index.rows, index.groups
-    sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
+    guard, pshift, pmask = pk.guard, pk.pshift, pk.pmask
     rem = Row()
     quots: Optional[List[dict]] = [dict() for _ in rows] if want_quotients else None
     mu = 1
@@ -228,9 +226,8 @@ def divide(f, gens: Sequence[ModuleElement], order,
         c = work.pop(t, None)
         if c is None:
             continue
-        x = sign * t
-        for hit, probe, lead in groups.get((t >> pshift) & pmask, ()):
-            if not (x - probe) & guard:
+        for hit, lead in groups.get((t >> pshift) & pmask, ()):
+            if not (t - lead) & guard:
                 break
         else:
             rem[t] = c
@@ -304,13 +301,12 @@ def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
     sorted. Returns the _Index of the reduced rows."""
     rows = [row for row in rows if row]
     index = _Index(pk, ambient, rows)
-    sign, guard = pk.sign, pk.guard
+    guard = pk.guard
     keep = [True] * len(rows)
     for i, row in enumerate(rows):
         t = next(iter(row))
-        x = sign * t
-        for k, probe, lead in index.groups[pk.position(t)]:
-            if (k != i and keep[k] and not (x - probe) & guard
+        for k, lead in index.groups[pk.position(t)]:
+            if (k != i and keep[k] and not (t - lead) & guard
                     and (lead != t or k < i)):
                 keep[i] = False
                 break
@@ -366,10 +362,10 @@ def _undivided(cands, pk):
     """The candidates (lcm key, ...), given lowest lcm first, whose lcm no
     lcm kept before it divides (criteria M and F): the first of each lcm,
     and none whose lcm has a proper divisor among the candidates."""
-    sign, guard = pk.sign, pk.guard
+    guard = pk.guard
     kept: List[int] = []
     for cand in cands:
-        x = sign * cand[0]
+        x = cand[0]
         for y in kept:
             if not (x - y) & guard:
                 break
@@ -386,8 +382,8 @@ def _s_pairs(G: "GroebnerBasis"):
     lcm = index.packing.lcm
     d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
     for p, group in index.groups.items():
-        for a, (i, _probe, ti) in enumerate(group):
-            for j, _probe, tj in group[a + 1:]:
+        for a, (i, ti) in enumerate(group):
+            for j, tj in group[a + 1:]:
                 key, deg = lcm(ti, tj)
                 if degrees[p] + d * deg > limit:
                     raise too_high("S-pair")
@@ -434,7 +430,7 @@ def _complete(gens: Sequence[ModuleElement], order,
     """
     d, degrees = ambient.ring.d, ambient.degrees
     pk = packing(order, ambient.ring.r)
-    sign, guard, pshift, pmask = pk.sign, pk.guard, pk.pshift, pk.pmask
+    guard, pshift, pmask = pk.guard, pk.pshift, pk.pmask
     position, lcm = pk.position, pk.lcm
     index = _Index(pk, ambient, [])
     rows, groups, limit = index.rows, index.groups, index.limit
@@ -464,7 +460,7 @@ def _complete(gens: Sequence[ModuleElement], order,
         # the key of the product of LT_i and LT_k is t_i + prod
         prod = tk - pk.base(p)
         new = []
-        for i, _probe, ti in group:
+        for i, ti in group:
             if i == k:
                 break
             key, deg = lcm(ti, tk)
@@ -477,7 +473,7 @@ def _complete(gens: Sequence[ModuleElement], order,
         if pairs:
             lcms = {i: key for key, _c, i, _s in new}
             for (i, j), key in list(pairs.items()):
-                if (not sign * (key - tk) & guard and lcms[i] != key
+                if (not (key - tk) & guard and lcms[i] != key
                         and lcms[j] != key):
                     del pairs[i, j]
         if len(new) > 1:

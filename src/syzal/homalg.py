@@ -27,7 +27,7 @@ from syzal.resolution import (
     minimize_presentation,
     resolve,
 )
-from syzal.ring import RingSpec, grevlex
+from syzal.ring import RingSpec
 
 
 # ---------- Hilbert series ----------
@@ -136,11 +136,10 @@ class HilbertSeries:
         return f"HilbertSeries({self})"
 
 
-def minimal_resolution(M: ModulePresentation,
-                       order=grevlex) -> FreeResolution:
+def minimal_resolution(M: ModulePresentation) -> FreeResolution:
     """Minimized resolution of length <= max(r, 1), cached on the
-    presentation per term order."""
-    return M.cached(("minres", order), lambda: minimize(resolve(M, order=order)))
+    presentation."""
+    return M.cached("minres", lambda: minimize(resolve(M)))
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:
@@ -339,10 +338,12 @@ def syzygy_order(M: ModulePresentation) -> int:
     Ext^i(Tr M, R) = 0 for 1 <= i <= j (Auslander-Bridger, Stable module
     theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
     j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), so the order
-    is grade(Tr M) - 1, with the transpose Tr M = coker(delta1^T) of the
-    minimal resolution.
+    is the least i >= 1 with Ext^i(Tr M, R) != 0, minus 1, with the
+    transpose Tr M = coker(delta1^T) of the minimal resolution.
 
-    For projective dimension 1, delta1 is injective, so Tr M has rank 0,
+    That is grade(Tr M) - 1 only for projective dimension 1: for 2 or more,
+    delta1 is not injective, so Tr M has positive rank and grade 0. For
+    projective dimension 1, delta1 is injective, so Tr M has rank 0,
     and it is nonzero because the minimal delta1 has no unit entry. Over
     the Cohen-Macaulay ring R, grade(Tr M) = r - dim(Tr M) (Bruns-Herzog,
     Cohen-Macaulay Rings, Cor. 2.1.4), and by Hilbert-Serre r - dim(Tr M)

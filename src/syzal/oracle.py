@@ -38,11 +38,15 @@ MAX_BASIS = 2000
 MAX_WORK = 100_000
 
 
+# An integer as the command line spells it: ASCII digits with an optional
+# leading '-', and nothing else.
+INTEGER = r"-?[0-9]+"
+
+
 def parse_window(text: str, source: str) -> Tuple[int, int]:
-    """The window (lo, hi) that text spells as lo:hi, each side ASCII
-    digits with an optional leading '-'; source names where text came from,
-    for the error message."""
-    match = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", text)
+    """The window (lo, hi) that text spells as lo:hi, each side an
+    INTEGER; source names where text came from, for the error message."""
+    match = re.fullmatch(rf"({INTEGER}):({INTEGER})", text)
     if match:
         try:
             return int(match[1]), int(match[2])

@@ -13,21 +13,19 @@ everything outside it keeps exponent tuples.
 Layout. Every field is FIELD bits wide; B = 2^FIELD. Over r variables a
 monomial m has the value
 
-    grevlex: V(m) = sum_i m_i (B^r - B^(i-1))
-    grlex:   V(m) = sum_i m_i (B^r + B^(r-i))
+    V(m) = sum_i m_i (B^r - B^(i-1))
 
 and the term (pos, m) the key base(pos) - V(m), base(pos) = pos B^(r+1) + C.
 The constant C keeps every field non-negative: from the top, a key holds
-the position, MAX_DEGREE - deg m, and r exponent fields (grevlex: m_1
-lowest, each m_i as it is; grlex: m_1 highest, each as MAX_DEGREE - m_i).
-Hence
+the position, MAX_DEGREE - deg m, and r exponent fields, m_1 lowest, each
+m_i as it is. Since a larger degree and then a smaller last differing
+exponent give the smaller key, key order is position over grevlex. Hence
 
 - the larger term has the smaller key, so a heap pops keys directly;
 - key(t q) = key(t) - V(q), and V(q) = key(t) - key(t q);
 - a leading term with key a divides the term with key b at the same
-  position iff sign * (b - a) borrows from no exponent field, where sign
-  is 1 under grevlex and -1 under grlex. The top bit of each field is a
-  guard bit that such a borrow sets, so the test is one mask;
+  position iff b - a borrows from no exponent field. The top bit of each
+  field is a guard bit that such a borrow sets, so the test is one mask;
 - the exponents of the lcm of two terms at one position are the fieldwise
   max, chosen through the same guard bits, and its degree is the sum of
   its fields; the terms are coprime iff the lcm is their product.
@@ -54,7 +52,7 @@ import functools
 import operator
 
 from syzal.errors import InputError
-from syzal.ring import grevlex, grlex
+from syzal.ring import grevlex
 
 # Bits per field, chosen by measurement (CPython 3.11, 2 vCPU). A loop of
 # divide's key operations (subtract, dict, heap, mask; r = 6, 256
@@ -85,11 +83,11 @@ class Row(dict):
 
 
 class _Packing:
-    """What the packed layouts share. A layout has sign and guard (the
-    divisibility test), pshift and pmask (a key's position is
-    (key >> pshift) & pmask), and the weights of V."""
+    """What the packed layouts share. A layout has guard (the divisibility
+    test), pshift and pmask (a key's position is (key >> pshift) & pmask),
+    and the weights of V."""
 
-    __slots__ = ("sign", "guard", "pshift", "pmask", "weights")
+    __slots__ = ("guard", "pshift", "pmask", "weights")
 
     def value(self, m) -> int:
         """V(m)."""
@@ -117,23 +115,16 @@ class _Packing:
 
 
 class Graded(_Packing):
-    """Position over grevlex (reverse=True) or grlex over r variables."""
+    """Position over grevlex over r variables."""
 
-    __slots__ = ("_const", "_low", "_shifts", "_top", "_flip", "_ones", "_sumshift")
+    __slots__ = ("_const", "_low", "_shifts", "_top", "_ones", "_sumshift")
 
-    def __init__(self, r: int, reverse: bool):
+    def __init__(self, r: int):
         top = self._top = FIELD * r
-        if reverse:
-            self._shifts = tuple(FIELD * i for i in range(r))
-            self.weights = tuple((1 << top) - (1 << s) for s in self._shifts)
-            self._flip = 0
-        else:
-            self._shifts = tuple(FIELD * (r - 1 - i) for i in range(r))
-            self.weights = tuple((1 << top) + (1 << s) for s in self._shifts)
-            self._flip = sum(MAX_DEGREE << s for s in self._shifts)
-        # the exponent fields of a key are its low bits xor _flip
-        self._const = (MAX_DEGREE << top) + self._flip
-        self.sign = 1 if reverse else -1
+        self._shifts = tuple(FIELD * i for i in range(r))
+        self.weights = tuple((1 << top) - (1 << s) for s in self._shifts)
+        # the exponent fields of a key are its low bits
+        self._const = MAX_DEGREE << top
         self.guard = sum(1 << (s + FIELD - 1) for s in self._shifts)
         self.pshift, self.pmask = top + FIELD, -1
         self._low = (1 << top) - 1
@@ -152,16 +143,12 @@ class Graded(_Packing):
                 - sum(map(operator.mul, m, self.weights)))
 
     def term(self, key: int):
-        # the exponent fields are the low bits of the key
-        if self.sign > 0:
-            m = tuple([(key >> s) & _FMASK for s in self._shifts])
-        else:
-            m = tuple([MAX_DEGREE - ((key >> s) & _FMASK) for s in self._shifts])
-        return key >> self.pshift, m
+        return (key >> self.pshift,
+                tuple([(key >> s) & _FMASK for s in self._shifts]))
 
     def mono(self, v: int):
         """The monomial of value v."""
-        low = (-self.sign * v) & self._low
+        low = -v & self._low
         return tuple([(low >> s) & _FMASK for s in self._shifts])
 
     def lcm(self, a: int, b: int):
@@ -173,13 +160,13 @@ class Graded(_Packing):
         most 2 MAX_DEGREE < 2^FIELD. The key is exact, base(pos) - V(lcm),
         also past MAX_DEGREE, so the terms are coprime iff it equals the
         key of their product, a + b - base(pos)."""
-        low, flip, guard = self._low, self._flip, self.guard
-        x, y = (a & low) ^ flip, (b & low) ^ flip
+        low, guard = self._low, self.guard
+        x, y = a & low, b & low
         ge = ((x | guard) - y) & guard
         e = y ^ ((x ^ y) & (ge - (ge >> (FIELD - 1))))
         deg = (e * self._ones >> self._sumshift) & _FMASK
         return ((a >> self.pshift << self.pshift)
-                + ((MAX_DEGREE - deg) << self._top) + (e ^ flip), deg)
+                + ((MAX_DEGREE - deg) << self._top) + e, deg)
 
 
 class Schreyer(_Packing):
@@ -192,7 +179,7 @@ class Schreyer(_Packing):
         leads = list(leads)
         s = self._s = max(len(leads) - 1, 0).bit_length()
         self.prior = prior
-        self.sign, self.guard = prior.sign, prior.guard << s
+        self.guard = prior.guard << s
         self.pshift, self.pmask = 0, (1 << s) - 1
         self.weights = tuple(w << s for w in prior.weights)
         self._bases = [(prior.key(p, m) << s) + i for i, (p, m) in enumerate(leads)]
@@ -221,18 +208,16 @@ class Schreyer(_Packing):
         return self._bases[pos] - (v << self._s)
 
 
-@functools.cache
-def _graded(r: int, reverse: bool) -> Graded:
-    return Graded(r, reverse)
+_graded = functools.cache(Graded)
 
 
 def packing(order, r: int) -> _Packing:
-    """The packed layout of a term order over r variables: grevlex, grlex,
-    or a ring.schreyer_order closure over one of them."""
-    if order is grevlex or order is grlex:
-        return _graded(r, order is grevlex)
+    """The packed layout of a term order over r variables: grevlex, or a
+    ring.schreyer_order closure over a packed order."""
+    if order is grevlex:
+        return _graded(r)
     prior = getattr(order, "prior", None)
     if prior is None:
-        raise InputError("the Groebner layer packs grevlex, grlex and "
+        raise InputError("the Groebner layer packs grevlex and "
                          "schreyer_order orders only")
     return Schreyer(packing(prior, r), order.lead_terms)

@@ -28,7 +28,6 @@ from syzal.modfree import (
 )
 from syzal.ring import (
     RingSpec,
-    grevlex,
     mono_deg,
     mono_mul,
 )
@@ -81,21 +80,19 @@ def _has_same_position_pair(G: GroebnerBasis) -> bool:
     return len(set(positions)) < len(positions)
 
 
-def relation_basis(M: ModulePresentation,
-                   order=grevlex) -> Optional[GroebnerBasis]:
-    """Groebner basis of the nonzero relation columns of M under order,
-    None if there are none. Cached on M per order: resolve and the --check
-    S-pair certificate share it."""
+def relation_basis(M: ModulePresentation) -> Optional[GroebnerBasis]:
+    """Groebner basis of the nonzero relation columns of M, None if there
+    are none. Cached on M: every resolution of M starts from it."""
     def build():
         cols = [c for c in M.relations.columns() if not c.is_zero()]
         if not cols:
             return None
-        return buchberger(cols, order, ambient=M.F0)
-    return M.cached(("relation_basis", order), build)
+        return buchberger(cols, ambient=M.F0)
+    return M.cached("relation_basis", build)
 
 
-def resolve(M: ModulePresentation, max_len: Optional[int] = None,
-            order=grevlex) -> FreeResolution:
+def resolve(M: ModulePresentation,
+            max_len: Optional[int] = None) -> FreeResolution:
     """Free resolution of M of length at most max_len via Schreyer iteration.
 
     truncated is set when the kernel at the cut-off is nonzero. The default
@@ -110,7 +107,7 @@ def resolve(M: ModulePresentation, max_len: Optional[int] = None,
     if M.relations.is_zero() or max_len == 0:
         return FreeResolution(M.ring, M, [M.F0], [], minimal=True,
                               truncated=not M.relations.is_zero())
-    G = relation_basis(M, order)
+    G = relation_basis(M)
     maps = [GradedMatrix.from_columns(M.F0, G.elements)]
     while len(maps) < max_len and _has_same_position_pair(G):
         G = schreyer_basis(G)

@@ -245,17 +245,6 @@ def grevlex(t):
     return (pos, -sum(m), m[::-1])
 
 
-def grlex(t):
-    """Position over graded lexicographic: the smaller position first, then
-    higher degree, then the monomial whose first differing exponent is
-    larger."""
-    pos, m = t
-    return (pos, -sum(m), tuple(-e for e in m))
-
-
-ORDERS = {"grevlex": grevlex, "grlex": grlex}
-
-
 def schreyer_order(prior, lead_terms):
     """The order induced by a prior Groebner basis with lead terms
     [(position, monomial)]: the term m e_i is compared as m*LT(g_i) in the

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON determinism, check mode."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,6 @@ import pytest
 from syzal import (
     GroebnerBasis,
     InputError,
-    ORDERS,
     VerificationError,
     RingSpec,
     ZeroModuleError,
@@ -546,6 +547,65 @@ def test_argparse_rejects_unknown_fixture_argument():
     assert code == 2
 
 
+def test_main_returns_the_exit_code_of_argparse(capsys):
+    # argparse ends a usage error or --help by raising SystemExit; main
+    # returns its code, as it does for every other outcome
+    assert cli.main(["koszul"]) == 2
+    assert "required" in capsys.readouterr().err
+    assert cli.main(["resolve", "--file", "M.pres", "--order", "grevlex"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert "resolve" in capsys.readouterr().out
+
+
+_INT_ARGUMENT_USES = {
+    "--r": ["koszul"],
+    "--i": ["homogeneous", "ht", "--r", "3"],
+    "--j": ["ext", "--file", "{m}"],
+    "--max-len": ["resolve", "--file", "{m}"],
+}
+
+
+@pytest.mark.parametrize("value", ["1_2", "\u0662", " 2", "+2", "2.0",
+                                   pytest.param("9" * 5000, id="huge")])
+@pytest.mark.parametrize("flag", sorted(_INT_ARGUMENT_USES))
+def test_int_arguments_are_not_coerced(flag, value, m_pres, capsys):
+    # an int argument is ASCII digits with an optional leading '-', as a
+    # window bound is: int() alone would read 1_2 as 12 and an Arabic-Indic
+    # two as 2
+    argv = [arg.format(m=m_pres) for arg in _INT_ARGUMENT_USES[flag]]
+    assert cli.main([*argv, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid int value" in err
+
+
+def _readme_command_line() -> str:
+    """The "Command line" section of the README."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_line_matches_the_parser():
+    # the README's table has one row per command, and every flag it or the
+    # prose around it writes is one the parser accepts
+    flag = re.compile(r"--[a-z][a-z-]*")
+    section = _readme_command_line()
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    rows = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert sorted(row.split()[0] for row in rows) == sorted(cli.COMMANDS)
+    for row in rows:
+        accepted = subparsers[row.split()[0]]._option_string_actions
+        for f in flag.findall(row):
+            assert f in accepted, (row, f)
+    accepted = {f for p in subparsers.values() for f in p._option_string_actions}
+    for span in re.findall(r"`([^`\n]+)`", section):
+        for f in flag.findall(span):
+            assert f in accepted, (span, f)
+
+
 def test_exit_code_1_on_verification_failure(m_pres, monkeypatch, capsys):
     # poison the oracle comparison inside --check: engine vs oracle mismatch
     # must surface as a verification failure, not a crash
@@ -582,46 +642,9 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
     assert "S-pair" in capsys.readouterr().err
 
 
-def test_check_certifies_the_basis_of_the_resolving_order(tmp_path, monkeypatch,
-                                                          capsys):
-    # Under --order grlex the shared checks certify the grevlex basis; the
-    # grlex basis that resolve uses must be certified as well. Dropping the
-    # last element of a grlex basis breaks the S-pair certificate of
-    # (t1^2, t1*t2 + t2^2), also where no Schreyer step would notice
-    # (--max-len 1), and the Hilbert series of (t1, t2), whose one-element
-    # remainder {t1} passes every S-pair.
-    import syzal.resolution as resolution
-    quotient = tmp_path / "quotient.pres"
-    quotient.write_text(json.dumps({
-        "ring": {"r": 2, "d": 2}, "generators": [0],
-        "relation_generators": [4, 4], "matrix": [["t1^2", "t1*t2 + t2^2"]]}))
-    ideal = tmp_path / "ideal.pres"
-    ideal.write_text(json.dumps({
-        "ring": {"r": 2, "d": 2}, "generators": [0],
-        "relation_generators": [2, 2], "matrix": [["t1", "t2"]]}))
-    grlex = ["--order", "grlex", "--check"]
-    for path in (quotient, ideal):
-        assert cli.main(["resolve", "--file", str(path), *grlex]) == 0
-
-    def truncated_grlex_basis(gens, order, **kwargs):
-        G = buchberger(gens, order, **kwargs)
-        if order is not ORDERS["grlex"]:
-            return G
-        return GroebnerBasis(G.ambient, G.elements[:-1], G.order)
-    monkeypatch.setattr(resolution, "buchberger", truncated_grlex_basis)
-    for argv, message in (
-            (["--file", str(quotient), *grlex], "S-pair"),
-            (["--file", str(quotient), "--max-len", "1", *grlex], "S-pair"),
-            (["--file", str(ideal), *grlex], "Hilbert series")):
-        capsys.readouterr()
-        assert cli.main(["resolve", *argv]) == 1, argv
-        assert message in capsys.readouterr().err
-
-
 def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
     # the Schreyer step of the resolution is the S-pair certificate of the
-    # relation basis, so --check adds no division to resolve; under grlex
-    # it adds the 7 of the shared grevlex resolution and nothing more
+    # relation basis, so --check adds no division to resolve
     import syzal.groebner as groebner
     path = tmp_path / "quotient.pres"
     path.write_text(json.dumps({
@@ -635,11 +658,11 @@ def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
         return divide(*args, **kwargs)
     monkeypatch.setattr(groebner, "divide", counted)
     counts = []
-    for argv in ([], ["--check"], ["--order", "grlex", "--check"]):
+    for argv in ([], ["--check"]):
         del calls[:]
         assert cli.main(["resolve", "--file", str(path), *argv]) == 0
         counts.append(len(calls))
-    assert counts == [7, 7, 14]
+    assert counts == [7, 7]
 
 
 @pytest.mark.parametrize("route", ["syzygy_order", "_biduality_order"])
@@ -803,10 +826,6 @@ GOLDEN = {
         (0, "6a6fe8ef68e4778b06775eb457e439b3c637801d303abf553c6f72031a6a0d33"),
     "resolve --file {nonmin} --check --json":
         (0, "be336587c66b1e752f28b25f7b43f4bd0e5a5f91d75ee5dbbff799971f793227"),
-    "resolve --file {m} --max-len 1 --order grlex --check":
-        (0, "5fc3c10c7ef67ae557d3b42e22dc591198111107997dd4179b25781963bd7eb6"),
-    "resolve --file {m} --max-len 1 --order grlex --check --json":
-        (0, "8c1268c3211fbdfbae0fb879446e85b4962dcf43d01583fd63a62edf2a2cfc29"),
     "resolve --file {m} --max-len 0 --check":
         (0, "6a3ba7cfd745e7bcc99b3248bc297a6a5252f0c535e5383067d8214a2422d3f1"),
     "resolve --file {m} --max-len 0 --check --json":
@@ -1016,10 +1035,7 @@ def golden_files(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_output(case, golden_files, capsys):
-    try:
-        code = cli.main(case.format(**golden_files).split())
-    except SystemExit as e:
-        code = e.code
+    code = cli.main(case.format(**golden_files).split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[case]
 

@@ -23,10 +23,10 @@ from syzal import (
     dual,
     depth_dim,
     euler_series,
+    ext,
     fingerprint,
     free_presentation,
     grevlex,
-    grlex,
     hilbert_series,
     is_zero_module,
     kernel,
@@ -36,6 +36,8 @@ from syzal import (
     minimal_resolution,
     minimize_presentation,
     module_dims,
+    mutant_hht,
+    mutant_ht,
     normal_form,
     parse_gkm,
     parse_polynomial,
@@ -48,9 +50,12 @@ from syzal import (
     subquotient_presentation,
     syzygies,
     syzygy_order,
+    toric_hht,
+    toric_ht,
     zero_module,
 )
 from syzal import cli, resolution
+from syzal.homalg import _root_multiplicity_at_one
 from syzal.resolution import _cancel_units
 from syzal.ring import mono_mul, qdiv
 
@@ -161,13 +166,13 @@ def test_order_multiplicativity(data):
     c = data.draw(monomials(r))
     ac = tuple(x + z for x, z in zip(a, c))
     bc = tuple(y + z for y, z in zip(b, c))
-    for order in (grevlex, grlex):
-        def key(m):
-            return order((0, m))
-        # the larger monomial has the smaller key, before and after the shift
-        assert ((key(a) < key(b), key(a) == key(b))
-                == (key(ac) < key(bc), key(ac) == key(bc)))
-        assert (key(a) == key(b)) == (a == b)
+
+    def key(m):
+        return grevlex((0, m))
+    # the larger monomial has the smaller key, before and after the shift
+    assert ((key(a) < key(b), key(a) == key(b))
+            == (key(ac) < key(bc), key(ac) == key(bc)))
+    assert (key(a) == key(b)) == (a == b)
 
 
 # ---------- division ----------
@@ -206,15 +211,6 @@ def _ref_grevlex(a, b):
     for x, y in zip(reversed(a), reversed(b)):
         if x != y:
             return 1 if x < y else -1
-    return 0
-
-
-def _ref_grlex(a, b):
-    if sum(a) != sum(b):
-        return 1 if sum(a) > sum(b) else -1
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
     return 0
 
 
@@ -276,23 +272,18 @@ def _ref_divide(f: dict, gens, cmp):
 @st.composite
 def division_cases(draw):
     """(f, gens, order, reference comparator) under position-over-term
-    grevlex or grlex, or a Schreyer order over position-over-term grevlex,
+    grevlex, or a Schreyer order over it,
     with int or Fraction coefficients and a zero generator somewhere. The
     gens are homogeneous, as the Groebner layer requires; f need not be."""
     r = draw(st.integers(1, 3))
     ring = RingSpec(r, 2)
     rank = draw(st.integers(1, 3))
     F = FreeModule(ring, (0,) * rank)
-    kind = draw(st.sampled_from(["grevlex", "grlex", "schreyer"]))
-    if kind == "schreyer":
+    order, cmp = grevlex, _ref_position_over_term(_ref_grevlex)
+    if draw(st.booleans()):
         leads = [(draw(st.integers(0, 1)), draw(monomials(r, 2)))
                  for _ in range(rank)]
-        order = schreyer_order(grevlex, leads)
-        cmp = _ref_schreyer(_ref_position_over_term(_ref_grevlex), leads)
-    else:
-        order, ref = {"grevlex": (grevlex, _ref_grevlex),
-                      "grlex": (grlex, _ref_grlex)}[kind]
-        cmp = _ref_position_over_term(ref)
+        order, cmp = schreyer_order(grevlex, leads), _ref_schreyer(cmp, leads)
     values = draw(st.sampled_from([
         st.integers(-4, 4).filter(bool), coeffs]))
     terms = st.dictionaries(st.tuples(st.integers(0, rank - 1), monomials(r, 2)),
@@ -375,9 +366,9 @@ def test_buchberger_output_is_reduced_and_complete(data):
         == module_dims(quotient(gens), window)
 
 
-@given(st.integers(0, 1), st.sampled_from([grevlex, grlex]), st.data())
+@given(st.integers(0, 1), st.data())
 @settings(max_examples=40)
-def test_a_basis_in_at_most_one_variable_has_no_s_pair(r, order, data):
+def test_a_basis_in_at_most_one_variable_has_no_s_pair(r, data):
     # of two same-position leading terms in at most one variable, one
     # divides the other, so a reduced basis keeps one leading term per
     # position: no S-pair exists, and the shared --check needs no S-pair
@@ -386,7 +377,7 @@ def test_a_basis_in_at_most_one_variable_has_no_s_pair(r, order, data):
     degrees = st.sampled_from([0, 2, 4, 6] if r else [0])
     gens = [data.draw(homogeneous_elements(F, data.draw(degrees)))
             for _ in range(data.draw(st.integers(1, 4)))]
-    G = buchberger(gens, order, ambient=F)
+    G = buchberger(gens, ambient=F)
     positions = [pos for (pos, _m), _c in G.lead_terms()]
     assert len(set(positions)) == len(positions)
 
@@ -866,17 +857,39 @@ def order_cases(draw, r=st.integers(0, 4), relations=st.integers(0, 3)):
     return ModulePresentation(ring, F0, A.source, A)
 
 
+def _codimension_order(M: ModulePresentation) -> int:
+    """The syzygy order by the codimension criterion: M is a j-th syzygy
+    iff codim Ext^i(M, R) >= i + j for every i >= 1 (Bruns-Vetter,
+    Determinantal Rings, LNM 1327, Prop. 16.33), so the order is r or less
+    than r, min over nonzero Ext^i(M, R) of codim - i. The codimension of
+    a module is the multiplicity of x = 1 as a root of the numerator of
+    its Hilbert series."""
+    r = M.ring.r
+    return min([r] + [
+        _root_multiplicity_at_one(hilbert_series(E).numerator) - i
+        for i in range(1, minimal_resolution(M).length + 1)
+        for E in [ext(M, i)] if not is_zero_module(E)])
+
+
 @given(order_cases())
 @example(residue_field(RingSpec(2, 2)))
 @example(maximal_ideal(RingSpec(3, 2)))
 @example(koszul_syzygy(RingSpec(4, 2), 3))
+@example(koszul_syzygy(RingSpec(3, 2), 1))
 @example(free_presentation(RingSpec(4, 2), (0, 2)))
 @example(zero_module(RingSpec(0, 2)))
+@example(toric_ht(3))
+@example(toric_hht(3))
+@example(mutant_ht())
+@example(mutant_hht())
 @settings(max_examples=60, deadline=2000)
 def test_syzygy_order_matches_the_biduality_route(M):
     # the Auslander transpose (with its rank-0 shortcut) against torsion
-    # kernel, reflexivity and Ext^i(Hom(M, R), R)
-    assert syzygy_order(M) == cli._biduality_order(M)
+    # kernel, reflexivity and Ext^i(Hom(M, R), R), and against the
+    # codimensions of the Ext^i(M, R), the criterion Allday-Franz-Puppe use
+    order = syzygy_order(M)
+    assert order == cli._biduality_order(M)
+    assert order == _codimension_order(M)
 
 
 @given(order_cases(r=st.integers(1, 3), relations=st.just(1)))
