@@ -21,7 +21,6 @@ from syzal.ring import (
     format_polynomial,
     grevlex,
     parse_polynomial,
-    schreyer_order,
 )
 from syzal.modfree import (
     FreeModule,

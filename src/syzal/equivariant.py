@@ -334,12 +334,11 @@ def ab_report(hht: ModulePresentation,
     position by position; with ht supplied, syzygy order drives the
     augmented entries and the guaranteed-exact range."""
     ring = hht.ring
-    r = ring.r
-    positions = [fingerprint(ext(hht, j)) for j in range(r + 1)]
+    if ht is not None and ht.ring != ring:
+        raise InputError("hht and ht live over different rings")
+    positions = [fingerprint(ext(hht, j)) for j in range(ring.r + 1)]
     if ht is None:
         return AbReport(ring, positions, None, None)
-    if ht.ring != ring:
-        raise InputError("hht and ht live over different rings")
     order = syzygy_order(ht)
     aug_zero = None
     if order >= 1:

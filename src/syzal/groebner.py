@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
-from syzal.packed import MAX_DEGREE, Row, Schreyer, packing, too_high
-from syzal.ring import grevlex, qdiv, schreyer_order
+from syzal.packed import MAX_DEGREE, Row, Schreyer, graded, too_high
+from syzal.ring import qdiv
 
 
 class GroebnerBasis:
@@ -33,28 +33,30 @@ class GroebnerBasis:
     basis that breaks either (VerificationError, InputError). Only
     buchberger and kernel return reduced bases: no leading term divides
     any same-position term of another element. schreyer_basis returns a
-    minimal one, whose tails are not reduced. The elements are packed, and
-    their lead-term index built, once, here: each must be zero or a
-    homogeneous element of ambient of degree at most _limit (see _enter)."""
+    minimal one, whose tails are not reduced. The term order is the packed
+    layout of the lead-term index: grevlex, or for a basis from
+    schreyer_basis the Schreyer layout it builds. The constructor packs
+    the elements under grevlex, and builds their index, once: each must be
+    zero or a homogeneous element of ambient of degree at most _limit (see
+    _enter)."""
 
-    __slots__ = ("ambient", "elements", "order", "_lts", "_index")
+    __slots__ = ("ambient", "elements", "_lts", "_index")
 
-    def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement],
-                 order=grevlex):
+    def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement]):
         self.ambient = ambient
         self.elements = tuple(elements)
-        self.order = order
-        self._index = _lead_index(self.elements, order, ambient)
+        self._index = _lead_index(self.elements, ambient)
         term = self._index.packing.term
         # a packed row leads with its first key; None for a zero row
         self._lts = tuple((term(next(iter(row))), next(iter(row.values())))
                           if row else None for row in self._index.rows)
 
     @classmethod
-    def _of(cls, order, index: "_Index") -> "GroebnerBasis":
-        """The basis of the nonzero homogeneous rows of index."""
+    def _of(cls, index: "_Index") -> "GroebnerBasis":
+        """The basis of the nonzero homogeneous rows of index, under its
+        layout."""
         G = cls.__new__(cls)
-        G.ambient, G.order, G._index = index.ambient, order, index
+        G.ambient, G._index = index.ambient, index
         G.elements = tuple(_element(G.ambient, index.packing, row)
                            for row in index.rows)
         # an unpacked element keeps key order: its first term leads
@@ -119,7 +121,7 @@ def _limit(pk, module: FreeModule) -> int:
     degree by homogeneous divisors, and an S-pair of that degree, form
     only terms of that degree. This is the packed layer's only bound: it
     is checked once per generator and divisor (_enter), per dividend
-    (_dividend) and per S-pair, and packing.row checks nothing."""
+    (_dividend) and per S-pair, and a layout's row checks nothing."""
     d = module.ring.d
     return min((g - d * pk.lift(p) for p, g in enumerate(module.degrees)),
                default=0) + d * MAX_DEGREE
@@ -164,10 +166,10 @@ def _enter(index: _Index, e: ModuleElement, what: str) -> Row:
     return index.packing.row(e.terms)
 
 
-def _lead_index(elements: Sequence[ModuleElement], order,
+def _lead_index(elements: Sequence[ModuleElement],
                 ambient: FreeModule) -> _Index:
-    """The _Index under order of the divisors elements of ambient (_enter)."""
-    index = _Index(packing(order, ambient.ring.r), ambient, [])
+    """The grevlex _Index of the divisors elements of ambient (_enter)."""
+    index = _Index(graded(ambient.ring.r), ambient, [])
     for e in elements:
         index.add(_enter(index, e, "divisor"))
     return index
@@ -187,8 +189,8 @@ def _dividend(f: ModuleElement, index: _Index) -> Row:
     return index.packing.row(f.terms)
 
 
-def divide(f, gens: Sequence[ModuleElement], order,
-           want_quotients: bool = False, *, index: Optional[_Index] = None):
+def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
+           *, index: Optional[_Index] = None):
     """Deterministic division: scan gens in list order for the first leading
     term dividing the current work leading term. Returns (quotients, rem,
     mu) with mu * f = sum(quotients[k] * gens[k]) + rem, a positive int mu,
@@ -199,14 +201,14 @@ def divide(f, gens: Sequence[ModuleElement], order,
     divisor does not divide the int coefficient c it removes, the work is
     multiplied by glc / gcd(glc, c) instead, and mu by the same factor; so
     int input gives int output. A Fraction coefficient on either side is
-    divided exactly instead. index, when given, is the _Index of gens under
-    order.
+    divided exactly instead. index, when given, is the _Index of gens, and
+    its layout is the term order; without it gens are packed under grevlex.
 
     The engine's own callers pass f already packed, a dict {key:
     coefficient}, with the index: then rem is a packed Row and the
     quotients map values V(q) (syzal.packed) to coefficients."""
     if index is None:
-        index = _lead_index(gens, order, f.module)
+        index = _lead_index(gens, f.module)
     pk = index.packing
     packed = not isinstance(f, ModuleElement)
     work = dict(f) if packed else dict(_dividend(f, index))
@@ -277,7 +279,7 @@ def divide(f, gens: Sequence[ModuleElement], order,
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     """Remainder of f on division by G; f - result lies in the submodule."""
-    _quots, rem, mu = divide(f, G.elements, G.order, index=G._index)
+    _quots, rem, mu = divide(f, G.elements, index=G._index)
     if mu == 1:
         return rem
     terms = {t: qdiv(c, mu) for t, c in rem.terms.items()}
@@ -322,7 +324,7 @@ def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
         items = iter(row.items())
         lt, c = next(items)
         tail = dict(items)
-        _quots, r, mu = divide(tail, rows, None, index=index)
+        _quots, r, mu = divide(tail, rows, index=index)
         if r != tail:
             new = Row({lt: mu * c})
             new.update(r)  # every tail key is larger than lt
@@ -390,7 +392,7 @@ def _s_pairs(G: "GroebnerBasis"):
                 yield key, i, j
 
 
-def buchberger(gens: Sequence[ModuleElement], order=grevlex,
+def buchberger(gens: Sequence[ModuleElement],
                ambient: Optional[FreeModule] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by homogeneous
     gens: _complete, then _reduce_basis."""
@@ -399,20 +401,19 @@ def buchberger(gens: Sequence[ModuleElement], order=grevlex,
         if not gens:
             raise InputError("buchberger needs generators or an explicit ambient")
         ambient = gens[0].module
-    index = _complete(gens, order, ambient)
-    return GroebnerBasis._of(order,
-                             _reduce_basis(index.rows, index.packing, ambient))
+    index = _complete(gens, ambient)
+    return GroebnerBasis._of(_reduce_basis(index.rows, index.packing, ambient))
 
 
-def _complete(gens: Sequence[ModuleElement], order,
-              ambient: FreeModule) -> _Index:
-    """An unreduced Groebner basis of the submodule of ambient generated by
-    homogeneous gens, as the _Index of its packed rows, primitive int rows
-    with positive leading coefficients: the nonzero gens, cleared of
-    denominators, then every nonzero S-pair remainder in the order it was
-    found. Every generator is checked by _enter. InputError for an S-pair
-    of degree above _limit: every pair is checked when it is formed, before
-    criteria B, M and F, except a product pair, which is never reduced.
+def _complete(gens: Sequence[ModuleElement], ambient: FreeModule) -> _Index:
+    """An unreduced grevlex Groebner basis of the submodule of ambient
+    generated by homogeneous gens, as the _Index of its packed rows,
+    primitive int rows with positive leading coefficients: the nonzero
+    gens, cleared of denominators, then every nonzero S-pair remainder in
+    the order it was found. Every generator is checked by _enter.
+    InputError for an S-pair of degree above _limit: every pair is checked
+    when it is formed, before criteria B, M and F, except a product pair,
+    which is never reduced.
 
     Normal strategy: lowest-degree S-pair first, ties by pair index. S-pairs
     only between same-position leading terms. Useless pairs are dropped when
@@ -429,7 +430,7 @@ def _complete(gens: Sequence[ModuleElement], order,
       coprime, only when both elements are position-pure, where it is sound.
     """
     d, degrees = ambient.ring.d, ambient.degrees
-    pk = packing(order, ambient.ring.r)
+    pk = graded(ambient.ring.r)
     guard, pshift, pmask = pk.guard, pk.pshift, pk.pmask
     position, lcm = pk.position, pk.lcm
     index = _Index(pk, ambient, [])
@@ -492,7 +493,7 @@ def _complete(gens: Sequence[ModuleElement], order,
         _sdeg, i, j, lcm_key = heapq.heappop(heap)
         if queued[position(lcm_key)].pop((i, j), None) is None:
             continue  # dropped by criterion B
-        r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows, order,
+        r = divide(_s_poly(rows[i], rows[j], lcm_key)[4], rows,
                    index=index)[1]
         if r:
             add(_primitive(r))
@@ -539,14 +540,13 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     degrees = [e.degree() for e in G.elements]
     aux = FreeModule(ring, degrees)
     leads = [lt[0] for lt in G.lead_terms()]
-    sorder = schreyer_order(G.order, leads)
     spk = Schreyer(index.packing, leads)
     key = spk.key_of_value
     rows = index.rows
     sygens: List[Row] = []
     for lcm_key, i, j in _minimal_pairs(list(_s_pairs(G)), index.packing):
         vi, vj, bi, bj, s = _s_poly(rows[i], rows[j], lcm_key)
-        quots, rem, mu = divide(s, G.elements, G.order, want_quotients=True,
+        quots, rem, mu = divide(s, G.elements, want_quotients=True,
                                 index=index)
         if rem:
             raise VerificationError(
@@ -562,7 +562,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                     terms.pop(t, None)
         sygens.append(_primitive(Row(sorted(terms.items()))))
     sygens.sort(key=lambda row: _canonical_key(spk, row))
-    return GroebnerBasis._of(sorder, _Index(spk, aux, sygens))
+    return GroebnerBasis._of(_Index(spk, aux, sygens))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:
@@ -608,12 +608,12 @@ def kernel(A: GradedMatrix,
         pairs.append(ModuleElement(big, terms))
     if modulo is not None:
         pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
-    index = _complete(pairs, grevlex, big)
+    index = _complete(pairs, big)
     pk = index.packing
     shift = pk.base(split) - pk.base(0)
     rows = [Row({t - shift: c for t, c in row.items()}) for row in index.rows
             if pk.position(next(iter(row))) >= split]
-    return GroebnerBasis._of(grevlex, _reduce_basis(rows, pk, source))
+    return GroebnerBasis._of(_reduce_basis(rows, pk, source))
 
 
 def lift(G: GroebnerBasis, v: ModuleElement,
@@ -621,7 +621,7 @@ def lift(G: GroebnerBasis, v: ModuleElement,
     """Coefficients writing v as a combination of G.elements, as an element
     of F (one position per basis element), or None when v is not in the
     submodule: for a Groebner basis, v is a member iff its remainder is 0."""
-    quots, rem, mu = divide(v, G.elements, G.order, want_quotients=True,
+    quots, rem, mu = divide(v, G.elements, want_quotients=True,
                             index=G._index)
     if not rem.is_zero():
         return None

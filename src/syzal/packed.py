@@ -30,10 +30,13 @@ exponent give the smaller key, key order is position over grevlex. Hence
   max, chosen through the same guard bits, and its degree is the sum of
   its fields; the terms are coprime iff the lcm is their product.
 
-A Schreyer order induced by a basis with leading terms (p_i, m_i) under a
-packed prior order keys the term (i, m) as the prior key of (p_i, m m_i)
-times 2^s, plus i, with 2^s above every index: its V is the prior V times
-2^s, and the index is the last tie-break, smaller index stronger.
+The layout is the term order: the Groebner layer names no order
+otherwise. Graded is grevlex, the one term order. Schreyer is the order
+that schreyer_basis induces from a basis with leading terms (p_i, m_i)
+under a prior layout: it keys the term (i, m) as the prior key of
+(p_i, m m_i) times 2^s, plus i, with 2^s above every index. Its V is the
+prior V times 2^s, and the index is the last tie-break, smaller index
+stronger.
 
 The bound. A field holds its value only while the monomial it packs has
 degree at most MAX_DEGREE (so every exponent is at most MAX_DEGREE as
@@ -52,7 +55,6 @@ import functools
 import operator
 
 from syzal.errors import InputError
-from syzal.ring import grevlex
 
 # Bits per field, chosen by measurement (CPython 3.11, 2 vCPU). A loop of
 # divide's key operations (subtract, dict, heap, mask; r = 6, 256
@@ -171,7 +173,7 @@ class Graded(_Packing):
 
 class Schreyer(_Packing):
     """The Schreyer order induced by leading terms [(p_i, m_i)] under the
-    packed order prior."""
+    prior layout."""
 
     __slots__ = ("prior", "_bases", "_lifts", "_degrees", "_s")
 
@@ -208,16 +210,5 @@ class Schreyer(_Packing):
         return self._bases[pos] - (v << self._s)
 
 
-_graded = functools.cache(Graded)
-
-
-def packing(order, r: int) -> _Packing:
-    """The packed layout of a term order over r variables: grevlex, or a
-    ring.schreyer_order closure over a packed order."""
-    if order is grevlex:
-        return _graded(r)
-    prior = getattr(order, "prior", None)
-    if prior is None:
-        raise InputError("the Groebner layer packs grevlex and "
-                         "schreyer_order orders only")
-    return Schreyer(packing(prior, r), order.lead_terms)
+# graded(r): the grevlex layout over r variables, built once per r
+graded = functools.cache(Graded)

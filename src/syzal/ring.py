@@ -232,10 +232,12 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
-# ---------- term orders ----------
-# A term order is a sort key on module terms (position, monomial): the
-# larger term gets the smaller key, so min(terms, key=order) is the leading
-# term and a heap pops it first.
+# ---------- the term order ----------
+# grevlex is the one term order, as a sort key on module terms (position,
+# monomial): the larger term gets the smaller key. The Groebner layer packs
+# it instead (syzal.packed), together with the Schreyer orders that
+# schreyer_basis builds over it; here it sorts the terms of
+# format_polynomial, at any degree.
 
 def grevlex(t):
     """Position over graded reverse lexicographic: the smaller position
@@ -243,21 +245,6 @@ def grevlex(t):
     exponent is smaller."""
     pos, m = t
     return (pos, -sum(m), m[::-1])
-
-
-def schreyer_order(prior, lead_terms):
-    """The order induced by a prior Groebner basis with lead terms
-    [(position, monomial)]: the term m e_i is compared as m*LT(g_i) in the
-    prior order, ties broken by smaller index stronger."""
-    lead_terms = tuple(lead_terms)
-
-    def schreyer(t):
-        i, m = t
-        p, mi = lead_terms[i]
-        return (prior((p, mono_mul(m, mi))), i)
-    # the Groebner layer builds its packed layout from these (syzal.packed)
-    schreyer.prior, schreyer.lead_terms = prior, lead_terms
-    return schreyer
 
 
 # ---------- text grammar ----------

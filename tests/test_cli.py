@@ -18,7 +18,9 @@ from syzal import (
     RingSpec,
     ZeroModuleError,
     buchberger,
+    ext,
     free_presentation,
+    hilbert_series,
     maximal_ideal,
     residue_field,
     save_presentation,
@@ -579,12 +581,38 @@ def test_int_arguments_are_not_coerced(flag, value, m_pres, capsys):
     assert out == "" and "invalid int value" in err
 
 
-def _readme_command_line() -> str:
-    """The "Command line" section of the README."""
+def _readme() -> str:
     with open(os.path.join(os.path.dirname(SRC), "README.md"),
               encoding="utf-8") as fh:
-        text = fh.read()
-    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        return fh.read()
+
+
+def _readme_command_line() -> str:
+    """The "Command line" section of the README."""
+    return _readme().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_python_examples_print_what_their_comments_state():
+    # every python block of the README runs, and each `print(x)  # v` line
+    # in it prints v, the comment up to its first ": "
+    blocks = re.findall(r"^```python\n(.*?)^```$", _readme(), re.M | re.S)
+    assert len(blocks) == 2
+    stated, namespaces = [], []
+    for block in blocks:
+        namespace = {}
+        exec(block, namespace)
+        namespaces.append(namespace)
+        for expr, comment in re.findall(r"^print\((.*)\)\s*# (.*)$", block,
+                                        re.M):
+            value = comment.split(": ")[0]
+            assert str(eval(expr, namespace)) == value, (expr, comment)
+            stated.append(value)
+    assert stated == ["(2*x^2 - x^4) / (1 - x^2)^2", "(1, 2)", "1",
+                      "(x^-4 - 2*x^-2 + 1) / (1 - x^2)^2", "[1, 3]"]
+    # that series is x^-4, the series of k[-4]
+    ring, m = namespaces[0]["ring"], namespaces[0]["m"]
+    assert hilbert_series(ext(m, 1)) == hilbert_series(
+        shift(residue_field(ring), -4))
 
 
 def test_readme_command_line_matches_the_parser():
@@ -632,7 +660,7 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
 
     def truncated_basis(*args, **kwargs):
         G = buchberger(*args, **kwargs)
-        short = GroebnerBasis(G.ambient, G.elements[:-1], G.order)
+        short = GroebnerBasis(G.ambient, G.elements[:-1])
         with pytest.raises(VerificationError):
             schreyer_basis(short)
         return short

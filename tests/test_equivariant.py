@@ -369,7 +369,7 @@ def _stacked_gkm_module(g):
         proj = {(pos, m): c for (pos, m), c in e.terms.items() if pos < nv}
         g = math.gcd(*proj.values())
         gens.append(ModuleElement(FV, {t: c // g for t, c in proj.items()}))
-    return subquotient_presentation(GroebnerBasis(FV, gens, K.order))
+    return subquotient_presentation(GroebnerBasis(FV, gens))
 
 
 @st.composite
@@ -415,6 +415,16 @@ def test_ab_report_without_ht_is_raw():
 
 def test_ab_report_ring_mismatch():
     with pytest.raises(InputError):
+        ab_report(toric_hht(2), toric_ht(3))
+
+
+def test_ab_report_checks_the_rings_before_any_ext(monkeypatch):
+    import syzal.equivariant as equivariant
+
+    def no_ext(*args):
+        raise AssertionError("Ext computed before the ring check")
+    monkeypatch.setattr(equivariant, "ext", no_ext)
+    with pytest.raises(InputError, match="different rings"):
         ab_report(toric_hht(2), toric_ht(3))
 
 

@@ -28,7 +28,7 @@ from syzal import (
     toric_v,
 )
 from syzal.oracle import free_dim
-from syzal.packed import packing
+from syzal.packed import graded
 
 
 def mono_divides(a, b):
@@ -57,7 +57,7 @@ def test_divide_invariant_randomized():
                 if c:
                     terms[(pos, mono)] = Fraction(c)
         f = ModuleElement(F, terms)
-        quots, rem, mu = divide(f, gens, grevlex, want_quotients=True)
+        quots, rem, mu = divide(f, gens, want_quotients=True)
         total = rem
         for q, g in zip(quots, gens):
             for mono, c in q.items():
@@ -89,7 +89,7 @@ def test_a_term_at_no_position_of_the_module_is_refused(pos, call):
         "degree": e.degree,
         "buchberger": lambda: buchberger([e]),
         "GroebnerBasis": lambda: GroebnerBasis(F, [e]),
-        "divide": lambda: divide(e, [F.generator(0)], grevlex),
+        "divide": lambda: divide(e, [F.generator(0)]),
         "normal_form": lambda: normal_form(e, G),
         "lift": lambda: lift(G, e, FreeModule(F.ring, (0,))),
     }
@@ -157,7 +157,7 @@ def _monomial_gens(F, exponents):
 
 
 def _formed_monomials(formed, r):
-    pk = packing(grevlex, r)
+    pk = graded(r)
     return [(pk.term(f)[1], pk.term(g)[1]) for f, g in formed]
 
 

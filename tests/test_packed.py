@@ -17,9 +17,9 @@ from syzal import (
     kernel,
     normal_form,
     schreyer_basis,
-    schreyer_order,
 )
-from syzal.packed import MAX_DEGREE, packing
+from syzal.groebner import _Index
+from syzal.packed import MAX_DEGREE, Schreyer, graded
 from syzal.ring import mono_mul
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -53,24 +53,36 @@ def monomials(draw, r, top=MAX_DEGREE):
     return tuple(m)
 
 
+def _schreyer_key(prior, lead_terms):
+    """The tuple sort key of the Schreyer order induced by a basis with
+    leading terms [(position, monomial)] under the tuple key prior: the term
+    m e_i compares as m LT(g_i) under prior, the smaller index first on a
+    tie."""
+    def key(t):
+        i, m = t
+        p, mi = lead_terms[i]
+        return (prior((p, mono_mul(m, mi))), i)
+    return key
+
+
 @st.composite
 def layouts(draw):
-    """(r, order, positions, top): grevlex, or a Schreyer order over it
-    with up to three leading terms, and the degree below which its
+    """(r, layout, tuple key, positions, top): grevlex, or a Schreyer order
+    over it with up to three leading terms, and the degree below which its
     monomials stay packable."""
     r = draw(st.integers(0, 5))
     if not draw(st.booleans()):
-        return r, grevlex, 3, MAX_DEGREE
+        return r, graded(r), grevlex, 3, MAX_DEGREE
     leads = draw(st.lists(st.tuples(st.integers(0, 2), monomials(r, 4 * r)),
                           min_size=1, max_size=3))
-    return r, schreyer_order(grevlex, leads), len(leads), MAX_DEGREE - 4 * r
+    return (r, Schreyer(graded(r), leads), _schreyer_key(grevlex, leads),
+            len(leads), MAX_DEGREE - 4 * r)
 
 
 @given(st.data())
 @settings(max_examples=200)
 def test_packing_matches_the_tuple_order(data):
-    r, order, npos, top = data.draw(layouts())
-    pk = packing(order, r)
+    r, pk, order, npos, top = data.draw(layouts())
     terms = st.tuples(st.integers(0, npos - 1), monomials(r, top))
     (p, a), (p2, b) = data.draw(terms), data.draw(terms)
     ka, kb = pk.key(p, a), pk.key(p2, b)
@@ -99,7 +111,7 @@ def test_packing_matches_the_tuple_order(data):
 
 def test_packed_divisibility_and_quotient():
     # the exponent-tuple helpers mono_divides and mono_div these replace
-    pk = packing(grevlex, 2)
+    pk = graded(2)
     assert _divides(pk, pk.key(0, (1, 0)), pk.key(0, (2, 1)))
     assert not _divides(pk, pk.key(0, (3, 0)), pk.key(0, (2, 1)))
     assert pk.mono(pk.key(0, (1, 0)) - pk.key(0, (2, 1))) == (1, 1)
@@ -110,9 +122,13 @@ def test_packed_divisibility_and_quotient():
     assert not _packed_lcm(pk, 0, (1, 1), (0, 2))[2]
 
 
-def test_unknown_order_is_refused():
-    with pytest.raises(InputError):
-        packing(lambda t: t, 2)
+def test_schreyer_ties_break_by_index():
+    # two generators with the same leading term: the term m e_0 packs the
+    # same monomial as m e_1, and the smaller index is the larger term
+    pk = Schreyer(graded(2), [(0, (1, 0)), (0, (1, 0))])
+    assert pk.key(0, (0, 1)) < pk.key(1, (0, 1))
+    assert pk.key(0, (0, 1)) + 1 == pk.key(1, (0, 1))
+    assert pk.key(1, (0, 1)) < pk.key(0, (0, 0))
 
 
 # ---------- the degree bound, through the API ----------
@@ -136,7 +152,7 @@ def test_largest_exponent_computes_and_one_more_is_refused():
         GroebnerBasis(F, [_power(F, 0, (MAX_DEGREE + 1, 0))])
     # a quotient of the largest degree leaves the packed layer intact
     quots, rem, mu = divide(_power(F, 0, (0, MAX_DEGREE)),
-                            [_power(F, 0, (0, 1))], grevlex, want_quotients=True)
+                            [_power(F, 0, (0, 1))], want_quotients=True)
     assert quots == [{(0, MAX_DEGREE - 1): 1}] and rem.is_zero() and mu == 1
 
 
@@ -160,25 +176,35 @@ def test_an_s_pair_past_the_bound_is_refused():
     assert len(H) == 2
     with pytest.raises(InputError):
         schreyer_basis(H)
-    # under a Schreyer order a term packs m times the leading monomial:
-    # t1^2 e_0 and t1 t2 e_0 pack degree top, their lcm top + 1
-    lead = (0, (top - 2, 0))
-    order = schreyer_order(grevlex, [lead, lead])
-    aux = FreeModule(ring, (2 * (top - 2),) * 2)
-    gens = [_power(aux, 0, (2, 0)), _power(aux, 0, (1, 1))]
-    assert len(buchberger(gens[:1], order, ambient=aux)) == 1
-    with pytest.raises(InputError):
-        buchberger(gens, order, ambient=aux)
+    # under a Schreyer order a term packs m times the leading monomial: the
+    # syzygies of t1^k, t2, t3 lead with t2 e_0 and t3 e_0, which pack
+    # t1^k t2 and t1^k t3, and their S-pair packs t1^k t2 t3, of degree
+    # k + 2, though every S-pair of the basis itself has degree at most k + 1
+    F3 = FreeModule(RingSpec(3, 2), (0,))
+    for k, fits in ((top - 2, True), (top - 1, False)):
+        G = buchberger([_power(F3, 0, (k, 0, 0)), _power(F3, 0, (0, 1, 0)),
+                        _power(F3, 0, (0, 0, 1))], ambient=F3)
+        S = schreyer_basis(G)
+        assert [lt for lt, _c in S.lead_terms()] == [
+            (0, (0, 1, 0)), (0, (0, 0, 1)), (1, (0, 0, 1))]
+        if fits:
+            assert len(schreyer_basis(S)) == 1
+        else:
+            with pytest.raises(InputError, match="S-pair"):
+                schreyer_basis(S)
     # the largest lcm of any pair: t1^top and t2^top, of degree 2 top, whose
     # exponent fields sum without a carry. Completion keeps both by the
     # product criterion; the Schreyer syzygies (the certificate) refuse the
-    # pair before its key is used
+    # pair before its key is used, also under a Schreyer layout
     gens = [_power(F, 0, (top, 0)), _power(F, 0, (0, top))]
-    for order in (grevlex, schreyer_order(grevlex, [(0, (0, 0))])):
-        G = buchberger(gens, order, ambient=F)
-        assert [lt for lt, _c in G.lead_terms()] == [(0, (top, 0)), (0, (0, top))]
-        with pytest.raises(InputError):
-            schreyer_basis(G)
+    G = buchberger(gens, ambient=F)
+    assert [lt for lt, _c in G.lead_terms()] == [(0, (top, 0)), (0, (0, top))]
+    pk = Schreyer(graded(2), [(0, (0, 0))])
+    H = GroebnerBasis._of(_Index(pk, F, [pk.row(g.terms) for g in gens]))
+    assert H.lead_terms() == G.lead_terms()
+    for basis in (G, H):
+        with pytest.raises(InputError, match="S-pair"):
+            schreyer_basis(basis)
 
 
 def test_a_pair_the_criteria_drop_is_still_refused():
@@ -222,10 +248,10 @@ def test_the_bound_counts_every_position():
     # dividing t1^k e_0 by e_0 - t1 e_1 forms t1^(k+1) e_1
     F = FreeModule(ring, (2, 0))
     g = ModuleElement(F, {(0, (0,)): 1, (1, (1,)): -1})
-    _q, rem, _mu = divide(_power(F, 0, (MAX_DEGREE - 1,)), [g], grevlex)
+    _q, rem, _mu = divide(_power(F, 0, (MAX_DEGREE - 1,)), [g])
     assert rem.terms == {(1, (MAX_DEGREE,)): 1}
     with pytest.raises(InputError):
-        divide(_power(F, 0, (MAX_DEGREE,)), [g], grevlex)
+        divide(_power(F, 0, (MAX_DEGREE,)), [g])
 
 
 def test_an_inhomogeneous_divisor_is_refused():
@@ -236,7 +262,7 @@ def test_an_inhomogeneous_divisor_is_refused():
     with pytest.raises(InhomogeneousError):
         GroebnerBasis(F, [g])
     with pytest.raises(InhomogeneousError):
-        divide(_power(F, 0, (1,)), [g], grevlex)
+        divide(_power(F, 0, (1,)), [g])
 
 
 def test_a_foreign_element_is_refused():
@@ -249,7 +275,7 @@ def test_a_foreign_element_is_refused():
         with pytest.raises(InputError):
             GroebnerBasis(F, [e])
         with pytest.raises(InputError):
-            divide(F.generator(0), [e], grevlex)
+            divide(F.generator(0), [e])
         with pytest.raises(InputError):
             buchberger([e], ambient=F)
         with pytest.raises(InputError):

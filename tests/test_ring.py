@@ -18,7 +18,6 @@ from syzal import (
     grevlex,
     load_presentation,
     parse_polynomial,
-    schreyer_order,
 )
 from syzal.modfree import MAX_VARIABLES
 from syzal.ring import (
@@ -226,14 +225,6 @@ def test_position_over_term_order():
     assert grevlex((0, (0, 0))) < grevlex((1, (5, 5)))
     assert ((grevlex((1, (1, 0))) < grevlex((1, (0, 1))))
             == (grevlex((0, (1, 0))) < grevlex((0, (0, 1)))))
-
-
-def test_schreyer_order_ties_break_by_index():
-    # two generators with the same induced product: index decides
-    lead = [(0, (1, 0)), (0, (1, 0))]
-    order = schreyer_order(grevlex, lead)
-    assert order((0, (0, 1))) < order((1, (0, 1)))
-    assert order((1, (0, 1))) > order((0, (0, 1)))
 
 
 # ---------- the reader against the one it replaced ----------
