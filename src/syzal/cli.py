@@ -79,14 +79,20 @@ def _json_document(command: str, payload: dict) -> str:
 
 
 def _run_checks(M: ModulePresentation) -> None:
-    """Re-verify invariants: delta.delta = 0 of the minimal resolution, and
-    the Hilbert function against the degreewise oracle. Building the
-    resolution certifies the relation basis: its Schreyer step divides
-    every minimal S-pair whenever two leading terms share a position, the
-    only case in which an S-pair exists. Every GradedMatrix is checked
-    homogeneous when it is built."""
-    minimal_resolution(M).check()
-    _check_dims(hilbert_series(M), module_dims(M), "Hilbert series")
+    """Re-verify invariants: delta.delta = 0 of the minimal resolution, its
+    Euler series against the Hilbert series read off the leading terms of
+    the relation basis, and that series against the degreewise oracle.
+    Building the resolution certifies the relation basis: its Schreyer
+    step divides every minimal S-pair whenever two leading terms share a
+    position, the only case in which an S-pair exists. Every GradedMatrix
+    is checked homogeneous when it is built."""
+    res = minimal_resolution(M)
+    res.check()
+    series = hilbert_series(M)
+    if euler_series(res) != series:
+        raise VerificationError("the Euler series of the minimal resolution "
+                                "disagrees with the Hilbert series")
+    _check_dims(series, module_dims(M), "Hilbert series")
 
 
 def _check_dims(series: HilbertSeries, dims: Dict[int, int],

@@ -1,10 +1,12 @@
 """Homological invariants of presented graded modules.
 
-Hilbert series, Hom(M, R) with stored embedding, Ext^j(M, R) as subquotients
-of the dualized minimal resolution, depth and Krull dimension via Ext
-vanishing, the biduality map with its torsion kernel, syzygy order from the
-Auslander transpose, and the (Hilbert series, Betti table) fingerprint used
-to verify isomorphism claims.
+Hilbert series read off the leading terms of a Groebner basis, Hom(M, R)
+with stored embedding, Ext^j(M, R) as subquotients of the dualized minimal
+resolution, built only where the grade and the Hilbert series of the
+kernels do not already show that it vanishes, depth and Krull dimension via
+Ext vanishing, the biduality map with its torsion kernel, syzygy order from
+the Auslander transpose, and the (Hilbert series, Betti table) fingerprint
+used to verify isomorphism claims.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from syzal.resolution import (
     FreeResolution,
     minimize,
     minimize_presentation,
+    relation_basis,
     resolve,
 )
 from syzal.ring import RingSpec
@@ -35,8 +38,8 @@ from syzal.ring import RingSpec
 class HilbertSeries:
     """numerator / (1 - x^d)^r with an integer Laurent-polynomial numerator.
 
-    The numerator of hilbert_series(M) comes from a minimal resolution, so
-    equal numerators characterize equal series; no reduction is performed.
+    The numerator over (1 - x^d)^r is unique, so equal numerators
+    characterize equal series; no reduction is performed.
     """
 
     __slots__ = ("numerator", "denom_pow", "var_degree")
@@ -143,8 +146,76 @@ def minimal_resolution(M: ModulePresentation) -> FreeResolution:
 
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:
-    """The Euler series of a minimal resolution of M."""
-    return M.cached("hilbert", lambda: euler_series(minimal_resolution(M)))
+    """The Hilbert series of M off the leading terms of its relation basis
+    (see _quotient_series): no Schreyer step and no minimization."""
+    def build():
+        G = relation_basis(M)
+        leads = () if G is None else [lt for lt, _c in G.lead_terms()]
+        return _quotient_series(M.F0, leads)
+    return M.cached("hilbert", build)
+
+
+def _quotient_series(F: FreeModule, leads) -> HilbertSeries:
+    """The Hilbert series of F/U from the leading terms (position, monomial)
+    of a Groebner basis of U. F/U and F/in(U) have one Hilbert series
+    (Macaulay; Eisenbud, Commutative Algebra, Thm. 15.3), and in(U) is the
+    sum over the positions p of I_p e_p, with I_p the ideal of the leading
+    monomials at p. So the numerator is the sum of x^g_p N_p(x^d), N_p(t)
+    the numerator of R/I_p over (1 - t)^r.
+
+    N comes from the pivot recursion N(I) = N(I + (P)) + t^deg P N(I : P)
+    (Bayer-Stillman, J. Symbolic Comput. 14, 1992; Bigatti, J. Pure Appl.
+    Algebra 119, 1997) on P = x_i^e: x_i is the variable of the most
+    minimal generators, and e is the median exponent of x_i among those
+    that are not powers of x_i. Then P lies outside I, and a generator of
+    I that x_i divides gives a generator of I : P outside I. Both ideals
+    grow, so the recursion ends, at ideals of pairwise coprime generators
+    m, whose N is the product of the (1 - t^deg m). The recursion runs on a
+    stack, so a high degree cannot reach Python's recursion limit."""
+    ring = F.ring
+    r, d = ring.r, ring.d
+    ideals: List[list] = [[] for _ in F.degrees]
+    for pos, m in leads:
+        ideals[pos].append(m)
+    numer: dict = {}
+    for g, gens in zip(F.degrees, ideals):
+        if not gens:
+            numer[g] = numer.get(g, 0) + 1
+            continue
+        stack = [(gens, 0)]
+        while stack:
+            gens, s = stack.pop()
+            minimal: list = []
+            for m in sorted(set(gens), key=sum):
+                if not any(all(map(int.__le__, n, m)) for n in minimal):
+                    minimal.append(m)
+            if not sum(minimal[0]):
+                continue  # a unit: R/I = 0
+            counts = [0] * r
+            for m in minimal:
+                for i, a in enumerate(m):
+                    if a:
+                        counts[i] += 1
+            most = max(counts, default=0)
+            if most > 1:
+                i = counts.index(most)
+                exps = sorted(m[i] for m in minimal if sum(m) > m[i] > 0)
+                e = exps[len(exps) // 2]
+                stack.append(([m for m in minimal if m[i] < e]
+                              + [tuple(e if k == i else 0 for k in range(r))], s))
+                stack.append(([m[:i] + (max(m[i] - e, 0),) + m[i + 1:]
+                               for m in minimal], s + e))
+                continue
+            poly = {s: 1}
+            for m in minimal:
+                k = sum(m)
+                nxt = dict(poly)
+                for e, c in poly.items():
+                    nxt[e + k] = nxt.get(e + k, 0) - c
+                poly = nxt
+            for e, c in poly.items():
+                numer[g + d * e] = numer.get(g + d * e, 0) + c
+    return HilbertSeries(numer, r, d)
 
 
 def euler_series(res: FreeResolution) -> HilbertSeries:
@@ -220,32 +291,65 @@ def dual(M: ModulePresentation) -> ModulePresentation:
 
 def ext(M: ModulePresentation, j: int) -> ModulePresentation:
     """Ext^j(M, R) = ker(delta_{j+1}^T)/im(delta_j^T) from the dualized
-    minimal resolution, presented on the kernel Groebner generators with
-    syzygy and lifted-image relations, then minimized."""
+    minimal resolution. The zero module when _ext_vanishes decides so;
+    otherwise presented on the kernel Groebner generators with syzygy and
+    lifted-image relations, then minimized."""
     r = M.ring.r
     if j < 0 or j > r:
         raise InputError(f"ext index {j} out of range 0..{r}")
     def build():
+        if _ext_vanishes(M, j):
+            return zero_module(M.ring)
         res = minimal_resolution(M)
-        return ext_from_resolution(res, j)
+        if j < res.length:
+            up = _dual_kernel(M, j)
+        else:
+            Fdual = res.modules[j].dual()
+            up = GroebnerBasis(Fdual, [Fdual.generator(i) for i in range(Fdual.rank)])
+        downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
+        return minimize_presentation(subquotient_presentation(up, downs))
     return M.cached(("ext", j), build)
 
 
-def ext_from_resolution(res: FreeResolution, j: int) -> ModulePresentation:
-    """Ext^j of the resolved module, computed from the given resolution."""
-    ring = res.ring
-    p = res.length
-    if j > p:
-        return zero_module(ring)
-    if j < p:
-        up = kernel(res.maps[j].transpose())
-    else:
-        Fdual = res.modules[j].dual()
-        up = GroebnerBasis(Fdual, [Fdual.generator(i) for i in range(Fdual.rank)])
-    if not up:
-        return zero_module(ring)
-    downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
-    return minimize_presentation(subquotient_presentation(up, downs))
+def _dual_kernel(M: ModulePresentation, i: int) -> GroebnerBasis:
+    """K_i = ker(delta_{i+1}^T) in F_i* for the minimal resolution of M,
+    i below its length; cached on M."""
+    return M.cached(("dual_kernel", i), lambda: kernel(
+        minimal_resolution(M).maps[i].transpose()))
+
+
+def _image_series(M: ModulePresentation, i: int) -> HilbertSeries:
+    """The Hilbert series of im(delta_{i+1}^T) = F_i*/K_i, read off the
+    leading terms of the basis of K_i; cached on M."""
+    def build():
+        F = minimal_resolution(M).modules[i].dual()
+        return _quotient_series(F, [lt for lt, _c in _dual_kernel(M, i).lead_terms()])
+    return M.cached(("image_series", i), build)
+
+
+def _ext_vanishes(M: ModulePresentation, j: int) -> bool:
+    """Whether Ext^j(M, R) = 0, decided before any of it is built. For
+    M != 0 of projective dimension p, Ext^j vanishes below grade M = r -
+    dim M, the multiplicity of x = 1 as a root of the numerator of its
+    Hilbert series, and Ext^grade != 0 (Rees; Bruns-Herzog, Cohen-Macaulay
+    Rings, 1.2.10 and 2.1.4); no resolution is needed for these. Past p
+    it vanishes, and Ext^p = coker(delta_p^T) != 0, since the minimal
+    delta_p has no unit entry. Strictly between, Ext^j = K_j/im(delta_j^T),
+    and F_i*/K_i = im(delta_{i+1}^T), so HS(Ext^j) = HS(K_j) - HS(F_{j-1}*)
+    + HS(K_{j-1}) = HS(F_j*) - HS(im delta_{j+1}^T) - HS(im delta_j^T),
+    with the images' series from _image_series. A graded module is zero iff
+    its series is."""
+    series = hilbert_series(M)
+    if series.is_zero():
+        return True
+    grade = _root_multiplicity_at_one(series.numerator)
+    if j <= grade:
+        return j < grade
+    res = minimal_resolution(M)
+    if j >= res.length:
+        return j > res.length
+    free = HilbertSeries.of_free(M.ring, res.modules[j].dual().degrees)
+    return free == _image_series(M, j) + _image_series(M, j - 1)
 
 
 def _ext_support(M: ModulePresentation) -> List[int]:
@@ -339,18 +443,16 @@ def syzygy_order(M: ModulePresentation) -> int:
     theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
     j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), so the order
     is the least i >= 1 with Ext^i(Tr M, R) != 0, minus 1, with the
-    transpose Tr M = coker(delta1^T) of the minimal resolution.
+    transpose Tr M = coker(delta1^T) of the minimal resolution. A
+    non-minimal delta1 would add free summands to Tr M.
 
-    That is grade(Tr M) - 1 only for projective dimension 1: for 2 or more,
-    delta1 is not injective, so Tr M has positive rank and grade 0. For
-    projective dimension 1, delta1 is injective, so Tr M has rank 0,
-    and it is nonzero because the minimal delta1 has no unit entry. Over
-    the Cohen-Macaulay ring R, grade(Tr M) = r - dim(Tr M) (Bruns-Herzog,
-    Cohen-Macaulay Rings, Cor. 2.1.4), and by Hilbert-Serre r - dim(Tr M)
-    is the multiplicity of x = 1 as a root of the numerator of its Hilbert
-    series. A non-minimal delta1 would add free summands to Tr M and make
-    its grade 0. For larger projective dimension the Ext^i(Tr M, R) are
-    built in turn from one minimal resolution of Tr M."""
+    _ext_vanishes decides each Ext^i(Tr M, R); none is built. For
+    projective dimension 1, delta1 is injective, so Tr M has rank 0, and it
+    is nonzero because the minimal delta1 has no unit entry: the loop stops
+    at i = grade(Tr M), read off the Hilbert series of Tr M, and Tr M is
+    not resolved. For 2 or more, delta1 is not injective, so Tr M has
+    positive rank and grade 0, and the vanishing is read off the series of
+    the kernels of its dualized minimal resolution."""
     r = M.ring.r
     res = minimal_resolution(M)
     if res.length == 0:
@@ -359,11 +461,8 @@ def syzygy_order(M: ModulePresentation) -> int:
         return 0
     A = res.maps[0].transpose()
     Tr = ModulePresentation(M.ring, A.target, A.source, A)
-    if res.length == 1:
-        return _root_multiplicity_at_one(hilbert_series(Tr).numerator) - 1
-    res_t = minimal_resolution(Tr)
     for i in range(1, r + 1):
-        if not is_zero_module(ext_from_resolution(res_t, i)):
+        if not _ext_vanishes(Tr, i):
             return i - 1
     raise VerificationError(
         "syzygy order and projective dimension disagree on freeness")

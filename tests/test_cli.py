@@ -645,6 +645,57 @@ def test_exit_code_1_on_verification_failure(m_pres, monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["resolve", "hilbert"])
+def test_check_fails_on_a_wrong_euler_series(tmp_path, command, monkeypatch,
+                                             capsys):
+    # the minimal resolution of k over Q[t1, t2] without F2: delta.delta = 0
+    # still holds and no entry is constant, but its Euler series 1 - 2x^2
+    # is not the Hilbert series (1 - x^2)^2 read off the leading terms
+    import syzal.homalg as homalg
+    from syzal.resolution import FreeResolution
+    k = residue_field(RingSpec(2, 2))
+    path = tmp_path / "k.pres"
+    save_presentation(k, str(path))
+    full = homalg.minimal_resolution(k)
+    cut = FreeResolution(k.ring, k, full.modules[:2], full.maps[:1],
+                         minimal=True)
+    for module in (cli, homalg):
+        monkeypatch.setattr(module, "minimal_resolution", lambda M: cut)
+    assert cli.main([command, "--file", str(path), "--check"]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+def _dense_cubics(tmp_path):
+    """Q[t1..t4]/(f1, f2, f3, f4), d = 2, for four seeded dense cubics of
+    12 terms each with coefficients 1..9: a complete intersection."""
+    import itertools
+    import random
+    rng = random.Random(4)
+    names = ["t1", "t2", "t3", "t4"]
+    cubics = list(itertools.combinations_with_replacement(names, 3))
+
+    def cubic():
+        return " + ".join(f"{rng.randint(1, 9)}*{'*'.join(m)}"
+                          for m in rng.sample(cubics, 12))
+    path = tmp_path / "dense_cubics.pres"
+    path.write_text(json.dumps({
+        "ring": {"r": 4, "d": 2}, "generators": [0],
+        "relation_generators": [6] * 4, "matrix": [[cubic() for _ in range(4)]]}))
+    return str(path)
+
+
+def test_hilbert_of_dense_cubics_in_bounded_time(tmp_path, capsys):
+    # the series comes from the leading terms of the relation basis; it
+    # used to take about 16-19 s, minimizing a resolution whose entries
+    # reach 2,238-bit coefficients
+    path = _dense_cubics(tmp_path)
+    start = time.perf_counter()
+    assert cli.main(["hilbert", "--file", path]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "hilbert series: (1 - 4*x^6 + 6*x^12 - 4*x^18 + x^24) / (1 - x^2)^4")
+
+
 def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
                                                      capsys):
     # (t1^2, t1*t2 + t2^2) has the reduced basis {t1^2, t1*t2 + t2^2, t2^3};

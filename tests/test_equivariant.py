@@ -502,7 +502,7 @@ def buchberger_runs(monkeypatch):
 
 def test_ab_report_buchberger_runs(buchberger_runs):
     ab_report(toric_hht(4), toric_ht(4))
-    assert buchberger_runs == {"completions": 10, "divide": 191}
+    assert buchberger_runs == {"completions": 10, "divide": 147}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
@@ -512,7 +512,25 @@ def test_gkm_module_buchberger_runs(buchberger_runs):
 
 def test_ab_report_buchberger_runs_r6(buchberger_runs):
     ab_report(toric_hht(6), toric_ht(6))
-    assert buchberger_runs == {"completions": 12, "divide": 998}
+    assert buchberger_runs == {"completions": 12, "divide": 728}
+
+
+def test_ab_report_presents_only_the_nonzero_ext(monkeypatch):
+    # Ext^1, Ext^2, Ext^3 and Ext^5 of toric_hht(6) vanish by their
+    # series: only positions 0, 4 and 6 are presented as subquotients
+    import syzal.homalg as homalg
+    hht, ht = toric_hht(6), toric_ht(6)
+    ambients = []
+
+    def recording(G, *args):
+        ambients.append(G.ambient)
+        return subquotient_presentation(G, *args)
+    monkeypatch.setattr(homalg, "subquotient_presentation", recording)
+    report = ab_report(hht, ht)
+    res = minimal_resolution(hht)
+    assert ambients == [res.modules[j].dual() for j in (0, 4, 6)]
+    assert [j for j, fp in enumerate(report.positions)
+            if not fp.is_zero()] == [0, 4, 6]
 
 
 def test_gkm_module_buchberger_runs_r6(buchberger_runs):

@@ -363,12 +363,54 @@ def test_syzygy_order_of_projective_dimension_1_matches_biduality():
 
 
 def test_syzygy_order_of_projective_dimension_1_builds_no_ext(monkeypatch):
+    # the order is grade(Tr M) - 1, read off the series of Tr M's leading
+    # terms: no Ext module is presented, and only M is resolved
     import syzal.homalg as homalg
+    M = toric_ht(4)
+    resolved = []
 
     def refuse(*args):
         raise AssertionError("an Ext module was built")
-    monkeypatch.setattr(homalg, "ext_from_resolution", refuse)
-    assert syzygy_order(toric_ht(4)) == 3
+
+    def recording(N, *args):
+        resolved.append(N)
+        return resolve(N, *args)
+    monkeypatch.setattr(homalg, "subquotient_presentation", refuse)
+    monkeypatch.setattr(homalg, "resolve", recording)
+    assert syzygy_order(M) == 3
+    assert resolved == [M]
+
+
+def test_ext_below_the_grade_computes_no_kernel(monkeypatch):
+    # k over Q[t1, t2, t3] has grade 3: Ext^0, Ext^1 and Ext^2 vanish
+    # without a kernel, and Ext^3 = k[-6] is built
+    import syzal.groebner as groebner
+    import syzal.homalg as homalg
+    k = residue_field(RingSpec(3, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was computed")
+    monkeypatch.setattr(groebner, "kernel", refuse)
+    monkeypatch.setattr(homalg, "kernel", refuse)
+    for j in range(3):
+        assert is_zero_module(ext(k, j))
+    assert hilbert_series(ext(k, 3)) == hilbert_series(shift(k, -6))
+
+
+def test_hilbert_series_needs_no_schreyer_step_or_minimization(monkeypatch):
+    import syzal.groebner as groebner
+    import syzal.homalg as homalg
+    import syzal.resolution as resolution
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series went through a resolution")
+    for module, name in ((groebner, "schreyer_basis"),
+                         (resolution, "schreyer_basis"),
+                         (homalg, "schreyer_basis"), (resolution, "minimize"),
+                         (homalg, "minimize")):
+        monkeypatch.setattr(module, name, refuse)
+    assert hilbert_series(toric_ht(4)) == HilbertSeries(
+        {0: 1, 2: 4, 4: 6, 6: 4, 8: -1}, 4, 2)
 
 
 def test_syzygy_order_reads_the_minimal_transpose():

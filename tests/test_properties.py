@@ -13,6 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from syzal import (
     FreeModule,
     GradedMatrix,
+    GroebnerBasis,
+    HilbertSeries,
     InputError,
     ModuleElement,
     ModulePresentation,
@@ -1049,6 +1051,112 @@ def test_no_float_coefficient_anywhere(M):
         assert all(type(c) is int for c in _element_coeffs(A.columns()))
     _modules, (A,) = _cancel_units([M.F0, M.F1], [M.relations])
     assert all(type(c) is int for c in _element_coeffs(A.columns()))
+
+
+# ---------- Hilbert series from leading terms, Ext vanishing ----------
+
+@given(st.one_of(order_cases(), rational_presentations()))
+@example(toric_hht(3))
+@example(zero_module(RingSpec(0, 2)))
+@settings(max_examples=60, deadline=2000)
+def test_leading_term_series_is_the_euler_series(M):
+    # the series of the leading terms of the relation basis against the
+    # Euler series of the Schreyer resolution and of the minimal one
+    series = hilbert_series(M)
+    assert series == euler_series(resolve(M))
+    assert series == euler_series(minimal_resolution(M))
+
+
+def _ext_by_the_old_route(M, j):
+    """Ext^j(M, R) built in full: the kernel of delta_{j+1}^T (all of
+    F_p* at j = p), presented with the lifted image of delta_j^T, then
+    minimized; the zero module past the projective dimension."""
+    res = minimal_resolution(M)
+    p = res.length
+    if j > p:
+        return zero_module(M.ring)
+    if j < p:
+        up = kernel(res.maps[j].transpose())
+    else:
+        F = res.modules[p].dual()
+        up = GroebnerBasis(F, [F.generator(i) for i in range(F.rank)])
+    if not up:
+        return zero_module(M.ring)
+    downs = res.maps[j - 1].transpose().columns() if j >= 1 else []
+    return minimize_presentation(subquotient_presentation(up, downs))
+
+
+@given(order_cases())
+@example(toric_hht(4))
+@example(mutant_hht())
+@example(residue_field(RingSpec(4, 2)))
+@example(zero_module(RingSpec(0, 2)))
+@example(free_presentation(RingSpec(3, 2), (0, 2)))
+@settings(max_examples=40, deadline=5000)
+def test_ext_vanishes_exactly_when_the_built_module_does(M):
+    # toric_hht(4) has grade 0, projective dimension 4, and zeros in
+    # between: Ext^1 and Ext^3 vanish by their series alone
+    for j in range(M.ring.r + 1):
+        old = _ext_by_the_old_route(M, j)
+        new = ext(M, j)
+        assert is_zero_module(new) == is_zero_module(old)
+        if not is_zero_module(old):
+            assert fingerprint(new) == fingerprint(old)
+
+
+def _quotient_series_of(ring, degrees, leads):
+    from syzal.homalg import _quotient_series
+    return _quotient_series(FreeModule(ring, degrees), leads)
+
+
+def test_quotient_series_unit_cases():
+    # r = 0: a unit leading term kills its position, the other stays
+    assert _quotient_series_of(RingSpec(0, 2), (0, 3), [(0, ())]) == \
+        HilbertSeries({3: 1}, 0, 2)
+    # duplicate and non-minimal monomials change nothing: R/(t1) twice
+    R2 = RingSpec(2, 2)
+    assert _quotient_series_of(
+        R2, (0, 1), [(0, (1, 0)), (0, (1, 0)), (0, (2, 1)),
+                     (1, (1, 1)), (1, (0, 1)), (1, (0, 1))]) == \
+        HilbertSeries({0: 1, 2: -1, 1: 1, 3: -1}, 2, 2)
+    # the zero module, and a free module
+    assert _quotient_series_of(R2, (), []).is_zero()
+    assert _quotient_series_of(R2, (0, 4), []) == HilbertSeries.of_free(R2, (0, 4))
+
+
+def test_quotient_series_of_degree_200_needs_no_recursion():
+    # (t1, t2)^200, the loader's MAX_DEGREE_SPAN: resolved by R(-200)^201
+    # and R(-201)^200, so the numerator is 1 - 201 x^200 + 200 x^201
+    import sys
+    ring = RingSpec(2, 1)
+    leads = [(0, (a, 200 - a)) for a in range(201)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        series = _quotient_series_of(ring, (0,), leads)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert series == HilbertSeries({0: 1, 200: -201, 201: 200}, 2, 1)
+
+
+@given(st.integers(0, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.tuples(st.integers(0, 1), monomials(r)), max_size=6))))
+@settings(max_examples=60, deadline=2000)
+def test_quotient_series_counts_the_standard_monomials(case):
+    # dim_q of F/(monomials) is the number of monomials of degree q at each
+    # position that no leading monomial there divides. A numerator has
+    # degree at most that of the lcm of all leads at a position (3r) plus
+    # the generator degree, so the coefficients of degrees 0..3r + 1 fix it
+    r, leads = case
+    ring = RingSpec(r, 1)
+    series = _quotient_series_of(ring, (0, 1), leads)
+    for q in range(3 * r + 2):
+        count = sum(
+            1 for p, g in ((0, 0), (1, 1)) if q >= g
+            for m in ring.monomials_of_degree(q - g)
+            if not any(pos == p and all(map(int.__le__, n, m))
+                       for pos, n in leads))
+        assert series.coefficient(q) == count
 
 
 # ---------- the qdiv route of minimization ----------
