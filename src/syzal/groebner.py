@@ -1,9 +1,9 @@
 """Groebner bases for submodules of graded free modules.
 
 Division with remainder, Buchberger completion (homogeneous input only,
-normal selection strategy, Gebauer-Moeller pair update), Schreyer
-syzygies, kernels and preimages of graded maps by elimination on a graph
-submodule, and lifts by division.
+normal selection strategy, Gebauer-Moeller pair update), the leading terms
+of a completion, Schreyer syzygies, kernels and preimages of graded maps by
+elimination on a graph submodule, and lifts by division.
 
 Inside this layer every term is one packed int (syzal.packed): an element
 is a Row {key: coefficient}. Elements are packed once, where they enter
@@ -403,6 +403,21 @@ def buchberger(gens: Sequence[ModuleElement],
         ambient = gens[0].module
     index = _complete(gens, ambient)
     return GroebnerBasis._of(_reduce_basis(index.rows, index.packing, ambient))
+
+
+def initial_terms(gens: Sequence[ModuleElement], ambient: FreeModule) -> list:
+    """Terms (position, monomial) that generate the initial submodule of
+    the submodule of ambient generated by homogeneous gens: the leading
+    terms of the unreduced basis of _complete, with no interreduction and
+    no unpacking of the rows. Where every nonzero generator is a single
+    term, the submodule is its own initial submodule, and those terms are
+    returned with no completion."""
+    gens = [g for g in gens if not g.is_zero()]
+    if all(len(g.terms) == 1 for g in gens):
+        return [t for g in gens for t in g.terms]
+    index = _complete(gens, ambient)
+    term = index.packing.term
+    return [term(next(iter(row))) for row in index.rows]
 
 
 def _complete(gens: Sequence[ModuleElement], ambient: FreeModule) -> _Index:

@@ -1,9 +1,10 @@
 """Homological invariants of presented graded modules.
 
-Hilbert series read off the leading terms of a Groebner basis, Hom(M, R)
-with stored embedding, Ext^j(M, R) as subquotients of the dualized minimal
-resolution, built only where the grade and the Hilbert series of the
-kernels do not already show that it vanishes, depth and Krull dimension via
+Hilbert series read off the leading terms of a Groebner basis (of none
+for relations that are single terms), Hom(M, R) with stored embedding,
+Ext^j(M, R) as subquotients of the dualized minimal resolution, built only
+where the grade and the Hilbert series of the images of the dual maps do
+not already show that it vanishes, depth and Krull dimension via
 Ext vanishing, the biduality map with its torsion kernel, syzygy order from
 the Auslander transpose, and the (Hilbert series, Betti table) fingerprint
 used to verify isomorphism claims.
@@ -14,7 +15,13 @@ import math
 from typing import List, NamedTuple, Sequence
 
 from syzal.errors import InputError, VerificationError, ZeroModuleError
-from syzal.groebner import GroebnerBasis, kernel, lift, schreyer_basis
+from syzal.groebner import (
+    GroebnerBasis,
+    initial_terms,
+    kernel,
+    lift,
+    schreyer_basis,
+)
 from syzal.modfree import (
     FreeModule,
     GradedMatrix,
@@ -147,10 +154,16 @@ def minimal_resolution(M: ModulePresentation) -> FreeResolution:
 
 def hilbert_series(M: ModulePresentation) -> HilbertSeries:
     """The Hilbert series of M off the leading terms of its relation basis
-    (see _quotient_series): no Schreyer step and no minimization."""
+    (see _quotient_series): no Schreyer step and no minimization. Where
+    every nonzero relation is a single term, the relations are their own
+    leading terms, and no basis is completed (initial_terms); otherwise the
+    cached relation basis that resolve starts from is read."""
     def build():
-        G = relation_basis(M)
-        leads = () if G is None else [lt for lt, _c in G.lead_terms()]
+        cols = M.relations.columns()
+        if all(len(c.terms) <= 1 for c in cols):
+            leads = initial_terms(cols, M.F0)
+        else:
+            leads = [lt for lt, _c in relation_basis(M).lead_terms()]
         return _quotient_series(M.F0, leads)
     return M.cached("hilbert", build)
 
@@ -291,9 +304,10 @@ def dual(M: ModulePresentation) -> ModulePresentation:
 
 def ext(M: ModulePresentation, j: int) -> ModulePresentation:
     """Ext^j(M, R) = ker(delta_{j+1}^T)/im(delta_j^T) from the dualized
-    minimal resolution. The zero module when _ext_vanishes decides so;
-    otherwise presented on the kernel Groebner generators with syzygy and
-    lifted-image relations, then minimized."""
+    minimal resolution. The zero module when _ext_vanishes decides so, with
+    no kernel computed; otherwise presented on the Groebner generators of
+    the kernel (all of F_p* at j = p) with syzygy and lifted-image
+    relations, then minimized."""
     r = M.ring.r
     if j < 0 or j > r:
         raise InputError(f"ext index {j} out of range 0..{r}")
@@ -302,7 +316,7 @@ def ext(M: ModulePresentation, j: int) -> ModulePresentation:
             return zero_module(M.ring)
         res = minimal_resolution(M)
         if j < res.length:
-            up = _dual_kernel(M, j)
+            up = kernel(res.maps[j].transpose())
         else:
             Fdual = res.modules[j].dual()
             up = GroebnerBasis(Fdual, [Fdual.generator(i) for i in range(Fdual.rank)])
@@ -311,19 +325,17 @@ def ext(M: ModulePresentation, j: int) -> ModulePresentation:
     return M.cached(("ext", j), build)
 
 
-def _dual_kernel(M: ModulePresentation, i: int) -> GroebnerBasis:
-    """K_i = ker(delta_{i+1}^T) in F_i* for the minimal resolution of M,
-    i below its length; cached on M."""
-    return M.cached(("dual_kernel", i), lambda: kernel(
-        minimal_resolution(M).maps[i].transpose()))
-
-
 def _image_series(M: ModulePresentation, i: int) -> HilbertSeries:
-    """The Hilbert series of im(delta_{i+1}^T) = F_i*/K_i, read off the
-    leading terms of the basis of K_i; cached on M."""
+    """The Hilbert series of the image U of delta_{i+1}^T: F_i* -> F_{i+1}*
+    for the minimal resolution of M, i below its length, as HS(F_{i+1}*) -
+    HS(F_{i+1}*/U), the quotient's series read off the initial_terms of
+    the columns of delta_{i+1}^T, which generate U. No kernel and no graph
+    submodule is completed. Cached on M."""
     def build():
-        F = minimal_resolution(M).modules[i].dual()
-        return _quotient_series(F, [lt for lt, _c in _dual_kernel(M, i).lead_terms()])
+        A = minimal_resolution(M).maps[i].transpose()
+        F = A.target
+        return (HilbertSeries.of_free(M.ring, F.degrees)
+                - _quotient_series(F, initial_terms(A.columns(), F)))
     return M.cached(("image_series", i), build)
 
 
@@ -334,11 +346,13 @@ def _ext_vanishes(M: ModulePresentation, j: int) -> bool:
     Hilbert series, and Ext^grade != 0 (Rees; Bruns-Herzog, Cohen-Macaulay
     Rings, 1.2.10 and 2.1.4); no resolution is needed for these. Past p
     it vanishes, and Ext^p = coker(delta_p^T) != 0, since the minimal
-    delta_p has no unit entry. Strictly between, Ext^j = K_j/im(delta_j^T),
-    and F_i*/K_i = im(delta_{i+1}^T), so HS(Ext^j) = HS(K_j) - HS(F_{j-1}*)
-    + HS(K_{j-1}) = HS(F_j*) - HS(im delta_{j+1}^T) - HS(im delta_j^T),
-    with the images' series from _image_series. A graded module is zero iff
-    its series is."""
+    delta_p has no unit entry. Strictly between, Ext^j = K_j/im(delta_j^T)
+    with K_i = ker(delta_{i+1}^T), and F_i*/K_i = im(delta_{i+1}^T), so
+    HS(Ext^j) = HS(K_j) - HS(F_{j-1}*) + HS(K_{j-1}) = HS(F_j*) -
+    HS(im delta_{j+1}^T) - HS(im delta_j^T), with the images' series from
+    _image_series: read off the initial terms of the images themselves, so
+    no kernel is computed for a j that vanishes. A graded module is zero
+    iff its series is."""
     series = hilbert_series(M)
     if series.is_zero():
         return True
@@ -452,7 +466,7 @@ def syzygy_order(M: ModulePresentation) -> int:
     at i = grade(Tr M), read off the Hilbert series of Tr M, and Tr M is
     not resolved. For 2 or more, delta1 is not injective, so Tr M has
     positive rank and grade 0, and the vanishing is read off the series of
-    the kernels of its dualized minimal resolution."""
+    the images of the dual maps of its minimal resolution."""
     r = M.ring.r
     res = minimal_resolution(M)
     if res.length == 0:

@@ -482,10 +482,11 @@ def test_ab_report_of_shifted_input_keeps_positions():
 @pytest.fixture
 def buchberger_runs(monkeypatch):
     """Counts Buchberger completions and divisions. Every completion, of a
-    relation basis by buchberger or of a graph by kernel, runs the one
+    relation basis by buchberger, of a graph by kernel, or of an image
+    whose leading terms alone are read by initial_terms, runs the one
     helper groebner._complete; every submodule is presented from the basis
-    they return, and all engine division goes through groebner.divide.
-    Returns {"completions": n, "divide": n}."""
+    buchberger or kernel returns, and all engine division goes through
+    groebner.divide. Returns {"completions": n, "divide": n}."""
     import syzal.groebner as groebner
     runs = {"completions": 0, "divide": 0}
 
@@ -501,8 +502,10 @@ def buchberger_runs(monkeypatch):
 
 
 def test_ab_report_buchberger_runs(buchberger_runs):
+    # 5 relation bases, 3 image completions (the fourth image is generated
+    # by terms) and the 2 kernels of the presented Ext^0 and Ext^2
     ab_report(toric_hht(4), toric_ht(4))
-    assert buchberger_runs == {"completions": 10, "divide": 147}
+    assert buchberger_runs == {"completions": 10, "divide": 107}
 
 
 def test_gkm_module_buchberger_runs(buchberger_runs):
@@ -511,8 +514,42 @@ def test_gkm_module_buchberger_runs(buchberger_runs):
 
 
 def test_ab_report_buchberger_runs_r6(buchberger_runs):
+    # 5 relation bases (none for Tr M of toric_ht(6), whose relations are
+    # terms), 5 image completions and the 2 kernels of Ext^0 and Ext^4
     ab_report(toric_hht(6), toric_ht(6))
-    assert buchberger_runs == {"completions": 12, "divide": 728}
+    assert buchberger_runs == {"completions": 12, "divide": 506}
+
+
+def test_ab_report_computes_a_kernel_only_where_ext_is_presented(monkeypatch):
+    # the zero positions 1, 2, 3, 5 need only the series of the images of
+    # the dual maps, and position 6 = r is all of F_6*: kernels of
+    # delta1^T and delta5^T only
+    import syzal.homalg as homalg
+    hht, ht = toric_hht(6), toric_ht(6)
+    kernels = []
+
+    def recording(A, *args, **kwargs):
+        kernels.append(A)
+        return kernel(A, *args, **kwargs)
+    monkeypatch.setattr(homalg, "kernel", recording)
+    ab_report(hht, ht)
+    res = minimal_resolution(hht)
+    assert kernels == [res.maps[j].transpose() for j in (0, 4)]
+
+
+def test_syzygy_order_of_toric_ht_completes_nothing(monkeypatch):
+    # projective dimension 1: Tr M = coker(delta1^T) has one relation per
+    # entry of the single column of delta1, each a term, so its series,
+    # and with it its grade, needs no completion
+    import syzal.groebner as groebner
+    M = toric_ht(6)
+    expected = syzygy_order(toric_ht(6))
+    minimal_resolution(M)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a completion ran")
+    monkeypatch.setattr(groebner, "_complete", refuse)
+    assert syzygy_order(M) == expected
 
 
 def test_ab_report_presents_only_the_nonzero_ext(monkeypatch):

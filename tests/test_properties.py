@@ -1159,6 +1159,85 @@ def test_quotient_series_counts_the_standard_monomials(case):
         assert series.coefficient(q) == count
 
 
+def _transpose_of(M):
+    """Tr M = coker(delta1^T) of the minimal resolution, as syzygy_order
+    builds it; None when M is free."""
+    res = minimal_resolution(M)
+    if not res.length:
+        return None
+    A = res.maps[0].transpose()
+    return ModulePresentation(M.ring, A.target, A.source, A)
+
+
+def _image_series_by_the_kernel(M, i):
+    """The series of im(delta_{i+1}^T) = F_i*/K_i, K_i = ker(delta_{i+1}^T),
+    read off the leading terms of the reduced kernel basis: the graph
+    elimination route."""
+    res = minimal_resolution(M)
+    K = kernel(res.maps[i].transpose())
+    return _quotient_series_of(M.ring, res.modules[i].dual().degrees,
+                               [lt for lt, _c in K.lead_terms()])
+
+
+@given(order_cases())
+@example(toric_hht(4))
+@example(toric_ht(4))
+@example(mutant_hht())
+@example(residue_field(RingSpec(3, 2)))
+@example(zero_module(RingSpec(0, 2)))
+@example(free_presentation(RingSpec(3, 2), (0, 2)))
+@settings(max_examples=40, deadline=5000)
+def test_image_series_is_the_kernel_route(M):
+    # the image completed in F_{i+1}* against the kernel completed in the
+    # graph module, for M and for its transpose
+    from syzal.homalg import _image_series
+    for N in (M, _transpose_of(M)):
+        if N is None:
+            continue
+        for i in range(minimal_resolution(N).length):
+            assert _image_series(N, i) == _image_series_by_the_kernel(N, i)
+
+
+@st.composite
+def term_presentations(draw):
+    """Presentations over Q[t1..tr], r = 0..4, whose every relation is a
+    single term or zero: terms repeated, terms dividing later ones, zero
+    columns, and no generators at all; a unit term at r = 0."""
+    ring = RingSpec(draw(st.integers(0, 4)), 2)
+    r, d = ring.r, ring.d
+    gens = draw(st.lists(st.sampled_from([0, 2]), max_size=3))
+    terms = []
+    if gens:
+        for _ in range(draw(st.integers(0, 3))):
+            terms.append((draw(st.integers(0, len(gens) - 1)),
+                          draw(monomials(r, 1))))
+    for _ in range(draw(st.integers(0, 2)) if terms else 0):
+        # an exponent of 0 repeats the term, a positive one is a multiple
+        pos, m = draw(st.sampled_from(terms))
+        terms.append((pos, tuple(a + b for a, b in zip(m, draw(monomials(r, 1))))))
+    F0 = FreeModule(ring, gens)
+    cols = [(gens[pos] + d * sum(m), ModuleElement(
+        F0, {(pos, m): Fraction(draw(st.sampled_from([1, -1, 2, 3])))}))
+        for pos, m in terms]
+    cols += [(max(gens, default=0) + d, F0.zero())] * draw(st.integers(0, 2))
+    cols = draw(st.permutations(cols))
+    A = GradedMatrix.from_columns(F0, [c for _q, c in cols], [q for q, _c in cols])
+    return ModulePresentation(ring, F0, A.source, A)
+
+
+@given(term_presentations())
+@settings(max_examples=60, deadline=2000)
+def test_term_relations_series_needs_no_relation_basis(M):
+    # the terms read as they stand against the completed relation basis,
+    # and against the oracle on the default window
+    series = hilbert_series(M)
+    G = resolution.relation_basis(M)
+    leads = [] if G is None else [lt for lt, _c in G.lead_terms()]
+    assert series == _quotient_series_of(M.ring, M.F0.degrees, leads)
+    for q, dim in module_dims(M).items():
+        assert series.coefficient(q) == dim
+
+
 # ---------- the qdiv route of minimization ----------
 # The cancellation as it was before it went fraction-free: each other column
 # y of the pivot's map becomes column y - column b * entry (a, y) / p, and
