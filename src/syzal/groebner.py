@@ -206,7 +206,10 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
 
     The engine's own callers pass f already packed, a dict {key:
     coefficient}, with the index: then rem is a packed Row and the
-    quotients map values V(q) (syzal.packed) to coefficients."""
+    quotients are one sparse dict {(k, V(q)): c}, for the term c q of
+    quotients[k] (V(q) the value of q, syzal.packed), with no zero stored.
+    Each step removes a smaller work term t = q LT(gens[k]) than the one
+    before, so no (k, V(q)) is met twice and no quotient term cancels."""
     if index is None:
         index = _lead_index(gens, f.module)
     pk = index.packing
@@ -221,7 +224,7 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
     rows, groups = index.rows, index.groups
     guard, pshift, pmask = pk.guard, pk.pshift, pk.pmask
     rem = Row()
-    quots: Optional[List[dict]] = [dict() for _ in rows] if want_quotients else None
+    quots: dict = {}
     mu = 1
     while heap:
         t = heappop(heap)
@@ -246,7 +249,7 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
             scale, coeff = glc // g, c // g
             if scale != 1:
                 mu *= scale
-                for part in (work, rem, *(quots or ())):
+                for part in (work, rem, quots):
                     for u in part:
                         part[u] *= scale
         else:
@@ -262,18 +265,18 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
                 work[u] = s
             else:
                 del work[u]
-        if quots is not None:
-            s = quots[hit].get(q, 0) + coeff
-            if s:
-                quots[hit][q] = s
-            else:
-                quots[hit].pop(q, None)
+        if want_quotients:
+            quots[hit, q] = coeff
+    if not want_quotients:
+        quots = None
     if packed:
         return quots, rem, mu
     if quots is not None:
         mono = pk.mono
-        quots = [{mono(v): c for v, c in qk.items()} if qk else qk
-                 for qk in quots]
+        out: List[dict] = [{} for _ in rows]
+        for (k, v), c in quots.items():
+            out[k][mono(v)] = c
+        quots = out
     return quots, _element(f.module, pk, rem), mu
 
 
@@ -546,15 +549,19 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     positive leading coefficients (else InputError), every pair must lie
     within _limit, selected or not (else InputError), and every divided
     S-polynomial must reduce to zero (else VerificationError: G is not a
-    Groebner basis)."""
+    Groebner basis). The division quotients come as one sparse dict (see
+    divide), folded into each syzygy in one pass over its terms. The source
+    degree of e_i, the degree of element i, is read off its leading term:
+    the elements are homogeneous, checked where they entered (_enter) or
+    built so by the engine."""
     index = G._index
     if any(not row or _integral(row) is not row for row in index.rows):
         raise InputError("basis element is zero or not a primitive int row "
                          "with a positive leading coefficient")
-    ring = G.ambient.ring
-    degrees = [e.degree() for e in G.elements]
-    aux = FreeModule(ring, degrees)
+    ambient = G.ambient
+    d, adeg = ambient.ring.d, ambient.degrees
     leads = [lt[0] for lt in G.lead_terms()]
+    aux = FreeModule(ambient.ring, [adeg[p] + d * sum(m) for p, m in leads])
     spk = Schreyer(index.packing, leads)
     key = spk.key_of_value
     rows = index.rows
@@ -567,14 +574,13 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
             raise VerificationError(
                 "an S-pair of the Groebner basis does not reduce to zero")
         terms: dict = {key(i, vi): mu * bi, key(j, vj): -mu * bj}
-        for k, q in enumerate(quots):
-            for v, qc in q.items():
-                t = key(k, v)
-                c = terms.get(t, 0) - qc
-                if c:
-                    terms[t] = c
-                else:
-                    terms.pop(t, None)
+        for (k, v), qc in quots.items():
+            t = key(k, v)
+            c = terms.get(t, 0) - qc
+            if c:
+                terms[t] = c
+            else:
+                del terms[t]
         sygens.append(_primitive(Row(sorted(terms.items()))))
     sygens.sort(key=lambda row: _canonical_key(spk, row))
     return GroebnerBasis._of(_Index(spk, aux, sygens))
@@ -636,9 +642,11 @@ def lift(G: GroebnerBasis, v: ModuleElement,
     """Coefficients writing v as a combination of G.elements, as an element
     of F (one position per basis element), or None when v is not in the
     submodule: for a Groebner basis, v is a member iff its remainder is 0."""
-    quots, rem, mu = divide(v, G.elements, want_quotients=True,
-                            index=G._index)
-    if not rem.is_zero():
+    index = G._index
+    quots, rem, mu = divide(_dividend(v, index), G.elements,
+                            want_quotients=True, index=index)
+    if rem:
         return None
-    return ModuleElement._of(F, {(k, m): qdiv(c, mu) for k, q in enumerate(quots)
-                                 for m, c in q.items()})
+    mono = index.packing.mono
+    return ModuleElement._of(F, {(k, mono(q)): qdiv(c, mu)
+                                 for (k, q), c in quots.items()})

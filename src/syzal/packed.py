@@ -36,7 +36,9 @@ that schreyer_basis induces from a basis with leading terms (p_i, m_i)
 under a prior layout: it keys the term (i, m) as the prior key of
 (p_i, m m_i) times 2^s, plus i, with 2^s above every index. Its V is the
 prior V times 2^s, and the index is the last tie-break, smaller index
-stronger.
+stronger. Nested levels compose: their V is the grevlex V times 2^S, S the
+sum of their s, so a nested key unpacks, and an lcm is formed, in one step
+through grevlex, not level by level.
 
 The bound. A field holds its value only while the monomial it packs has
 degree at most MAX_DEGREE (so every exponent is at most MAX_DEGREE as
@@ -173,20 +175,26 @@ class Graded(_Packing):
 
 class Schreyer(_Packing):
     """The Schreyer order induced by leading terms [(p_i, m_i)] under the
-    prior layout."""
+    prior layout. Over Graded at the bottom, a nest of Schreyer levels with
+    index widths s_1, ..., s_n has V(m) = V_graded(m) << S, S the sum of
+    the s_l: each level shifts the V of the one below by its own s. The
+    index bits of a key are its S low bits, so a key or a value unpacks in
+    one step, through Graded, whatever the depth."""
 
-    __slots__ = ("prior", "_bases", "_lifts", "_degrees", "_s")
+    __slots__ = ("_bases", "_lifts", "_s", "_graded", "_shift", "_low")
 
     def __init__(self, prior: _Packing, leads):
         leads = list(leads)
         s = self._s = max(len(leads) - 1, 0).bit_length()
-        self.prior = prior
         self.guard = prior.guard << s
         self.pshift, self.pmask = 0, (1 << s) - 1
         self.weights = tuple(w << s for w in prior.weights)
         self._bases = [(prior.key(p, m) << s) + i for i, (p, m) in enumerate(leads)]
         self._lifts = [sum(m) + prior.lift(p) for p, m in leads]
-        self._degrees = [sum(m) for _p, m in leads]
+        nested = isinstance(prior, Schreyer)
+        self._graded = prior._graded if nested else prior
+        self._shift = s + (prior._shift if nested else 0)
+        self._low = (1 << self._shift) - 1
 
     def base(self, pos: int) -> int:
         return self._bases[pos]
@@ -195,15 +203,21 @@ class Schreyer(_Packing):
         return self._lifts[pos]
 
     def mono(self, v: int):
-        return self.prior.mono(v >> self._s)
+        return self._graded.mono(v >> self._shift)
+
+    def term(self, key: int):
+        pos = key & self.pmask
+        return pos, self._graded.mono((self._bases[pos] - key) >> self._shift)
 
     def lcm(self, a: int, b: int):
         """(key, degree) of the lcm of the terms of keys a and b at one
-        position i: the prior lcm of a >> s and b >> s packs lcm * m_i."""
-        s = self._s
-        key, deg = self.prior.lcm(a >> s, b >> s)
-        i = a & self.pmask
-        return (key << s) + i, deg - self._degrees[i]
+        position i, in one step: a >> S and b >> S are the grevlex keys of
+        the terms times the product of the leading monomials that the
+        levels multiply in, whose degree is lift(i); the index bits, the S
+        low bits, are those of a at every level."""
+        key, deg = self._graded.lcm(a >> self._shift, b >> self._shift)
+        return ((key << self._shift) + (a & self._low),
+                deg - self._lifts[a & self.pmask])
 
     def key_of_value(self, pos: int, v: int) -> int:
         """The key of (pos, q) for the monomial q of prior value v."""

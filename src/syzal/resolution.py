@@ -172,18 +172,30 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     the column that dividing by p would give, so its coefficients stay
     bounded by minors of the input; the scalar that the factors p leave on
     maps[s + 1] goes when the search reaches it. Cancelling creates no
-    constant entry in an earlier map, so the search never goes back. A
-    column is a dict row -> {monomial: coefficient} meanwhile, a removed
-    generator has degree None and a removed column is None; rows are
-    renumbered once, at the end.
+    constant entry in an earlier map, so the search never goes back.
+
+    A map is touched when it is divided by its content or a pivot lies in
+    it or in a neighbour. Only then are its columns converted, each to a
+    dict row -> {monomial: coefficient}, and rebuilt at the end, with its
+    rows renumbered once; meanwhile a removed generator has degree None
+    and a removed column is None. Until then the search reads the constant
+    entries of the map off its terms of monomial 1. An untouched map, and
+    a module no pivot shrank, is handed back as the same object.
     """
     degs = [list(F.degrees) for F in modules]
-    mats = [[_by_row(v) for v in A.columns()] for A in maps]
+    mats: list = [None] * len(maps)  # the by-row columns of a touched map
     divide = [any(type(c) is not int for v in A.columns() for c in v.terms.values())
               for A in maps]
-    for s, cols in enumerate(mats):
+    one = modules[0].ring.one_monomial()
+
+    def touch(s: int) -> list:
+        if mats[s] is None:
+            mats[s] = [_by_row(v) for v in maps[s].columns()]
+        return mats[s]
+
+    for s, A in enumerate(maps):
         if divide[s]:
-            _divide_content(e for col in cols for e in col.values())
+            _divide_content(e for col in touch(s) for e in col.values())
         while True:
             # an entry of a homogeneous map between generators of equal
             # degree is constant, so only those columns can hold a pivot
@@ -192,11 +204,17 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
             for b, g in enumerate(degs[s + 1]):
                 if g is not None:
                     cols_of.setdefault(g, []).append(b)
+            # until maps[s] is touched, its constant entries are its terms
+            # of monomial 1
+            cols = mats[s]
             hit = next(((a, b) for a, g in enumerate(degs[s])
-                        for b in cols_of.get(g, ()) if a in cols[b]), None)
+                        for b in cols_of.get(g, ())
+                        if (a in cols[b] if cols is not None
+                            else (a, one) in A.column_element(b).terms)), None)
             if hit is None:
                 break
             a, b = hit
+            cols = touch(s)
             pivot = cols[b]
             p = next(iter(pivot[a].values()))
             unit = p == 1 or p == -1
@@ -229,7 +247,7 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
                     scale[y] = _divide_content(col.values())
             if s + 1 < len(mats):
                 divide[s + 1] |= not unit
-                for col in mats[s + 1]:
+                for col in touch(s + 1):
                     if col is None:
                         continue
                     col.pop(b, None)
@@ -240,11 +258,16 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
                                 for m in entry:
                                     entry[m] *= f
             if s > 0:
-                mats[s - 1][a] = None
+                touch(s - 1)[a] = None
     ring = modules[0].ring
-    out_modules = [FreeModule(ring, [g for g in d if g is not None]) for d in degs]
+    out_modules = [F if None not in d else
+                   FreeModule(ring, [g for g in d if g is not None])
+                   for F, d in zip(modules, degs)]
     out_maps = []
     for s, cols in enumerate(mats):
+        if cols is None:
+            out_maps.append(maps[s])  # no pivot touched it
+            continue
         target = out_modules[s]
         live = [i for i, g in enumerate(degs[s]) if g is not None]
         index = {i: k for k, i in enumerate(live)}
@@ -256,7 +279,10 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
 
 
 def minimize(res: FreeResolution) -> FreeResolution:
-    """Homotopy-equivalent minimal resolution of the same target."""
+    """Homotopy-equivalent minimal resolution of the same target, with
+    trailing zero modules dropped. An int map that no pivot touches comes
+    back as the same GradedMatrix (see _cancel_units), so minimizing a
+    minimal int resolution rebuilds no map."""
     modules, maps = _cancel_units(res.modules, res.maps)
     while maps and not modules[-1].rank:
         modules.pop()

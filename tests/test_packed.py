@@ -67,34 +67,61 @@ def _schreyer_key(prior, lead_terms):
 
 @st.composite
 def layouts(draw):
-    """(r, layout, tuple key, positions, top): grevlex, or a Schreyer order
-    over it with up to three leading terms, and the degree below which its
-    monomials stay packable."""
+    """(r, layout, tuple key, positions, top, levels): grevlex, or one to
+    three nested Schreyer orders over it, each with up to three leading
+    terms at positions of the level below; the degree below which its
+    monomials stay packable; and levels, the (layout, leading terms) of
+    each Schreyer level, the outermost last."""
     r = draw(st.integers(0, 5))
-    if not draw(st.booleans()):
-        return r, graded(r), grevlex, 3, MAX_DEGREE
-    leads = draw(st.lists(st.tuples(st.integers(0, 2), monomials(r, 4 * r)),
-                          min_size=1, max_size=3))
-    return (r, Schreyer(graded(r), leads), _schreyer_key(grevlex, leads),
-            len(leads), MAX_DEGREE - 4 * r)
+    pk, order, npos, top, levels = graded(r), grevlex, 3, MAX_DEGREE, []
+    for _ in range(draw(st.integers(0, 3))):
+        leads = draw(st.lists(st.tuples(st.integers(0, npos - 1),
+                                        monomials(r, 4 * r)),
+                              min_size=1, max_size=3))
+        pk, order = Schreyer(pk, leads), _schreyer_key(order, leads)
+        npos, top = len(leads), top - 4 * r
+        levels.append((pk, leads))
+    return r, pk, order, npos, top, levels
+
+
+def _through_priors(r, levels, p, a):
+    """(grevlex key, indices) of the term (p, a) under the outermost
+    level, packed level by level: the term (i, m) of a level is the term
+    (p_i, m m_i) of the level below, and indices gathers every i, the
+    outermost first."""
+    indices = []
+    for _pk, leads in reversed(levels):
+        indices.append(p)
+        p, m = leads[p]
+        a = mono_mul(a, m)
+    return graded(r).key(p, a), indices
 
 
 @given(st.data())
 @settings(max_examples=200)
 def test_packing_matches_the_tuple_order(data):
-    r, pk, order, npos, top = data.draw(layouts())
+    r, pk, order, npos, top, levels = data.draw(layouts())
     terms = st.tuples(st.integers(0, npos - 1), monomials(r, top))
     (p, a), (p2, b) = data.draw(terms), data.draw(terms)
     ka, kb = pk.key(p, a), pk.key(p2, b)
     # keys sort exactly like the tuple keys
     assert (ka < kb) == (order((p, a)) < order((p2, b)))
     assert (ka == kb) == ((p, a) == (p2, b))
-    # pack and unpack round-trip
+    # pack and unpack round-trip, in one step at any depth
     assert pk.term(ka) == (p, a)
     assert pk.term(kb) == (p2, b)
+    # a nested key is the grevlex key of the term the levels multiply out,
+    # shifted past the index bits of every level, which it carries
+    gkey, indices = _through_priors(r, levels, p, a)
+    shift = 0
+    for (layout, leads), i in zip(reversed(levels), indices):
+        assert (ka >> shift) & layout.pmask == i
+        shift += max(len(leads) - 1, 0).bit_length()
+    assert ka >> shift == gkey
     # the key of a product is the key minus the value of the factor
     q = data.draw(monomials(r, top - sum(a)))
     assert pk.key(p, mono_mul(a, q)) == ka - pk.value(q)
+    assert pk.value(q) == graded(r).value(q) << shift
     assert pk.mono(pk.value(q)) == q
     # the mask test is componentwise divisibility at one position
     b = data.draw(st.one_of(monomials(r, top), st.just(mono_mul(a, q))))

@@ -60,7 +60,7 @@ from syzal import (
     zero_module,
 )
 from syzal import cli, resolution
-from syzal.groebner import _enter, _Index
+from syzal.groebner import _dividend, _enter, _Index, _lead_index
 from syzal.homalg import _root_multiplicity_at_one
 from syzal.packed import Schreyer, graded
 from syzal.resolution import _cancel_units
@@ -327,6 +327,56 @@ def test_divide_matches_the_reference(case):
     pk = index.packing if index else graded(f.module.ring.r)
     for g, lt in zip(gens + [f], leads + [_ref_largest(f.terms, cmp)]):
         assert min(g.terms, key=lambda t: pk.key(*t), default=None) == lt
+
+
+@given(division_cases())
+@settings(max_examples=80)
+def test_packed_division_returns_one_sparse_quotient_dict(case):
+    # the engine's own call, as schreyer_basis makes it: a packed dividend
+    # with the index; the quotients are one dict {(k, V(q)): c}
+    f, gens, index, _cmp = case
+    if index is None:
+        index = _lead_index(gens, f.module)
+    pk = index.packing
+    quots, rem, mu = divide(_dividend(f, index), gens, want_quotients=True,
+                            index=index)
+    assert type(quots) is dict and all(quots.values())
+    rebuilt = ModuleElement(f.module, {pk.term(t): c for t, c in rem.items()})
+    for (k, v), c in quots.items():
+        rebuilt = rebuilt + gens[k].term_mul(pk.mono(v), c)
+    assert rebuilt == f.scale(mu)
+    # the public route hands back the same quotients, one dict per generator
+    public, public_rem, public_mu = divide(f, gens, want_quotients=True,
+                                           index=index)
+    assert public_mu == mu
+    assert public_rem.terms == {pk.term(t): c for t, c in rem.items()}
+    assert public == [{pk.mono(v): c for (j, v), c in quots.items() if j == k}
+                      for k in range(len(gens))]
+
+
+@given(st.data())
+@settings(max_examples=30)
+def test_schreyer_source_degrees_are_the_element_degrees(data):
+    # a public basis whose elements sit at positions of different degrees:
+    # schreyer_basis reads each source degree off a leading term
+    ring = RingSpec(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 2])))
+    F = FreeModule(ring, data.draw(st.lists(st.integers(-2, 4), min_size=2,
+                                            max_size=3, unique=True)))
+
+    def element(q):
+        basis = [(p, m) for p, g in enumerate(F.degrees)
+                 for m in ring.monomials_of_degree(q - g)]
+        picks = data.draw(st.lists(st.sampled_from(basis), min_size=1,
+                                   max_size=3, unique=True)) if basis else []
+        return ModuleElement(F, {t: data.draw(st.integers(-3, 3).filter(bool))
+                                 for t in picks})
+
+    gens = [element(data.draw(st.integers(0, 6))) for _ in range(3)]
+    G = buchberger(gens, ambient=F)
+    H = GroebnerBasis(F, G.elements)
+    for basis in (G, H):
+        S = schreyer_basis(basis)
+        assert list(S.ambient.degrees) == [e.degree() for e in basis.elements]
 
 
 @given(st.data())

@@ -1,5 +1,6 @@
 """Free resolutions, minimization, Koszul complexes, Betti tables."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from syzal import (
     residue_field,
     resolve,
     shift,
+    toric_hht,
     toric_ht,
     zero_module,
 )
@@ -100,6 +102,61 @@ def test_minimize_ranks_and_idempotence():
 def test_minimize_drops_trailing_zero_modules():
     res = minimize(resolve(toric_ht(2), 2))
     assert all(m.rank > 0 for m in res.modules)
+
+
+def _refuse_by_row(monkeypatch):
+    import syzal.resolution as resolution
+
+    def refused(v):
+        raise AssertionError("an untouched map was converted")
+    monkeypatch.setattr(resolution, "_by_row", refused)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: koszul_complex(RingSpec(3, 2)),
+    lambda: resolve(toric_hht(3)),
+], ids=["koszul", "toric_hht3"])
+def test_minimize_passes_untouched_maps_through(make, monkeypatch):
+    # an int map that no pivot touches comes back as the same object, with
+    # no conversion and no rebuild
+    res = make()
+    assert res.is_minimal_data()
+    _refuse_by_row(monkeypatch)
+    mres = minimize(res)
+    assert all(A is B for A, B in zip(mres.maps, res.maps))
+    assert len(mres.maps) == len(res.maps)
+    assert mres.minimal
+    mres.check()
+
+
+def test_minimize_divides_a_fraction_map_only():
+    # a scalar on one map of a minimal resolution is divided out; the
+    # other maps pass through
+    kos = koszul_complex(RingSpec(3, 2))
+    maps = list(kos.maps)
+    maps[1] = GradedMatrix.from_columns(
+        maps[1].target, [v.scale(Fraction(1, 2)) for v in maps[1].columns()],
+        maps[1].source.degrees)
+    mres = minimize(FreeResolution(kos.ring, kos.target, kos.modules, maps))
+    assert all(type(c) is int for A in mres.maps for v in A.columns()
+               for c in v.terms.values())
+    assert mres.maps[1] == kos.maps[1] and mres.maps[1] is not maps[1]
+    assert mres.maps[0] is maps[0] and mres.maps[2] is maps[2]
+    mres.check()
+
+
+def test_minimize_drops_a_trailing_rank_zero_module_of_a_minimal_one(monkeypatch):
+    kos = koszul_complex(RingSpec(2, 2))
+    empty = FreeModule(kos.ring, ())
+    tail = GradedMatrix.from_columns(kos.modules[-1], [], ())
+    res = FreeResolution(kos.ring, kos.target, kos.modules + [empty],
+                         kos.maps + [tail])
+    _refuse_by_row(monkeypatch)
+    mres = minimize(res)
+    assert [F.rank for F in mres.modules] == [1, 2, 1]
+    assert all(A is B for A, B in zip(mres.maps, kos.maps))
+    assert len(mres.maps) == 2
+    mres.check()
 
 
 def test_minimize_presentation_cancels_unit():
