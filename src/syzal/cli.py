@@ -203,8 +203,13 @@ def run_ext(args, M: ModulePresentation) -> Output:
     E = ext(M, args.j)
     fp = fingerprint(E)
     if args.check and args.j <= minimal_resolution(M).length:
+        # Ext^j is a subquotient of F_j*, so it lives in degrees from
+        # -max(F_j.degrees) up; the window of E alone misses them when the
+        # answer under check is wrong, the zero module above all
         res = minimal_resolution(M)
-        dims = ext_dims(res.modules, res.maps, args.j, *default_window(E))
+        lo, hi = default_window(E)
+        lo = -max(res.modules[args.j].degrees, default=-lo)
+        dims = ext_dims(res.modules, res.maps, args.j, lo, max(hi, lo))
         _check_dims(fp.hilbert, dims, f"ext^{args.j}")
     zero = is_zero_module(E)
     return (lambda: {"j": args.j, "zero": zero, "fingerprint": fp.to_json()},

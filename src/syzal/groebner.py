@@ -6,10 +6,12 @@ of a completion, Schreyer syzygies, kernels and preimages of graded maps by
 elimination on a graph submodule, and lifts by division.
 
 Inside this layer every term is one packed int (syzal.packed): an element
-is a Row {key: coefficient}. Elements are packed once, where they enter
-(the lead-term index of a basis, the generators of a completion, the
-dividend of a public division), and unpacked only where they leave: the
-remainders, quotients and basis elements handed back.
+is a Row {key: coefficient}. A ModuleElement keeps its grevlex row, so an
+element is packed once, where it first enters (the lead-term index of a
+basis, the generators of a completion, the dividend of a public
+division), and a basis is handed back as elements that hold their rows:
+the next completion or Schreyer step reads them as they are. Only the
+remainder and the quotients of a public division are unpacked.
 """
 from __future__ import annotations
 
@@ -40,32 +42,34 @@ class GroebnerBasis:
     zero or a homogeneous element of ambient of degree at most _limit (see
     _enter)."""
 
-    __slots__ = ("ambient", "elements", "_lts", "_index")
+    __slots__ = ("ambient", "elements", "_index")
 
     def __init__(self, ambient: FreeModule, elements: Sequence[ModuleElement]):
         self.ambient = ambient
         self.elements = tuple(elements)
         self._index = _lead_index(self.elements, ambient)
-        term = self._index.packing.term
-        # a packed row leads with its first key; None for a zero row
-        self._lts = tuple((term(next(iter(row))), next(iter(row.values())))
-                          if row else None for row in self._index.rows)
 
     @classmethod
     def _of(cls, index: "_Index") -> "GroebnerBasis":
         """The basis of the nonzero homogeneous rows of index, under its
-        layout."""
+        layout: elements that hold their rows, a Schreyer-layout row
+        rekeyed to grevlex (Schreyer.to_graded). Nothing is unpacked."""
         G = cls.__new__(cls)
         G.ambient, G._index = index.ambient, index
-        G.elements = tuple(_element(G.ambient, index.packing, row)
-                           for row in index.rows)
-        # an unpacked element keeps key order: its first term leads
-        G._lts = tuple(next(iter(e.terms.items())) for e in G.elements)
+        pk, rows = graded(G.ambient.ring.r), index.rows
+        if index.packing is not pk:
+            rows = map(index.packing.to_graded, rows)
+        G.elements = tuple(ModuleElement._of(G.ambient, None, pk, row)
+                           for row in rows)
         return G
 
     def lead_terms(self):
-        """((position, monomial), coefficient) of each element, in order."""
-        return self._lts
+        """((position, monomial), coefficient) of each element, in order,
+        under the term order of the basis (None for a zero element): the
+        first term of each row of the index."""
+        term = self._index.packing.term
+        return tuple((term(next(iter(row))), next(iter(row.values())))
+                     if row else None for row in self._index.rows)
 
     def __len__(self):
         return len(self.elements)
@@ -105,12 +109,6 @@ def _integral(row: Row) -> Row:
         den = lcm(*(c.denominator for c in row.values()))
         row = Row({t: int(c * den) for t, c in row.items()})
     return _primitive(row)
-
-
-def _element(module: FreeModule, pk, row: Row) -> ModuleElement:
-    """The row unpacked."""
-    term = pk.term
-    return ModuleElement._of(module, {term(t): c for t, c in row.items()})
 
 
 def _limit(pk, module: FreeModule) -> int:
@@ -157,13 +155,21 @@ def _enter(index: _Index, e: ModuleElement, what: str) -> Row:
     """e packed for index: the one check of a generator or divisor that
     enters the packed layer. InputError unless e lies in the ambient of
     index, InhomogeneousError unless e is homogeneous, and InputError when
-    its degree is above the limit of index."""
+    its degree is above the limit of index. The row of e is reused when it
+    has one under the layout of index; a grevlex row packed here is kept
+    on e, so e is packed once."""
     if e.module != index.ambient:
         raise InputError(f"{what} does not live in the ambient module")
     q = e.degree()
     if q is not None and q > index.limit:
         raise too_high(what)
-    return index.packing.row(e.terms)
+    pk = index.packing
+    if e._pk is not pk:
+        row = pk.row(e.terms)
+        if isinstance(pk, Schreyer):
+            return row
+        e._row, e._pk = row, pk
+    return e._row
 
 
 def _lead_index(elements: Sequence[ModuleElement],
@@ -180,13 +186,15 @@ def _dividend(f: ModuleElement, index: _Index) -> Row:
     ambient of index, when a term of f sits at no position of it, or when
     a term of f has degree above its limit. f may be inhomogeneous: a
     division by homogeneous divisors forms terms of the degrees of f
-    only."""
+    only. The row of f is reused when it has one under the layout of
+    index."""
     if f.module != index.ambient:
         raise InputError("element does not live in the basis ambient module")
-    degs = f._term_degrees()
+    held = f._pk is index.packing  # then f is homogeneous
+    degs = {f.degree()} - {None} if held else f._term_degrees()
     if degs and max(degs) > index.limit:
         raise too_high("division")
-    return index.packing.row(f.terms)
+    return f._row if held else index.packing.row(f.terms)
 
 
 def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
@@ -277,7 +285,8 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
         for (k, v), c in quots.items():
             out[k][mono(v)] = c
         quots = out
-    return quots, _element(f.module, pk, rem), mu
+    term = pk.term
+    return quots, ModuleElement._of(f.module, {term(t): c for t, c in rem.items()}), mu
 
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
@@ -292,11 +301,11 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
 # ---------- canonical element order ----------
 
 def _canonical_key(pk, row: Row):
-    # position ascending, then leading exponent vector lexicographically
-    # descending; this ordering also realizes the Hilbert-syzygy length
-    # bound for iterated Schreyer syzygies.
+    # sorted in reverse: position ascending, then leading exponent vector
+    # lexicographically descending; this ordering also realizes the
+    # Hilbert-syzygy length bound for iterated Schreyer syzygies.
     pos, m = pk.term(next(iter(row)))
-    return (pos, tuple(-e for e in m))
+    return (-pos, m)
 
 
 def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
@@ -316,7 +325,7 @@ def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
                 keep[i] = False
                 break
     rows = sorted((row for row, kept in zip(rows, keep) if kept),
-                  key=lambda row: _canonical_key(pk, row))
+                  key=lambda row: _canonical_key(pk, row), reverse=True)
     # No leading term divides another, so tail reduction leaves every
     # leading term in place: one in-place pass reduces all tails for good,
     # to the unique reduced basis whatever the order of the pass. A tail
@@ -416,7 +425,7 @@ def initial_terms(gens: Sequence[ModuleElement], ambient: FreeModule) -> list:
     term, the submodule is its own initial submodule, and those terms are
     returned with no completion."""
     gens = [g for g in gens if not g.is_zero()]
-    if all(len(g.terms) == 1 for g in gens):
+    if all(len(g._map) == 1 for g in gens):
         return [t for g in gens for t in g.terms]
     index = _complete(gens, ambient)
     term = index.packing.term
@@ -558,11 +567,8 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     if any(not row or _integral(row) is not row for row in index.rows):
         raise InputError("basis element is zero or not a primitive int row "
                          "with a positive leading coefficient")
-    ambient = G.ambient
-    d, adeg = ambient.ring.d, ambient.degrees
-    leads = [lt[0] for lt in G.lead_terms()]
-    aux = FreeModule(ambient.ring, [adeg[p] + d * sum(m) for p, m in leads])
-    spk = Schreyer(index.packing, leads)
+    aux = FreeModule(G.ambient.ring, [e.degree() for e in G.elements])
+    spk = Schreyer(index.packing, [next(iter(row)) for row in index.rows])
     key = spk.key_of_value
     rows = index.rows
     sygens: List[Row] = []
@@ -582,7 +588,7 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
             else:
                 del terms[t]
         sygens.append(_primitive(Row(sorted(terms.items()))))
-    sygens.sort(key=lambda row: _canonical_key(spk, row))
+    sygens.sort(key=lambda row: _canonical_key(spk, row), reverse=True)
     return GroebnerBasis._of(_Index(spk, aux, sygens))
 
 
@@ -621,16 +627,17 @@ def kernel(A: GradedMatrix,
         raise InputError("kernel: modulo map has another target")
     split = target.rank
     big = FreeModule(target.ring, target.degrees + source.degrees)
-    one = target.ring.one_monomial()
-    pairs = []
-    for j, col in enumerate(A.columns()):
-        terms = dict(col.terms)
-        terms[(split + j, one)] = 1
-        pairs.append(ModuleElement(big, terms))
+    pk = graded(target.ring.r)
+    # the pairs in big: target positions keep their numbers, so a column's
+    # grevlex row (_enter) keeps its keys, and the key of e_j goes last
+    cols = _Index(pk, target, [])
+    pairs = [ModuleElement._of(big, None, pk, {
+        **_enter(cols, col, "column"), pk.base(split + j): 1})
+        for j, col in enumerate(A.columns())]
     if modulo is not None:
-        pairs += [ModuleElement(big, col.terms) for col in modulo.columns()]
+        pairs += [ModuleElement._of(big, None, pk, _enter(cols, col, "column"))
+                  for col in modulo.columns()]
     index = _complete(pairs, big)
-    pk = index.packing
     shift = pk.base(split) - pk.base(0)
     rows = [Row({t - shift: c for t, c in row.items()}) for row in index.rows
             if pk.position(next(iter(row))) >= split]

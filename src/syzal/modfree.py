@@ -11,10 +11,12 @@ boundary: the row constructor, `entries`, and the JSON file format.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
 from syzal.ring import (
+    MAX_DEGREE,
     Polynomial,
     RingSpec,
     format_polynomial,
@@ -63,24 +65,57 @@ class FreeModule:
         return f"FreeModule({self.degrees})"
 
 
-class ModuleElement:
-    """Homogeneous element of a free module, stored as a map
-    (position, monomial) -> nonzero coefficient. `terms` is never mutated
-    after construction."""
+_INT = {int}
 
-    __slots__ = ("module", "terms")
+
+class ModuleElement:
+    """Homogeneous element of a free module: a map (position, monomial) ->
+    nonzero coefficient, never mutated. The public constructor checks and
+    keeps the map; the Groebner layer packs it once, on entry, and keeps
+    the row (syzal.packed: grevlex keys, read through the layout _pk). An
+    element the engine builds holds only its row, and `terms`, the map as
+    a read-only view, is built from it on first use (_view)."""
+
+    __slots__ = ("module", "_terms", "_row", "_pk")
 
     def __init__(self, module: FreeModule, terms: dict):
-        self.module = module
-        self.terms = {t: c for t, c in terms.items() if c}
+        r = module.ring.r
+        for _pos, m in terms:
+            if not (type(m) is tuple and len(m) == r
+                    and {*map(type, m)} <= _INT and min(m, default=0) >= 0):
+                raise InputError(f"monomial {m!r} is not a tuple of {r} "
+                                 "non-negative int exponents")
+            if sum(m) > MAX_DEGREE:
+                raise InputError(f"module element has a monomial of degree "
+                                 f"above {MAX_DEGREE}")
+        self.module, self._row, self._pk = module, None, None
+        self._terms = MappingProxyType({t: c for t, c in terms.items() if c})
 
     @classmethod
-    def _of(cls, module: FreeModule, terms: dict) -> "ModuleElement":
-        """The element with exactly these terms, taken as they are: for
-        engine code whose terms dict holds no zero and is not used again."""
+    def _of(cls, module: FreeModule, terms, pk=None, row=None) -> "ModuleElement":
+        """The element taken as it is, for engine code: of its terms, a
+        dict with no zero that is not used again, or of terms None and its
+        grevlex row under the layout pk, homogeneous by construction."""
         e = cls.__new__(cls)
-        e.module, e.terms = module, terms
+        e.module, e._pk, e._row = module, pk, row
+        e._terms = None if terms is None else MappingProxyType(terms)
         return e
+
+    @property
+    def terms(self):
+        """The read-only map (position, monomial) -> coefficient."""
+        if self._terms is None:
+            self._terms = self._view()
+        return self._terms
+
+    @property
+    def _map(self):
+        """The row, or the terms of an element with none."""
+        return self._terms if self._row is None else self._row
+
+    def _view(self):
+        term = self._pk.term
+        return MappingProxyType({term(t): c for t, c in self._row.items()})
 
     @staticmethod
     def from_vector(module: FreeModule, coords: Iterable[Polynomial]) -> "ModuleElement":
@@ -97,7 +132,7 @@ class ModuleElement:
         return [Polynomial(self.module.ring, d) for d in coords]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._map
 
     def _term_degrees(self) -> set:
         """The degrees of the terms; InputError for a term at no position of
@@ -114,7 +149,15 @@ class ModuleElement:
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element; None for zero. InputError for a
-        term at no position of the module."""
+        term at no position of the module. A packed element's degree is
+        read off its first key."""
+        row = self._row
+        if row is not None:
+            if not row:
+                return None
+            t, pk = next(iter(row)), self._pk
+            return (self.module.degrees[t >> pk.pshift]
+                    + self.module.ring.d * pk.degree(t))
         degs = self._term_degrees()
         if not degs:
             return None
@@ -194,30 +237,23 @@ class GradedMatrix:
 
     def _set_columns(self, source: Optional[FreeModule], target: FreeModule,
                      columns) -> None:
-        # one pass over the terms: every column lies in target, every term
-        # position is a row of target, and column j is zero or homogeneous
-        # of degree source.degrees[j] (of one degree, taken as the source
-        # degree, when source is None)
+        # every column lies in target and is zero or homogeneous of degree
+        # source.degrees[j] (of its own degree, taken as the source degree,
+        # when source is None): checked term by term for a column given as
+        # terms, off its first key for a packed one (see degree)
         columns = tuple(columns)
         if source is not None and len(columns) != source.rank:
             raise InputError("matrix column count does not match source rank")
-        d, tdeg, rows = target.ring.d, target.degrees, target.rank
         degrees = []
         for j, v in enumerate(columns):
             if v.module != target:
                 raise InputError("matrix column lies outside the target module")
-            g = None if source is None else source.degrees[j]
-            for i, m in v.terms:
-                if not 0 <= i < rows:
-                    raise InputError(f"matrix column has a term at position {i}, "
-                                     f"but the target has {rows} rows")
-                deg = tdeg[i] + d * mono_deg(m)
-                if g is None:
-                    g = deg
-                elif deg != g:
-                    raise InhomogeneousError("matrix entries violate the degree invariant")
+            deg = v.degree()
+            g = deg if source is None else source.degrees[j]
             if g is None:
                 raise InputError("zero column needs an explicit source degree")
+            if deg is not None and deg != g:
+                raise InhomogeneousError("matrix entries violate the degree invariant")
             degrees.append(g)
         self.source = FreeModule(target.ring, degrees) if source is None else source
         self.target = target
@@ -270,15 +306,29 @@ class GradedMatrix:
 
     def transpose(self) -> "GradedMatrix":
         """The dual map between dual free modules (degrees negated): column
-        i of the transpose gathers row i of every column."""
-        rows = [dict() for _ in range(self.target.rank)]
-        for j, v in enumerate(self._columns):
-            for (i, m), c in v.terms.items():
-                rows[i][(j, m)] = c
+        i of the transpose gathers row i of every column. Of packed
+        columns, each key moves from position i to j in its top field, and
+        the keys arrive in ascending order, so no row is sorted."""
         target = self.source.dual()
-        return GradedMatrix.from_columns(
-            target, [ModuleElement(target, t) for t in rows],
-            self.target.dual().degrees)
+        cols = self._columns
+        pks = {v._pk for v in cols if not v.is_zero()}
+        pk = pks.pop() if len(pks) == 1 else None
+        rows = [{} for _ in range(self.target.rank)]
+        if pk is not None:
+            pshift = pk.pshift
+            low = (1 << pshift) - 1
+            for j, v in enumerate(cols):
+                at = j << pshift
+                for t, c in v._map.items():
+                    rows[t >> pshift][t & low | at] = c
+            columns = [ModuleElement._of(target, None, pk, row) for row in rows]
+        else:
+            for j, v in enumerate(cols):
+                for (i, m), c in v.terms.items():
+                    rows[i][(j, m)] = c
+            columns = [ModuleElement._of(target, t) for t in rows]
+        return GradedMatrix.from_columns(target, columns,
+                                         self.target.dual().degrees)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self._columns)
@@ -356,7 +406,7 @@ def shift(M: ModulePresentation, l: int) -> ModulePresentation:
     """Degree shift M[l]: adds l to all generator degrees; HS gains x^l."""
     F0 = FreeModule(M.ring, tuple(g + l for g in M.F0.degrees))
     rel = GradedMatrix.from_columns(
-        F0, [ModuleElement(F0, v.terms) for v in M.relations.columns()],
+        F0, [ModuleElement._of(F0, dict(v.terms)) for v in M.relations.columns()],
         tuple(g + l for g in M.F1.degrees))
     return ModulePresentation(M.ring, F0, rel.source, rel)
 
@@ -374,9 +424,9 @@ def direct_sum(Ms: Iterable[ModulePresentation]) -> ModulePresentation:
     columns = []
     row0 = 0
     for M in Ms:
-        for v in M.relations.columns():
-            columns.append(ModuleElement(
-                F0, {(row0 + i, m): c for (i, m), c in v.terms.items()}))
+        columns += [ModuleElement._of(F0, {(row0 + i, m): c for (i, m), c
+                                           in v.terms.items()})
+                    for v in M.relations.columns()]
         row0 += M.F0.rank
     rel = GradedMatrix.from_columns(
         F0, columns, [g for M in Ms for g in M.F1.degrees])

@@ -80,7 +80,7 @@ def _checked(sizes: List[int], q: int) -> List[int]:
     basis budget."""
     n = sum(sizes)
     if n > MAX_BASIS:
-        raise InputError(f"oracle degree-{q} piece has {n} basis elements, "
+        raise InputError(f"oracle degree {q} piece has {n} basis elements, "
                          f"more than {MAX_BASIS}")
     return sizes
 

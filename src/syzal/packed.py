@@ -7,8 +7,11 @@ subtraction and one mask (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998). The lcm
 of two terms at one position, its degree and the coprime test of an S-pair
 are key arithmetic as well (see lcm). The Groebner layer packs its input
-once and unpacks only the remainders, quotients and bases it hands back;
-everything outside it keeps exponent tuples.
+once, and a basis it hands back is made of elements that hold their rows
+under grevlex (a Schreyer-layout row is rekeyed to grevlex in one step),
+so the next completion, a resolution map and its transpose read the keys
+as they are. A ModuleElement (syzal.modfree) builds its exponent tuples
+only when they are asked for; the oracle reads nothing else.
 
 Layout. Every field is FIELD bits wide; B = 2^FIELD. Over r variables a
 monomial m has the value
@@ -57,6 +60,7 @@ import functools
 import operator
 
 from syzal.errors import InputError
+from syzal.ring import MAX_DEGREE
 
 # Bits per field, chosen by measurement (CPython 3.11, 2 vCPU). A loop of
 # divide's key operations (subtract, dict, heap, mask; r = 6, 256
@@ -65,9 +69,9 @@ from syzal.errors import InputError
 # passes differ by less than their noise.
 # The largest monomial degree packed by the test suite is 200 (the
 # presentation file's MAX_DEGREE_SPAN), by the benchmark workloads 6, 6
-# and 12. 16 bits bound it at 32767, with room above any loaded file.
+# and 12. 16 bits bound it at 32767, syzal.ring.MAX_DEGREE = 2^(FIELD - 1)
+# - 1, which every ModuleElement is held to, with room above any file.
 FIELD = 16
-MAX_DEGREE = (1 << (FIELD - 1)) - 1
 _FMASK = (1 << FIELD) - 1
 
 
@@ -102,11 +106,6 @@ class _Packing:
 
     def position(self, key: int) -> int:
         return (key >> self.pshift) & self.pmask
-
-    def term(self, key: int):
-        """The term (position, monomial) of a key."""
-        pos = (key >> self.pshift) & self.pmask
-        return pos, self.mono(self.base(pos) - key)
 
     def row(self, terms: dict) -> Row:
         """The Row of the terms {(pos, m): coefficient}, packed as they
@@ -150,6 +149,10 @@ class Graded(_Packing):
         return (key >> self.pshift,
                 tuple([(key >> s) & _FMASK for s in self._shifts]))
 
+    def degree(self, key: int) -> int:
+        """The degree of the monomial of a key, read off its degree field."""
+        return MAX_DEGREE - ((key >> self._top) & _FMASK)
+
     def mono(self, v: int):
         """The monomial of value v."""
         low = -v & self._low
@@ -174,8 +177,8 @@ class Graded(_Packing):
 
 
 class Schreyer(_Packing):
-    """The Schreyer order induced by leading terms [(p_i, m_i)] under the
-    prior layout. Over Graded at the bottom, a nest of Schreyer levels with
+    """The Schreyer order induced by leading terms given by their keys
+    under the prior layout. Over Graded at the bottom, a nest of levels with
     index widths s_1, ..., s_n has V(m) = V_graded(m) << S, S the sum of
     the s_l: each level shifts the V of the one below by its own s. The
     index bits of a key are its S low bits, so a key or a value unpacks in
@@ -189,11 +192,14 @@ class Schreyer(_Packing):
         self.guard = prior.guard << s
         self.pshift, self.pmask = 0, (1 << s) - 1
         self.weights = tuple(w << s for w in prior.weights)
-        self._bases = [(prior.key(p, m) << s) + i for i, (p, m) in enumerate(leads)]
-        self._lifts = [sum(m) + prior.lift(p) for p, m in leads]
+        self._bases = [(t << s) + i for i, t in enumerate(leads)]
         nested = isinstance(prior, Schreyer)
-        self._graded = prior._graded if nested else prior
-        self._shift = s + (prior._shift if nested else 0)
+        g = self._graded = prior._graded if nested else prior
+        below = prior._shift if nested else 0
+        # lift(i), the degree of m_i times what the levels below multiply
+        # in, is the degree of the grevlex key t >> below (see lcm)
+        self._lifts = [g.degree(t >> below) for t in leads]
+        self._shift = s + below
         self._low = (1 << self._shift) - 1
 
     def base(self, pos: int) -> int:
@@ -218,6 +224,18 @@ class Schreyer(_Packing):
         key, deg = self._graded.lcm(a >> self._shift, b >> self._shift)
         return ((key << self._shift) + (a & self._low),
                 deg - self._lifts[a & self.pmask])
+
+    def to_graded(self, row: Row) -> Row:
+        """row rekeyed to grevlex in one step, whatever the depth: the term
+        (i, m) of key k has the grevlex value V(m) = (base(i) - k) >> S,
+        and rows are re-sorted, since grevlex orders them otherwise."""
+        bases, pmask, shift = self._bases, self.pmask, self._shift
+        g = self._graded
+        pshift, const = g.pshift, g._const
+        keyed = [(((i := key & pmask) << pshift) + const
+                  - ((bases[i] - key) >> shift), c) for key, c in row.items()]
+        keyed.sort(key=operator.itemgetter(0))
+        return Row(keyed)
 
     def key_of_value(self, pos: int, v: int) -> int:
         """The key of (pos, q) for the monomial q of prior value v."""

@@ -76,8 +76,7 @@ class FreeResolution:
 
 
 def _has_same_position_pair(G: GroebnerBasis) -> bool:
-    positions = [lt[0][0] for lt in G.lead_terms()]
-    return len(set(positions)) < len(positions)
+    return any(len(group) > 1 for group in G._index.groups.values())
 
 
 def relation_basis(M: ModulePresentation) -> Optional[GroebnerBasis]:
@@ -184,9 +183,14 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     """
     degs = [list(F.degrees) for F in modules]
     mats: list = [None] * len(maps)  # the by-row columns of a touched map
-    divide = [any(type(c) is not int for v in A.columns() for c in v.terms.values())
+    divide = [any(type(c) is not int for v in A.columns() for c in v._map.values())
               for A in maps]
     one = modules[0].ring.one_monomial()
+
+    def unit_at(v: ModuleElement, a: int) -> bool:
+        # whether column v has the term (a, 1): of a packed column, the key
+        # of that term, base(a), is among its keys
+        return (a, one) in v._terms if v._row is None else v._pk.base(a) in v._row
 
     def touch(s: int) -> list:
         if mats[s] is None:
@@ -210,7 +214,7 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
             hit = next(((a, b) for a, g in enumerate(degs[s])
                         for b in cols_of.get(g, ())
                         if (a in cols[b] if cols is not None
-                            else (a, one) in A.column_element(b).terms)), None)
+                            else unit_at(A.column_element(b), a))), None)
             if hit is None:
                 break
             a, b = hit
@@ -272,8 +276,8 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
         live = [i for i, g in enumerate(degs[s]) if g is not None]
         index = {i: k for k, i in enumerate(live)}
         out_maps.append(GradedMatrix.from_columns(target, [
-            ModuleElement(target, {(index[i], m): c for i, e in col.items()
-                                   for m, c in e.items()})
+            ModuleElement._of(target, {(index[i], m): c for i, e in col.items()
+                                       for m, c in e.items()})
             for col in cols if col is not None], out_modules[s + 1].degrees))
     return out_modules, out_maps
 
@@ -322,7 +326,7 @@ def koszul_complex(ring: RingSpec) -> FreeResolution:
     for j in range(1, r + 1):
         columns = []
         for S in subsets[j]:
-            columns.append(ModuleElement(modules[j - 1], {
+            columns.append(ModuleElement._of(modules[j - 1], {
                 (index[j - 1][S[:idx] + S[idx + 1:]], unit[s - 1]): (-1) ** idx
                 for idx, s in enumerate(S)}))
         maps.append(GradedMatrix.from_columns(modules[j - 1], columns,

@@ -19,6 +19,11 @@ Rational = Fraction
 
 Monomial = tuple  # exponent tuple of length RingSpec.r
 
+# The largest degree of a monomial, and so of each exponent, that a module
+# element may hold: the packed layer (syzal.packed) keeps every exponent,
+# and MAX_DEGREE minus the degree, in a field of 16 bits.
+MAX_DEGREE = (1 << 15) - 1
+
 
 # ---------- coefficients ----------
 # A coefficient is an int when it is integral and a Fraction only when it is

@@ -1123,3 +1123,21 @@ def test_module_entrypoint_help():
     code, out, err = run_cli("--help")
     assert code == 0
     assert "resolve" in out and "oracle" in out
+
+
+def test_ext_check_window_reaches_below_a_wrong_zero_answer(tmp_path, monkeypatch,
+                                                           capsys):
+    # the maximal ideal of Q[t1, t2]: generators in degrees (2, 2), one
+    # relation (t2, -t1) in degree 4, so Ext^1 = k in degree -4. With ext
+    # patched to answer 0, the window of that answer alone (0..6) misses
+    # degree -4; the window of F_1*, from -4, does not
+    m = maximal_ideal(RingSpec(2, 2))
+    assert m.F0.degrees == (2, 2) and m.F1.degrees == (4,)
+    path = tmp_path / "m.pres"
+    save_presentation(m, str(path))
+    assert cli.main(["ext", "--j", "1", "--file", str(path), "--check"]) == 0
+    assert "ext^1: hilbert series" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "ext", lambda M, j: zero_module(M.ring))
+    assert cli.main(["ext", "--j", "1", "--file", str(path), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "degree -4" in err

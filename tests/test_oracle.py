@@ -457,3 +457,11 @@ def test_the_tables_are_bounded_memos():
     for table, used in ((oracle._monomials, 23), (oracle._shift, 329)):
         size = table.cache_info().maxsize
         assert size is not None and size >= used
+
+
+def test_the_basis_budget_names_a_negative_degree_plainly():
+    oracle._checked([oracle.MAX_BASIS], -2)
+    with pytest.raises(InputError, match=r"^oracle degree -2 piece has "
+                       rf"{oracle.MAX_BASIS + 1} basis elements, more than "
+                       rf"{oracle.MAX_BASIS}$"):
+        oracle._checked([oracle.MAX_BASIS, 1], -2)

@@ -78,7 +78,8 @@ def layouts(draw):
         leads = draw(st.lists(st.tuples(st.integers(0, npos - 1),
                                         monomials(r, 4 * r)),
                               min_size=1, max_size=3))
-        pk, order = Schreyer(pk, leads), _schreyer_key(order, leads)
+        pk, order = (Schreyer(pk, [pk.key(p, m) for p, m in leads]),
+                    _schreyer_key(order, leads))
         npos, top = len(leads), top - 4 * r
         levels.append((pk, leads))
     return r, pk, order, npos, top, levels
@@ -152,7 +153,7 @@ def test_packed_divisibility_and_quotient():
 def test_schreyer_ties_break_by_index():
     # two generators with the same leading term: the term m e_0 packs the
     # same monomial as m e_1, and the smaller index is the larger term
-    pk = Schreyer(graded(2), [(0, (1, 0)), (0, (1, 0))])
+    pk = Schreyer(graded(2), [graded(2).key(0, (1, 0))] * 2)
     assert pk.key(0, (0, 1)) < pk.key(1, (0, 1))
     assert pk.key(0, (0, 1)) + 1 == pk.key(1, (0, 1))
     assert pk.key(1, (0, 1)) < pk.key(0, (0, 0))
@@ -226,7 +227,7 @@ def test_an_s_pair_past_the_bound_is_refused():
     gens = [_power(F, 0, (top, 0)), _power(F, 0, (0, top))]
     G = buchberger(gens, ambient=F)
     assert [lt for lt, _c in G.lead_terms()] == [(0, (top, 0)), (0, (0, top))]
-    pk = Schreyer(graded(2), [(0, (0, 0))])
+    pk = Schreyer(graded(2), [graded(2).key(0, (0, 0))])
     H = GroebnerBasis._of(_Index(pk, F, [pk.row(g.terms) for g in gens]))
     assert H.lead_terms() == G.lead_terms()
     for basis in (G, H):
@@ -314,9 +315,16 @@ def test_kernel_at_the_bound():
     R = FreeModule(ring, (0,))
     col = _power(R, 0, (MAX_DEGREE,))
     assert len(kernel(GradedMatrix.from_columns(R, [col, col]))) == 1
-    col = _power(R, 0, (MAX_DEGREE + 1,))
+    # a monomial past the bound is refused where the element is built
     with pytest.raises(InputError):
+        col = _power(R, 0, (MAX_DEGREE + 1,))
         kernel(GradedMatrix.from_columns(R, [col, col]))
+    # and an element of packable monomials by the limit of the kernel's
+    # graph module, whose position 0 holds one degree more
+    F = FreeModule(ring, (0, 2))
+    col = _power(F, 1, (MAX_DEGREE,))
+    with pytest.raises(InputError):
+        kernel(GradedMatrix.from_columns(F, [col, col]))
 
 
 def test_r0_and_the_zero_module():

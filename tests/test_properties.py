@@ -291,7 +291,8 @@ def division_cases(draw):
     if draw(st.booleans()):
         leads = [(draw(st.integers(0, 1)), draw(monomials(r, 2)))
                  for _ in range(rank)]
-        cmp, pk = _ref_schreyer(cmp, leads), Schreyer(graded(r), leads)
+        cmp, pk = (_ref_schreyer(cmp, leads),
+                   Schreyer(graded(r), [graded(r).key(p, m) for p, m in leads]))
     values = draw(st.sampled_from([
         st.integers(-4, 4).filter(bool), coeffs]))
     terms = st.dictionaries(st.tuples(st.integers(0, rank - 1), monomials(r, 2)),
