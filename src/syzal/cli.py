@@ -33,9 +33,8 @@ from syzal.equivariant import (
 from syzal.errors import InputError, VerificationError, ZeroModuleError
 from syzal.homalg import (
     HilbertSeries,
-    biduality,
+    _root_multiplicity_at_one,
     depth_dim,
-    dual,
     euler_series,
     ext,
     fingerprint,
@@ -250,24 +249,18 @@ def run_cm(args, M: ModulePresentation) -> Output:
             lambda: f"cohen_macaulay: {'true' if cm else 'false'}")
 
 
-def _biduality_order(M: ModulePresentation) -> int:
-    """The syzygy order by a route independent of syzygy_order's: 0 unless
-    M -> M** is injective (torsion-free), 1 unless it is an isomorphism
-    (reflexive), and j >= 2 while Ext^i(Hom(M, R), R) = 0 for
-    1 <= i <= j - 2; at most r, and r for the zero module."""
-    r = M.ring.r
-    if is_zero_module(M):
-        return r
-    B = biduality(M)
-    if not B.is_injective:
-        return 0
-    if not B.is_isomorphism:
-        return 1
-    D = dual(M)
-    s = 2
-    while s < r and is_zero_module(ext(D, s - 1)):
-        s += 1
-    return min(s, r)
+def _codimension_order(M: ModulePresentation) -> int:
+    """The syzygy order off the Ext modules of M, not of Tr M: M is a j-th
+    syzygy iff codim Ext^i(M, R) >= i + j for every i >= 1 (Bruns-Vetter,
+    Determinantal Rings, LNM 1327, Prop. 16.33), the codimension being the
+    multiplicity of x = 1 as a root of the numerator of the Hilbert series.
+    At most r, and r for a free or zero module."""
+    orders = [M.ring.r]
+    for i in range(1, minimal_resolution(M).length + 1):
+        series = hilbert_series(ext(M, i))
+        if not series.is_zero():
+            orders.append(_root_multiplicity_at_one(series.numerator) - i)
+    return min(orders)
 
 
 def run_syzygy_order(args, M: ModulePresentation) -> Output:
@@ -276,9 +269,9 @@ def run_syzygy_order(args, M: ModulePresentation) -> Output:
         free = minimal_resolution(M).length == 0
         if (order == M.ring.r) != free:
             raise VerificationError("syzygy order inconsistent with freeness")
-        if _biduality_order(M) != order:
+        if _codimension_order(M) != order:
             raise VerificationError(
-                "syzygy order disagrees with the biduality route")
+                "syzygy order disagrees with the codimension route")
     return (lambda: {"order": order, "r": M.ring.r},
             lambda: f"syzygy order: {order} (of r = {M.ring.r})")
 

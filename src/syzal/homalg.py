@@ -4,15 +4,15 @@ Hilbert series read off the leading terms of a Groebner basis (of none
 for relations that are single terms), Hom(M, R) with stored embedding,
 Ext^j(M, R) as subquotients of the dualized minimal resolution, built only
 where the grade and the Hilbert series of the images of the dual maps do
-not already show that it vanishes, depth and Krull dimension via
-Ext vanishing, the biduality map with its torsion kernel, syzygy order from
-the Auslander transpose, and the (Hilbert series, Betti table) fingerprint
-used to verify isomorphism claims.
+not already show that it vanishes, depth and Krull dimension via Ext
+vanishing, syzygy order and the biduality map M -> M** off the Auslander
+transpose, and the (Hilbert series, Betti table) fingerprint used to verify
+isomorphism claims.
 """
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from syzal.errors import InputError, VerificationError, ZeroModuleError
 from syzal.groebner import (
@@ -394,45 +394,35 @@ def is_cohen_macaulay(M: ModulePresentation) -> bool:
 # ---------- biduality and syzygy order ----------
 
 class BidualityResult(NamedTuple):
-    map: GradedMatrix          # F0 -> generators of M**
     kernel: ModulePresentation  # the torsion submodule of M
     is_injective: bool
     is_isomorphism: bool
 
 
-def biduality(M: ModulePresentation) -> BidualityResult:
-    """The natural map M -> Hom(Hom(M,R),R) through the stored embeddings.
-    Its kernel is the torsion submodule; the map is an isomorphism iff M is
-    reflexive."""
+def _auslander_transpose(M: ModulePresentation) -> Optional[ModulePresentation]:
+    """Tr M = coker(delta1^T) of the minimal resolution (a non-minimal delta1
+    adds free summands), cached on M; None when M is free or zero."""
     def build():
-        ring = M.ring
-        D1 = dual(M)
-        D2 = dual(D1)
-        # evaluation on generators: transpose of the dual embedding, lifted
-        # over the kernel basis that D2 is presented on
-        ev = D1.embedding.transpose()  # F0 -> (D1.F0)*
-        bidual = GroebnerBasis(ev.target, D2.embedding.columns())
-        L_cols = []
-        for v in ev.columns():
-            expr = lift(bidual, v, D2.F0)
-            if expr is None:
-                raise VerificationError("evaluation image escapes the bidual")
-            L_cols.append(expr)
-        L = GradedMatrix.from_columns(D2.F0, L_cols, list(M.F0.degrees))
-        # kernel of the induced map: {v : L v in im(D2.relations)} / im(relations)
-        ker_pres = minimize_presentation(subquotient_presentation(
-            kernel(L, modulo=D2.relations), M.relations.columns()))
-        # cokernel: M** modulo the image of L and the relations of M**
-        cok_cols = list(L.columns()) + list(D2.relations.columns())
-        kept = [c for c in cok_cols if not c.is_zero()]
-        cok_rel = GradedMatrix.from_columns(D2.F0, kept)
-        cok = minimize_presentation(
-            ModulePresentation(ring, D2.F0, cok_rel.source, cok_rel))
-        injective = is_zero_module(ker_pres)
-        surjective = cok.F0.rank == 0
-        iso = (injective and surjective
-               and hilbert_series(M) == hilbert_series(D2))
-        return BidualityResult(L, ker_pres, injective, iso)
+        res = minimal_resolution(M)
+        if res.length == 0:
+            return None
+        A = res.maps[0].transpose()
+        return ModulePresentation(M.ring, A.target, A.source, A)
+    return M.cached("transpose", build)
+
+
+def biduality(M: ModulePresentation) -> BidualityResult:
+    """The natural map M -> M** off the exact sequence 0 -> Ext^1(Tr M, R)
+    -> M -> M** -> Ext^2(Tr M, R) -> 0 (Auslander-Bridger): its kernel, the
+    torsion submodule, is Ext^1(Tr M, R), and it is an isomorphism (M is
+    reflexive) iff both vanish. A free or zero M is reflexive."""
+    def build():
+        Tr = _auslander_transpose(M)
+        if Tr is None:
+            return BidualityResult(zero_module(M.ring), True, True)
+        injective = _ext_vanishes(Tr, 1)
+        return BidualityResult(ext(Tr, 1), injective,
+                               injective and _ext_vanishes(Tr, 2))
     return M.cached("biduality", build)
 
 
@@ -456,9 +446,8 @@ def syzygy_order(M: ModulePresentation) -> int:
     Ext^i(Tr M, R) = 0 for 1 <= i <= j (Auslander-Bridger, Stable module
     theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
     j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), so the order
-    is the least i >= 1 with Ext^i(Tr M, R) != 0, minus 1, with the
-    transpose Tr M = coker(delta1^T) of the minimal resolution. A
-    non-minimal delta1 would add free summands to Tr M.
+    is the least i >= 1 with Ext^i(Tr M, R) != 0, minus 1, with Tr M the
+    _auslander_transpose.
 
     _ext_vanishes decides each Ext^i(Tr M, R); none is built. For
     projective dimension 1, delta1 is injective, so Tr M has rank 0, and it
@@ -473,8 +462,7 @@ def syzygy_order(M: ModulePresentation) -> int:
         return r
     if sum((-1) ** i * F.rank for i, F in enumerate(res.modules)) == 0:
         return 0
-    A = res.maps[0].transpose()
-    Tr = ModulePresentation(M.ring, A.target, A.source, A)
+    Tr = _auslander_transpose(M)
     for i in range(1, r + 1):
         if not _ext_vanishes(Tr, i):
             return i - 1

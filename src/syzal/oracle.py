@@ -21,7 +21,8 @@ from math import comb, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from syzal.errors import InputError
-from syzal.modfree import FreeModule, GradedMatrix, ModulePresentation
+from syzal.modfree import (FreeModule, GradedMatrix, ModuleElement,
+                           ModulePresentation)
 from syzal.ring import RingSpec, mono_mul
 
 # More than ten times the largest window (17 degrees) and degree piece (117
@@ -245,9 +246,22 @@ def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
         raise InputError(f"ext_dims index {j} outside the resolution")
     first = max(j - 1, 0)
     duals = [F.dual() for F in modules[first:j + 2]][::-1]
-    transposes = [A.transpose() for A in maps[first:j + 1]][::-1]
+    transposes = [_transpose(A) for A in maps[first:j + 1]][::-1]
     at = int(j < len(maps))
     return {q: h[at] for q, h in _homology(duals, transposes, lo, hi)}
+
+
+def _transpose(A: GradedMatrix) -> GradedMatrix:
+    """The dual map, column i gathered from row i of A over terms: the
+    oracle shares no transpose with the engine."""
+    rows = [{} for _ in range(A.target.rank)]
+    for j, v in enumerate(A.columns()):
+        for (i, m), c in v.terms.items():
+            rows[i][(j, m)] = c
+    target = A.source.dual()
+    return GradedMatrix.from_columns(
+        target, [ModuleElement(target, t) for t in rows],
+        A.target.dual().degrees)
 
 
 def resolution_is_exact(modules: Sequence[FreeModule],

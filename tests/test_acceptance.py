@@ -45,6 +45,7 @@ from syzal import (
     toric_hht,
     toric_ht,
 )
+from syzal import cli
 
 from test_equivariant import toric_ext_expected, toric_ht_expected
 
@@ -272,17 +273,19 @@ def test_acceptance_6_randomized_properties():
             if N is None:
                 continue
             count += 1
+            # a submodule of a free module is torsion-free: a first syzygy
             b = biduality(N)
             assert b.is_injective
             assert is_zero_module(b.kernel)
+            assert cli._codimension_order(N) >= 1
             # relations that are not monomials, whose relation basis the
             # order can change
             assert (minimize(resolve(N)).betti()
                     == minimize(resolve(_reversed_variables(N))).betti())
     _gate(6, "50 random monomial quotients: Auslander-Buchsbaum, oracle "
              "Hilbert and Ext dimensions, order-independent Betti tables; "
-             "20 random free submodules: injective biduality, order-independent "
-             "Betti tables", run)
+             "20 random free submodules: injective biduality, order >= 1 by "
+             "the codimension route, order-independent Betti tables", run)
 
 
 # ---------- 7: GKM cross-check ----------

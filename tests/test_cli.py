@@ -744,7 +744,7 @@ def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
     assert counts == [7, 7]
 
 
-@pytest.mark.parametrize("route", ["syzygy_order", "_biduality_order"])
+@pytest.mark.parametrize("route", ["syzygy_order", "_codimension_order"])
 def test_syzygy_order_check_fails_when_the_routes_disagree(m_pres, route,
                                                           monkeypatch, capsys):
     # The maximal ideal of Q[t1, t2] has order 1. Order 0 is still
@@ -753,7 +753,7 @@ def test_syzygy_order_check_fails_when_the_routes_disagree(m_pres, route,
     monkeypatch.setattr(cli, route, lambda M: 0)
     capsys.readouterr()
     assert cli.main(["syzygy-order", "--file", m_pres, "--check"]) == 1
-    assert "biduality route" in capsys.readouterr().err
+    assert "codimension route" in capsys.readouterr().err
 
 
 def test_hilbert_check_of_unit_relation_over_r0(tmp_path):
@@ -1141,3 +1141,28 @@ def test_ext_check_window_reaches_below_a_wrong_zero_answer(tmp_path, monkeypatc
     assert cli.main(["ext", "--j", "1", "--file", str(path), "--check"]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err and "degree -4" in err
+
+
+@pytest.mark.parametrize("module", [residue_field(RingSpec(2, 2)),
+                                    maximal_ideal(RingSpec(3, 2))],
+                         ids=["k-r2", "m-r3"])
+def test_ext_check_sees_a_faulty_transpose(module, tmp_path, monkeypatch,
+                                           capsys):
+    # the oracle dualizes the resolution with a transpose of its own, so a
+    # fault in GradedMatrix.transpose, which the engine's Ext reads, shows
+    path = tmp_path / "M.pres"
+    save_presentation(module, str(path))
+    argv = ["ext", "--j", "2", "--file", str(path), "--check"]
+    assert cli.main(argv) == 0
+    transpose = modfree.GradedMatrix.transpose
+
+    def faulty(A):
+        T = transpose(A)
+        cols = T.columns()
+        cols[-1] = T.target.zero()
+        return modfree.GradedMatrix.from_columns(T.target, cols,
+                                                 T.source.degrees)
+    monkeypatch.setattr(modfree.GradedMatrix, "transpose", faulty)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "ext^2 disagrees with the oracle" in capsys.readouterr().err

@@ -353,13 +353,13 @@ def test_root_multiplicity_at_one():
     assert mult({0: 1, 3: -3, 6: 3, 9: -1}) == 3  # (1 - x^3)^3
 
 
-def test_syzygy_order_of_projective_dimension_1_matches_biduality():
+def test_syzygy_order_of_projective_dimension_1_matches_the_codimension_route():
     cases = [toric_ht(r) for r in range(1, 8)]
     cases += [koszul_syzygy(RingSpec(r, 2), r - 1) for r in range(2, 5)]
     cases += [M for r in range(2, 5) for M in homogeneous_space(r, 1)]
     for M in cases:
         assert minimal_resolution(M).length == 1
-        assert syzygy_order(M) == cli._biduality_order(M)
+        assert syzygy_order(M) == cli._codimension_order(M)
 
 
 def test_syzygy_order_of_projective_dimension_1_builds_no_ext(monkeypatch):

@@ -361,6 +361,16 @@ def test_the_oracle_keeps_exponent_tuples():
     assert seen == {"syzal.oracle", "syzal.modfree", "syzal.ring", "syzal.errors"}
 
 
+def test_the_oracle_keeps_its_own_transpose():
+    # ext_dims dualizes with oracle._transpose, over terms: a fault in
+    # GradedMatrix.transpose, which the engine's Ext reads, cannot reach it
+    import ast
+    import syzal.oracle
+    tree = ast.parse(open(syzal.oracle.__file__).read())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "transpose"]
+
+
 def test_only_the_entry_checks_pack_an_element():
     # packing.row checks nothing: in the Groebner layer only the entry of a
     # generator or divisor (_enter) and of a dividend (_dividend) calls it

@@ -20,6 +20,7 @@ from syzal import (
     ModulePresentation,
     Polynomial,
     RingSpec,
+    biduality,
     buchberger,
     default_window,
     divide,
@@ -61,7 +62,6 @@ from syzal import (
 )
 from syzal import cli, resolution
 from syzal.groebner import _dividend, _enter, _Index, _lead_index
-from syzal.homalg import _root_multiplicity_at_one
 from syzal.packed import Schreyer, graded
 from syzal.resolution import _cancel_units
 from syzal.ring import mono_mul, qdiv
@@ -917,7 +917,6 @@ def test_fingerprint_shift_moves_betti(M, l):
 @given(monomial_presentations())
 @settings(max_examples=10)
 def test_biduality_kernel_is_torsion(M):
-    from syzal import biduality
     b = biduality(M)
     if not is_zero_module(b.kernel):
         assert is_zero_module(dual(b.kernel))
@@ -952,39 +951,39 @@ def order_cases(draw, r=st.integers(0, 4), relations=st.integers(0, 3),
     return ModulePresentation(ring, F0, A.source, A)
 
 
-def _codimension_order(M: ModulePresentation) -> int:
-    """The syzygy order by the codimension criterion: M is a j-th syzygy
-    iff codim Ext^i(M, R) >= i + j for every i >= 1 (Bruns-Vetter,
-    Determinantal Rings, LNM 1327, Prop. 16.33), so the order is r or less
-    than r, min over nonzero Ext^i(M, R) of codim - i. The codimension of
-    a module is the multiplicity of x = 1 as a root of the numerator of
-    its Hilbert series."""
-    r = M.ring.r
-    return min([r] + [
-        _root_multiplicity_at_one(hilbert_series(E).numerator) - i
-        for i in range(1, minimal_resolution(M).length + 1)
-        for E in [ext(M, i)] if not is_zero_module(E)])
+def _order_examples(test):
+    """test with the examples of every kind order_cases draws, and the
+    fixtures."""
+    for M in [residue_field(RingSpec(2, 2)), maximal_ideal(RingSpec(3, 2)),
+              koszul_syzygy(RingSpec(4, 2), 3), koszul_syzygy(RingSpec(3, 2), 1),
+              free_presentation(RingSpec(4, 2), (0, 2)),
+              zero_module(RingSpec(0, 2)), toric_ht(3), toric_hht(3),
+              mutant_ht(), mutant_hht()]:
+        test = example(M)(test)
+    return test
 
 
 @given(order_cases())
-@example(residue_field(RingSpec(2, 2)))
-@example(maximal_ideal(RingSpec(3, 2)))
-@example(koszul_syzygy(RingSpec(4, 2), 3))
-@example(koszul_syzygy(RingSpec(3, 2), 1))
-@example(free_presentation(RingSpec(4, 2), (0, 2)))
-@example(zero_module(RingSpec(0, 2)))
-@example(toric_ht(3))
-@example(toric_hht(3))
-@example(mutant_ht())
-@example(mutant_hht())
+@_order_examples
 @settings(max_examples=60, deadline=2000)
-def test_syzygy_order_matches_the_biduality_route(M):
-    # the Auslander transpose (with its rank-0 shortcut) against torsion
-    # kernel, reflexivity and Ext^i(Hom(M, R), R), and against the
+def test_syzygy_order_matches_the_codimension_route(M):
+    # the Auslander transpose (with its rank-0 shortcut) against the
     # codimensions of the Ext^i(M, R), the criterion Allday-Franz-Puppe use
-    order = syzygy_order(M)
-    assert order == cli._biduality_order(M)
-    assert order == _codimension_order(M)
+    assert syzygy_order(M) == cli._codimension_order(M)
+
+
+@given(order_cases())
+@_order_examples
+@settings(max_examples=60, deadline=2000)
+def test_biduality_matches_the_codimension_route(M):
+    # M is torsion-free iff a first syzygy and reflexive iff a second one;
+    # the order is at most r, and r for a free or zero module, which is
+    # reflexive
+    order, r = cli._codimension_order(M), M.ring.r
+    b = biduality(M)
+    assert b.is_injective == (order >= min(1, r))
+    assert b.is_isomorphism == (order >= min(2, r))
+    assert b.is_injective == is_zero_module(b.kernel)
 
 
 # Random presentations whose oracle checks stay within its budgets: each
@@ -1023,12 +1022,12 @@ def test_the_engine_matches_the_oracle(M):
 
 @given(order_cases(r=st.integers(1, 3), relations=st.just(1)))
 @settings(max_examples=60, deadline=2000)
-def test_syzygy_order_of_one_relation_matches_the_biduality_route(M):
+def test_syzygy_order_of_one_relation_matches_the_codimension_route(M):
     # one nonzero relation column is injective, so the projective dimension
     # is at most 1 and the order is read off the Hilbert series of Tr M
     assume(not M.relations.is_zero())
     assert minimal_resolution(M).length <= 1
-    assert syzygy_order(M) == cli._biduality_order(M)
+    assert syzygy_order(M) == cli._codimension_order(M)
 
 
 # ---------- exact coefficients ----------
