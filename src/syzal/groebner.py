@@ -6,12 +6,11 @@ of a completion, Schreyer syzygies, kernels and preimages of graded maps by
 elimination on a graph submodule, and lifts by division.
 
 Inside this layer every term is one packed int (syzal.packed): an element
-is a Row {key: coefficient}. A ModuleElement keeps its grevlex row, so an
-element is packed once, where it first enters (the lead-term index of a
-basis, the generators of a completion, the dividend of a public
-division), and a basis is handed back as elements that hold their rows:
-the next completion or Schreyer step reads them as they are. Only the
-remainder and the quotients of a public division are unpacked.
+is a Row {key: coefficient}. Every ModuleElement holds its grevlex row
+from construction, so the layer reads its input as it is, and hands a
+basis back as elements that hold their rows: the next completion or
+Schreyer step reads them as they are. Only the quotients of a public
+division are unpacked.
 """
 from __future__ import annotations
 
@@ -37,9 +36,9 @@ class GroebnerBasis:
     any same-position term of another element. schreyer_basis returns a
     minimal one, whose tails are not reduced. The term order is the packed
     layout of the lead-term index: grevlex, or for a basis from
-    schreyer_basis the Schreyer layout it builds. The constructor packs
-    the elements under grevlex, and builds their index, once: each must be
-    zero or a homogeneous element of ambient of degree at most _limit (see
+    schreyer_basis the Schreyer layout it builds. The constructor builds
+    the index of the grevlex rows of the elements, once: each must be zero
+    or a homogeneous element of ambient of degree at most _limit (see
     _enter)."""
 
     __slots__ = ("ambient", "elements", "_index")
@@ -59,8 +58,7 @@ class GroebnerBasis:
         pk, rows = graded(G.ambient.ring.r), index.rows
         if index.packing is not pk:
             rows = map(index.packing.to_graded, rows)
-        G.elements = tuple(ModuleElement._of(G.ambient, None, pk, row)
-                           for row in rows)
+        G.elements = tuple(ModuleElement._of(G.ambient, row) for row in rows)
         return G
 
     def lead_terms(self):
@@ -152,24 +150,18 @@ class _Index:
 
 
 def _enter(index: _Index, e: ModuleElement, what: str) -> Row:
-    """e packed for index: the one check of a generator or divisor that
+    """The row of e for index: the one check of a generator or divisor that
     enters the packed layer. InputError unless e lies in the ambient of
     index, InhomogeneousError unless e is homogeneous, and InputError when
-    its degree is above the limit of index. The row of e is reused when it
-    has one under the layout of index; a grevlex row packed here is kept
-    on e, so e is packed once."""
+    its degree is above the limit of index. The grevlex row of e is used
+    as it is; only a Schreyer index packs e again."""
     if e.module != index.ambient:
         raise InputError(f"{what} does not live in the ambient module")
     q = e.degree()
     if q is not None and q > index.limit:
         raise too_high(what)
     pk = index.packing
-    if e._pk is not pk:
-        row = pk.row(e.terms)
-        if isinstance(pk, Schreyer):
-            return row
-        e._row, e._pk = row, pk
-    return e._row
+    return pk.row(e.terms) if isinstance(pk, Schreyer) else e._row
 
 
 def _lead_index(elements: Sequence[ModuleElement],
@@ -182,19 +174,18 @@ def _lead_index(elements: Sequence[ModuleElement],
 
 
 def _dividend(f: ModuleElement, index: _Index) -> Row:
-    """f packed for division by index: InputError unless f lies in the
-    ambient of index, when a term of f sits at no position of it, or when
-    a term of f has degree above its limit. f may be inhomogeneous: a
-    division by homogeneous divisors forms terms of the degrees of f
-    only. The row of f is reused when it has one under the layout of
-    index."""
+    """The row of f for division by index: InputError unless f lies in the
+    ambient of index, or when a term of f has degree above its limit. f
+    may be inhomogeneous: a division by homogeneous divisors forms terms
+    of the degrees of f only. The grevlex row of f is used as it is; only
+    a Schreyer index packs f again."""
     if f.module != index.ambient:
         raise InputError("element does not live in the basis ambient module")
-    held = f._pk is index.packing  # then f is homogeneous
-    degs = {f.degree()} - {None} if held else f._term_degrees()
-    if degs and max(degs) > index.limit:
+    q = f._top_degree()
+    if q is not None and q > index.limit:
         raise too_high("division")
-    return f._row if held else index.packing.row(f.terms)
+    pk = index.packing
+    return pk.row(f.terms) if isinstance(pk, Schreyer) else f._row
 
 
 def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
@@ -210,7 +201,7 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
     multiplied by glc / gcd(glc, c) instead, and mu by the same factor; so
     int input gives int output. A Fraction coefficient on either side is
     divided exactly instead. index, when given, is the _Index of gens, and
-    its layout is the term order; without it gens are packed under grevlex.
+    its layout is the term order; without it their grevlex rows are indexed.
 
     The engine's own callers pass f already packed, a dict {key:
     coefficient}, with the index: then rem is a packed Row and the
@@ -285,8 +276,9 @@ def divide(f, gens: Sequence[ModuleElement], want_quotients: bool = False,
         for (k, v), c in quots.items():
             out[k][mono(v)] = c
         quots = out
-    term = pk.term
-    return quots, ModuleElement._of(f.module, {term(t): c for t, c in rem.items()}), mu
+    if isinstance(pk, Schreyer):
+        rem = pk.to_graded(rem)
+    return quots, f._like(f.module, rem), mu
 
 
 def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
@@ -294,8 +286,7 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
     _quots, rem, mu = divide(f, G.elements, index=G._index)
     if mu == 1:
         return rem
-    terms = {t: qdiv(c, mu) for t, c in rem.terms.items()}
-    return ModuleElement._of(f.module, terms)
+    return f._like(f.module, {t: qdiv(c, mu) for t, c in rem._row.items()})
 
 
 # ---------- canonical element order ----------
@@ -425,11 +416,10 @@ def initial_terms(gens: Sequence[ModuleElement], ambient: FreeModule) -> list:
     term, the submodule is its own initial submodule, and those terms are
     returned with no completion."""
     gens = [g for g in gens if not g.is_zero()]
-    if all(len(g._map) == 1 for g in gens):
-        return [t for g in gens for t in g.terms]
-    index = _complete(gens, ambient)
-    term = index.packing.term
-    return [term(next(iter(row))) for row in index.rows]
+    term = graded(ambient.ring.r).term
+    if all(len(g._row) == 1 for g in gens):
+        return [term(t) for g in gens for t in g._row]
+    return [term(next(iter(row))) for row in _complete(gens, ambient).rows]
 
 
 def _complete(gens: Sequence[ModuleElement], ambient: FreeModule) -> _Index:
@@ -631,11 +621,11 @@ def kernel(A: GradedMatrix,
     # the pairs in big: target positions keep their numbers, so a column's
     # grevlex row (_enter) keeps its keys, and the key of e_j goes last
     cols = _Index(pk, target, [])
-    pairs = [ModuleElement._of(big, None, pk, {
+    pairs = [ModuleElement._of(big, {
         **_enter(cols, col, "column"), pk.base(split + j): 1})
         for j, col in enumerate(A.columns())]
     if modulo is not None:
-        pairs += [ModuleElement._of(big, None, pk, _enter(cols, col, "column"))
+        pairs += [ModuleElement._of(big, _enter(cols, col, "column"))
                   for col in modulo.columns()]
     index = _complete(pairs, big)
     shift = pk.base(split) - pk.base(0)
@@ -647,13 +637,14 @@ def kernel(A: GradedMatrix,
 def lift(G: GroebnerBasis, v: ModuleElement,
          F: FreeModule) -> Optional[ModuleElement]:
     """Coefficients writing v as a combination of G.elements, as an element
-    of F (one position per basis element), or None when v is not in the
-    submodule: for a Groebner basis, v is a member iff its remainder is 0."""
+    of F (one position per basis element, of its degree), or None when v
+    is not in the submodule: for a Groebner basis, v is a member iff its
+    remainder is 0."""
     index = G._index
     quots, rem, mu = divide(_dividend(v, index), G.elements,
                             want_quotients=True, index=index)
     if rem:
         return None
-    mono = index.packing.mono
-    return ModuleElement._of(F, {(k, mono(q)): qdiv(c, mu)
-                                 for (k, q), c in quots.items()})
+    mono, key = index.packing.mono, graded(F.ring.r).key
+    return v._like(F, Row(sorted((key(k, mono(q)), qdiv(c, mu))
+                                 for (k, q), c in quots.items())))

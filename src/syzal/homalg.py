@@ -160,7 +160,7 @@ def hilbert_series(M: ModulePresentation) -> HilbertSeries:
     cached relation basis that resolve starts from is read."""
     def build():
         cols = M.relations.columns()
-        if all(len(c._map) <= 1 for c in cols):
+        if all(len(c._row) <= 1 for c in cols):
             leads = initial_terms(cols, M.F0)
         else:
             leads = [lt for lt, _c in relation_basis(M).lead_terms()]

@@ -15,12 +15,12 @@ from types import MappingProxyType
 from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
+from syzal.packed import graded
 from syzal.ring import (
     MAX_DEGREE,
     Polynomial,
     RingSpec,
     format_polynomial,
-    mono_deg,
     mono_mul,
     parse_polynomial,
     qnorm,
@@ -69,18 +69,24 @@ _INT = {int}
 
 
 class ModuleElement:
-    """Homogeneous element of a free module: a map (position, monomial) ->
-    nonzero coefficient, never mutated. The public constructor checks and
-    keeps the map; the Groebner layer packs it once, on entry, and keeps
-    the row (syzal.packed: grevlex keys, read through the layout _pk). An
-    element the engine builds holds only its row, and `terms`, the map as
-    a read-only view, is built from it on first use (_view)."""
+    """Element of a free module: a map (position, monomial) -> nonzero
+    coefficient, never mutated, held as its packed grevlex row
+    (syzal.packed: a dict {key: coefficient} in ascending key order). The
+    public constructor checks the map, keeps it as `terms` and packs it
+    once. It records the degree of each term, and keeps the set of them for
+    an inhomogeneous element, which is legal (divide, normal_form) but has
+    no degree. An element the engine builds (_of) holds only its row and is
+    homogeneous by construction; its `terms`, the map as a read-only view,
+    are built from the row on first use (_view). A homogeneous element
+    reads its degree off its first key."""
 
-    __slots__ = ("module", "_terms", "_row", "_pk")
+    __slots__ = ("module", "_terms", "_row", "_degrees")
 
     def __init__(self, module: FreeModule, terms: dict):
-        r = module.ring.r
-        for _pos, m in terms:
+        r, d, degrees = module.ring.r, module.ring.d, module.degrees
+        rank = len(degrees)
+        kept, degs = {}, set()
+        for (pos, m), c in terms.items():
             if not (type(m) is tuple and len(m) == r
                     and {*map(type, m)} <= _INT and min(m, default=0) >= 0):
                 raise InputError(f"monomial {m!r} is not a tuple of {r} "
@@ -88,17 +94,32 @@ class ModuleElement:
             if sum(m) > MAX_DEGREE:
                 raise InputError(f"module element has a monomial of degree "
                                  f"above {MAX_DEGREE}")
-        self.module, self._row, self._pk = module, None, None
-        self._terms = MappingProxyType({t: c for t, c in terms.items() if c})
+            if not (type(pos) is int and 0 <= pos < rank):
+                raise InputError(f"module element has a term at position "
+                                 f"{pos!r}, but the module has rank {rank}")
+            if c:
+                kept[pos, m] = c
+                degs.add(degrees[pos] + d * sum(m))
+        self.module, self._degrees = module, degs if len(degs) > 1 else None
+        self._terms = MappingProxyType(kept)
+        self._row = graded(r).row(kept)
 
     @classmethod
-    def _of(cls, module: FreeModule, terms, pk=None, row=None) -> "ModuleElement":
-        """The element taken as it is, for engine code: of its terms, a
-        dict with no zero that is not used again, or of terms None and its
-        grevlex row under the layout pk, homogeneous by construction."""
+    def _of(cls, module: FreeModule, row) -> "ModuleElement":
+        """The element of a grevlex row with no zero, not used again, taken
+        as it is, for engine code: homogeneous by construction."""
         e = cls.__new__(cls)
-        e.module, e._pk, e._row = module, pk, row
-        e._terms = None if terms is None else MappingProxyType(terms)
+        e.module, e._row, e._terms, e._degrees = module, row, None, None
+        return e
+
+    def _like(self, module: FreeModule, row) -> "ModuleElement":
+        """The element of module of a grevlex row whose terms have degrees
+        among those of self (a remainder of self, or its lift): taken as
+        _of takes it when self is homogeneous, else rebuilt through the
+        public constructor, which records the degree of each term."""
+        e = ModuleElement._of(module, row)
+        if self._degrees is not None:
+            e = ModuleElement(module, dict(e.terms))
         return e
 
     @property
@@ -108,13 +129,8 @@ class ModuleElement:
             self._terms = self._view()
         return self._terms
 
-    @property
-    def _map(self):
-        """The row, or the terms of an element with none."""
-        return self._terms if self._row is None else self._row
-
     def _view(self):
-        term = self._pk.term
+        term = graded(self.module.ring.r).term
         return MappingProxyType({term(t): c for t, c in self._row.items()})
 
     @staticmethod
@@ -132,40 +148,27 @@ class ModuleElement:
         return [Polynomial(self.module.ring, d) for d in coords]
 
     def is_zero(self) -> bool:
-        return not self._map
+        return not self._row
 
-    def _term_degrees(self) -> set:
-        """The degrees of the terms; InputError for a term at no position of
-        the module."""
-        degrees, d = self.module.degrees, self.module.ring.d
-        rank = len(degrees)
-        degs = set()
-        for pos, m in self.terms:
-            if not 0 <= pos < rank:
-                raise InputError(f"module element has a term at position {pos}, "
-                                 f"but the module has rank {rank}")
-            degs.add(degrees[pos] + d * mono_deg(m))
-        return degs
+    def _top_degree(self) -> Optional[int]:
+        """The largest degree of a term; None for zero."""
+        return self.degree() if self._degrees is None else max(self._degrees)
 
     def degree(self) -> Optional[int]:
-        """Degree of a homogeneous element; None for zero. InputError for a
-        term at no position of the module. A packed element's degree is
-        read off its first key."""
-        row = self._row
-        if row is not None:
-            if not row:
-                return None
-            t, pk = next(iter(row)), self._pk
-            return (self.module.degrees[t >> pk.pshift]
-                    + self.module.ring.d * pk.degree(t))
-        degs = self._term_degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
+        """Degree of a homogeneous element, read off its first key; None for
+        zero; InhomogeneousError for terms of several degrees."""
+        if self._degrees is not None:
             raise InhomogeneousError("module element is not homogeneous")
-        return degs.pop()
+        row = self._row
+        if not row:
+            return None
+        t, pk = next(iter(row)), graded(self.module.ring.r)
+        return (self.module.degrees[t >> pk.pshift]
+                + self.module.ring.d * pk.degree(t))
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
+        if other.module != self.module:
+            raise InputError("module elements of different free modules")
         out = dict(self.terms)
         for t, c in other.terms.items():
             s = out.get(t, 0) + c
@@ -173,7 +176,7 @@ class ModuleElement:
                 out[t] = s
             else:
                 out.pop(t, None)
-        return ModuleElement._of(self.module, out)
+        return ModuleElement(self.module, out)
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement(self.module, {t: -c for t, c in self.terms.items()})
@@ -189,10 +192,12 @@ class ModuleElement:
 
     def term_mul(self, mono, c) -> "ModuleElement":
         """Multiply by the single ring term c*x^mono."""
+        if len(mono) != self.module.ring.r:
+            raise InputError(f"monomial {mono!r} is not of the module's ring")
         c = qnorm(c)
         if not c:
             return ModuleElement(self.module, {})
-        return ModuleElement._of(
+        return ModuleElement(
             self.module,
             {(pos, mono_mul(m, mono)): c * v for (pos, m), v in self.terms.items()},
         )
@@ -205,7 +210,7 @@ class ModuleElement:
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
-                and self.module == other.module and self.terms == other.terms)
+                and self.module == other.module and self._row == other._row)
 
     def __repr__(self):
         return "(" + ", ".join(format_polynomial(p) for p in self.to_vector()) + ")"
@@ -239,8 +244,7 @@ class GradedMatrix:
                      columns) -> None:
         # every column lies in target and is zero or homogeneous of degree
         # source.degrees[j] (of its own degree, taken as the source degree,
-        # when source is None): checked term by term for a column given as
-        # terms, off its first key for a packed one (see degree)
+        # when source is None), checked through degree()
         columns = tuple(columns)
         if source is not None and len(columns) != source.rank:
             raise InputError("matrix column count does not match source rank")
@@ -285,6 +289,8 @@ class GradedMatrix:
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         """Image of an element of the source."""
+        if v.module != self.source:
+            raise InputError("element does not lie in the source of the map")
         out: dict = {}
         for (pos, m), c in v.terms.items():
             for (i, m2), c2 in self._columns[pos].terms.items():
@@ -306,29 +312,20 @@ class GradedMatrix:
 
     def transpose(self) -> "GradedMatrix":
         """The dual map between dual free modules (degrees negated): column
-        i of the transpose gathers row i of every column. Of packed
-        columns, each key moves from position i to j in its top field, and
-        the keys arrive in ascending order, so no row is sorted."""
+        i of the transpose gathers row i of every column. Each packed key
+        moves from position i to j in its top field, and the keys arrive
+        in ascending order, so no row is sorted."""
         target = self.source.dual()
-        cols = self._columns
-        pks = {v._pk for v in cols if not v.is_zero()}
-        pk = pks.pop() if len(pks) == 1 else None
+        pshift = graded(target.ring.r).pshift
+        low = (1 << pshift) - 1
         rows = [{} for _ in range(self.target.rank)]
-        if pk is not None:
-            pshift = pk.pshift
-            low = (1 << pshift) - 1
-            for j, v in enumerate(cols):
-                at = j << pshift
-                for t, c in v._map.items():
-                    rows[t >> pshift][t & low | at] = c
-            columns = [ModuleElement._of(target, None, pk, row) for row in rows]
-        else:
-            for j, v in enumerate(cols):
-                for (i, m), c in v.terms.items():
-                    rows[i][(j, m)] = c
-            columns = [ModuleElement._of(target, t) for t in rows]
-        return GradedMatrix.from_columns(target, columns,
-                                         self.target.dual().degrees)
+        for j, v in enumerate(self._columns):
+            at = j << pshift
+            for t, c in v._row.items():
+                rows[t >> pshift][t & low | at] = c
+        return GradedMatrix.from_columns(
+            target, [ModuleElement._of(target, row) for row in rows],
+            self.target.dual().degrees)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self._columns)
@@ -406,7 +403,7 @@ def shift(M: ModulePresentation, l: int) -> ModulePresentation:
     """Degree shift M[l]: adds l to all generator degrees; HS gains x^l."""
     F0 = FreeModule(M.ring, tuple(g + l for g in M.F0.degrees))
     rel = GradedMatrix.from_columns(
-        F0, [ModuleElement._of(F0, dict(v.terms)) for v in M.relations.columns()],
+        F0, [ModuleElement._of(F0, v._row) for v in M.relations.columns()],
         tuple(g + l for g in M.F1.degrees))
     return ModulePresentation(M.ring, F0, rel.source, rel)
 
@@ -421,11 +418,13 @@ def direct_sum(Ms: Iterable[ModulePresentation]) -> ModulePresentation:
         if M.ring != ring:
             raise InputError("direct_sum over mismatched rings")
     F0 = FreeModule(ring, [g for M in Ms for g in M.F0.degrees])
+    base = graded(ring.r).base
     columns = []
     row0 = 0
     for M in Ms:
-        columns += [ModuleElement._of(F0, {(row0 + i, m): c for (i, m), c
-                                           in v.terms.items()})
+        # moving a term down row0 positions adds one constant to its key
+        at = base(row0) - base(0)
+        columns += [ModuleElement._of(F0, {t + at: c for t, c in v._row.items()})
                     for v in M.relations.columns()]
         row0 += M.F0.rank
     rel = GradedMatrix.from_columns(

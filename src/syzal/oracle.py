@@ -3,8 +3,10 @@
 Ground truth for Hilbert functions, kernels, and Ext dimensions by exact
 fraction-free sparse row echelon, in place, on rows read off tables of the
 ring alone (_monomials, _shift: bounded memos keyed by (r, n, m) only),
-with no Groebner machinery involved. Everything here depends only on ring
-and modfree, so it can contradict the engine without sharing its bugs.
+with no Groebner machinery involved. Everything here imports only ring
+and errors: a map is read through its source and target free modules and
+the terms of its columns, as given, so the oracle can contradict the
+engine without sharing its bugs.
 
 The oracle works within a fixed budget: a window spans at most MAX_WINDOW
 degrees, and a degree piece it eliminates has at most MAX_BASIS basis
@@ -18,11 +20,10 @@ import re
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from syzal.errors import InputError
-from syzal.modfree import (FreeModule, GradedMatrix, ModuleElement,
-                           ModulePresentation)
 from syzal.ring import RingSpec, mono_mul
 
 # More than ten times the largest window (17 degrees) and degree piece (117
@@ -56,7 +57,7 @@ def parse_window(text: str, source: str) -> Tuple[int, int]:
     raise InputError(f"{source} must be lo:hi, got {text!r}")
 
 
-def default_window(M: ModulePresentation) -> Tuple[int, int]:
+def default_window(M) -> Tuple[int, int]:
     """The window of a presentation: starts at the lowest generator,
     reaches past every relation degree; within the window budget."""
     d = M.ring.d
@@ -86,7 +87,7 @@ def _checked(sizes: List[int], q: int) -> List[int]:
     return sizes
 
 
-def _sizes(module: FreeModule, q: int) -> List[int]:
+def _sizes(module, q: int) -> List[int]:
     """dim_k of each generator's degree-q piece, in closed form: C(n + r -
     1, n) monomials of degree n = (q - g)/d for a generator of degree g."""
     r, d = module.ring.r, module.ring.d
@@ -94,7 +95,7 @@ def _sizes(module: FreeModule, q: int) -> List[int]:
             for n, rest in (divmod(q - g, d) for g in module.degrees)]
 
 
-def free_dim(module: FreeModule, q: int) -> int:
+def free_dim(module, q: int) -> int:
     """dim_k of the degree-q piece."""
     return sum(_sizes(module, q))
 
@@ -157,28 +158,42 @@ def _rank(rows: Iterable[Dict[int, int]], width: int) -> int:
     return len(pivots)
 
 
-def _integer_columns(A: GradedMatrix) -> List[List[Tuple[int, tuple, int]]]:
+class _Map(NamedTuple):
+    """A degree-0 map as the oracle reads it: its source and target free
+    modules, and the terms {(row, monomial): coefficient} of each column."""
+    source: Any
+    target: Any
+    terms: list
+
+
+def _plain(A) -> _Map:
+    """The GradedMatrix A as a _Map."""
+    return _Map(A.source, A.target, [v.terms for v in A.columns()])
+
+
+def _integer_columns(A: _Map) -> List[List[Tuple[int, tuple, int]]]:
     """Each column of A as (row, monomial, int) triples, scaled by the lcm
     of its denominators; scaling a column does not change the rank. Read
     once per map, for all the degrees of a window."""
     out = []
-    for j in range(A.source.rank):
-        terms = [(i, m, c) for (i, m), c in A.column_element(j).terms.items()]
+    for column in A.terms:
+        terms = [(i, m, c) for (i, m), c in column.items()]
         scale = lcm(*(c.denominator for _i, _m, c in terms))
         out.append([(i, m, c.numerator * (scale // c.denominator))
                     for i, m, c in terms])
     return out
 
 
-def map_rank(A: GradedMatrix, q: int,
+def map_rank(A, q: int,
              columns: Optional[Sequence[list]] = None,
              source: Optional[List[int]] = None,
              target: Optional[List[int]] = None) -> int:
     """Rank of the degree-q piece of A: images of the degree-q source
     basis written on the degree-q target basis, one sparse integer row per
-    source basis element. columns is _integer_columns(A), and source and
-    target are the _sizes of A.source and A.target in degree q; each is
-    computed here if not given."""
+    source basis element. A is a GradedMatrix, or a _Map when columns,
+    its _integer_columns, are given; source and target are the _sizes of
+    A.source and A.target in degree q; each is computed here if not
+    given."""
     source = _checked(_sizes(A.source, q) if source is None else source, q)
     if not any(source):
         return 0
@@ -186,11 +201,11 @@ def map_rank(A: GradedMatrix, q: int,
     if not any(target):
         return 0
     if columns is None:
-        columns = _integer_columns(A)
+        columns = _integer_columns(_plain(A))
     return _rank(_rows(A, q, source, target, columns), sum(target))
 
 
-def _rows(A: GradedMatrix, q: int, source: List[int], target: List[int],
+def _rows(A, q: int, source: List[int], target: List[int],
           columns: Sequence[list]) -> Iterator[Dict[int, int]]:
     """map_rank's rows, given the _sizes source and target of the degree-q
     pieces of A.source and A.target and the _integer_columns of A: one per
@@ -210,7 +225,7 @@ def _rows(A: GradedMatrix, q: int, source: List[int], target: List[int],
             yield dict(zip(row_keys, coeffs))
 
 
-def _homology(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
+def _homology(modules: Sequence, maps: Sequence[_Map],
               lo: int, hi: int) -> Iterator[Tuple[int, List[int]]]:
     """(q, dims) for each degree q in the window lo..hi, where dims[i] is
     dim_k of the degree-q homology at modules[i] of the chain modules[0]
@@ -227,18 +242,18 @@ def _homology(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
                   for i, s in enumerate(sizes)]
 
 
-def module_dims(M: ModulePresentation,
-                window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
+def module_dims(M, window: Optional[Tuple[int, int]] = None) -> Dict[int, int]:
     """dim_k M_q = dim (F0)_q - rank of the degree-q relation block, for
     each q in the window (lo, hi), by default default_window(M); computed
     once per presentation and window."""
     lo, hi = default_window(M) if window is None else window
     return dict(M.cached(("oracle", lo, hi), lambda: {
-        q: h[0] for q, h in _homology([M.F0, M.F1], [M.relations], lo, hi)}))
+        q: h[0] for q, h in _homology([M.F0, M.F1], [_plain(M.relations)],
+                                      lo, hi)}))
 
 
-def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
-             j: int, lo: int, hi: int) -> Dict[int, int]:
+def ext_dims(modules: Sequence, maps: Sequence, j: int, lo: int,
+             hi: int) -> Dict[int, int]:
     """dim_k Ext^j_q from a resolution given as plain module/matrix lists:
     the homology at F_j* of the dual chain F_{j+1}* <- F_j* <- F_{j-1}*,
     without whichever end the resolution does not have."""
@@ -251,25 +266,21 @@ def ext_dims(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
     return {q: h[at] for q, h in _homology(duals, transposes, lo, hi)}
 
 
-def _transpose(A: GradedMatrix) -> GradedMatrix:
-    """The dual map, column i gathered from row i of A over terms: the
-    oracle shares no transpose with the engine."""
+def _transpose(A) -> _Map:
+    """The dual map of the GradedMatrix A, column i gathered from row i of
+    A over terms: the oracle shares no transpose with the engine."""
     rows = [{} for _ in range(A.target.rank)]
     for j, v in enumerate(A.columns()):
         for (i, m), c in v.terms.items():
             rows[i][(j, m)] = c
-    target = A.source.dual()
-    return GradedMatrix.from_columns(
-        target, [ModuleElement(target, t) for t in rows],
-        A.target.dual().degrees)
+    return _Map(A.target.dual(), A.source.dual(), rows)
 
 
-def resolution_is_exact(modules: Sequence[FreeModule],
-                        maps: Sequence[GradedMatrix],
-                        target_dims: Dict[int, int],
-                        lo: int, hi: int) -> bool:
+def resolution_is_exact(modules: Sequence, maps: Sequence,
+                        target_dims: Dict[int, int], lo: int, hi: int) -> bool:
     """Degreewise exactness of F_p -> ... -> F_0 against prescribed
     cokernel dimensions: homology vanishes at every inner position and the
     end kernel is zero, coker(delta_1) matches target_dims."""
     return all(h[0] == target_dims.get(q, 0) and not any(h[1:])
-               for q, h in _homology(modules, maps, lo, hi))
+               for q, h in _homology(modules, [_plain(A) for A in maps],
+                                     lo, hi))

@@ -6,12 +6,12 @@ subtraction, the term order is int order, and a divisibility test is one
 subtraction and one mask (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998). The lcm
 of two terms at one position, its degree and the coprime test of an S-pair
-are key arithmetic as well (see lcm). The Groebner layer packs its input
-once, and a basis it hands back is made of elements that hold their rows
-under grevlex (a Schreyer-layout row is rekeyed to grevlex in one step),
-so the next completion, a resolution map and its transpose read the keys
-as they are. A ModuleElement (syzal.modfree) builds its exponent tuples
-only when they are asked for; the oracle reads nothing else.
+are key arithmetic as well (see lcm). Every ModuleElement (syzal.modfree)
+holds its grevlex row from construction, and a basis the Groebner layer
+hands back holds its rows too (a Schreyer-layout row is rekeyed to
+grevlex in one step), so a completion, a resolution map and its transpose
+read the keys as they are. Exponent tuples are built only when asked for;
+the oracle reads the terms, and imports neither module.
 
 Layout. Every field is FIELD bits wide; B = 2^FIELD. Over r variables a
 monomial m has the value
@@ -45,14 +45,15 @@ through grevlex, not level by level.
 
 The bound. A field holds its value only while the monomial it packs has
 degree at most MAX_DEGREE (so every exponent is at most MAX_DEGREE as
-well). `row` packs what it is given; the Groebner layer checks each
-element once, where it enters, and each S-pair, against one degree bound
-that keeps every term it can form within MAX_DEGREE (see its `_limit`),
-and refuses the rest with InputError. Nothing wraps silently. An S-pair's
-lcm is formed before that check, so it is exact further: two packable
-monomials have an lcm of degree at most 2 MAX_DEGREE < 2^FIELD, so its
-fields sum without a carry, and its key, base(pos) - V(lcm), is the exact
-int even where it no longer packs.
+well). `row` packs what it is given; a ModuleElement holds each monomial
+to MAX_DEGREE, and the Groebner layer checks each element where it enters,
+and each S-pair, against one degree bound that keeps every term it can
+form within MAX_DEGREE (see its `_limit`), and refuses the rest with
+InputError. Nothing wraps silently. An S-pair's lcm is formed before that
+check, so it is exact further: two packable monomials have an lcm of
+degree at most 2 MAX_DEGREE < 2^FIELD, so its fields sum without a carry,
+and its key, base(pos) - V(lcm), is the exact int even where it no longer
+packs.
 """
 from __future__ import annotations
 
@@ -109,8 +110,8 @@ class _Packing:
 
     def row(self, terms: dict) -> Row:
         """The Row of the terms {(pos, m): coefficient}, packed as they
-        are: the Groebner layer's entry checks keep every packed monomial
-        within MAX_DEGREE."""
+        are: the ModuleElement constructor and the Groebner layer's bound
+        keep every packed monomial within MAX_DEGREE."""
         key = self.key
         keyed = [(key(pos, m), c) for (pos, m), c in terms.items()]
         keyed.sort(key=operator.itemgetter(0))

@@ -26,6 +26,7 @@ from syzal.modfree import (
     shift,
     zero_module,
 )
+from syzal.packed import Row, graded
 from syzal.ring import (
     RingSpec,
     mono_deg,
@@ -175,22 +176,17 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
 
     A map is touched when it is divided by its content or a pivot lies in
     it or in a neighbour. Only then are its columns converted, each to a
-    dict row -> {monomial: coefficient}, and rebuilt at the end, with its
-    rows renumbered once; meanwhile a removed generator has degree None
-    and a removed column is None. Until then the search reads the constant
-    entries of the map off its terms of monomial 1. An untouched map, and
-    a module no pivot shrank, is handed back as the same object.
+    dict row -> {monomial: coefficient}, and packed again at the end, with
+    its rows renumbered once; meanwhile a removed generator has degree
+    None and a removed column is None. Until then the search reads the
+    constant entries of the map off its keys of monomial 1. An untouched
+    map, and a module no pivot shrank, is handed back as the same object.
     """
     degs = [list(F.degrees) for F in modules]
     mats: list = [None] * len(maps)  # the by-row columns of a touched map
-    divide = [any(type(c) is not int for v in A.columns() for c in v._map.values())
+    divide = [any(type(c) is not int for v in A.columns() for c in v._row.values())
               for A in maps]
-    one = modules[0].ring.one_monomial()
-
-    def unit_at(v: ModuleElement, a: int) -> bool:
-        # whether column v has the term (a, 1): of a packed column, the key
-        # of that term, base(a), is among its keys
-        return (a, one) in v._terms if v._row is None else v._pk.base(a) in v._row
+    pk = graded(modules[0].ring.r)
 
     def touch(s: int) -> list:
         if mats[s] is None:
@@ -209,12 +205,12 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
                 if g is not None:
                     cols_of.setdefault(g, []).append(b)
             # until maps[s] is touched, its constant entries are its terms
-            # of monomial 1
+            # of monomial 1, of the keys base(a)
             cols = mats[s]
             hit = next(((a, b) for a, g in enumerate(degs[s])
                         for b in cols_of.get(g, ())
                         if (a in cols[b] if cols is not None
-                            else unit_at(A.column_element(b), a))), None)
+                            else pk.base(a) in A.column_element(b)._row)), None)
             if hit is None:
                 break
             a, b = hit
@@ -276,8 +272,8 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
         live = [i for i, g in enumerate(degs[s]) if g is not None]
         index = {i: k for k, i in enumerate(live)}
         out_maps.append(GradedMatrix.from_columns(target, [
-            ModuleElement._of(target, {(index[i], m): c for i, e in col.items()
-                                       for m, c in e.items()})
+            ModuleElement._of(target, pk.row({
+                (index[i], m): c for i, e in col.items() for m, c in e.items()}))
             for col in cols if col is not None], out_modules[s + 1].degrees))
     return out_modules, out_maps
 
@@ -321,14 +317,15 @@ def koszul_complex(ring: RingSpec) -> FreeResolution:
     subsets = [_subsets_colex(r, j) for j in range(r + 1)]
     index = [{S: i for i, S in enumerate(level)} for level in subsets]
     modules = [FreeModule(ring, (d * j,) * len(subsets[j])) for j in range(r + 1)]
-    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    # the term t_s e_T has the key base(T) - V(t_s), and V(t_s) = weights[s - 1]
+    pk = graded(r)
     maps = []
     for j in range(1, r + 1):
         columns = []
         for S in subsets[j]:
-            columns.append(ModuleElement._of(modules[j - 1], {
-                (index[j - 1][S[:idx] + S[idx + 1:]], unit[s - 1]): (-1) ** idx
-                for idx, s in enumerate(S)}))
+            columns.append(ModuleElement._of(modules[j - 1], Row(sorted(
+                (pk.base(index[j - 1][S[:idx] + S[idx + 1:]]) - pk.weights[s - 1],
+                 (-1) ** idx) for idx, s in enumerate(S)))))
         maps.append(GradedMatrix.from_columns(modules[j - 1], columns,
                                               modules[j].degrees))
     return FreeResolution(ring, residue_field(ring), modules, maps,

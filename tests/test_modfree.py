@@ -86,16 +86,45 @@ def test_graded_matrix_validation():
         GradedMatrix.from_columns(tgt, [col], [2, 2])
 
 
+@pytest.mark.parametrize("position", [-1, 2, True])
+def test_an_element_refuses_a_term_at_no_position_when_built(position):
+    # -1 used to be kept, read by to_vector and apply as the last position
+    F = FreeModule(RingSpec(2, 2), (0, 0))
+    with pytest.raises(InputError, match="position"):
+        ModuleElement(F, {(position, (0, 0)): 1})
+
+
+def test_an_element_of_another_module_is_refused():
+    # over Q[t1, t2], t3 e_0 of a module over Q[t1, t2, t3] used to be
+    # applied as e_0 (the zip of the exponents dropped t3), and added into
+    # an element that could not be printed
+    R2 = RingSpec(2, 2)
+    F = FreeModule(R2, (0,))
+    A = GradedMatrix.from_columns(F, [F.generator(0)])
+    v = ModuleElement(FreeModule(RingSpec(3, 2), (0,)), {(0, (0, 0, 1)): 1})
+    with pytest.raises(InputError):
+        A.apply(v)
+    with pytest.raises(InputError):
+        F.generator(0) + v
+    with pytest.raises(InputError):
+        F.generator(0) - v
+    with pytest.raises(InputError):
+        A.apply(FreeModule(R2, (2,)).generator(0))  # the source has degree 0
+    with pytest.raises(InputError):
+        F.generator(0).term_mul((0, 0, 1), 1)
+
+
 @pytest.mark.parametrize("position", [-1, 3])
 def test_graded_matrix_refuses_positions_outside_the_target(position):
-    # -1 used to be read as the last row, 3 to raise a bare IndexError
+    # -1 used to be read as the last row, 3 to raise a bare IndexError; the
+    # column is refused when it is built
     ring = RingSpec(1, 2)
     F = FreeModule(ring, (0,))
-    col = ModuleElement(F, {(position, (1,)): 1})
     with pytest.raises(InputError, match="position"):
-        GradedMatrix.from_columns(F, [col])
+        GradedMatrix.from_columns(F, [ModuleElement(F, {(position, (1,)): 1})])
     with pytest.raises(InputError, match="position"):
-        GradedMatrix.from_columns(F, [col], [2])
+        GradedMatrix.from_columns(F, [ModuleElement(F, {(position, (1,)): 1})],
+                                  [2])
 
 
 def test_matrix_compose_transpose_apply():

@@ -345,7 +345,7 @@ def _reference_rows(A, q):
     """Reference: map_rank's rows built on tuple bases, with mono_mul and
     a dict from target basis element to column."""
     tindex = {bm: k for k, bm in enumerate(_basis(A.target, q))}
-    columns = oracle._integer_columns(A)
+    columns = oracle._integer_columns(oracle._plain(A))
     return [{tindex[(i, mono_mul(m, mono))]: c for i, m, c in columns[j]}
             for j, mono in _basis(A.source, q)]
 
@@ -421,7 +421,7 @@ def test_rows_match_the_reference_builder(map_and_degree):
     rows = _reference_rows(A, q)
     target = oracle._sizes(A.target, q)
     new = list(oracle._rows(A, q, oracle._sizes(A.source, q), target,
-                            oracle._integer_columns(A)))
+                            oracle._integer_columns(oracle._plain(A))))
     assert [list(row.items()) for row in new] == [list(row.items())
                                                  for row in rows]
     # the same rows make the same elimination: the budget falls on the

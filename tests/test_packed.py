@@ -345,7 +345,9 @@ def test_r0_and_the_zero_module():
 
 
 def test_the_oracle_keeps_exponent_tuples():
-    # the oracle, and every syzal module it imports, stays off the packed code
+    # the oracle, and every syzal module it imports, stays off the packed
+    # code and off the module layer: it reads maps through their source,
+    # target and the terms of their columns
     import ast
     import importlib
     seen, todo = set(), ["syzal.oracle"]
@@ -358,7 +360,29 @@ def test_the_oracle_keeps_exponent_tuples():
                     and node.module.startswith("syzal.") and node.module not in seen):
                 todo.append(node.module)
     assert "syzal.packed" not in seen and "syzal.groebner" not in seen
-    assert seen == {"syzal.oracle", "syzal.modfree", "syzal.ring", "syzal.errors"}
+    assert seen == {"syzal.oracle", "syzal.ring", "syzal.errors"}
+
+
+def test_the_oracle_reads_a_loaded_presentation_as_given(tmp_path, monkeypatch):
+    # a loaded column keeps the dict it was built from as its terms, so the
+    # oracle unpacks no key: with Graded.term refusing, module_dims still
+    # runs, and agrees with the Hilbert series read off leading terms
+    import json
+    import syzal.packed
+    from syzal import hilbert_series, load_presentation
+    from syzal.oracle import module_dims
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "ring": {"r": 2, "d": 2}, "generators": [0, 2],
+        "relation_generators": [4, 4],
+        "matrix": [["t1^2", "t2^2"], ["t2", "-t1"]]}))
+    series = hilbert_series(load_presentation(str(path)))
+
+    def refuse(self, key):
+        raise AssertionError("the oracle unpacked a key")
+    monkeypatch.setattr(syzal.packed.Graded, "term", refuse)
+    dims = module_dims(load_presentation(str(path)))
+    assert dims and dims == {q: series.coefficient(q) for q in dims}
 
 
 def test_the_oracle_keeps_its_own_transpose():
