@@ -442,12 +442,16 @@ def _root_multiplicity_at_one(numerator: dict) -> int:
 def syzygy_order(M: ModulePresentation) -> int:
     """Largest j in 0..r such that M is a j-th syzygy; r iff M is free, and
     r for the zero module by convention. A nonzero module of rank 0 is
-    torsion, so its order is 0. Otherwise M is a j-th syzygy iff
-    Ext^i(Tr M, R) = 0 for 1 <= i <= j (Auslander-Bridger, Stable module
-    theory, Mem. AMS 94, 1969; over a polynomial ring j-torsionless means
-    j-th syzygy, Evans-Griffith, Syzygies, LMS LN 106, 1985), so the order
-    is the least i >= 1 with Ext^i(Tr M, R) != 0, minus 1, with Tr M the
-    _auslander_transpose.
+    torsion, so its order is 0. Both are read off the Hilbert series, and
+    nothing is resolved: M = 0 iff the series is zero, and rank M is the
+    numerator's value at x = 1, the sum of its coefficients, since HS(M) =
+    sum (-1)^i HS(F_i) over any graded free resolution F of M. Otherwise M
+    is a j-th syzygy iff Ext^i(Tr M, R) = 0 for 1 <= i <= j
+    (Auslander-Bridger, Stable module theory, Mem. AMS 94, 1969; over a
+    polynomial ring j-torsionless means j-th syzygy, Evans-Griffith,
+    Syzygies, LMS LN 106, 1985), so the order is the least i >= 1 with
+    Ext^i(Tr M, R) != 0, minus 1, with Tr M the _auslander_transpose of the
+    minimal resolution, which also tells a free M.
 
     _ext_vanishes decides each Ext^i(Tr M, R); none is built. For
     projective dimension 1, delta1 is injective, so Tr M has rank 0, and it
@@ -457,12 +461,14 @@ def syzygy_order(M: ModulePresentation) -> int:
     positive rank and grade 0, and the vanishing is read off the series of
     the images of the dual maps of its minimal resolution."""
     r = M.ring.r
-    res = minimal_resolution(M)
-    if res.length == 0:
+    series = hilbert_series(M)
+    if series.is_zero():
         return r
-    if sum((-1) ** i * F.rank for i, F in enumerate(res.modules)) == 0:
+    if not sum(series.numerator.values()):
         return 0
     Tr = _auslander_transpose(M)
+    if Tr is None:
+        return r
     for i in range(1, r + 1):
         if not _ext_vanishes(Tr, i):
             return i - 1

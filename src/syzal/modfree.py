@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional
 
 from syzal.errors import InhomogeneousError, InputError
-from syzal.packed import graded
+from syzal.packed import Row, graded
 from syzal.ring import (
     MAX_DEGREE,
     Polynomial,
@@ -114,7 +114,8 @@ class ModuleElement:
 
     def _like(self, module: FreeModule, row) -> "ModuleElement":
         """The element of module of a grevlex row whose terms have degrees
-        among those of self (a remainder of self, or its lift): taken as
+        among those of self (a remainder of self, its lift, or its image
+        under a map): taken as
         _of takes it when self is homogeneous, else rebuilt through the
         public constructor, which records the degree of each term."""
         e = ModuleElement._of(module, row)
@@ -288,19 +289,43 @@ class GradedMatrix:
                      for i in range(self.target.rank))
 
     def apply(self, v: ModuleElement) -> ModuleElement:
-        """Image of an element of the source."""
+        """Image of an element of the source, summed on packed keys: the
+        term u of column p times the term t of v at position p has the key
+        u - base(p) + t (syzal.packed), and the image's row is sorted once.
+        A term of v of degree e lands at a target position of degree g with
+        a monomial of degree (e - g)/d; where that may pass MAX_DEGREE, no
+        key packs it, and the products are formed on exponent tuples for
+        the public constructor to check."""
         if v.module != self.source:
             raise InputError("element does not lie in the source of the map")
-        out: dict = {}
-        for (pos, m), c in v.terms.items():
-            for (i, m2), c2 in self._columns[pos].terms.items():
-                key = (i, mono_mul(m2, m))
+        target = self.target
+        top = v._top_degree()
+        if top is not None and (top - min(target.degrees, default=top)
+                                > MAX_DEGREE * target.ring.d):
+            out: dict = {}
+            for (pos, m), c in v.terms.items():
+                for (i, m2), c2 in self._columns[pos].terms.items():
+                    key = (i, mono_mul(m2, m))
+                    s = out.get(key, 0) + c * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+            return ModuleElement(target, out)
+        pk = graded(target.ring.r)
+        pshift, base, columns = pk.pshift, pk.base, self._columns
+        out = {}
+        for t, c in v._row.items():
+            p = t >> pshift
+            at = t - base(p)
+            for u, c2 in columns[p]._row.items():
+                key = u + at
                 s = out.get(key, 0) + c * c2
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return ModuleElement(self.target, out)
+                    del out[key]
+        return v._like(target, Row(sorted(out.items())))
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         """self after other: (self . other): other.source -> self.target."""

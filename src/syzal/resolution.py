@@ -7,7 +7,7 @@ cancelling constant-entry pivots.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
@@ -308,26 +308,31 @@ def _subsets_colex(r: int, j: int):
                   key=lambda S: tuple(reversed(S)))
 
 
+def _koszul_map(target: FreeModule, j: int) -> GradedMatrix:
+    """delta_j: F_j -> F_{j-1} of the Koszul complex, onto target = F_{j-1},
+    free on the (j-1)-subsets in one degree g, from F_j free on the
+    j-subsets in degree g + d, both in colexicographic order; delta(e_S) is
+    the signed sum over s in S of t_s e_{S-s}, the sign alternating with
+    the position of s in sorted S (first element positive)."""
+    ring = target.ring
+    index = {S: i for i, S in enumerate(_subsets_colex(ring.r, j - 1))}
+    # the term t_s e_T has the key base(T) - V(t_s), and V(t_s) = weights[s - 1]
+    pk = graded(ring.r)
+    columns = [ModuleElement._of(target, Row(sorted(
+        (pk.base(index[S[:idx] + S[idx + 1:]]) - pk.weights[s - 1], (-1) ** idx)
+        for idx, s in enumerate(S)))) for S in _subsets_colex(ring.r, j)]
+    return GradedMatrix.from_columns(
+        target, columns, (target.degrees[0] + ring.d,) * len(columns))
+
+
 def koszul_complex(ring: RingSpec) -> FreeResolution:
     """The exterior-algebra resolution of k: F_j free on e_S, |S| = j, in
-    degree d*j, basis in colexicographic order; delta(e_S) is the signed sum
-    over s in S of t_s e_{S-s}, the sign alternating with the position of s
-    in sorted S (first element positive)."""
-    r, d = ring.r, ring.d
-    subsets = [_subsets_colex(r, j) for j in range(r + 1)]
-    index = [{S: i for i, S in enumerate(level)} for level in subsets]
-    modules = [FreeModule(ring, (d * j,) * len(subsets[j])) for j in range(r + 1)]
-    # the term t_s e_T has the key base(T) - V(t_s), and V(t_s) = weights[s - 1]
-    pk = graded(r)
+    degree d*j, with the maps of _koszul_map."""
+    modules = [FreeModule(ring, (0,))]
     maps = []
-    for j in range(1, r + 1):
-        columns = []
-        for S in subsets[j]:
-            columns.append(ModuleElement._of(modules[j - 1], Row(sorted(
-                (pk.base(index[j - 1][S[:idx] + S[idx + 1:]]) - pk.weights[s - 1],
-                 (-1) ** idx) for idx, s in enumerate(S)))))
-        maps.append(GradedMatrix.from_columns(modules[j - 1], columns,
-                                              modules[j].degrees))
+    for j in range(1, ring.r + 1):
+        maps.append(_koszul_map(modules[-1], j))
+        modules.append(maps[-1].source)
     return FreeResolution(ring, residue_field(ring), modules, maps,
                           minimal=True, truncated=False)
 
@@ -335,16 +340,15 @@ def koszul_complex(ring: RingSpec) -> FreeResolution:
 def koszul_syzygy(ring: RingSpec, j: int) -> ModulePresentation:
     """The j-th Koszul syzygy module K_j = coker(delta_{j+1})[-dj], generated
     in degree 0. K_0 = k, K_1 = m[-d], K_r = R, K_{r+1} = 0."""
-    r, d = ring.r, ring.d
+    r = ring.r
     if j < 0 or j > r + 1:
         raise InputError(f"koszul syzygy index {j} out of range 0..{r + 1}")
     if j == r + 1:
         return zero_module(ring)
-    kos = koszul_complex(ring)
     if j == r:
-        return free_presentation(ring, (0,) * kos.modules[j].rank)
-    return shift(ModulePresentation(ring, kos.modules[j], kos.modules[j + 1],
-                                    kos.maps[j]), -d * j)
+        return free_presentation(ring, (0,))
+    A = _koszul_map(FreeModule(ring, (0,) * comb(r, j)), j + 1)
+    return ModulePresentation(ring, A.target, A.source, A)
 
 
 def maximal_ideal(ring: RingSpec) -> ModulePresentation:

@@ -31,6 +31,7 @@ from syzal import (
     minimal_resolution,
     module_dims,
     parse_polynomial,
+    presentation_from_json,
     residue_field,
     resolve,
     buchberger,
@@ -379,6 +380,33 @@ def test_syzygy_order_of_projective_dimension_1_builds_no_ext(monkeypatch):
     monkeypatch.setattr(homalg, "resolve", recording)
     assert syzygy_order(M) == 3
     assert resolved == [M]
+
+
+# a presentation of the cli-check benchmark (seed 7, third file): rank 0,
+# and not minimal (the unit entry -1)
+_CLI_SEED_7 = {
+    "ring": {"r": 2, "d": 2, "names": ["t1", "t2"]},
+    "generators": [0, 2], "relation_generators": [2, 4, 6],
+    "matrix": [["t1 - 2*t2", "2*t2^2 - t1^2", "2*t1^2*t2 + 2*t1^3"],
+               ["- 1", "2*t1 - 3*t2", "t2^2 + 3*t1^2"]]}
+
+
+@pytest.mark.parametrize("M, order", [
+    (residue_field(R2), 0),
+    (presentation_from_json(_CLI_SEED_7), 0),
+    (zero_module(R2), 2),
+    # its Schreyer step would form t1^20000 t2^20000, past the packed bound
+    (_pres(R2, (0,), (40000, 40000), [["t1^20000", "t2^20000"]]), 0),
+], ids=["residue-field", "cli-seed-7", "zero", "past-the-bound"])
+def test_syzygy_order_of_a_zero_or_torsion_module_resolves_nothing(
+        monkeypatch, M, order):
+    # M = 0 and rank M = 0 are read off the Hilbert series
+    import syzal.homalg as homalg
+
+    def refuse(*args):
+        raise AssertionError("a module was resolved")
+    monkeypatch.setattr(homalg, "resolve", refuse)
+    assert syzygy_order(M) == order
 
 
 def test_ext_below_the_grade_computes_no_kernel(monkeypatch):

@@ -62,6 +62,7 @@ from syzal import (
 )
 from syzal import cli, resolution
 from syzal.groebner import _dividend, _enter, _Index, _lead_index
+from syzal.homalg import _auslander_transpose, _ext_vanishes
 from syzal.packed import Schreyer, graded
 from syzal.resolution import _cancel_units
 from syzal.ring import mono_mul, qdiv
@@ -970,6 +971,32 @@ def test_syzygy_order_matches_the_codimension_route(M):
     # the Auslander transpose (with its rank-0 shortcut) against the
     # codimensions of the Ext^i(M, R), the criterion Allday-Franz-Puppe use
     assert syzygy_order(M) == cli._codimension_order(M)
+
+
+def _order_by_resolution(M):
+    """syzygy_order with zero, free and rank 0 told by the minimal
+    resolution: rank M is the alternating sum of its ranks."""
+    r = M.ring.r
+    res = minimal_resolution(M)
+    if res.length == 0:
+        return r
+    if sum((-1) ** i * F.rank for i, F in enumerate(res.modules)) == 0:
+        return 0
+    Tr = _auslander_transpose(M)
+    return next(i - 1 for i in range(1, r + 1) if not _ext_vanishes(Tr, i))
+
+
+@given(order_cases())
+@_order_examples
+@settings(max_examples=60, deadline=2000)
+def test_syzygy_order_reads_the_rank_off_the_series(M):
+    # the numerator at x = 1 is the alternating rank sum of any graded free
+    # resolution, the minimal one among them
+    order = syzygy_order(M)
+    res = minimal_resolution(M)
+    assert sum(hilbert_series(M).numerator.values()) == sum(
+        (-1) ** i * F.rank for i, F in enumerate(res.modules))
+    assert order == _order_by_resolution(M)
 
 
 @given(order_cases())

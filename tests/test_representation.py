@@ -266,6 +266,29 @@ def test_a_monomial_past_the_degree_bound_is_refused():
         ModuleElement(F, {(0, (MAX_DEGREE, 1)): 1})
 
 
+def test_an_image_past_the_degree_bound_is_refused():
+    # apply sums its products on packed keys, which hold a monomial up to
+    # MAX_DEGREE: at the bound the image is exact, one past it the
+    # constructor's check refuses it, and a product past it that cancels
+    # leaves the image the constructor keeps
+    ring = RingSpec(2, 2)
+    F = FreeModule(ring, (0, 2))
+    A = GradedMatrix.from_columns(F, [ModuleElement(F, {(0, (2, 0)): 1,
+                                                        (1, (1, 0)): 2})])
+    S = A.source
+    assert A.apply(ModuleElement(S, {(0, (MAX_DEGREE - 2, 0)): 3})).terms == {
+        (0, (MAX_DEGREE, 0)): 3, (1, (MAX_DEGREE - 1, 0)): 6}
+    with pytest.raises(InputError, match=f"degree above {MAX_DEGREE}"):
+        A.apply(ModuleElement(S, {(0, (MAX_DEGREE - 1, 0)): 1}))
+    # the Koszul map (t1, t2) on t2 x e_0 - t1 x e_1, deg x = MAX_DEGREE - 1
+    R = FreeModule(ring, (0,))
+    K = GradedMatrix.from_columns(R, [ModuleElement(R, {(0, (1, 0)): 1}),
+                                      ModuleElement(R, {(0, (0, 1)): 1})])
+    x = MAX_DEGREE - 1
+    v = ModuleElement(K.source, {(0, (x, 1)): 1, (1, (x + 1, 0)): -1})
+    assert K.apply(v).is_zero()
+
+
 # ---------- no round trip between two Schreyer steps ----------
 
 def _count_views(monkeypatch):

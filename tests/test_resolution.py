@@ -11,8 +11,10 @@ from syzal import (
     FreeResolution,
     GradedMatrix,
     InputError,
+    ModulePresentation,
     RingSpec,
     VerificationError,
+    free_presentation,
     koszul_complex,
     koszul_syzygy,
     maximal_ideal,
@@ -221,6 +223,27 @@ def test_koszul_syzygy_edges():
         koszul_syzygy(ring, -1)
     with pytest.raises(InputError):
         koszul_syzygy(ring, 5)
+
+
+def test_koszul_syzygy_is_the_cokernel_of_the_complex():
+    # K_j from delta_{j+1} alone against K_j cut out of the whole complex
+    for r in range(7):
+        ring = RingSpec(r, 2)
+        kos = koszul_complex(ring)
+        for j in range(r + 2):
+            if j == r + 1:
+                ref = zero_module(ring)
+            elif j == r:
+                ref = free_presentation(ring, (0,) * kos.modules[j].rank)
+            else:
+                ref = shift(ModulePresentation(ring, kos.modules[j],
+                                               kos.modules[j + 1], kos.maps[j]),
+                            -2 * j)
+            K = koszul_syzygy(ring, j)
+            assert (K.F0.degrees, K.F1.degrees) == (ref.F0.degrees,
+                                                    ref.F1.degrees)
+            assert [list(v._row.items()) for v in K.relations.columns()] == [
+                list(v._row.items()) for v in ref.relations.columns()]
 
 
 def test_koszul_syzygy_generated_in_degree_zero():
