@@ -81,10 +81,10 @@ def _run_checks(M: ModulePresentation) -> None:
     """Re-verify invariants: delta.delta = 0 of the minimal resolution, its
     Euler series against the Hilbert series read off the leading terms of
     the relation basis, and that series against the degreewise oracle.
-    Building the resolution certifies the relation basis: its Schreyer
-    step divides every minimal S-pair whenever two leading terms share a
-    position, the only case in which an S-pair exists. Every GradedMatrix
-    is checked homogeneous when it is built."""
+    Reading the maps of the resolution certifies the relation basis: its
+    Schreyer step divides every minimal S-pair whenever two leading terms
+    share a position, the only case in which an S-pair exists. Every
+    GradedMatrix is checked homogeneous when it is built."""
     res = minimal_resolution(M)
     res.check()
     series = hilbert_series(M)
@@ -201,6 +201,11 @@ def run_resolve(args, M: ModulePresentation) -> Output:
 def run_ext(args, M: ModulePresentation) -> Output:
     E = ext(M, args.j)
     fp = fingerprint(E)
+    if args.check:
+        # the Betti table comes off the Schreyer frame, with no division;
+        # check() reads the maps, so the Schreyer divisions run, and with
+        # them the S-pair certificate of the relation basis of E
+        minimal_resolution(E).check()
     if args.check and args.j <= minimal_resolution(M).length:
         # Ext^j is a subquotient of F_j*, so it lives in degrees from
         # -max(F_j.degrees) up; the window of E alone misses them when the
@@ -301,6 +306,10 @@ def _fixture_keys(args) -> dict:
 
 def run_ab(args, hht: ModulePresentation, ht=None) -> Output:
     report = ab_report(hht, ht)
+    if args.check:
+        # the S-pair certificate of each printed Ext module (see run_ext)
+        for E in report.modules:
+            minimal_resolution(E).check()
     return (lambda: {**_fixture_keys(args), "report": report.to_json()},
             report.render)
 

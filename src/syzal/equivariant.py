@@ -249,17 +249,21 @@ class AbReport:
     """Per-position fingerprints of Ext^j(hht, R) for j = 0..r, augmented
     Hilbert-level entries at positions -1 and 0 when the canonical map
     H_T^* -> Hom(hht, R) is known injective (syzygy order >= 1), and the
-    guaranteed-exact range derived from the syzygy order."""
+    guaranteed-exact range derived from the syzygy order. modules holds
+    the Ext modules whose fingerprints positions holds, in order."""
 
-    __slots__ = ("ring", "positions", "syzygy_order_ht", "aug_zero")
+    __slots__ = ("ring", "positions", "syzygy_order_ht", "aug_zero",
+                 "modules")
 
     def __init__(self, ring: RingSpec, positions: List[ModuleFingerprint],
                  syzygy_order_ht: Optional[int],
-                 aug_zero: Optional[HilbertSeries]):
+                 aug_zero: Optional[HilbertSeries],
+                 modules: Sequence[ModulePresentation]):
         self.ring = ring
         self.positions = list(positions)
         self.syzygy_order_ht = syzygy_order_ht
         self.aug_zero = aug_zero
+        self.modules = list(modules)
 
     @property
     def augmented(self) -> bool:
@@ -336,9 +340,10 @@ def ab_report(hht: ModulePresentation,
     ring = hht.ring
     if ht is not None and ht.ring != ring:
         raise InputError("hht and ht live over different rings")
-    positions = [fingerprint(ext(hht, j)) for j in range(ring.r + 1)]
+    modules = [ext(hht, j) for j in range(ring.r + 1)]
+    positions = [fingerprint(E) for E in modules]
     if ht is None:
-        return AbReport(ring, positions, None, None)
+        return AbReport(ring, positions, None, None, modules)
     order = syzygy_order(ht)
     aug_zero = None
     if order >= 1:
@@ -351,4 +356,4 @@ def ab_report(hht: ModulePresentation,
                 "H_T does not embed in Ext^0(hht): Hilbert-level "
                 "difference has negative coefficients")
         aug_zero = diff
-    return AbReport(ring, positions, order, aug_zero)
+    return AbReport(ring, positions, order, aug_zero, modules)

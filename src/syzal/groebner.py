@@ -2,7 +2,8 @@
 
 Division with remainder, Buchberger completion (homogeneous input only,
 normal selection strategy, Gebauer-Moeller pair update), the leading terms
-of a completion, Schreyer syzygies, kernels and preimages of graded maps by
+of a completion, Schreyer syzygies (a frame step read off leading terms,
+then a division step), kernels and preimages of graded maps by
 elimination on a graph submodule, and lifts by division.
 
 Inside this layer every term is one packed int (syzal.packed): an element
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import groupby
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from syzal.errors import InputError, VerificationError
 from syzal.modfree import FreeModule, GradedMatrix, ModuleElement
@@ -291,11 +290,12 @@ def normal_form(f: ModuleElement, G: GroebnerBasis) -> ModuleElement:
 
 # ---------- canonical element order ----------
 
-def _canonical_key(pk, row: Row):
-    # sorted in reverse: position ascending, then leading exponent vector
-    # lexicographically descending; this ordering also realizes the
-    # Hilbert-syzygy length bound for iterated Schreyer syzygies.
-    pos, m = pk.term(next(iter(row)))
+def _canonical_key(pk, lead: int):
+    # the sort key of an element of leading key lead; sorted in reverse:
+    # position ascending, then leading exponent vector lexicographically
+    # descending; this ordering also realizes the Hilbert-syzygy length
+    # bound for iterated Schreyer syzygies.
+    pos, m = pk.term(lead)
     return (-pos, m)
 
 
@@ -316,7 +316,8 @@ def _reduce_basis(rows: List[Row], pk, ambient: FreeModule) -> _Index:
                 keep[i] = False
                 break
     rows = sorted((row for row, kept in zip(rows, keep) if kept),
-                  key=lambda row: _canonical_key(pk, row), reverse=True)
+                  key=lambda row: _canonical_key(pk, next(iter(row))),
+                  reverse=True)
     # No leading term divides another, so tail reduction leaves every
     # leading term in place: one in-place pass reduces all tails for good,
     # to the unique reduced basis whatever the order of the pass. A tail
@@ -377,22 +378,6 @@ def _undivided(cands, pk):
         else:
             kept.append(x)
             yield cand
-
-
-def _s_pairs(G: "GroebnerBasis"):
-    """(lcm key, i, j) for every pair i < j of G whose leading terms share
-    a position, position by position, and by i then j within one;
-    InputError for a pair of degree above _limit."""
-    index = G._index
-    lcm = index.packing.lcm
-    d, degrees, limit = G.ambient.ring.d, G.ambient.degrees, index.limit
-    for p, group in index.groups.items():
-        for a, (i, ti) in enumerate(group):
-            for j, tj in group[a + 1:]:
-                key, deg = lcm(ti, tj)
-                if degrees[p] + d * deg > limit:
-                    raise too_high("S-pair")
-                yield key, i, j
 
 
 def buchberger(gens: Sequence[ModuleElement],
@@ -521,48 +506,97 @@ def _complete(gens: Sequence[ModuleElement], ambient: FreeModule) -> _Index:
 
 # ---------- Schreyer syzygies ----------
 
-def _minimal_pairs(pairs, pk):
-    """The pairs (lcm key, i, j) of _s_pairs whose lcm the lcm of no other
-    pair of the same i divides properly, and of pairs of equal lcm the
-    first; by i, and by lcm, lowest first, within one i."""
-    for _i, block in groupby(pairs, itemgetter(1)):
-        # a stable sort: pairs of equal lcm keep their order
-        yield from _undivided(sorted(block, key=lambda pair: -pair[0]), pk)
+class _Level(NamedTuple):
+    """One level of a Schreyer frame: the leading terms of a basis of
+    homogeneous elements of ambient, as their keys under layout, in the
+    order of the elements, with the degree of each element, and grouped by
+    position as _Index.groups groups them: groups[pos] holds (k, key) for
+    each element k whose leading term sits at pos."""
+    layout: object
+    ambient: FreeModule
+    leads: tuple
+    degrees: tuple
+    groups: Dict[int, list]
+
+    def shares_a_position(self) -> bool:
+        """Whether two leading terms share a position: the only case in
+        which the basis has an S-pair, and so a syzygy."""
+        return any(len(group) > 1 for group in self.groups.values())
 
 
-def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
-    """Syzygies of G.elements as a Groebner basis under the Schreyer order
-    induced by G. A same-position pair (i, j), i < j, gives the syzygy
+def _level_of(G: GroebnerBasis) -> _Level:
+    """The _Level of the nonzero elements of G, grouped as its index."""
+    index = G._index
+    return _Level(index.packing, G.ambient,
+                  tuple([next(iter(row)) for row in index.rows]),
+                  tuple([e.degree() for e in G.elements]), index.groups)
+
+
+def _frame_step(level: _Level):
+    """The frame of the Schreyer step over the basis whose leading terms
+    level holds, read off those alone: (pairs, syz), with pairs the
+    (lcm key, i, j) of the pairs whose syzygies the step keeps, and syz
+    the _Level of those syzygies, both in the canonical element order.
+
+    A same-position pair (i, j), i < j, has the syzygy whose leading term
+    is a_i e_i, a_i = lcm(LT_i, LT_j)/LT_i, under the Schreyer order that
+    level induces on the free module on the basis elements (a_j e_j has
+    the same image, and the smaller index is stronger), of the degree of
+    the lcm. Of the pairs of one i, the step keeps those whose lcm the lcm
+    of no other divides properly, and of pairs of equal lcm the first:
+    their syzygies generate those of the leading terms (Moller, J.
+    Symbolic Comput. 6, 1988). No two of them share a leading term, so the
+    canonical order is read off the leading terms. InputError for a pair,
+    kept or not, of degree above _limit."""
+    pk, ambient = level.layout, level.ambient
+    d, degrees, lcm = ambient.ring.d, ambient.degrees, pk.lcm
+    limit = _limit(pk, ambient)
+    pairs = []
+    for p, group in level.groups.items():
+        for a, (i, ti) in enumerate(group):
+            block = []
+            for j, tj in group[a + 1:]:
+                key, deg = lcm(ti, tj)
+                sdeg = degrees[p] + d * deg
+                if sdeg > limit:
+                    raise too_high("S-pair")
+                block.append((key, i, j, sdeg))
+            # lowest lcm first; a stable sort keeps pairs of equal lcm in
+            # order
+            pairs += _undivided(sorted(block, key=lambda pair: -pair[0]), pk)
+    spk = Schreyer(pk, level.leads)
+    key = spk.key_of_value
+    # V(a_i) = key(LT_i) - key(lcm)
+    leads = [key(i, level.leads[i] - lcm_key) for lcm_key, i, _j, _s in pairs]
+    order = sorted(range(len(pairs)), reverse=True,
+                   key=[_canonical_key(spk, t) for t in leads].__getitem__)
+    # the leading term a_i e_i of the syzygy of (i, j) sits at position i
+    groups: Dict[int, list] = {}
+    for k, n in enumerate(order):
+        groups.setdefault(pairs[n][1], []).append((k, leads[n]))
+    pairs = [pairs[n] for n in order]
+    return ([pair[:3] for pair in pairs],
+            _Level(spk, FreeModule(ambient.ring, level.degrees),
+                   tuple([leads[n] for n in order]),
+                   tuple([pair[3] for pair in pairs]), groups))
+
+
+def _schreyer_divide(G: GroebnerBasis, pairs, syz: _Level) -> GroebnerBasis:
+    """The division step of the Schreyer step whose frame _frame_step gave
+    for the leading terms of G: the syzygy of each pair (i, j) of pairs,
     mu b_i a_i e_i - mu b_j a_j e_j - sum_k q_k e_k, made primitive, from
     the division mu S = sum_k q_k g_k of its S-polynomial
-    S = b_i a_i g_i - b_j a_j g_j (see _s_poly). Its leading term is
-    a_i e_i, a_i = lcm(LT_i, LT_j)/LT_i. Only the pairs that _minimal_pairs
-    selects are divided: their syzygies generate those of the leading terms
-    (Moller, J. Symbolic Comput. 6, 1988), so G is a Groebner basis iff
-    each of their S-polynomials reduces to zero, and their syzygies are
-    then a Groebner basis of all syzygies (Schreyer; Eisenbud, Commutative
-    Algebra, 15.10). This is the engine's one certificate of a Groebner
-    basis. The basis is minimal, since no two selected pairs of one i share
-    an lcm or divide each other's, and canonically sorted, but its tails
-    are not reduced. The elements of G must be primitive int rows with
-    positive leading coefficients (else InputError), every pair must lie
-    within _limit, selected or not (else InputError), and every divided
-    S-polynomial must reduce to zero (else VerificationError: G is not a
-    Groebner basis). The division quotients come as one sparse dict (see
-    divide), folded into each syzygy in one pass over its terms. The source
-    degree of e_i, the degree of element i, is read off its leading term:
-    the elements are homogeneous, checked where they entered (_enter) or
-    built so by the engine."""
+    S = b_i a_i g_i - b_j a_j g_j (see _s_poly), as a basis of syz.ambient
+    under syz.layout. The quotients come as one sparse dict (see divide),
+    folded into each syzygy in one pass over its terms.
+    VerificationError when an S-polynomial leaves a remainder (G is not a
+    Groebner basis), or when a syzygy's leading term is not the one in
+    syz."""
     index = G._index
-    if any(not row or _integral(row) is not row for row in index.rows):
-        raise InputError("basis element is zero or not a primitive int row "
-                         "with a positive leading coefficient")
-    aux = FreeModule(G.ambient.ring, [e.degree() for e in G.elements])
-    spk = Schreyer(index.packing, [next(iter(row)) for row in index.rows])
-    key = spk.key_of_value
     rows = index.rows
+    key = syz.layout.key_of_value
     sygens: List[Row] = []
-    for lcm_key, i, j in _minimal_pairs(list(_s_pairs(G)), index.packing):
+    for (lcm_key, i, j), lead in zip(pairs, syz.leads):
         vi, vj, bi, bj, s = _s_poly(rows[i], rows[j], lcm_key)
         quots, rem, mu = divide(s, G.elements, want_quotients=True,
                                 index=index)
@@ -577,9 +611,36 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
                 terms[t] = c
             else:
                 del terms[t]
-        sygens.append(_primitive(Row(sorted(terms.items()))))
-    sygens.sort(key=lambda row: _canonical_key(spk, row), reverse=True)
-    return GroebnerBasis._of(_Index(spk, aux, sygens))
+        row = _primitive(Row(sorted(terms.items())))
+        if next(iter(row), None) != lead:
+            raise VerificationError(
+                "a Schreyer syzygy does not have the leading term of its frame")
+        sygens.append(row)
+    return GroebnerBasis._of(_Index(syz.layout, syz.ambient, sygens))
+
+
+def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
+    """Syzygies of G.elements as a Groebner basis under the Schreyer order
+    induced by G: the frame step (_frame_step), read off the leading terms
+    of G, then its division step (_schreyer_divide). Only the pairs the
+    frame keeps are divided. Their syzygies generate those of the leading
+    terms, so G is a Groebner basis iff each of their S-polynomials
+    reduces to zero, and their syzygies are then a Groebner basis of all
+    syzygies (Schreyer; Eisenbud, Commutative Algebra, 15.10). This is the
+    engine's one certificate of a Groebner basis. The basis is minimal,
+    since no two kept pairs of one i share an lcm or divide each other's,
+    and canonically sorted, but its tails are not reduced. The elements of
+    G must be primitive int rows with positive leading coefficients (else
+    InputError), every pair must lie within _limit, kept or not (else
+    InputError), and every divided S-polynomial must reduce to zero (else
+    VerificationError: G is not a Groebner basis). The source degree of
+    e_i, the degree of element i, is read off its leading term: the
+    elements are homogeneous, checked where they entered (_enter) or built
+    so by the engine."""
+    if any(not row or _integral(row) is not row for row in G._index.rows):
+        raise InputError("basis element is zero or not a primitive int row "
+                         "with a positive leading coefficient")
+    return _schreyer_divide(G, *_frame_step(_level_of(G)))
 
 
 def syzygies(G: GroebnerBasis) -> GradedMatrix:

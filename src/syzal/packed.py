@@ -35,7 +35,8 @@ exponent give the smaller key, key order is position over grevlex. Hence
 
 The layout is the term order: the Groebner layer names no order
 otherwise. Graded is grevlex, the one term order. Schreyer is the order
-that schreyer_basis induces from a basis with leading terms (p_i, m_i)
+that a Schreyer step (schreyer_basis, or a frame step of resolve) induces
+from a basis with leading terms (p_i, m_i)
 under a prior layout: it keys the term (i, m) as the prior key of
 (p_i, m m_i) times 2^s, plus i, with 2^s above every index. Its V is the
 prior V times 2^s, and the index is the last tie-break, smaller index

@@ -2,7 +2,9 @@
 
 Resolutions are built by one Buchberger run followed by iterated Schreyer
 syzygies (already Groebner bases, no recompletion), then minimized by
-cancelling constant-entry pivots.
+cancelling constant-entry pivots. The ranks and degrees of a resolution
+come from its Schreyer frame, read off leading terms; its maps are
+divided out only when they are read.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ from typing import Optional, Sequence
 from syzal.errors import InputError, VerificationError
 from syzal.groebner import (
     GroebnerBasis,
+    _frame_step,
+    _level_of,
+    _schreyer_divide,
     buchberger,
-    schreyer_basis,
 )
 from syzal.modfree import (
     FreeModule,
@@ -27,18 +31,18 @@ from syzal.modfree import (
     zero_module,
 )
 from syzal.packed import Row, graded
-from syzal.ring import (
-    RingSpec,
-    mono_deg,
-    mono_mul,
-)
+from syzal.ring import RingSpec, mono_mul
 
 
 class FreeResolution:
     """Chain F_0 <- F_1 <- ... <- F_p of graded free modules resolving the
-    augmentation target: maps[i] is delta_{i+1}: F_{i+1} -> F_i."""
+    augmentation target: maps[i] is delta_{i+1}: F_{i+1} -> F_i. A
+    resolution from resolve builds its maps on the first read of maps (see
+    _unread); its modules, and with them the length and the Betti table,
+    are read without them."""
 
-    __slots__ = ("ring", "target", "modules", "maps", "minimal", "truncated")
+    __slots__ = ("ring", "target", "modules", "_maps", "_build", "minimal",
+                 "truncated")
 
     def __init__(self, ring: RingSpec, target: ModulePresentation,
                  modules: Sequence[FreeModule], maps: Sequence[GradedMatrix],
@@ -46,27 +50,52 @@ class FreeResolution:
         self.ring = ring
         self.target = target
         self.modules = list(modules)
-        self.maps = list(maps)
+        self._maps = list(maps)
+        self._build = None
         self.minimal = minimal
         self.truncated = truncated
 
+    @classmethod
+    def _unread(cls, ring: RingSpec, target: ModulePresentation,
+                modules: Sequence[FreeModule], build, minimal: bool,
+                truncated: bool) -> "FreeResolution":
+        """The resolution whose maps build(), called on the first read of
+        maps, gives: primitive int maps between modules, of which no one
+        past F_0 is zero. resolve's form, which minimize may hand back with
+        its maps still unread."""
+        res = cls(ring, target, modules, (), minimal, truncated)
+        res._maps, res._build = None, build
+        return res
+
+    @property
+    def maps(self) -> list:
+        if self._maps is None:
+            self._maps, self._build = self._build(), None
+        return self._maps
+
     @property
     def length(self) -> int:
-        return len(self.maps)
+        return len(self.modules) - 1
 
     def check(self) -> None:
         """Verify delta_i . delta_{i+1} = 0 (homogeneity is enforced on
-        construction of every GradedMatrix)."""
-        for i in range(len(self.maps) - 1):
-            if not self.maps[i].compose(self.maps[i + 1]).is_zero():
+        construction of every GradedMatrix), and for a resolution flagged
+        minimal that no map has a constant entry. Reads the maps, so for a
+        resolution from resolve it runs the Schreyer divisions, and with
+        them the S-pair certificate of its relation basis."""
+        maps = self.maps
+        for i in range(len(maps) - 1):
+            if not maps[i].compose(maps[i + 1]).is_zero():
                 raise VerificationError(f"delta_{i + 1} . delta_{i + 2} is nonzero")
         if self.minimal and not self.is_minimal_data():
             raise VerificationError("resolution flagged minimal has constant entries")
 
     def is_minimal_data(self) -> bool:
-        """True iff no map has a constant entry."""
-        return not any(mono_deg(m) == 0 for A in self.maps
-                       for v in A.columns() for (_i, m) in v.terms)
+        """True iff no map has a constant entry: no key of monomial
+        degree 0."""
+        degree = graded(self.ring.r).degree
+        return not any(degree(t) == 0 for A in self.maps
+                       for v in A.columns() for t in v._row)
 
     def betti(self) -> "BettiTable":
         return BettiTable.from_resolution(self)
@@ -74,10 +103,6 @@ class FreeResolution:
     def __repr__(self):
         ranks = ", ".join(str(m.rank) for m in self.modules)
         return f"FreeResolution(ranks=[{ranks}], minimal={self.minimal})"
-
-
-def _has_same_position_pair(G: GroebnerBasis) -> bool:
-    return any(len(group) > 1 for group in G._index.groups.values())
 
 
 def relation_basis(M: ModulePresentation) -> Optional[GroebnerBasis]:
@@ -95,6 +120,11 @@ def resolve(M: ModulePresentation,
             max_len: Optional[int] = None) -> FreeResolution:
     """Free resolution of M of length at most max_len via Schreyer iteration.
 
+    The Schreyer frame, the leading terms of every step (_frame_step), is
+    walked first: it gives the modules, the length and truncated, with no
+    division. The maps are built from the stored frame steps, each by its
+    division step (_schreyer_divide), on the first read of maps.
+
     truncated is set when the kernel at the cut-off is nonzero. The default
     max_len, max(r, 1), is long enough for that never to happen: r steps
     suffice by the Hilbert Syzygy Theorem, and at r = 0 the one map delta1
@@ -108,13 +138,28 @@ def resolve(M: ModulePresentation,
         return FreeResolution(M.ring, M, [M.F0], [], minimal=True,
                               truncated=not M.relations.is_zero())
     G = relation_basis(M)
-    maps = [GradedMatrix.from_columns(M.F0, G.elements)]
-    while len(maps) < max_len and _has_same_position_pair(G):
-        G = schreyer_basis(G)
-        maps.append(GradedMatrix.from_columns(G.ambient, G.elements))
-    truncated = len(maps) == max_len and _has_same_position_pair(G)
-    return FreeResolution(M.ring, M, [M.F0] + [A.source for A in maps], maps,
-                          minimal=False, truncated=truncated)
+    levels = [_level_of(G)]
+    steps = []
+    # a level whose leading terms share a position has a syzygy: the next
+    # step, or the kernel at the cut-off
+    while (paired := levels[-1].shares_a_position()) and len(levels) < max_len:
+        pairs, level = _frame_step(levels[-1])
+        steps.append(pairs)
+        levels.append(level)
+    truncated = paired
+    modules = ([M.F0] + [level.ambient for level in levels[1:]]
+               + [FreeModule(M.ring, levels[-1].degrees)])
+
+    def build():
+        basis = G
+        maps = [GradedMatrix.from_columns(M.F0, G.elements, modules[1].degrees)]
+        for pairs, level, F in zip(steps, levels[1:], modules[2:]):
+            basis = _schreyer_divide(basis, pairs, level)
+            maps.append(GradedMatrix.from_columns(level.ambient, basis.elements,
+                                                  F.degrees))
+        return maps
+    return FreeResolution._unread(M.ring, M, modules, build, minimal=False,
+                                  truncated=truncated)
 
 
 # ---------- minimization ----------
@@ -282,7 +327,18 @@ def minimize(res: FreeResolution) -> FreeResolution:
     """Homotopy-equivalent minimal resolution of the same target, with
     trailing zero modules dropped. An int map that no pivot touches comes
     back as the same GradedMatrix (see _cancel_units), so minimizing a
-    minimal int resolution rebuilds no map."""
+    minimal int resolution rebuilds no map. A constant entry joins two
+    generators of equal degree, so where no two consecutive modules share
+    a degree there is no pivot: a resolution from resolve whose maps are
+    not built yet (FreeResolution._unread: int maps, no zero module past
+    F_0) is then handed back as minimal with its maps unread, to be built
+    from its frame on first read."""
+    if res._maps is None and all(
+            not set(F.degrees) & set(E.degrees)
+            for F, E in zip(res.modules, res.modules[1:])):
+        return FreeResolution._unread(res.ring, res.target, res.modules,
+                                      lambda: res.maps, minimal=True,
+                                      truncated=res.truncated)
     modules, maps = _cancel_units(res.modules, res.maps)
     while maps and not modules[-1].rank:
         modules.pop()

@@ -721,6 +721,55 @@ def test_check_fails_when_the_spair_certificate_fails(tmp_path, monkeypatch,
     assert "S-pair" in capsys.readouterr().err
 
 
+def test_ext_check_certifies_the_relation_basis_of_ext(tmp_path, monkeypatch,
+                                                     capsys):
+    # Ext^2 of the residue field of Q[t1, t2] is R/(t1, t2) in degree -4,
+    # whose Betti table comes off the Schreyer frame with no division; a
+    # division that leaves a remainder in its Schreyer step (the only one
+    # with quotients over two divisors in that module) is caught only by
+    # the --check build of its maps
+    import syzal.groebner as groebner
+    path = tmp_path / "k.pres"
+    save_presentation(residue_field(RingSpec(2, 2)), str(path))
+    divide = groebner.divide
+
+    def remainder(*args, **kwargs):
+        quots, rem, mu = divide(*args, **kwargs)
+        index = kwargs.get("index")
+        if (kwargs.get("want_quotients") and index is not None
+                and index.ambient.degrees == (-4,) and len(index.rows) == 2):
+            rem = {next(iter(index.rows[0])): 1}
+        return quots, rem, mu
+    monkeypatch.setattr(groebner, "divide", remainder)
+    assert cli.main(["ext", "--file", str(path), "--j", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["ext", "--file", str(path), "--j", "2", "--check"]) == 1
+    assert "S-pair" in capsys.readouterr().err
+
+
+def test_ab_check_certifies_the_relation_basis_of_every_printed_ext(
+        monkeypatch, capsys):
+    # Ext^3 of the toric r = 3 report is R/(t1, t2, t3) in degree -1, the
+    # one module on that generator degree; its Betti table comes off the
+    # Schreyer frame, so a remainder in its first Schreyer step is caught
+    # only by the --check build of the maps of each module of the report
+    import syzal.groebner as groebner
+    divide = groebner.divide
+
+    def remainder(*args, **kwargs):
+        quots, rem, mu = divide(*args, **kwargs)
+        index = kwargs.get("index")
+        if (kwargs.get("want_quotients") and index is not None
+                and index.ambient.degrees == (-1,) and len(index.rows) == 3):
+            rem = {next(iter(index.rows[0])): 1}
+        return quots, rem, mu
+    monkeypatch.setattr(groebner, "divide", remainder)
+    assert cli.main(["toric", "ab", "--r", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["toric", "ab", "--r", "3", "--check"]) == 1
+    assert "S-pair" in capsys.readouterr().err
+
+
 def test_resolve_check_divides_no_s_pair_twice(tmp_path, monkeypatch):
     # the Schreyer step of the resolution is the S-pair certificate of the
     # relation basis, so --check adds no division to resolve

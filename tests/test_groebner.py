@@ -27,6 +27,8 @@ from syzal import (
     toric_u,
     toric_v,
 )
+from syzal.errors import VerificationError
+from syzal.groebner import _frame_step, _level_of, _schreyer_divide
 from syzal.oracle import free_dim
 from syzal.packed import graded
 
@@ -253,6 +255,19 @@ def test_schreyer_basis_is_groebner():
     syzb = schreyer_basis(G)
     for e in syzb.elements:
         assert e.degree() is not None
+
+
+def test_the_division_step_checks_the_leading_terms_of_its_frame():
+    # x^2, xy, y^2: two syzygies, of leading terms y e_0 and y e_1; with
+    # the frame's leading terms swapped, neither division gives its own
+    F = FreeModule(RingSpec(2, 2), (0,))
+    G = buchberger([ModuleElement(F, {(0, m): 1})
+                    for m in [(2, 0), (1, 1), (0, 2)]], ambient=F)
+    pairs, syz = _frame_step(_level_of(G))
+    assert len(_schreyer_divide(G, pairs, syz)) == 2
+    swapped = syz._replace(leads=syz.leads[::-1])
+    with pytest.raises(VerificationError, match="leading term"):
+        _schreyer_divide(G, pairs, swapped)
 
 
 def test_kernel_single_row():

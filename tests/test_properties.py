@@ -64,7 +64,7 @@ from syzal import cli, resolution
 from syzal.groebner import _dividend, _enter, _Index, _lead_index
 from syzal.homalg import _auslander_transpose, _ext_vanishes
 from syzal.packed import Schreyer, graded
-from syzal.resolution import _cancel_units
+from syzal.resolution import _cancel_units, minimize, relation_basis
 from syzal.ring import mono_mul, qdiv
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -1011,6 +1011,60 @@ def test_biduality_matches_the_codimension_route(M):
     assert b.is_injective == (order >= min(1, r))
     assert b.is_isomorphism == (order >= min(2, r))
     assert b.is_injective == is_zero_module(b.kernel)
+
+
+def _schreyer_route(M, max_len):
+    """(maps, truncated) of resolve(M, max_len) as iterated schreyer_basis
+    calls give them: a step while two leading terms of the last basis
+    share a position."""
+    if M.relations.is_zero() or max_len == 0:
+        return [], not M.relations.is_zero()
+    G = relation_basis(M)
+    maps = [GradedMatrix.from_columns(M.F0, G.elements)]
+
+    def paired(G):
+        return any(len(group) > 1 for group in G._index.groups.values())
+    while len(maps) < max_len and paired(G):
+        G = schreyer_basis(G)
+        maps.append(GradedMatrix.from_columns(G.ambient, G.elements))
+    return maps, len(maps) == max_len and paired(G)
+
+
+@given(st.one_of(order_cases(), monomial_presentations()))
+@_order_examples
+@settings(max_examples=60, deadline=2000)
+def test_the_schreyer_frame_gives_the_modules_of_the_maps(M):
+    # the frame's modules are those of the maps read later, which are the
+    # maps of iterated schreyer_basis calls, at every max_len; minimizing
+    # before the maps are read gives the table of minimizing after, and
+    # divides nothing when no two consecutive modules share a degree
+    r = M.ring.r
+    for max_len in [None] + list(range(r + 1)):
+        res = resolve(M, max_len)
+        maps, truncated = _schreyer_route(M, max(r, 1) if max_len is None
+                                          else max_len)
+        assert res.truncated == truncated
+        assert res.length == len(maps)
+        degrees = [F.degrees for F in res.modules]
+        assert res.maps == maps
+        assert [A.source.degrees for A in maps] == degrees[1:]
+        assert [A.target.degrees for A in maps] == degrees[:-1]
+    read = resolve(M)
+    read.maps
+    divided = []
+    divide = resolution._schreyer_divide
+
+    def recorded(*args):
+        divided.append(1)
+        return divide(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_schreyer_divide", recorded)
+        res = resolve(M)
+        betti = minimize(res).betti()
+    assert betti == minimize(read).betti()
+    if all(not set(F.degrees) & set(E.degrees)
+           for F, E in zip(res.modules, res.modules[1:])):
+        assert divided == []
 
 
 # Random presentations whose oracle checks stay within its budgets: each

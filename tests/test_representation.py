@@ -334,3 +334,19 @@ def test_only_minimization_of_a_touched_map_builds_views(monkeypatch):
     res = minimal_resolution(M)
     assert [F.rank for F in res.modules] == [1, 2, 1]
     assert counts == {"views": 4, "by_row": 4}
+
+
+def test_checking_a_minimal_resolution_builds_no_terms_view(monkeypatch):
+    # the input above: check() composes on keys and reads the constant
+    # entries off the degree fields of the keys, so the views are those of
+    # minimization alone
+    ring = RingSpec(2, 2)
+    F0 = FreeModule(ring, (0, 0))
+    A = GradedMatrix.from_columns(F0, [
+        ModuleElement(F0, {(0, (0, 0)): 1}),
+        ModuleElement(F0, {(1, (1, 0)): 1}),
+        ModuleElement(F0, {(1, (0, 1)): 1})])
+    M = ModulePresentation(ring, F0, A.source, A)
+    counts = _count_views(monkeypatch)
+    minimal_resolution(M).check()
+    assert counts == {"views": 4, "by_row": 4}

@@ -7,6 +7,8 @@ import pytest
 
 from syzal import (
     BettiTable,
+    fingerprint,
+    minimal_resolution,
     FreeModule,
     FreeResolution,
     GradedMatrix,
@@ -29,6 +31,7 @@ from syzal import (
     toric_ht,
     zero_module,
 )
+from syzal.resolution import relation_basis
 
 
 def _matrix(ring, target_degs, source_degs, rows):
@@ -327,3 +330,27 @@ def test_resolution_check_catches_false_minimal_flag():
                          [d1], minimal=True)
     with pytest.raises(VerificationError):
         res.check()
+
+
+def test_a_degree_separated_betti_table_divides_nothing(monkeypatch):
+    # K_0 = R/(t1..t6): no two consecutive modules of its Schreyer frame,
+    # the Koszul complex, share a degree, so the frame is the minimal
+    # resolution, and its Betti table needs no division after the
+    # relation basis
+    import syzal.groebner as groebner
+    M = koszul_syzygy(RingSpec(6, 2), 0)
+    relation_basis(M)
+    calls = []
+    divide = groebner.divide
+
+    def recorded(*args, **kwargs):
+        calls.append(1)
+        return divide(*args, **kwargs)
+    monkeypatch.setattr(groebner, "divide", recorded)
+    betti = fingerprint(M).betti
+    assert calls == []
+    assert betti == koszul_complex(RingSpec(6, 2)).betti()
+    # reading the maps divides the minimal S-pairs of the five Schreyer
+    # steps, 15 + 20 + 15 + 6 + 1
+    minimal_resolution(M).check()
+    assert len(calls) == 57
