@@ -46,7 +46,6 @@ from syzal.groebner import (
     lift,
     normal_form,
     schreyer_basis,
-    syzygies,
 )
 from syzal.resolution import (
     BettiTable,

@@ -643,12 +643,6 @@ def schreyer_basis(G: GroebnerBasis) -> GroebnerBasis:
     return _schreyer_divide(G, *_frame_step(_level_of(G)))
 
 
-def syzygies(G: GroebnerBasis) -> GradedMatrix:
-    """Matrix whose columns generate all syzygies of G.elements."""
-    syzb = schreyer_basis(G)
-    return GradedMatrix.from_columns(syzb.ambient, syzb.elements)
-
-
 # ---------- elimination: kernels and lifts ----------
 
 def kernel(A: GradedMatrix,

@@ -2,9 +2,10 @@
 
 Resolutions are built by one Buchberger run followed by iterated Schreyer
 syzygies (already Groebner bases, no recompletion), then minimized by
-cancelling constant-entry pivots. The ranks and degrees of a resolution
-come from its Schreyer frame, read off leading terms; its maps are
-divided out only when they are read.
+cancelling constant-entry pivots on the packed keys of the columns
+(syzal.packed). The ranks and degrees of a resolution come from its
+Schreyer frame, read off leading terms; its maps are divided out only
+when they are read.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from syzal.modfree import (
     shift,
     zero_module,
 )
-from syzal.packed import Row, graded
-from syzal.ring import RingSpec, mono_mul
+from syzal.packed import MAX_DEGREE, Row, graded, too_high
+from syzal.ring import RingSpec
 
 
 class FreeResolution:
@@ -164,29 +165,21 @@ def resolve(M: ModulePresentation,
 
 # ---------- minimization ----------
 
-def _by_row(v: ModuleElement) -> dict:
-    """Column v as a dict row -> {monomial: coefficient}."""
-    col: dict = {}
-    for (i, m), c in v.terms.items():
-        col.setdefault(i, {})[m] = c
-    return col
-
-
-def _divide_content(entries) -> int:
-    """Divide the coefficient dicts {monomial: coefficient} in entries, in
-    place, by the positive content of all their coefficients: the gcd of
-    the numerators over the lcm of the denominators. They are then
-    primitive, and every coefficient is an int, also one that was an
-    integral Fraction. Returns that gcd (1 when there is no coefficient),
-    which is the content when the coefficients were ints."""
-    entries = list(entries)
-    coeffs = [c for e in entries for c in e.values()]
+def _divide_content(cols) -> int:
+    """Divide the packed columns {key: coefficient} in cols, in place, by
+    the positive content of all their coefficients: the gcd of the
+    numerators over the lcm of the denominators. They are then primitive,
+    and every coefficient is an int, also one that was an integral
+    Fraction. Returns that gcd (1 when there is no coefficient), which is
+    the content when the coefficients were ints."""
+    cols = list(cols)
+    coeffs = [c for col in cols for c in col.values()]
     g = gcd(*(c.numerator for c in coeffs)) or 1
     den = lcm(*(c.denominator for c in coeffs))
     if g > 1 or den > 1 or any(type(c) is not int for c in coeffs):
-        for e in entries:
-            for m, c in e.items():
-                e[m] = c * den // g
+        for col in cols:
+            for w, c in col.items():
+                col[w] = c * den // g
     return g
 
 
@@ -219,28 +212,37 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
     maps[s + 1] goes when the search reaches it. Cancelling creates no
     constant entry in an earlier map, so the search never goes back.
 
-    A map is touched when it is divided by its content or a pivot lies in
-    it or in a neighbour. Only then are its columns converted, each to a
-    dict row -> {monomial: coefficient}, and packed again at the end, with
-    its rows renumbered once; meanwhile a removed generator has degree
-    None and a removed column is None. Until then the search reads the
-    constant entries of the map off its keys of monomial 1. An untouched
-    map, and a module no pivot shrank, is handed back as the same object.
+    Every column is read as a packed row (syzal.packed): its constant
+    entry in row a is its term of key base(a), its entries in row a are
+    its keys of position a, and the product of the term u of column b by
+    the term w of row a has the key u + (w - base(a)), as in
+    GradedMatrix.apply; a product whose monomial would pass MAX_DEGREE is
+    refused with InputError. A map is touched when it is divided by its
+    content or a pivot lies in it or in a neighbour; only then is each of
+    its columns copied to a dict {key: coefficient}, and it is rebuilt at
+    the end, each key shifted down past the removed generators below its
+    position and each column sorted once. Meanwhile a removed generator
+    has degree None and a removed column is None. An untouched map is read
+    as its rows stand, and it, and a module no pivot shrank, is handed back
+    as the same object.
     """
     degs = [list(F.degrees) for F in modules]
-    mats: list = [None] * len(maps)  # the by-row columns of a touched map
+    mats: list = [None] * len(maps)  # the column dicts of a touched map
     divide = [any(type(c) is not int for v in A.columns() for c in v._row.values())
               for A in maps]
-    pk = graded(modules[0].ring.r)
+    ring = modules[0].ring
+    pk = graded(ring.r)
+    pshift, base = pk.pshift, pk.base
+    span = MAX_DEGREE * ring.d  # the largest degree gap a key packs
 
     def touch(s: int) -> list:
         if mats[s] is None:
-            mats[s] = [_by_row(v) for v in maps[s].columns()]
+            mats[s] = [dict(v._row) for v in maps[s].columns()]
         return mats[s]
 
     for s, A in enumerate(maps):
         if divide[s]:
-            _divide_content(e for col in touch(s) for e in col.values())
+            _divide_content(touch(s))
         while True:
             # an entry of a homogeneous map between generators of equal
             # degree is constant, so only those columns can hold a pivot
@@ -249,62 +251,57 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
             for b, g in enumerate(degs[s + 1]):
                 if g is not None:
                     cols_of.setdefault(g, []).append(b)
-            # until maps[s] is touched, its constant entries are its terms
-            # of monomial 1, of the keys base(a)
-            cols = mats[s]
+            cols = (mats[s] if mats[s] is not None
+                    else [v._row for v in A.columns()])
             hit = next(((a, b) for a, g in enumerate(degs[s])
-                        for b in cols_of.get(g, ())
-                        if (a in cols[b] if cols is not None
-                            else pk.base(a) in A.column_element(b)._row)), None)
+                        for b in cols_of.get(g, ()) if base(a) in cols[b]), None)
             if hit is None:
                 break
             a, b = hit
             cols = touch(s)
-            pivot = cols[b]
-            p = next(iter(pivot[a].values()))
+            pivot, at = cols[b], base(a)
+            p = pivot[at]
             unit = p == 1 or p == -1
             q = p if unit else 1  # 1 / p = p for a unit
-            fold = [(x, [(m, c * q) for m, c in e.items()])
-                    for x, e in pivot.items() if x != a]
+            fold = [(u, c * q) for u, c in pivot.items() if u >> pshift != a]
+            # the products put a nonzero entry into column y at each row x
+            # of fold, of monomials of degree (deg y - deg x) / d, which no
+            # key packs past MAX_DEGREE
+            low = min((degs[s][u >> pshift] for u, _c in fold), default=None)
             cols[b] = degs[s + 1][b] = degs[s][a] = None
             scale = {}  # row y of maps[s + 1] -> its factor, p if absent
             for y, col in enumerate(cols):
-                e = col and col.pop(a, None)
+                # entry (a, y) as its terms (key - base(a), coefficient)
+                e = col and [(w - at, c) for w, c in col.items()
+                             if w >> pshift == a]
                 if not e:
                     continue
+                if low is not None and degs[s + 1][y] - low > span:
+                    raise too_high("a minimized map")
+                for w, _c in e:
+                    del col[w + at]
                 if not unit:
-                    for entry in col.values():
-                        for m in entry:
-                            entry[m] *= p
-                for x, f in fold:
-                    entry = col.setdefault(x, {})
-                    for mf, cf in f:
-                        for me, ce in e.items():
-                            key = mono_mul(mf, me)
-                            v = entry.get(key, 0) - cf * ce
-                            if v:
-                                entry[key] = v
-                            else:
-                                del entry[key]
-                    if not entry:
-                        del col[x]
+                    for w in col:
+                        col[w] *= p
+                for u, cf in fold:
+                    for w, ce in e:
+                        key = u + w
+                        v = col.get(key, 0) - cf * ce
+                        if v:
+                            col[key] = v
+                        else:
+                            del col[key]
                 if not unit:
-                    scale[y] = _divide_content(col.values())
+                    scale[y] = _divide_content((col,))
             if s + 1 < len(mats):
                 divide[s + 1] |= not unit
-                for col in touch(s + 1):
-                    if col is None:
-                        continue
-                    col.pop(b, None)
-                    if not unit:
-                        for x, entry in col.items():
-                            f = scale.get(x, p)
-                            if f != 1:
-                                for m in entry:
-                                    entry[m] *= f
+                after = touch(s + 1)
+                for z, col in enumerate(after):
+                    if col is not None:
+                        after[z] = {w: c if unit else c * scale.get(w >> pshift, p)
+                                    for w, c in col.items() if w >> pshift != b}
             if s > 0:
                 touch(s - 1)[a] = None
-    ring = modules[0].ring
     out_modules = [F if None not in d else
                    FreeModule(ring, [g for g in d if g is not None])
                    for F, d in zip(modules, degs)]
@@ -314,11 +311,12 @@ def _cancel_units(modules: Sequence[FreeModule], maps: Sequence[GradedMatrix]):
             out_maps.append(maps[s])  # no pivot touched it
             continue
         target = out_modules[s]
-        live = [i for i, g in enumerate(degs[s]) if g is not None]
-        index = {i: k for k, i in enumerate(live)}
+        # the key shift of each kept row: the removed rows below it
+        drop = {i: (i - k) << pshift for k, i in enumerate(
+            i for i, g in enumerate(degs[s]) if g is not None)}
         out_maps.append(GradedMatrix.from_columns(target, [
-            ModuleElement._of(target, pk.row({
-                (index[i], m): c for i, e in col.items() for m, c in e.items()}))
+            ModuleElement._of(target, Row(sorted(
+                (w - drop[w >> pshift], c) for w, c in col.items())))
             for col in cols if col is not None], out_modules[s + 1].degrees))
     return out_modules, out_maps
 
@@ -431,11 +429,8 @@ class BettiTable:
                 entries[(i, g)] = entries.get((i, g), 0) + 1
         return BettiTable(entries)
 
-    def triples(self) -> list:
-        return [[i, j, b] for (i, j), b in sorted(self.entries.items())]
-
     def to_json(self) -> list:
-        return self.triples()
+        return [[i, j, b] for (i, j), b in sorted(self.entries.items())]
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries

@@ -56,10 +56,13 @@ def qdiv(a, b):
 
 
 # ---------- monomials ----------
-# Exponent-tuple arithmetic. The Groebner layer packs each term into one
-# int instead (syzal.packed) and uses tuples only at its edges: products,
-# divisibility, and the lcm, degree and coprime test of each S-pair are
-# key arithmetic there, exact because no field sum can carry.
+# Exponent-tuple arithmetic. The Groebner layer, the resolution maps and
+# minimization pack each term into one int instead (syzal.packed) and use
+# tuples only at their edges: products, divisibility, and the lcm, degree
+# and coprime test of each S-pair are key arithmetic there, exact because
+# no field sum can carry. mono_mul remains for Polynomial products,
+# ModuleElement.term_mul, GradedMatrix.apply above MAX_DEGREE, and the
+# oracle.
 
 def mono_deg(a):
     """Total exponent sum (ring degree is d times this)."""

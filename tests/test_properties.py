@@ -54,7 +54,6 @@ from syzal import (
     schreyer_basis,
     shift,
     subquotient_presentation,
-    syzygies,
     syzygy_order,
     toric_hht,
     toric_ht,
@@ -651,10 +650,10 @@ def test_kernel_elements_map_to_zero(M):
 def test_syzygies_compose_to_zero(M):
     cols = [c for c in M.relations.columns() if not c.is_zero()]
     G = buchberger(cols, ambient=M.F0)
-    S = syzygies(G)
+    S = schreyer_basis(G)
     A = GradedMatrix.from_columns(M.F0, G.elements,
                                   [e.degree() for e in G.elements])
-    assert A.compose(S).is_zero()
+    assert all(A.apply(e).is_zero() for e in S.elements)
 
 
 # ---------- the monic route ----------

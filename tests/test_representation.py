@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import syzal.oracle as oracle
-import syzal.resolution as resolution
 from syzal import (
     FreeModule,
     GradedMatrix,
@@ -292,20 +291,14 @@ def test_an_image_past_the_degree_bound_is_refused():
 # ---------- no round trip between two Schreyer steps ----------
 
 def _count_views(monkeypatch):
-    """Counts of terms views built and of columns converted by
-    minimization's _by_row."""
-    counts = {"views": 0, "by_row": 0}
-    view, by_row = ModuleElement._view, resolution._by_row
+    """The count of terms views built."""
+    counts = {"views": 0}
+    view = ModuleElement._view
 
     def counted_view(self):
         counts["views"] += 1
         return view(self)
-
-    def counted_by_row(v):
-        counts["by_row"] += 1
-        return by_row(v)
     monkeypatch.setattr(ModuleElement, "_view", counted_view)
-    monkeypatch.setattr(resolution, "_by_row", counted_by_row)
     return counts
 
 
@@ -317,12 +310,12 @@ def test_a_resolution_builds_no_terms_view(monkeypatch):
     res = minimal_resolution(toric_hht(4))
     assert [F.rank for F in res.modules] == [18, 8, 7, 4, 1]
     res.betti()
-    assert counts == {"views": 0, "by_row": 0}
+    assert counts == {"views": 0}
 
 
-def test_only_minimization_of_a_touched_map_builds_views(monkeypatch):
+def test_minimizing_a_touched_map_builds_no_terms_view(monkeypatch):
     # R^2 / (e_0, t1 e_1, t2 e_1): the unit entry touches delta_1 and
-    # delta_2, and only their columns are converted, once each
+    # delta_2, and their columns are cancelled on packed keys
     ring = RingSpec(2, 2)
     F0 = FreeModule(ring, (0, 0))
     A = GradedMatrix.from_columns(F0, [
@@ -333,13 +326,12 @@ def test_only_minimization_of_a_touched_map_builds_views(monkeypatch):
     counts = _count_views(monkeypatch)
     res = minimal_resolution(M)
     assert [F.rank for F in res.modules] == [1, 2, 1]
-    assert counts == {"views": 4, "by_row": 4}
+    assert counts == {"views": 0}
 
 
 def test_checking_a_minimal_resolution_builds_no_terms_view(monkeypatch):
     # the input above: check() composes on keys and reads the constant
-    # entries off the degree fields of the keys, so the views are those of
-    # minimization alone
+    # entries off the degree fields of the keys
     ring = RingSpec(2, 2)
     F0 = FreeModule(ring, (0, 0))
     A = GradedMatrix.from_columns(F0, [
@@ -349,4 +341,4 @@ def test_checking_a_minimal_resolution_builds_no_terms_view(monkeypatch):
     M = ModulePresentation(ring, F0, A.source, A)
     counts = _count_views(monkeypatch)
     minimal_resolution(M).check()
-    assert counts == {"views": 4, "by_row": 4}
+    assert counts == {"views": 0}

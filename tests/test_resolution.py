@@ -13,6 +13,7 @@ from syzal import (
     FreeResolution,
     GradedMatrix,
     InputError,
+    ModuleElement,
     ModulePresentation,
     RingSpec,
     VerificationError,
@@ -109,12 +110,10 @@ def test_minimize_drops_trailing_zero_modules():
     assert all(m.rank > 0 for m in res.modules)
 
 
-def _refuse_by_row(monkeypatch):
-    import syzal.resolution as resolution
-
-    def refused(v):
-        raise AssertionError("an untouched map was converted")
-    monkeypatch.setattr(resolution, "_by_row", refused)
+def _refuse_views(monkeypatch):
+    def refused(self):
+        raise AssertionError("a terms view was built")
+    monkeypatch.setattr(ModuleElement, "_view", refused)
 
 
 @pytest.mark.parametrize("make", [
@@ -123,10 +122,10 @@ def _refuse_by_row(monkeypatch):
 ], ids=["koszul", "toric_hht3"])
 def test_minimize_passes_untouched_maps_through(make, monkeypatch):
     # an int map that no pivot touches comes back as the same object, with
-    # no conversion and no rebuild
+    # no copy and no rebuild
     res = make()
     assert res.is_minimal_data()
-    _refuse_by_row(monkeypatch)
+    _refuse_views(monkeypatch)
     mres = minimize(res)
     assert all(A is B for A, B in zip(mres.maps, res.maps))
     assert len(mres.maps) == len(res.maps)
@@ -156,12 +155,26 @@ def test_minimize_drops_a_trailing_rank_zero_module_of_a_minimal_one(monkeypatch
     tail = GradedMatrix.from_columns(kos.modules[-1], [], ())
     res = FreeResolution(kos.ring, kos.target, kos.modules + [empty],
                          kos.maps + [tail])
-    _refuse_by_row(monkeypatch)
+    _refuse_views(monkeypatch)
     mres = minimize(res)
     assert [F.rank for F in mres.modules] == [1, 2, 1]
     assert all(A is B for A, B in zip(mres.maps, kos.maps))
     assert len(mres.maps) == 2
     mres.check()
+
+
+def test_minimizing_past_the_degree_bound_is_refused():
+    # cancelling the unit of column 0 puts t1^K column 1 into row 0 with
+    # the monomial t1^(2K), past MAX_DEGREE: no key packs it
+    ring = RingSpec(1, 2)
+    K = 30000
+    F0 = FreeModule(ring, (0, 2 * K))
+    A = GradedMatrix.from_columns(F0, [
+        ModuleElement(F0, {(0, (K,)): 1, (1, (0,)): 1}),
+        ModuleElement(F0, {(1, (K,)): 1})])
+    M = ModulePresentation(ring, F0, A.source, A)
+    with pytest.raises(InputError, match="degree above"):
+        minimize_presentation(M)
 
 
 def test_minimize_presentation_cancels_unit():
@@ -281,8 +294,7 @@ def test_maximal_ideal_is_shifted_first_syzygy():
 
 def test_betti_table_known_values():
     b = minimize(resolve(maximal_ideal(RingSpec(2, 2)), 2)).betti()
-    assert b.triples() == [[0, 2, 2], [1, 4, 1]]
-    assert b.to_json() == b.triples()
+    assert b.to_json() == [[0, 2, 2], [1, 4, 1]]
 
 
 def test_betti_table_toric2_matches_split_form():
@@ -291,7 +303,7 @@ def test_betti_table_toric2_matches_split_form():
     got = minimize(resolve(toric_ht(2), 2)).betti()
     want = minimize(resolve(toric_ht_expected(2), 2)).betti()
     assert got == want
-    assert got.triples() == [[0, 0, 1], [0, 2, 2], [1, 4, 1]]
+    assert got.to_json() == [[0, 0, 1], [0, 2, 2], [1, 4, 1]]
 
 
 def test_betti_table_render():
